@@ -10,7 +10,7 @@ characters and their braiding (characters), cyclic Weyl-algebra modules
 from .qdilog import (Flattening, RootConfig, SingularArgumentError,
                      ConstraintViolationError, Tolerance, cyc_dilog, d_const,
                      fusion_f, index_mod, lambda_dilog, li2, lifted_dilog,
-                     omega_pow, qpoch, s_norm)
+                     qpoch, s_norm)
 from .characters import (BraidOutcome, LogWeylChar, SL2StarElement, WeylChar,
                          braid, casimir_relation, char_product, classify_pair,
                          is_pinched, principal_log_char, psi, to_z0_char)

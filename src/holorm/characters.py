@@ -61,11 +61,6 @@ class LogWeylChar:
         """Integer translate; same underlying character."""
         return LogWeylChar(self.alpha + dalpha, self.beta + dbeta, self.mu)
 
-    def check_consistent(self, chi: WeylChar, rel: float = 1e-9) -> None:
-        if not self.char().isclose(chi, rel=rel):
-            raise RootMismatchError(
-                f"log-character {self} does not exponentiate to {chi}")
-
 
 def principal_log_char(chi: WeylChar, mu: complex = None) -> LogWeylChar:
     """Principal-branch logarithms of a character (mu may be prescribed)."""

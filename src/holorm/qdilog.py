@@ -34,17 +34,15 @@ class ConstraintViolationError(ValueError):
 class Tolerance:
     """Numerical thresholds used throughout the library.
 
-    rel        -- relative tolerance for identity checks
     constraint -- how exactly a flattening / coloring constraint must hold
     singular   -- below this, a factor |1 - omega**x| counts as a zero
     """
 
-    rel: float = 1e-8
     constraint: float = 1e-10
     singular: float = 1e-9
 
     def __post_init__(self):
-        for name in ("rel", "constraint", "singular"):
+        for name in ("constraint", "singular"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ValueError(f"tolerance {name}={v} must be in (0, 1)")
@@ -72,10 +70,6 @@ class RootConfig:
     def omega_pow(self, x: complex) -> complex:
         """omega**x = exp(2 pi i x / N) for arbitrary complex x."""
         return cmath.exp(TWO_PI_I * x / self.N)
-
-
-def omega_pow(cfg: RootConfig, x: complex) -> complex:
-    return cfg.omega_pow(x)
 
 
 @dataclass(frozen=True)
@@ -342,11 +336,3 @@ def index_mod(cfg: RootConfig, k: int) -> tuple:
     """
     modb = k % cfg.N
     return modb, 1 if k == modb else 0
-
-
-def modb(cfg: RootConfig, k: int) -> int:
-    return k % cfg.N
-
-
-def cutoff(cfg: RootConfig, k: int) -> int:
-    return 1 if 0 <= k < cfg.N else 0

@@ -209,6 +209,12 @@ class RTensor:
     def as_operator(self) -> np.ndarray:
         return self.entries.T.copy()
 
+    def braiding(self) -> "RTensor":
+        """This R-matrix composed with the flip of the output pair."""
+        N = self.cfg.N
+        ent = self.entries.reshape(N, N, N, N).transpose(0, 1, 3, 2).reshape(N * N, N * N)
+        return RTensor(self.cfg, ent, "braiding", self.sign, self.pinched)
+
     def entry(self, n1: int, n2: int, n1p: int, n2p: int) -> complex:
         N = self.cfg.N
         return self.entries[n1 * N + n2, n1p * N + n2p]
@@ -219,17 +225,25 @@ def _lambda_tables(c: CrossingData) -> dict:
     return {r: lambda_table(c.cfg, zs.flattening(r)) for r in REGIONS}
 
 
-def _assemble(c: CrossingData, flip: bool) -> np.ndarray:
-    """Entry assembly for both signs; flip=True swaps the output pair (braiding)."""
+def _index_grids(N: int) -> tuple:
+    """Broadcastable index grids (n1, n2, n1', n2') over Z/N, in entry order."""
+    n = np.arange(N)
+    return (n[:, None, None, None], n[None, :, None, None],
+            n[None, None, :, None], n[None, None, None, :])
+
+
+def _poch_table(q: complex, count: int) -> np.ndarray:
+    """[(q; q)_0, ..., (q; q)_{count-1}]."""
+    return np.array([qpoch(q, q, k) for k in range(count)])
+
+
+def _assemble(c: CrossingData) -> np.ndarray:
+    """Entries of the R-matrix of a non-pinched crossing, for both signs."""
     N = c.cfg.N
     w = c.cfg.omega_pow
     lam = _lambda_tables(c)
     z0, z1 = c.zeta0(), c.zeta1()
-    n = np.arange(N)
-    n1 = n[:, None, None, None]
-    n2 = n[None, :, None, None]
-    n1p = n[None, None, :, None]
-    n2p = n[None, None, None, :]
+    n1, n2, n1p, n2p = _index_grids(N)
     lamN, lamW = np.array(lam["N"]), np.array(lam["W"])
     lamS, lamE = np.array(lam["S"]), np.array(lam["E"])
     if c.sign == +1:
@@ -245,8 +259,6 @@ def _assemble(c: CrossingData, flip: bool) -> np.ndarray:
              * np.power(c.cfg.omega, (n1 - n2))
              * lamW[(n1 - n2) % N] * lamE[(n1p - n2p - 1) % N]
              / (lamN[(n1 - n2p - 1) % N] * lamS[(n1p - n2 - 1) % N]))
-    if flip:
-        R = np.transpose(R, (0, 1, 3, 2))
     return R.reshape(N * N, N * N)
 
 
@@ -254,7 +266,7 @@ def rmat(c: CrossingData) -> RTensor:
     """The R-matrix of a non-pinched crossing (positive or negative form)."""
     if c.pinched:
         raise PinchedCrossingError("use rmat_pinched for pinched crossings")
-    return RTensor(c.cfg, _assemble(c, flip=False), "rmat", c.sign)
+    return RTensor(c.cfg, _assemble(c), "rmat", c.sign)
 
 
 def braiding_op(c: CrossingData) -> RTensor:
@@ -262,12 +274,7 @@ def braiding_op(c: CrossingData) -> RTensor:
 
     Works for pinched crossings too (closed pinched form is used there).
     """
-    if c.pinched:
-        base = rmat_pinched(c)
-        N = c.cfg.N
-        ent = base.entries.reshape(N, N, N, N).transpose(0, 1, 3, 2).reshape(N * N, N * N)
-        return RTensor(c.cfg, ent, "braiding", c.sign, pinched=True)
-    return RTensor(c.cfg, _assemble(c, flip=True), "braiding", c.sign)
+    return (rmat_pinched(c) if c.pinched else rmat(c)).braiding()
 
 
 @dataclass(frozen=True)
@@ -355,13 +362,9 @@ def rmat_pinched(c: CrossingData) -> RTensor:
     al1, al2 = c.lc1.alpha, c.lc2.alpha
     al1p, al2p = c.lc1p.alpha, c.lc2p.alpha
     mu1, mu2 = c.lc1.mu, c.lc2.mu
-    n = np.arange(N)
-    n1 = n[:, None, None, None]
-    n2 = n[None, :, None, None]
-    n1p = n[None, None, :, None]
-    n2p = n[None, None, None, :]
+    n1, n2, n1p, n2p = _index_grids(N)
     theta = _theta(N, n1, n2, n1p, n2p)
-    poch = np.array([qpoch(c.cfg.omega, c.cfg.omega, k) for k in range(N)])
+    poch = _poch_table(c.cfg.omega, N)
 
     def cut(x):
         return ((0 <= x) & (x < N)).astype(int)
@@ -399,19 +402,13 @@ def _pinched_nonstandard(c: CrossingData, ints: dict) -> RTensor:
     l2 = -e * ints["W"]
     l1p = l2 + e * ints["S"]
     shifts = (l1, l2, l1p, l2p)
-    std = replace(c,
-                  lc1=c.lc1.shifted(dbeta=l1), lc2=c.lc2.shifted(dbeta=l2),
-                  lc1p=c.lc1p.shifted(dbeta=l1p), lc2p=c.lc2p.shifted(dbeta=l2p))
+    std = apply_beta_shift(c, shifts)
     rel = beta_shift_relation(c, shifts)
     N = c.cfg.N
-    n = np.arange(N)
+    n1, n2, n1p, n2p = _index_grids(N)
     Rs = rmat_pinched(std).entries.reshape(N, N, N, N)
     # std = shifted(c): R_std[n] = phase * R_c[n + l]  =>  R_c[m] = R_std[m - l]/phase
-    out = np.empty((N, N, N, N), dtype=complex)
-    for i1 in range(N):
-        for i2 in range(N):
-            out[i1, i2] = Rs[(i1 - l1) % N, (i2 - l2) % N][
-                np.ix_((n - l1p) % N, (n - l2p) % N)]
+    out = Rs[(n1 - l1) % N, (n2 - l2) % N, (n1p - l1p) % N, (n2p - l2p) % N]
     return RTensor(c.cfg, (out / rel).reshape(N * N, N * N), "rmat", e, pinched=True)
 
 
@@ -492,15 +489,11 @@ class TransformRelation:
     def predict(self, R_old: RTensor) -> np.ndarray:
         """Entries of the shifted crossing's R-matrix from the original one."""
         N = R_old.cfg.N
-        n = np.arange(N)
         l1, l2, l1p, l2p = self.index_shift
+        n1, n2, n1p, n2p = _index_grids(N)
         Ro = R_old.entries.reshape(N, N, N, N)
-        shifted = Ro[np.ix_((n + l1) % N, (n + l2) % N, (n + l1p) % N, (n + l2p) % N)]
+        shifted = Ro[(n1 + l1) % N, (n2 + l2) % N, (n1p + l1p) % N, (n2p + l2p) % N]
         kN, kW, kS, kE = self.gamma_coeffs
-        n1 = n[:, None, None, None]
-        n2 = n[None, :, None, None]
-        n1p = n[None, None, :, None]
-        n2p = n[None, None, None, :]
         if self.sign == +1:
             expo = (kN * (n2p - n1) + kS * (n2 - n1p)
                     - kW * (n2 - n1) - kE * (n2p - n1p))
@@ -538,16 +531,10 @@ def kashaev_rmat(cfg: RootConfig) -> RTensor:
     kept for compatibility with the usual normalization in the literature.
     """
     N = cfg.N
-    poch_w = np.array([qpoch(cfg.omega, cfg.omega, k) for k in range(N)])
-    wbar = cfg.omega.conjugate()
-    poch_wb = np.array([qpoch(wbar, wbar, k) for k in range(N)])
-    n = np.arange(N)
-    n1 = n[:, None, None, None]
-    n2 = n[None, :, None, None]
-    n1p = n[None, None, :, None]
-    n2p = n[None, None, None, :]
+    poch_w = _poch_table(cfg.omega, N)
+    poch_wb = _poch_table(cfg.omega.conjugate(), N)
+    n1, n2, n1p, n2p = _index_grids(N)
     theta = _theta(N, n1, n2, n1p, n2p)
-    R = np.zeros((N, N, N, N), dtype=complex)
     num = N * cfg.omega_pow(0.5) * np.power(cfg.omega, (n2p - n1))
     den = (poch_w[(n2p - n1) % N] * poch_w[(n2 - n1p) % N]
            * poch_wb[(n1p - n2p - 1) % N] * poch_wb[(n1 - n2) % N])
@@ -616,7 +603,7 @@ def nilpotent_closed_form(c: CrossingData) -> np.ndarray:
     N = c.cfg.N
     w = c.cfg.omega_pow
     nu2 = c.lc2.alpha + c.lc2.mu
-    poch = np.array([qpoch(c.cfg.omega, c.cfg.omega, k) for k in range(2 * N)])
+    poch = _poch_table(c.cfg.omega, 2 * N)
     R = np.zeros((N, N, N, N), dtype=complex)
     for n1 in range(N):
         for n2 in range(N):
@@ -644,7 +631,7 @@ def colored_jones_closed_form(cfg: RootConfig) -> np.ndarray:
     """
     N = cfg.N
     w = cfg.omega_pow
-    poch = np.array([qpoch(cfg.omega, cfg.omega, k) for k in range(N)])
+    poch = _poch_table(cfg.omega, N)
     R = np.zeros((N, N, N, N), dtype=complex)
     for n1 in range(N):
         for n2 in range(N):

@@ -1,9 +1,12 @@
 """Identity battery: every structural identity the library rests on.
 
-Each check function returns {identity name: max deviation}; run_all wraps
-them into a report with per-identity tolerances.  Deviations are relative
-unless the name says otherwise.  All randomness flows through one seeded
-generator, so reports are reproducible.
+Each check function (one per suite) returns {identity name: max deviation},
+with the number of evaluations per identity in its .samples attribute.
+IDENTITIES registers every identity with its suite, tolerance and smallest
+N; run_all turns the suites' output into one result per registered identity
+and N, and `holorm selftest` and the acceptance tests both read it.
+Deviations are relative unless the name says otherwise.  All randomness
+flows through one seeded generator, so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from .characters import (LogWeylChar, braid, casimir_relation, char_product,
                          psi, to_z0_char)
 from .qdilog import (RootConfig, TWO_PI_I, cyc_dilog, d_const, fusion_f,
                      lambda_dilog, lambda_table, lifted_dilog, qpoch, s_norm)
-from .rmatrix import (CrossingData, braiding_op, det_braiding, det_lu,
-                      factorized_ops, kashaev_rmat, rmat, rmat_pinched,
+from .rmatrix import (CrossingData, braiding_op, colored_jones_closed_form,
+                      det_braiding, det_lu, factorized_ops, kashaev_rmat,
+                      nilpotent_closed_form, rmat, rmat_pinched,
                       transform_rules, weight_basis_closed_form,
                       weight_basis_rmat)
 from .weylrep import (Basis, central_scalars, commutant_dim, matrix_power,
@@ -40,8 +44,30 @@ def _mrel(A, B) -> float:
 
 
 class _Worst(dict):
+    """Worst deviation per identity; .samples counts the evaluations."""
+
+    def __init__(self):
+        super().__init__()
+        self.samples = {}
+
     def note(self, key, val):
         self[key] = max(self.get(key, 0.0), float(val))
+        self.samples[key] = self.samples.get(key, 0) + 1
+
+
+def r2_backward_error(c: CrossingData) -> float:
+    """Normwise backward error ||B'B - I|| / (||B'|| ||B||) of Reidemeister II.
+
+    B is the braiding of the positive crossing c and B' that of the negative
+    crossing undoing it.  Unlike the entrywise residual, this stays near
+    machine precision however badly conditioned B is.
+    """
+    B = braiding_op(c).as_operator()
+    Binv = braiding_op(CrossingData(c.cfg, -1, c.lc2p, c.lc1p, c.lc2, c.lc1,
+                                    c.gamma_n, c.gamma_e, c.gamma_s,
+                                    c.gamma_w)).as_operator()
+    return float(np.linalg.norm(Binv @ B - np.eye(len(B)))
+                 / (np.linalg.norm(Binv) * np.linalg.norm(B)))
 
 
 # ---------------------------------------------------------------- qdilog
@@ -145,7 +171,7 @@ def check_qdilog(cfg: RootConfig, rng: np.random.Generator, trials: int = 40) ->
                 / (1 - w(-g2)) ** N / (1 - w(b)) ** N
                 / d_const(cfg, -g2) ** N / d_const(cfg, b) ** N)
         out.note("fusion Nth power", _rel(lhsP, rhsP))
-    return dict(out)
+    return out
 
 
 # ------------------------------------------------------------ characters
@@ -153,7 +179,6 @@ def check_qdilog(cfg: RootConfig, rng: np.random.Generator, trials: int = 40) ->
 def check_characters(cfg: RootConfig, rng: np.random.Generator,
                      trials: int = 500) -> dict:
     out = _Worst()
-    done_rel = 0
     for _ in range(trials):
         c1, c2 = sampling.random_char(rng), sampling.random_char(rng)
         o = braid(c1, c2, +1)
@@ -176,30 +201,25 @@ def check_characters(cfg: RootConfig, rng: np.random.Generator,
         mu = cmath.log(c1.m) / TWO_PI_I
         out.note("Casimir relation", casimir_relation(c1, mu))
     for _ in range(trials * 4):
-        triple = [sampling.random_char(rng) for _ in range(3)]
-
-        def bx(t):
-            o = braid(t[0], t[1], +1)
-            return (o.chi2p, o.chi1p, t[2]) if o.admissible else None
-
-        def xb(t):
-            o = braid(t[1], t[2], +1)
-            return (t[0], o.chi2p, o.chi1p) if o.admissible else None
-
-        lhs = rhs = tuple(triple)
-        for step in (bx, xb, bx):
-            lhs = step(lhs) if lhs is not None else None
-        for step in (xb, bx, xb):
-            rhs = step(rhs) if rhs is not None else None
+        lhs = rhs = tuple(sampling.random_char(rng) for _ in range(3))
+        for i in (0, 1, 0):
+            lhs = lhs and _sigma(lhs, i)
+        for i in (1, 0, 1):
+            rhs = rhs and _sigma(rhs, i)
         if lhs is None or rhs is None:
             continue
-        done_rel += 1
         out.note("braid relation", max(
             abs(x - y) for u, v in zip(lhs, rhs)
             for x, y in zip(u.as_tuple(), v.as_tuple())))
-    if done_rel == 0:
-        out.note("braid relation", float("nan"))
-    return dict(out)
+    return out
+
+
+def _sigma(t: tuple, i: int):
+    """Braid generator i (0 or 1) on a triple of characters; None if inadmissible."""
+    o = braid(t[i], t[i + 1], +1)
+    if not o.admissible:
+        return None
+    return t[:i] + (o.chi2p, o.chi1p) + t[i + 2:]
 
 
 # --------------------------------------------------------------- weylrep
@@ -254,7 +274,7 @@ def check_weylrep(cfg: RootConfig, rng: np.random.Generator,
         out.note("commutant reducible case",
                  abs(commutant_dim(rep_matrices(cfg, LogWeylChar(0.5, 0.37, 0.5),
                                                 Basis.FOURIER)) - 1))
-    return dict(out)
+    return out
 
 
 # --------------------------------------------------------------- rmatrix
@@ -325,16 +345,10 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator,
                             lhs - R4[(n1 - 1) % N, n2, n1p, n2p] * w(al1 - mu1 - 1)
                             * (1 - w(z0["N"] + n2p - n1 + 1))
                             / (1 - w(z0["W"] + n2 - n1))) / scale)
-    # R2 contraction
+    # R2 contraction as a normwise backward error
     for _ in range(trials):
-        c = sampling.random_crossing(cfg, rng, +1)
-        b1 = braiding_op(c)
-        cinv = CrossingData(cfg, -1, c.lc2p, c.lc1p, c.lc2, c.lc1,
-                            c.gamma_n, c.gamma_e, c.gamma_s, c.gamma_w)
-        b2 = braiding_op(cinv)
         out.note("R2 contraction",
-                 float(np.abs(b2.as_operator() @ b1.as_operator()
-                              - np.eye(N * N)).max()))
+                 r2_backward_error(sampling.random_crossing(cfg, rng, +1)))
     # pinched limit (absolute deviation) and closed pinched forms
     for _ in range(max(2, trials // 3)):
         prm = _random_pinched_params(rng)
@@ -346,22 +360,13 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator,
             lim = _pinched_limit(cfg, cpin)
             out.note("pinched limit (abs)",
                      float(np.abs(lim - rmat_pinched(cpin).entries).max()))
-    # pinched R2
-    prm = _random_pinched_params(rng)
-    cpin = sampling.standard_pinched_crossing(cfg, *prm)
-    b1 = braiding_op(cpin)
-    cneg = CrossingData(cfg, -1, cpin.lc2p, cpin.lc1p, cpin.lc2, cpin.lc1,
-                        cpin.gamma_n, cpin.gamma_e, cpin.gamma_s, cpin.gamma_w)
-    out.note("pinched R2 contraction",
-             float(np.abs(braiding_op(cneg).as_operator() @ b1.as_operator()
-                          - np.eye(N * N)).max()))
+    out.note("pinched R2 contraction", r2_backward_error(
+        sampling.standard_pinched_crossing(cfg, *_random_pinched_params(rng))))
     # Kashaev: closed pinched form times omega^(1/2) is the canonical matrix
-    ck = sampling.kashaev_crossing(cfg)
-    out.note("Kashaev normalization",
-             _mrel(rmat_pinched(ck).entries * w(0.5), kashaev_rmat(cfg).entries))
     K = kashaev_rmat(cfg)
-    ent = K.entries.reshape(N, N, N, N).transpose(0, 1, 3, 2).reshape(N * N, N * N)
-    B = ent.T
+    ck = sampling.kashaev_crossing(cfg)
+    out.note("Kashaev normalization", _mrel(rmat_pinched(ck).entries * w(0.5), K.entries))
+    B = K.braiding().as_operator()
     B1, B2 = np.kron(B, np.eye(N)), np.kron(np.eye(N), B)
     out.note("Kashaev braid relation", _mrel(B1 @ B2 @ B1, B2 @ B1 @ B2))
     # weight basis: conjugation vs closed form vs specializations
@@ -369,7 +374,6 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator,
     cpin = sampling.standard_pinched_crossing(cfg, *prm)
     out.note("weight-basis closed form",
              _mrel(weight_basis_rmat(cpin).entries, weight_basis_closed_form(cpin)))
-    from .rmatrix import colored_jones_closed_form, nilpotent_closed_form
     cj = sampling.kashaev_crossing(cfg)
     out.note("colored-Jones form",
              _mrel(weight_basis_rmat(cj).entries, colored_jones_closed_form(cfg)))
@@ -378,7 +382,7 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator,
                                               alpha2p=prm[1])
     out.note("nilpotent form",
              _mrel(weight_basis_rmat(cnil).entries, nilpotent_closed_form(cnil)))
-    return dict(out)
+    return out
 
 
 def _random_pinched_params(rng) -> tuple:
@@ -391,8 +395,6 @@ def _random_pinched_params(rng) -> tuple:
 def _pinched_limit(cfg: RootConfig, cpin: CrossingData, t0: float = 1e-2,
                    steps: int = 7) -> np.ndarray:
     """Richardson-extrapolated limit of the generic formula toward a pinched point."""
-    from .characters import LogWeylChar
-
     def perturbed(t):
         lc2t = LogWeylChar(cpin.lc2.alpha, cpin.lc2.beta + t, cpin.lc2.mu)
         outt = braid(cpin.lc1.char(), lc2t.char(), cpin.sign)
@@ -421,6 +423,16 @@ def _pinched_limit(cfg: RootConfig, cpin: CrossingData, t0: float = 1e-2,
 
 # -------------------------------------------------------------- braidgrpd
 
+def _closing_overrides(d, lc) -> tuple:
+    """(top betas, top gammas, beta and gamma overrides) making bottom = top."""
+    top_b = [lc.beta[d.top_segments[p]] for p in range(1, d.width + 1)]
+    top_g = [lc.gamma[r] for r in d.top_regions]
+    b_over = {d.bottom_segments[p]: top_b[p - 1] for p in range(1, d.width + 1)}
+    g_over = {d.bottom_regions[col]: top_g[col] for col in range(d.width + 1)
+              if d.bottom_regions[col] not in d.top_regions}
+    return top_b, top_g, b_over, g_over
+
+
 def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator,
                     trials: int = 5) -> dict:
     N = cfg.N
@@ -429,11 +441,7 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator,
     d2 = build_diagram(BraidWord(2, (1, -1)))
     for _ in range(trials):
         lc = sampling.random_coloring(cfg, d2, rng)
-        top_b = [lc.beta[d2.top_segments[p]] for p in (1, 2)]
-        top_g = [lc.gamma[r] for r in d2.top_regions]
-        b_over = {d2.bottom_segments[p]: top_b[p - 1] for p in (1, 2)}
-        g_over = {d2.bottom_regions[col]: top_g[col] for col in range(3)
-                  if d2.bottom_regions[col] not in d2.top_regions}
+        top_b, top_g, b_over, g_over = _closing_overrides(d2, lc)
         lc = extend_log_coloring(d2, top_b, top_g, lc.mu,
                                  beta_overrides=b_over, gamma_overrides=g_over)
         out.note("R2 move", float(np.abs(jfunc_eval(cfg, d2, lc)
@@ -444,9 +452,10 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator,
         lc = sampling.random_coloring(cfg, d_ab, rng)
         full = jfunc_eval(cfg, d_ab, lc)
         c0, c1 = d_ab.crossings
-        from .rmatrix import braiding_op as bop
-        m0 = np.kron(bop(crossing_data(cfg, d_ab, lc, c0)).as_operator(), np.eye(N))
-        m1 = np.kron(np.eye(N), bop(crossing_data(cfg, d_ab, lc, c1)).as_operator())
+        m0 = np.kron(braiding_op(crossing_data(cfg, d_ab, lc, c0)).as_operator(),
+                     np.eye(N))
+        m1 = np.kron(np.eye(N),
+                     braiding_op(crossing_data(cfg, d_ab, lc, c1)).as_operator())
         out.note("composition functoriality", _mrel(full, m1 @ m0))
     # edge gluing (absolute defect)
     for word in ((1, -1), (1, 1), (1, 2, 1), (2, 1, -2, 1)):
@@ -506,11 +515,7 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator,
         except RuntimeError:
             continue
         # impose boundary match bottom = top, then zero the longitudes
-        top_b = [lc.beta[loop.top_segments[p]] for p in (1, 2, 3)]
-        top_g = [lc.gamma[r] for r in loop.top_regions]
-        b_over = {loop.bottom_segments[p]: top_b[p - 1] for p in (1, 2, 3)}
-        g_over = {loop.bottom_regions[col]: top_g[col]
-                  for col in range(4) if loop.bottom_regions[col] not in loop.top_regions}
+        top_b, top_g, b_over, g_over = _closing_overrides(loop, lc)
         try:
             lc = extend_log_coloring(loop, top_b, top_g, lc.mu,
                                      beta_overrides=b_over, gamma_overrides=g_over)
@@ -525,75 +530,84 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator,
         prod = np.prod(jfunc_dets(cfg, loop, lc))
         done += 1
         out.note("determinant cocycle", min(abs(prod - 1.0), abs(prod + 1.0)))
-    if done == 0:
-        out.note("determinant cocycle", float("nan"))
-    return dict(out)
+    return out
 
 
 # ----------------------------------------------------------------- runner
 
-DEFAULT_TOLS = {
-    "lambda recurrence": 1e-10,
-    "lambda periodicity": 1e-10,
-    "lambda shift (zeta0)": 1e-8,
-    "lambda shift (zeta1)": 1e-8,
-    "lambda product": 1e-8,
-    "lambda inverse sum": 1e-8,
-    "Fourier transform": 1e-8,
-    "Fourier inverse": 1e-8,
-    "Fourier roundtrip": 1e-8,
-    "S symmetry": 1e-8,
-    "S shift (zeta0)": 1e-8,
-    "S shift (zeta1)": 1e-8,
-    "S Nth power": 1e-8,
-    "unity factorization": 1e-10,
-    "q-series transform": 1e-8,
-    "fusion shift identity": 1e-8,
-    "fusion integer form": 1e-8,
-    "fusion Nth power": 1e-8,
-    "inverse pair": 1e-10,
-    "braid relation": 1e-9,
-    "meridian preservation": 0.0,
-    "product preservation": 1e-10,
-    "a balance": 1e-12,
-    "det psi": 1e-12,
-    "Casimir relation": 1e-10,
-    "Weyl relation": 1e-10,
-    "KE = xi^2 EK": 1e-10,
-    "KF = xi^-2 FK": 1e-10,
-    "[E,F] relation": 1e-10,
-    "Casimir scalar": 1e-10,
-    "central scalars": 1e-9,
-    "tensor grading": 1e-8,
-    "commutant generic": 0.0,
-    "commutant scalar case": 0.0,
-    "commutant parabolic case": 0.0,
-    "commutant reducible case": 0.0,
-    "intertwining": 1e-8,
-    "factorization": 1e-9,
-    "kappa independence": 1e-12,
-    "determinant closed vs LU": 1e-7,
-    "gamma shift rule": 1e-8,
-    "beta shift rule": 1e-8,
-    "recurrence i": 1e-8,
-    "recurrence ii": 1e-8,
-    "recurrence iii": 1e-8,
-    "recurrence iv": 1e-8,
-    "R2 contraction": 1e-8,
-    "pinched limit (abs)": 1e-5,
-    "pinched R2 contraction": 1e-8,
-    "Kashaev normalization": 1e-12,
-    "Kashaev braid relation": 1e-10,
-    "weight-basis closed form": 1e-8,
-    "colored-Jones form": 1e-8,
-    "nilpotent form": 1e-8,
-    "R2 move": 1e-8,
-    "R3 move": 1e-7,
-    "composition functoriality": 1e-10,
-    "edge gluing (abs)": 1e-10,
-    "log-decoration dependence": 1e-8,
-    "determinant cocycle": 1e-6,
-}
+@dataclass(frozen=True)
+class Identity:
+    """A registered identity: the suite that evaluates it, its tolerance, and
+    the smallest N at which it applies."""
+
+    name: str
+    suite: str
+    tol: float
+    min_N: int = 2
+
+
+IDENTITIES = {i.name: i for i in (
+    Identity("lambda recurrence", "qdilog", 1e-10),
+    Identity("lambda periodicity", "qdilog", 1e-10),
+    Identity("lambda shift (zeta0)", "qdilog", 1e-8),
+    Identity("lambda shift (zeta1)", "qdilog", 1e-8),
+    Identity("lambda product", "qdilog", 1e-8),
+    Identity("lambda inverse sum", "qdilog", 1e-8),
+    Identity("Fourier transform", "qdilog", 1e-8),
+    Identity("Fourier inverse", "qdilog", 1e-8),
+    Identity("Fourier roundtrip", "qdilog", 1e-8),
+    Identity("S symmetry", "qdilog", 1e-8),
+    Identity("S shift (zeta0)", "qdilog", 1e-8),
+    Identity("S shift (zeta1)", "qdilog", 1e-8),
+    Identity("S Nth power", "qdilog", 1e-8),
+    Identity("unity factorization", "qdilog", 1e-10),
+    Identity("q-series transform", "qdilog", 1e-8),
+    Identity("fusion shift identity", "qdilog", 1e-8),
+    Identity("fusion integer form", "qdilog", 1e-8),
+    Identity("fusion Nth power", "qdilog", 1e-8),
+    Identity("inverse pair", "characters", 1e-10),
+    Identity("braid relation", "characters", 1e-9),
+    Identity("meridian preservation", "characters", 0.0),
+    Identity("product preservation", "characters", 1e-10),
+    Identity("a balance", "characters", 1e-12),
+    Identity("det psi", "characters", 1e-12),
+    Identity("Casimir relation", "characters", 1e-10),
+    Identity("Weyl relation", "weylrep", 1e-10),
+    Identity("KE = xi^2 EK", "weylrep", 1e-10),
+    Identity("KF = xi^-2 FK", "weylrep", 1e-10),
+    Identity("[E,F] relation", "weylrep", 1e-10),
+    Identity("Casimir scalar", "weylrep", 1e-10),
+    Identity("central scalars", "weylrep", 1e-9),
+    Identity("tensor grading", "weylrep", 1e-8),
+    Identity("commutant generic", "weylrep", 0.0),
+    Identity("commutant scalar case", "weylrep", 0.0),
+    Identity("commutant parabolic case", "weylrep", 0.0),
+    Identity("commutant reducible case", "weylrep", 0.0, min_N=3),
+    Identity("intertwining", "rmatrix", 1e-8),
+    Identity("factorization", "rmatrix", 1e-9),
+    Identity("kappa independence", "rmatrix", 1e-12),
+    Identity("determinant closed vs LU", "rmatrix", 1e-7),
+    Identity("gamma shift rule", "rmatrix", 1e-8),
+    Identity("beta shift rule", "rmatrix", 1e-8),
+    Identity("recurrence i", "rmatrix", 1e-8),
+    Identity("recurrence ii", "rmatrix", 1e-8),
+    Identity("recurrence iii", "rmatrix", 1e-8),
+    Identity("recurrence iv", "rmatrix", 1e-8),
+    Identity("R2 contraction", "rmatrix", 1e-12),
+    Identity("pinched limit (abs)", "rmatrix", 1e-5),
+    Identity("pinched R2 contraction", "rmatrix", 1e-12),
+    Identity("Kashaev normalization", "rmatrix", 1e-12),
+    Identity("Kashaev braid relation", "rmatrix", 1e-10),
+    Identity("weight-basis closed form", "rmatrix", 1e-8),
+    Identity("colored-Jones form", "rmatrix", 1e-8),
+    Identity("nilpotent form", "rmatrix", 1e-8),
+    Identity("R2 move", "braidgrpd", 1e-8),
+    Identity("R3 move", "braidgrpd", 1e-7),
+    Identity("composition functoriality", "braidgrpd", 1e-10),
+    Identity("edge gluing (abs)", "braidgrpd", 1e-10),
+    Identity("log-decoration dependence", "braidgrpd", 1e-8),
+    Identity("determinant cocycle", "braidgrpd", 1e-6),
+)}
 
 
 @dataclass
@@ -603,6 +617,7 @@ class CheckResult:
     N: int
     deviation: float
     tol: float
+    samples: int
 
     @property
     def passed(self) -> bool:
@@ -611,10 +626,11 @@ class CheckResult:
 
 def run_all(Ns=(2, 3, 5), seed: int = 7, scale: float = 1.0,
             tol_overrides: dict = None) -> list:
-    """Run every check at every N; returns a flat list of CheckResults."""
-    tols = dict(DEFAULT_TOLS)
-    if tol_overrides:
-        tols.update(tol_overrides)
+    """Run every suite at every N; one CheckResult per registered identity and N.
+
+    An identity that its suite evaluated zero times fails with deviation NaN.
+    """
+    tol_overrides = tol_overrides or {}
     rng = np.random.default_rng(seed)
     results = []
     for N in Ns:
@@ -627,7 +643,12 @@ def run_all(Ns=(2, 3, 5), seed: int = 7, scale: float = 1.0,
             ("braidgrpd", check_braidgrpd, max(2, int(4 * scale))),
         )
         for module, fn, trials in suites:
-            for name, dev in fn(cfg, rng, trials).items():
-                results.append(CheckResult(module, name, N, dev,
-                                           tols.get(name, 1e-8)))
+            out = fn(cfg, rng, trials)
+            for ident in IDENTITIES.values():
+                if ident.suite != module or N < ident.min_N:
+                    continue
+                results.append(CheckResult(
+                    module, ident.name, N, out.get(ident.name, float("nan")),
+                    tol_overrides.get(ident.name, ident.tol),
+                    out.samples.get(ident.name, 0)))
     return results

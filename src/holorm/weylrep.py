@@ -130,60 +130,57 @@ def pi_tensor(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
             "z1": m["z1"], "z2": m["z2"]}
 
 
+COND_MAX = 1e12  # condition number beyond which a braiding element g counts as singular
+
+
+def _primed_generators(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
+                       lc1p: LogWeylChar, lc2p: LogWeylChar, sign: int) -> tuple:
+    """(x1, x2, y1, y2, z1, z2) and their inverses in the output representation.
+
+    When the primed data are omitted they are rebuilt by braiding the
+    characters with the given sign and taking principal logarithms.
+    """
+    if lc1p is None or lc2p is None:
+        out = braid(lc1.char(), lc2.char(), sign)
+        if not out.admissible:
+            raise ValueError("pair is not admissible; no braiding exists")
+        lc1p = principal_log_char(out.chi1p, mu=lc1.mu)
+        lc2p = principal_log_char(out.chi2p, mu=lc2.mu)
+    m = _pi2(cfg, lc1p, lc2p, Basis.FOURIER)
+    gens = tuple(m[k] for k in ("x1", "x2", "y1", "y2", "z1", "z2"))
+    return gens, tuple(np.linalg.inv(M) for M in gens)
+
+
+def _checked_inv(g: np.ndarray, what: str) -> np.ndarray:
+    if np.linalg.cond(g) > COND_MAX:
+        raise ValueError(f"{what} is numerically singular")
+    return np.linalg.inv(g)
+
+
 def rw_images(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
-              lc1p: LogWeylChar = None, lc2p: LogWeylChar = None,
-              inverse: bool = False, basis: Basis = Basis.FOURIER,
-              cond_max: float = 1e12) -> dict:
+              lc1p: LogWeylChar = None, lc2p: LogWeylChar = None) -> dict:
     """Matrices of the braiding automorphism on generators, in the primed action.
 
     Each generator u of the doubled Weyl algebra is sent to an explicit
     rational expression; this returns that expression evaluated in the
     representation attached to the *output* log-characters (lc1p, lc2p).
-    When the primed data are omitted they are rebuilt by braiding the
-    characters and taking principal logarithms.
     """
-    if lc1p is None or lc2p is None:
-        out = braid(lc1.char(), lc2.char(), -1 if inverse else +1)
-        if not out.admissible:
-            raise ValueError("pair is not admissible; no braiding exists")
-        lc1p = principal_log_char(out.chi1p, mu=lc1.mu)
-        lc2p = principal_log_char(out.chi2p, mu=lc2.mu)
-    m = _pi2(cfg, lc1p, lc2p, basis)
-    x1, x2, y1, y2, z1, z2 = (m["x1"], m["x2"], m["y1"], m["y2"], m["z1"], m["z2"])
-    N2 = x1.shape[0]
-    eye = np.eye(N2, dtype=complex)
-    x1i, x2i = np.linalg.inv(x1), np.linalg.inv(x2)
-    y1i, y2i = np.linalg.inv(y1), np.linalg.inv(y2)
-    z1i, z2i = np.linalg.inv(z1), np.linalg.inv(z2)
-    if not inverse:
-        g = eye - x1i @ y1 @ (z1 - x1) @ y2i @ (x2 - z2i)
-        if np.linalg.cond(g) > cond_max:
-            raise ValueError("braiding element g is numerically singular")
-        gi = np.linalg.inv(g)
-        return {
-            "x1": x1 @ g,
-            "x2": gi @ x2,
-            "y1inv": y2i + (y1i - z2i @ y2i) @ x2i,
-            "y2": z1 @ z2i @ y1 + (y2 - z2i @ y1) @ x1,
-            "z1": z1, "z2": z2,
-        }
-    g = eye - y1 @ (z1 - x1) @ y2i @ (eye - z2i @ x2i)
-    if np.linalg.cond(g) > cond_max:
-        raise ValueError("inverse braiding element is numerically singular")
-    gi = np.linalg.inv(g)
+    (x1, x2, y1, y2, z1, z2), (x1i, x2i, y1i, y2i, _, z2i) = _primed_generators(
+        cfg, lc1, lc2, lc1p, lc2p, +1)
+    eye = np.eye(x1.shape[0], dtype=complex)
+    g = eye - x1i @ y1 @ (z1 - x1) @ y2i @ (x2 - z2i)
+    gi = _checked_inv(g, "braiding element g")
     return {
-        "x1": x1 @ gi,
-        "x2": g @ x2,
-        "y1inv": z1 @ z2i @ y2i + (y1i - z1 @ y2i) @ x2,
-        "y2": y1 + (y2 - z1 @ y1) @ x1i,
+        "x1": x1 @ g,
+        "x2": gi @ x2,
+        "y1inv": y2i + (y1i - z2i @ y2i) @ x2i,
+        "y2": z1 @ z2i @ y1 + (y2 - z2i @ y1) @ x1,
         "z1": z1, "z2": z2,
     }
 
 
 def rw_images_negative(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
-                       lc1p: LogWeylChar = None, lc2p: LogWeylChar = None,
-                       basis: Basis = Basis.FOURIER,
-                       cond_max: float = 1e12) -> dict:
+                       lc1p: LogWeylChar = None, lc2p: LogWeylChar = None) -> dict:
     """Generator images intertwined by the negative R-matrix.
 
     The negative crossing realizes the inverse braiding automorphism
@@ -194,22 +191,11 @@ def rw_images_negative(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
     with g = 1 - y2 (z2 - x2) y1^{-1} (1 - (z1 x1)^{-1}), evaluated in the
     output representation.
     """
-    if lc1p is None or lc2p is None:
-        out = braid(lc1.char(), lc2.char(), -1)
-        if not out.admissible:
-            raise ValueError("pair is not admissible; no braiding exists")
-        lc1p = principal_log_char(out.chi1p, mu=lc1.mu)
-        lc2p = principal_log_char(out.chi2p, mu=lc2.mu)
-    m = _pi2(cfg, lc1p, lc2p, basis)
-    x1, x2, y1, y2, z1, z2 = (m["x1"], m["x2"], m["y1"], m["y2"], m["z1"], m["z2"])
+    (x1, x2, y1, y2, z1, z2), (x1i, x2i, y1i, y2i, z1i, _) = _primed_generators(
+        cfg, lc1, lc2, lc1p, lc2p, -1)
     eye = np.eye(x1.shape[0], dtype=complex)
-    x1i, x2i = np.linalg.inv(x1), np.linalg.inv(x2)
-    y1i, y2i = np.linalg.inv(y1), np.linalg.inv(y2)
-    z1i, z2i = np.linalg.inv(z1), np.linalg.inv(z2)
     g = eye - y2 @ (z2 - x2) @ y1i @ (eye - z1i @ x1i)
-    if np.linalg.cond(g) > cond_max:
-        raise ValueError("negative braiding element is numerically singular")
-    gi = np.linalg.inv(g)
+    gi = _checked_inv(g, "negative braiding element")
     y1_img = y2 + (y1 - z2 @ y2) @ x2i
     return {
         "x1": g @ x1,

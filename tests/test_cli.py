@@ -1,11 +1,18 @@
-"""CLI: JSON round trips, exit codes, canned matrices."""
+"""CLI: JSON round trips, exit codes, canned matrices, README examples."""
 
 import json
+import pathlib
+import re
 
 import numpy as np
-import pytest
 
+from holorm.characters import LogWeylChar
 from holorm.cli import main
+from holorm.qdilog import RootConfig
+from holorm.rmatrix import make_crossing
+from holorm.sampling import random_crossing
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -59,19 +66,11 @@ CROSSING_SPEC = {
 }
 
 
-def _filled_crossing_spec(N=3):
-    """Fill in a crossing description with braided output data."""
-    from holorm.characters import LogWeylChar
-    from holorm.qdilog import RootConfig
-    from holorm.rmatrix import make_crossing
-    cfg = RootConfig(N)
-    lc1 = LogWeylChar(0.31 - 0.04j, 0.11 + 0.02j, 0.21 - 0.03j)
-    lc2 = LogWeylChar(-0.23 + 0.06j, -0.17 + 0.05j, -0.12 + 0.04j)
-    c = make_crossing(cfg, lc1, lc2, +1, gamma_n=0.05)
+def _crossing_spec(c):
     def cx(z):
         return [z.real, z.imag]
     return {
-        "sign": 1,
+        "sign": c.sign,
         "segments": {
             "1": {"beta": cx(c.lc1.beta), "mu": cx(c.lc1.mu)},
             "2": {"beta": cx(c.lc2.beta), "mu": cx(c.lc2.mu)},
@@ -82,6 +81,13 @@ def _filled_crossing_spec(N=3):
                     "S": cx(c.gamma_s), "E": cx(c.gamma_e)},
         "kappa": "auto",
     }
+
+
+def _filled_crossing_spec(N=3):
+    """Fill in a crossing description with braided output data."""
+    lc1 = LogWeylChar(0.31 - 0.04j, 0.11 + 0.02j, 0.21 - 0.03j)
+    lc2 = LogWeylChar(-0.23 + 0.06j, -0.17 + 0.05j, -0.12 + 0.04j)
+    return _crossing_spec(make_crossing(RootConfig(N), lc1, lc2, +1, gamma_n=0.05))
 
 
 def test_rmat_from_spec(tmp_path, capsys):
@@ -119,6 +125,30 @@ def test_rmat_pinched_requires_flag(tmp_path, capsys):
     code, out = run(capsys, "rmat", "--N", "2", "--input", str(path), "--pinched")
     assert code == 0
     assert json.loads(out)["pinched"] is True
+
+
+def test_rmat_determinant_overflow_is_a_json_error(tmp_path, capsys):
+    # |det| of the braiding grows like 10^(N^2/2); at this crossing the
+    # closed form leaves the double range
+    c = random_crossing(RootConfig(26), np.random.default_rng(10), +1)
+    path = tmp_path / "crossing.json"
+    path.write_text(json.dumps(_crossing_spec(c)))
+    code, out = run(capsys, "rmat", "--N", "26", "--input", str(path))
+    assert code == 1
+    assert "determinant" in json.loads(out)["error"]
+
+
+def test_readme_json_examples_run(tmp_path, capsys):
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    path = tmp_path / "spec.json"
+    for block in blocks:
+        path.write_text(block)
+        spec = json.loads(block)
+        commands = [("rmat", "3")] if "segments" in spec else [("braid", "2"), ("color", "2")]
+        for command, N in commands:
+            code, out = run(capsys, command, "--N", N, "--input", str(path))
+            assert code == 0, out
 
 
 def test_rmat_malformed_spec(tmp_path, capsys):

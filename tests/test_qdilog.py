@@ -11,7 +11,7 @@ from holorm.qdilog import (ConstraintViolationError, Flattening, RootConfig,
                            SingularArgumentError, TWO_PI_I, Tolerance,
                            cyc_dilog, d_const, fusion_f, index_mod,
                            lambda0, lambda_dilog, li2,
-                           lifted_dilog, omega_pow, qpoch, s_norm)
+                           lifted_dilog, qpoch, s_norm)
 from holorm.sampling import random_flattening
 
 from conftest import rel
@@ -21,16 +21,16 @@ def test_root_config_validation():
     with pytest.raises(ValueError):
         RootConfig(1)
     with pytest.raises(ValueError):
-        Tolerance(rel=2.0)
+        Tolerance(constraint=2.0)
     cfg = RootConfig(4)
     assert abs(cfg.omega ** 4 - 1) < 1e-14
     assert abs(cfg.xi ** 2 - cfg.omega) < 1e-14
 
 
 def test_omega_pow_values():
-    assert abs(omega_pow(RootConfig(4), 1) - 1j) < 1e-14
-    assert abs(omega_pow(RootConfig(7), 0) - 1) < 1e-14
-    assert abs(omega_pow(RootConfig(2), 0.5) - 1j) < 1e-14
+    assert abs(RootConfig(4).omega_pow(1) - 1j) < 1e-14
+    assert abs(RootConfig(7).omega_pow(0) - 1) < 1e-14
+    assert abs(RootConfig(2).omega_pow(0.5) - 1j) < 1e-14
 
 
 def test_omega_pow_additive(rng):

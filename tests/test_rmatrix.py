@@ -15,7 +15,8 @@ from holorm.rmatrix import (CrossingData, PinchedCrossingError, braiding_op,
                             weight_basis_closed_form, weight_basis_rmat)
 from holorm.sampling import (kashaev_crossing, random_crossing,
                              standard_pinched_crossing)
-from holorm.selftest import _pinched_limit, _random_pinched_params
+from holorm.selftest import (IDENTITIES, _pinched_limit, _random_pinched_params,
+                             r2_backward_error)
 
 from conftest import mrel, rel
 
@@ -73,6 +74,13 @@ def test_r2_contraction(N, rng):
         b2 = braiding_op(cinv)
         assert np.abs(b2.as_operator() @ b1.as_operator()
                       - np.eye(N * N)).max() < 1e-10
+
+
+def test_r2_backward_error_at_n32():
+    # cond(B) is about 1e14 here: the entrywise residual |B'B - I| reaches
+    # 1e-4, while the normwise backward error stays at rounding level
+    c = random_crossing(RootConfig(32), np.random.default_rng(0), +1)
+    assert r2_backward_error(c) <= IDENTITIES["R2 contraction"].tol
 
 
 def test_braiding_is_flipped_rmat(rng):
@@ -205,13 +213,14 @@ def test_transform_rules_beta1(rng):
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_transform_rules_random_shifts(sign, rng):
-    cfg = RootConfig(4)
-    for _ in range(3):
-        c = random_crossing(cfg, rng, sign)
-        ks = {r: int(rng.integers(-2, 3)) for r in "NWSE"}
-        ls = tuple(int(rng.integers(-2, 3)) for _ in range(4))
-        tr = transform_rules(c, gamma_shifts=ks, beta_shifts=ls)
-        assert mrel(rmat(tr.crossing).entries, tr.predict(rmat(c))) < 1e-10
+    for N in (2, 3, 4, 5, 7):
+        cfg = RootConfig(N)
+        for _ in range(4):
+            c = random_crossing(cfg, rng, sign)
+            ks = {r: int(rng.integers(-2, 3)) for r in "NWSE"}
+            ls = tuple(int(rng.integers(-2, 3)) for _ in range(4))
+            tr = transform_rules(c, gamma_shifts=ks, beta_shifts=ls)
+            assert mrel(rmat(tr.crossing).entries, tr.predict(rmat(c))) < 1e-10
     with pytest.raises(ValueError):
         transform_rules(c, beta_shifts=(0.5, 0, 0, 0))
 
@@ -247,8 +256,7 @@ def test_kashaev_is_pinched_specialization():
 @pytest.mark.parametrize("N", [2, 3, 5, 7])
 def test_kashaev_braid_relation_exact(N):
     cfg = RootConfig(N)
-    ent = kashaev_rmat(cfg).entries.reshape(N, N, N, N)
-    B = ent.transpose(0, 1, 3, 2).reshape(N * N, N * N).T
+    B = kashaev_rmat(cfg).braiding().as_operator()
     eye = np.eye(N)
     B1, B2 = np.kron(B, eye), np.kron(eye, B)
     assert mrel(B1 @ B2 @ B1, B2 @ B1 @ B2) < 1e-10
