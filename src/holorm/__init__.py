@@ -8,7 +8,7 @@ characters and their braiding (characters), cyclic Weyl-algebra modules
 """
 
 from .qdilog import (Flattening, RootConfig, SingularArgumentError,
-                     ConstraintViolationError, Tolerance, cyc_dilog, d_const,
+                     ConstraintViolationError, cyc_dilog, d_const,
                      fusion_f, index_mod, lambda_dilog, li2, lifted_dilog,
                      qpoch, s_norm)
 from .characters import (BraidOutcome, LogWeylChar, SL2StarElement, WeylChar,
@@ -19,8 +19,9 @@ from .weylrep import (Basis, GenMatrices, central_scalars, commutant_dim,
                       rw_images_negative)
 from .rmatrix import (CrossingData, PinchedCrossingError, RTensor, ZetaSet,
                       braiding_op, crossing_zetas, det_braiding, det_lu,
-                      factorized_ops, kashaev_rmat, make_crossing, rmat,
-                      rmat_pinched, transform_rules, weight_basis_rmat)
+                      factorized_ops, kashaev_rmat, logdet_braiding,
+                      make_crossing, rmat, rmat_pinched, transform_rules,
+                      weight_basis_rmat)
 from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
                         LogColoring, build_diagram, check_move,
                         extend_log_coloring, jfunc_eval, log_longitudes,

@@ -77,7 +77,6 @@ class DiagramGraph:
     n_segments: int
     n_regions: int
     seg_component: list          # component id (top position of the strand)
-    region_column: list
     top_segments: list           # per position 1..w (index 0 unused)
     bottom_segments: list
     top_regions: list            # per column 0..w
@@ -112,8 +111,7 @@ def build_diagram(word: BraidWord) -> DiagramGraph:
     w = word.width
     seg_component = list(range(w))        # initial segments 0..w-1; component = index
     cur_seg = list(range(w))              # cur_seg[p-1] = segment at position p
-    region_column = list(range(w + 1))    # initial regions 0..w, one per column
-    cur_reg = list(range(w + 1))
+    cur_reg = list(range(w + 1))          # initial regions 0..w, one per column
     top_segments = [None] + list(range(w))
     top_regions = list(range(w + 1))
     crossings = []
@@ -127,16 +125,14 @@ def build_diagram(word: BraidWord) -> DiagramGraph:
         s1p = len(seg_component)
         seg_component.append(seg_component[s1])
         cur_seg[i - 1], cur_seg[i] = s2p, s1p
-        reg_e = len(region_column)
-        region_column.append(i)
+        reg_e = w + 1 + t                 # the region each crossing opens below it
         crossings.append(Crossing(t, sign, i, s1, s2, s1p, s2p,
                                   cur_reg[i - 1], cur_reg[i], cur_reg[i + 1], reg_e))
         cur_reg[i] = reg_e
     return DiagramGraph(word=word, crossings=crossings,
                         n_segments=len(seg_component),
-                        n_regions=len(region_column),
+                        n_regions=w + 1 + len(crossings),
                         seg_component=seg_component,
-                        region_column=region_column,
                         top_segments=top_segments,
                         bottom_segments=[None] + list(cur_seg),
                         top_regions=top_regions,
@@ -196,20 +192,16 @@ class LogColoring:
 
 
 def extend_log_coloring(d: DiagramGraph, top_betas: list, top_gammas: list,
-                        mus: list, beta_shifts: dict = None,
-                        gamma_shifts: dict = None,
-                        beta_overrides: dict = None,
+                        mus: list, beta_overrides: dict = None,
                         gamma_overrides: dict = None) -> LogColoring:
     """Propagate a log-coloring from top boundary data.
 
     Per crossing, the two output betas and the new region gamma default to
-    principal-branch logarithms; integer shifts (per crossing index) or
-    outright per-segment/region overrides adjust the branches.
+    principal-branch logarithms; per-segment/region overrides choose other
+    branches.
     """
     if len(top_betas) != d.width or len(top_gammas) != d.width + 1:
         raise ValueError("boundary data sizes do not match the diagram")
-    beta_shifts = beta_shifts or {}
-    gamma_shifts = gamma_shifts or {}
     beta_overrides = beta_overrides or {}
     gamma_overrides = gamma_overrides or {}
     beta = [None] * d.n_segments
@@ -226,7 +218,6 @@ def extend_log_coloring(d: DiagramGraph, top_betas: list, top_gammas: list,
         out = braid(lc1.char(), lc2.char(), c.sign)
         if not out.admissible:
             raise InadmissibleColoringError(c.index)
-        s1, s2 = beta_shifts.get(c.index, (0, 0))
         if out.pinched:
             # standard branch choice: all region flattenings vanish exactly
             b1p_default = lc1.beta + lc2.mu
@@ -234,11 +225,10 @@ def extend_log_coloring(d: DiagramGraph, top_betas: list, top_gammas: list,
         else:
             b1p_default = cmath.log(out.chi1p.b) / TWO_PI_I
             b2p_default = cmath.log(out.chi2p.b) / TWO_PI_I
-        b1p = beta_overrides.get(c.seg1p, b1p_default + s1)
-        b2p = beta_overrides.get(c.seg2p, b2p_default + s2)
+        b1p = beta_overrides.get(c.seg1p, b1p_default)
+        b2p = beta_overrides.get(c.seg2p, b2p_default)
         ge = gamma_overrides.get(c.reg_e,
-                                 gamma[c.reg_n] + cmath.log(out.chi2p.a) / TWO_PI_I
-                                 + gamma_shifts.get(c.index, 0))
+                                 gamma[c.reg_n] + cmath.log(out.chi2p.a) / TWO_PI_I)
         beta[c.seg1p], beta[c.seg2p] = b1p, b2p
         gamma[c.reg_e] = ge
     return LogColoring(beta, gamma, list(mus))
@@ -316,14 +306,13 @@ def _boundary_data(d: DiagramGraph, lc: LogColoring) -> tuple:
     return top_b, bot_b, top_g, bot_g, tuple(lc.mu), tuple(d.perm[1:])
 
 
-def check_move(cfg: RootConfig, before: tuple, after: tuple, kind: str,
-               tol: float = None) -> MoveReport:
+def check_move(cfg: RootConfig, before: tuple, after: tuple, kind: str) -> MoveReport:
     """Verify a log-colored R2 or R3 move.
 
     before/after are (DiagramGraph, LogColoring) pairs.  Eligibility: equal
     boundary log-data and, for R3, equal log-longitudes per component (the
     segment-log matching condition).  On an eligible move the two state sums
-    are compared entrywise.
+    are compared entrywise, to 1e-8 for R2 and 1e-7 for R3.
     """
     if kind not in ("R2", "R3"):
         raise ValueError("kind must be 'R2' or 'R3'")
@@ -352,6 +341,5 @@ def check_move(cfg: RootConfig, before: tuple, after: tuple, kind: str,
     m1 = jfunc_eval(cfg, d1, lc1)
     m2 = jfunc_eval(cfg, d2, lc2)
     dev = float(np.abs(m1 - m2).max() / max(1.0, np.abs(m1).max()))
-    if tol is None:
-        tol = 1e-8 if kind == "R2" else 1e-7
+    tol = 1e-8 if kind == "R2" else 1e-7
     return MoveReport(dev <= tol, "ok" if dev <= tol else "state sums differ", dev)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qdilog import Tolerance, TWO_PI_I
+from .qdilog import SINGULAR, TWO_PI_I
 
 
 class RootMismatchError(ValueError):
@@ -174,18 +174,17 @@ class BraidOutcome:
     pinched: bool
 
 
-def is_pinched(chi1: WeylChar, chi2: WeylChar, singular: float = 1e-9) -> bool:
+def is_pinched(chi1: WeylChar, chi2: WeylChar) -> bool:
     """Pinched pair: b2 = m1 b1 (all four equivalent degeneracies collapse here)."""
     b2, m1b1 = chi2.b, chi1.m * chi1.b
-    return abs(b2 - m1b1) <= singular * max(abs(b2), abs(m1b1))
+    return abs(b2 - m1b1) <= SINGULAR * max(abs(b2), abs(m1b1))
 
 
-def _window_ok(*vals, singular: float) -> bool:
-    return all(singular < abs(v) < 1.0 / singular for v in vals)
+def _window_ok(*vals) -> bool:
+    return all(SINGULAR < abs(v) < 1.0 / SINGULAR for v in vals)
 
 
-def braid(chi1: WeylChar, chi2: WeylChar, sign: int,
-          tol: Tolerance = Tolerance()) -> BraidOutcome:
+def braid(chi1: WeylChar, chi2: WeylChar, sign: int) -> BraidOutcome:
     """Braiding B (sign=+1) or its inverse (sign=-1) on a pair of characters.
 
     Returns the outputs plus flags instead of raising, so coloring
@@ -195,32 +194,31 @@ def braid(chi1: WeylChar, chi2: WeylChar, sign: int,
         raise ValueError("sign must be +1 or -1")
     a1, b1, m1 = chi1.as_tuple()
     a2, b2, m2 = chi2.as_tuple()
-    sing = tol.singular
-    pinched = is_pinched(chi1, chi2, singular=sing)
+    pinched = is_pinched(chi1, chi2)
     try:
         if sign == +1:
             A = 1.0 - (m1 * b1 / b2) * (1.0 - a1 / m1) * (1.0 - 1.0 / (m2 * a2))
-            if not _window_ok(A, singular=sing):
+            if not _window_ok(A):
                 raise ZeroDivisionError
             a1p = a1 / A
             a2p = a2 * A
             den = 1.0 - m2 * a2 * (1.0 - b2 / (m1 * b1))
-            if not _window_ok(den, singular=sing):
+            if not _window_ok(den):
                 raise ZeroDivisionError
             b1p = (m2 * b2 / m1) / den
             b2p = b1 * (1.0 - (m1 / a1) * (1.0 - b2 / (m1 * b1)))
         else:
             A = 1.0 - (b2 / (m1 * b1)) * (1.0 - m1 * a1) * (1.0 - m2 / a2)
-            if not _window_ok(A, singular=sing):
+            if not _window_ok(A):
                 raise ZeroDivisionError
             a1p = a1 / A
             a2p = a2 * A
             b1p = (m2 * b2 / m1) * (1.0 - (a2 / m2) * (1.0 - m1 * b1 / b2))
             den = 1.0 - (1.0 / (m1 * a1)) * (1.0 - m1 * b1 / b2)
-            if not _window_ok(den, singular=sing):
+            if not _window_ok(den):
                 raise ZeroDivisionError
             b2p = b1 / den
-        if not _window_ok(a1p, a2p, b1p, b2p, singular=sing):
+        if not _window_ok(a1p, a2p, b1p, b2p):
             raise ZeroDivisionError
     except ZeroDivisionError:
         return BraidOutcome(chi2, chi1, admissible=False, pinched=pinched)
@@ -228,14 +226,13 @@ def braid(chi1: WeylChar, chi2: WeylChar, sign: int,
                         admissible=True, pinched=pinched)
 
 
-def classify_pair(chi1: WeylChar, chi2: WeylChar, sign: int = +1,
-                  tol: Tolerance = Tolerance()) -> dict:
+def classify_pair(chi1: WeylChar, chi2: WeylChar, sign: int = +1) -> dict:
     """Admissibility / pinched report for a pair, with the Y discriminant.
 
     Y = 1 + K1^{-N} E1^N F2^N K2^N evaluated on character values; its vanishing
     on the output pair detects the inadmissible locus for the stated sign.
     """
-    out = braid(chi1, chi2, sign, tol=tol)
+    out = braid(chi1, chi2, sign)
 
     def yval(u: WeylChar, v: WeylChar) -> complex:
         e1 = u.b * (u.a - u.m)

@@ -19,7 +19,7 @@ from .braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
                         extend_log_coloring, jfunc_eval, log_longitudes,
                         propagate_chi)
 from .characters import LogWeylChar, WeylChar
-from .qdilog import ConstraintViolationError, RootConfig, Tolerance
+from .qdilog import ConstraintViolationError, RootConfig
 from .rmatrix import (CrossingData, PinchedCrossingError, crossing_zetas,
                       det_braiding, det_lu, kashaev_rmat, rmat, rmat_pinched)
 from .selftest import run_all
@@ -61,10 +61,6 @@ def _load_spec(args):
         return json.load(fh)
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(singular=args.tol_singular)
-
-
 # ------------------------------------------------------------------ selftest
 
 def cmd_selftest(args) -> int:
@@ -75,13 +71,7 @@ def cmd_selftest(args) -> int:
     for N in Ns:
         if N < 2:
             return _fail(f"N must be >= 2, got {N}", 2)
-    overrides = {}
-    if args.tol_rel != 1e-8:
-        overrides = {name: args.tol_rel for name in
-                     ("lambda product", "lambda inverse sum", "Fourier transform",
-                      "Fourier inverse", "S symmetry", "S Nth power")}
-    results = run_all(Ns=Ns, seed=args.seed, scale=args.scale,
-                      tol_overrides=overrides)
+    results = run_all(Ns=Ns, seed=args.seed, scale=args.scale)
     report = {}
     ok = True
     for r in results:
@@ -116,7 +106,7 @@ def _crossing_from_spec(cfg: RootConfig, spec: dict) -> CrossingData:
 
 
 def cmd_rmat(args) -> int:
-    cfg = RootConfig(args.N, tol=_tolerance(args))
+    cfg = RootConfig(args.N)
     if args.kashaev:
         t = kashaev_rmat(cfg)
         return _emit({"N": cfg.N, "kind": "kashaev", "pinched": True,
@@ -159,7 +149,7 @@ def cmd_rmat(args) -> int:
 
 # --------------------------------------------------------------- braid/color
 
-def _braid_setup(cfg, spec):
+def _braid_setup(spec):
     word = BraidWord(int(spec["width"]), tuple(spec["word"]))
     d = build_diagram(word)
     tops = [WeylChar(_cx(t["a"]), _cx(t["b"]), _cx(t["m"]))
@@ -168,10 +158,10 @@ def _braid_setup(cfg, spec):
 
 
 def cmd_color(args) -> int:
-    cfg = RootConfig(args.N, tol=_tolerance(args))
+    cfg = RootConfig(args.N)
     try:
         spec = _load_spec(args)
-        d, tops = _braid_setup(cfg, spec)
+        d, tops = _braid_setup(spec)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail(f"invalid braid spec: {exc}", 2)
     try:
@@ -189,10 +179,10 @@ def cmd_color(args) -> int:
 
 
 def cmd_braid(args) -> int:
-    cfg = RootConfig(args.N, tol=_tolerance(args))
+    cfg = RootConfig(args.N)
     try:
         spec = _load_spec(args)
-        d, _ = _braid_setup(cfg, spec)
+        d, _ = _braid_setup(spec)
         log = spec["log"]
         top_b = [_cx(v) for v in log["beta"]]
         top_g = [_cx(v) for v in log["gamma"]]
@@ -204,7 +194,7 @@ def cmd_braid(args) -> int:
         col = propagate_chi(d, [LogWeylChar(top_g[p] - top_g[p - 1],
                                             top_b[p - 1], mus[p - 1]).char()
                                 for p in range(1, d.width + 1)])
-        mat = jfunc_eval(cfg, d, lc)
+        mat = None if args.matrix_free else jfunc_eval(cfg, d, lc)
     except InadmissibleColoringError as exc:
         return _fail(str(exc), 1, crossing=exc.crossing)
     lam = log_longitudes(d, lc)
@@ -216,7 +206,7 @@ def cmd_braid(args) -> int:
         "log_longitudes": [_jx(complex(x)) for x in lam],
         "pinched_crossings": col.pinched_crossings,
     }
-    if not args.matrix_free:
+    if mat is not None:
         # serialized with the same row = input convention as crossings
         out["entries"] = _jmat(mat.T)
     return _emit(out)
@@ -233,14 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--N", type=int, default=3,
                         help="order of the root of unity (>= 2)")
-        sp.add_argument("--tol-singular", type=float, default=1e-9)
 
     ps = sub.add_parser("selftest", help="run the identity battery")
     ps.add_argument("--N", type=str, default="2,3,5",
                     help="comma-separated list of orders")
     ps.add_argument("--scale", type=float, default=0.5,
                     help="trial-count multiplier")
-    ps.add_argument("--tol-rel", type=float, default=1e-8)
     ps.add_argument("--seed", type=int, default=7)
     ps.set_defaults(fn=cmd_selftest)
 
@@ -257,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pb)
     pb.add_argument("--input", default="-")
     pb.add_argument("--matrix-free", action="store_true",
-                    help="emit coloring metadata only")
+                    help="emit coloring metadata only; skip the state sum")
     pb.set_defaults(fn=cmd_braid)
 
     pc = sub.add_parser("color", help="propagate a character coloring")

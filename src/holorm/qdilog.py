@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 TWO_PI_I = 2j * math.pi
 PI_SQ_OVER_6 = math.pi ** 2 / 6.0
+# Below this, a factor |1 - omega**x| counts as a zero; characters reads it
+# too, as the relative pinched threshold and the braiding's admissibility window.
+SINGULAR = 1e-9
 
 
 class SingularArgumentError(ValueError):
@@ -31,29 +34,10 @@ class ConstraintViolationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Tolerance:
-    """Numerical thresholds used throughout the library.
-
-    constraint -- how exactly a flattening / coloring constraint must hold
-    singular   -- below this, a factor |1 - omega**x| counts as a zero
-    """
-
-    constraint: float = 1e-10
-    singular: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("constraint", "singular"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"tolerance {name}={v} must be in (0, 1)")
-
-
-@dataclass(frozen=True)
 class RootConfig:
     """Order N >= 2 root-of-unity data: omega = exp(2 pi i/N), xi = exp(pi i/N)."""
 
     N: int
-    tol: Tolerance = field(default_factory=Tolerance)
 
     def __post_init__(self):
         if not isinstance(self.N, int) or self.N < 2:
@@ -94,12 +78,12 @@ class Flattening:
                 f"for (zeta0, zeta1) = ({self.zeta0}, {self.zeta1})")
 
     @classmethod
-    def from_zeta0(cls, zeta0: complex, branch: int = 0, tol: float = 1e-10) -> "Flattening":
+    def from_zeta0(cls, zeta0: complex, branch: int = 0) -> "Flattening":
         """Principal-branch partner zeta1 = -Log(1 - e^{2 pi i zeta0})/(2 pi i) + branch."""
         w = 1.0 - cmath.exp(TWO_PI_I * zeta0)
         if abs(w) < 1e-12:
             raise SingularArgumentError("zeta0 is an integer; no flattening exists")
-        return cls(zeta0, -cmath.log(w) / TWO_PI_I + branch, tol=tol)
+        return cls(zeta0, -cmath.log(w) / TWO_PI_I + branch)
 
     def dual(self) -> "Flattening":
         """The mirror flattening (-zeta1, -zeta0); valid whenever self is."""
@@ -110,7 +94,7 @@ class Flattening:
         return Flattening(self.zeta0 + k0, self.zeta1 + k1, tol=self.tol)
 
 
-def qpoch(a: complex, q: complex, k: int, singular_tol: float = 1e-9) -> complex:
+def qpoch(a: complex, q: complex, k: int) -> complex:
     """q-Pochhammer symbol (a; q)_k for integer k of any sign.
 
     k > 0: (1-a)(1-aq)...(1-aq^{k-1});  k = 0: 1;
@@ -130,7 +114,7 @@ def qpoch(a: complex, q: complex, k: int, singular_tol: float = 1e-9) -> complex
     for _ in range(-k):
         f /= q
         fac = 1.0 - f
-        if abs(fac) < singular_tol:
+        if abs(fac) < SINGULAR:
             raise SingularArgumentError(
                 f"(a; q)_k with k={k} hits a vanishing factor 1 - a q^-j")
         out *= fac
@@ -144,14 +128,13 @@ def cyc_dilog(cfg: RootConfig, zeta: complex, k: int) -> complex:
     <zeta|k> = 1/[(1-omega**(zeta+1))...(1-omega**(zeta+k))] for k > 0 and
     <zeta|-k> = (1-omega**zeta)(1-omega**(zeta-1))...(1-omega**(zeta-k+1)).
     """
-    tol = cfg.tol.singular
     if k == 0:
         return 1.0 + 0.0j
     if k > 0:
         out = 1.0 + 0.0j
         for j in range(1, k + 1):
             fac = 1.0 - cfg.omega_pow(zeta + j)
-            if abs(fac) < tol:
+            if abs(fac) < SINGULAR:
                 raise SingularArgumentError(
                     f"<zeta|k> pole: 1 - omega**(zeta+{j}) ~ 0 at zeta={zeta}")
             out /= fac
@@ -244,11 +227,10 @@ def lifted_dilog(f: Flattening) -> complex:
 
 def d_const(cfg: RootConfig, zeta: complex = 0.0) -> complex:
     """D(zeta) = exp((1/N) sum_{k=1}^{N-1} k Log(1 - omega**(zeta+k)))."""
-    tol = cfg.tol.singular
     total = 0.0 + 0.0j
     for k in range(1, cfg.N):
         fac = 1.0 - cfg.omega_pow(zeta + k)
-        if abs(fac) < tol:
+        if abs(fac) < SINGULAR:
             raise SingularArgumentError(
                 f"D(zeta) singular: 1 - omega**(zeta+{k}) ~ 0 at zeta={zeta}")
         total += k * cmath.log(fac)
@@ -263,7 +245,7 @@ def lambda0(cfg: RootConfig, f: Flattening) -> complex:
     """
     num = 1.0 - cmath.exp(TWO_PI_I * f.zeta0)
     den = 1.0 - cfg.omega_pow(f.zeta0)
-    if abs(num) < cfg.tol.singular or abs(den) < cfg.tol.singular:
+    if abs(num) < SINGULAR or abs(den) < SINGULAR:
         raise SingularArgumentError(
             f"Lambda singular at zeta0 = {f.zeta0} (integer within tolerance)")
     ell = lifted_dilog(f)
@@ -286,7 +268,7 @@ def lambda_table(cfg: RootConfig, f: Flattening) -> list:
     w = cfg.omega_pow(-f.zeta1)
     for n in range(1, cfg.N):
         fac = 1.0 - cfg.omega_pow(f.zeta0 + n)
-        if abs(fac) < cfg.tol.singular:
+        if abs(fac) < SINGULAR:
             raise SingularArgumentError(
                 f"Lambda pole at zeta0 + {n} for zeta0 = {f.zeta0}")
         vals.append(vals[-1] * w / fac)
@@ -321,7 +303,7 @@ def fusion_f(cfg: RootConfig, alpha: complex, beta: complex, gamma: complex) -> 
         if k > 0:
             num /= 1.0 - cfg.omega_pow(alpha + k)
             fac = 1.0 - cfg.omega_pow(beta + k)
-            if abs(fac) < cfg.tol.singular:
+            if abs(fac) < SINGULAR:
                 raise SingularArgumentError(
                     f"fusion sum pole: 1 - omega**(beta+{k}) ~ 0 at beta={beta}")
             den /= fac

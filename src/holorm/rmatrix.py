@@ -56,9 +56,8 @@ class CrossingData:
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("crossing sign must be +1 or -1")
-        tol = self.cfg.tol.constraint
-        if (abs(self.lc1.mu - self.lc1p.mu) > tol
-                or abs(self.lc2.mu - self.lc2p.mu) > tol):
+        if (abs(self.lc1.mu - self.lc1p.mu) > 1e-10
+                or abs(self.lc2.mu - self.lc2p.mu) > 1e-10):
             raise ConstraintViolationError("meridian logs must be preserved")
         pairs = ((self.lc1.alpha, self.gamma_w - self.gamma_n),
                  (self.lc2.alpha, self.gamma_s - self.gamma_w),
@@ -68,8 +67,7 @@ class CrossingData:
             if abs(al - diff) > 1e-8:
                 raise ConstraintViolationError(
                     f"segment alpha {al} does not match region difference {diff}")
-        out = braid(self.lc1.char(), self.lc2.char(), self.sign,
-                    tol=self.cfg.tol)
+        out = braid(self.lc1.char(), self.lc2.char(), self.sign)
         if not out.admissible:
             raise ConstraintViolationError("character pair is inadmissible")
         if not (out.chi1p.isclose(self.lc1p.char(), rel=1e-7)
@@ -89,8 +87,7 @@ class CrossingData:
 
     @property
     def pinched(self) -> bool:
-        return is_pinched(self.lc1.char(), self.lc2.char(),
-                          singular=self.cfg.tol.singular)
+        return is_pinched(self.lc1.char(), self.lc2.char())
 
     def resolved_kappa(self) -> complex:
         if self.kappa is not None:
@@ -119,9 +116,6 @@ class CrossingData:
                 "S": k - self.gamma_s + e * (m1 - m2),
                 "E": k - self.gamma_e - e * m2}
 
-    def mus(self) -> tuple:
-        return (self.lc1.mu, self.lc2.mu)
-
     def log_longitudes(self) -> tuple:
         """Per-strand half-longitude contributions (lambda1, lambda2)."""
         e = self.sign
@@ -132,14 +126,14 @@ class CrossingData:
 def make_crossing(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, sign: int,
                   gamma_n: complex = 0.0, beta1p: complex = None,
                   beta2p: complex = None, alpha2p: complex = None,
-                  alpha2p_shift: int = 0, kappa: complex = None) -> CrossingData:
+                  kappa: complex = None) -> CrossingData:
     """Assemble a crossing from input log-characters, choosing output logs.
 
     Output beta's default to principal logarithms of the braided characters;
     the E-region parameter is gamma_N + alpha2p, where alpha2p defaults to the
-    principal log of a_2' plus alpha2p_shift but may be prescribed outright.
+    principal log of a_2' but may be prescribed outright.
     """
-    out = braid(lc1.char(), lc2.char(), sign, tol=cfg.tol)
+    out = braid(lc1.char(), lc2.char(), sign)
     if not out.admissible:
         raise ConstraintViolationError("character pair is inadmissible")
     if beta1p is None:
@@ -147,7 +141,7 @@ def make_crossing(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, sign: int
     if beta2p is None:
         beta2p = cmath.log(out.chi2p.b) / TWO_PI_I
     if alpha2p is None:
-        alpha2p = cmath.log(out.chi2p.a) / TWO_PI_I + alpha2p_shift
+        alpha2p = cmath.log(out.chi2p.a) / TWO_PI_I
     gamma_w = gamma_n + lc1.alpha
     gamma_s = gamma_w + lc2.alpha
     gamma_e = gamma_n + alpha2p
@@ -160,15 +154,12 @@ def make_crossing(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, sign: int
 
 @dataclass(frozen=True)
 class ZetaSet:
-    """Four flattenings, one per region; zeta1 entries are None when pinched."""
+    """Four flattenings of a non-pinched crossing, one per region."""
 
     zeta0: dict
     zeta1: dict
-    pinched: bool
 
     def flattening(self, region: str) -> Flattening:
-        if self.pinched:
-            raise PinchedCrossingError("no finite flattening at a pinched crossing")
         return Flattening(self.zeta0[region], self.zeta1[region], tol=1e-7)
 
     def balance_defect(self) -> float:
@@ -176,16 +167,14 @@ class ZetaSet:
         return abs(z["N"] + z["S"] - z["W"] - z["E"])
 
 
-def crossing_zetas(c: CrossingData, allow_pinched: bool = False) -> ZetaSet:
-    """Region flattenings of a crossing; errors out at pinched data unless allowed."""
+def crossing_zetas(c: CrossingData) -> ZetaSet:
+    """Region flattenings of a non-pinched crossing; errors out at pinched data."""
     z0 = c.zeta0()
     if c.pinched:
-        if not allow_pinched:
-            bad = min(z0.items(), key=lambda kv: abs(kv[1] - round(kv[1].real)))
-            raise PinchedCrossingError(
-                f"crossing is pinched (zeta0_{bad[0]} = {bad[1]} is integral)")
-        return ZetaSet(z0, {r: None for r in REGIONS}, pinched=True)
-    zs = ZetaSet(z0, c.zeta1(), pinched=False)
+        bad = min(z0.items(), key=lambda kv: abs(kv[1] - round(kv[1].real)))
+        raise PinchedCrossingError(
+            f"crossing is pinched (zeta0_{bad[0]} = {bad[1]} is integral)")
+    zs = ZetaSet(z0, c.zeta1())
     for r in REGIONS:
         zs.flattening(r)  # validates the constraint
     return zs
@@ -195,14 +184,12 @@ def crossing_zetas(c: CrossingData, allow_pinched: bool = False) -> ZetaSet:
 class RTensor:
     """Dense N^2 x N^2 tensor with entries[(n1,n2), (n1',n2')] over Z/N.
 
-    kind is "rmat" for the bare R-matrix or "braiding" for the composite
-    with the output flip.  as_operator() returns the matrix that acts on
-    row-major coordinate vectors (operator[out, in]).
+    as_operator() returns the matrix that acts on row-major coordinate
+    vectors (operator[out, in]).
     """
 
     cfg: RootConfig
     entries: np.ndarray
-    kind: str
     sign: int
     pinched: bool = False
 
@@ -213,11 +200,7 @@ class RTensor:
         """This R-matrix composed with the flip of the output pair."""
         N = self.cfg.N
         ent = self.entries.reshape(N, N, N, N).transpose(0, 1, 3, 2).reshape(N * N, N * N)
-        return RTensor(self.cfg, ent, "braiding", self.sign, self.pinched)
-
-    def entry(self, n1: int, n2: int, n1p: int, n2p: int) -> complex:
-        N = self.cfg.N
-        return self.entries[n1 * N + n2, n1p * N + n2p]
+        return RTensor(self.cfg, ent, self.sign, self.pinched)
 
 
 def _lambda_tables(c: CrossingData) -> dict:
@@ -266,7 +249,7 @@ def rmat(c: CrossingData) -> RTensor:
     """The R-matrix of a non-pinched crossing (positive or negative form)."""
     if c.pinched:
         raise PinchedCrossingError("use rmat_pinched for pinched crossings")
-    return RTensor(c.cfg, _assemble(c), "rmat", c.sign)
+    return RTensor(c.cfg, _assemble(c), c.sign)
 
 
 def braiding_op(c: CrossingData) -> RTensor:
@@ -390,7 +373,7 @@ def rmat_pinched(c: CrossingData) -> RTensor:
         qfac = (poch[(n1 - n2p - 1) % N] * poch[(n1p - n2 - 1) % N]
                 / (poch[(n1 - n2) % N] * poch[(n1p - n2p - 1) % N]))
     R = theta * amp * phase * qfac / N
-    return RTensor(c.cfg, R.reshape(N * N, N * N), "rmat", e, pinched=True)
+    return RTensor(c.cfg, R.reshape(N * N, N * N), e, pinched=True)
 
 
 def _pinched_nonstandard(c: CrossingData, ints: dict) -> RTensor:
@@ -409,7 +392,7 @@ def _pinched_nonstandard(c: CrossingData, ints: dict) -> RTensor:
     Rs = rmat_pinched(std).entries.reshape(N, N, N, N)
     # std = shifted(c): R_std[n] = phase * R_c[n + l]  =>  R_c[m] = R_std[m - l]/phase
     out = Rs[(n1 - l1) % N, (n2 - l2) % N, (n1p - l1p) % N, (n2p - l2p) % N]
-    return RTensor(c.cfg, (out / rel).reshape(N * N, N * N), "rmat", e, pinched=True)
+    return RTensor(c.cfg, (out / rel).reshape(N * N, N * N), e, pinched=True)
 
 
 def beta_shift_relation(c: CrossingData, shifts: tuple) -> complex:
@@ -539,7 +522,7 @@ def kashaev_rmat(cfg: RootConfig) -> RTensor:
     den = (poch_w[(n2p - n1) % N] * poch_w[(n2 - n1p) % N]
            * poch_wb[(n1p - n2p - 1) % N] * poch_wb[(n1 - n2) % N])
     R = theta * num / den
-    return RTensor(cfg, R.reshape(N * N, N * N), "rmat", +1, pinched=True)
+    return RTensor(cfg, R.reshape(N * N, N * N), +1, pinched=True)
 
 
 def weight_basis_rmat(c: CrossingData) -> RTensor:
@@ -553,7 +536,7 @@ def weight_basis_rmat(c: CrossingData) -> RTensor:
     G2 = np.kron(G, G)
     G2inv = np.kron(G.conj().T, G.conj().T) / (N * N)
     op_wb = G2 @ base.as_operator() @ G2inv
-    return RTensor(c.cfg, op_wb.T.copy(), "rmat", c.sign, pinched=True)
+    return RTensor(c.cfg, op_wb.T.copy(), c.sign, pinched=True)
 
 
 def weight_basis_closed_form(c: CrossingData) -> np.ndarray:
@@ -645,13 +628,14 @@ def colored_jones_closed_form(cfg: RootConfig) -> np.ndarray:
     return R.reshape(N * N, N * N)
 
 
-def det_braiding(c: CrossingData) -> complex:
-    """Closed-form determinant of the braiding at a non-pinched crossing.
+def logdet_braiding(c: CrossingData) -> complex:
+    """A logarithm of the closed-form determinant of the braiding.
 
-    det = exp(-sign * N * I(c)/(2 pi i)) * (N/D_0^2)^(sign N^2)
-          * exp(2 pi i ((gamma_W - gamma_E)/2 - lambda_1 - lambda_2))^(N(N-1))
+    log det = -sign * N * I(c)/(2 pi i) + sign N^2 log(N/D_0^2)
+              + 2 pi i N(N-1) ((gamma_W - gamma_E)/2 - lambda_1 - lambda_2)
     with I(c) = L(zeta_N) + L(zeta_S) - L(zeta_W) - L(zeta_E) and the
-    half-longitudes lambda_i of the two strands.
+    half-longitudes lambda_i of the two strands.  |det| grows like
+    10^(N^2/2), past the double range from N ~ 26, while this stays finite.
     """
     if c.pinched:
         raise PinchedCrossingError("determinant formula needs a non-pinched crossing")
@@ -660,12 +644,19 @@ def det_braiding(c: CrossingData) -> complex:
     zs = crossing_zetas(c)
     ell = {r: lifted_dilog(zs.flattening(r)) for r in REGIONS}
     i_c = ell["N"] + ell["S"] - ell["W"] - ell["E"]
-    d0 = d_const(c.cfg, 0.0)
     lam1, lam2 = c.log_longitudes()
-    return (cmath.exp(-e * N * i_c / TWO_PI_I)
-            * (N / d0 ** 2) ** (e * N * N)
-            * cmath.exp(TWO_PI_I * ((c.gamma_w - c.gamma_e) / 2.0
-                                    - lam1 - lam2)) ** (N * (N - 1)))
+    return (-e * N * i_c / TWO_PI_I
+            + e * N * N * (cmath.log(N) - 2.0 * cmath.log(d_const(c.cfg, 0.0)))
+            + TWO_PI_I * N * (N - 1) * ((c.gamma_w - c.gamma_e) / 2.0 - lam1 - lam2))
+
+
+def det_braiding(c: CrossingData) -> complex:
+    """Closed-form determinant of the braiding at a non-pinched crossing.
+
+    Past the double range it raises OverflowError, and below it returns 0;
+    logdet_braiding stays finite in both cases.
+    """
+    return cmath.exp(logdet_braiding(c))
 
 
 def det_lu(t: RTensor) -> complex:

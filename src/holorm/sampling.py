@@ -47,16 +47,6 @@ def random_char(rng: np.random.Generator) -> WeylChar:
     return random_logchar(rng).char()
 
 
-def random_admissible_pair(rng: np.random.Generator, sign: int = +1,
-                           tries: int = 200) -> tuple:
-    for _ in range(tries):
-        c1, c2 = random_char(rng), random_char(rng)
-        out = braid(c1, c2, sign)
-        if out.admissible:
-            return c1, c2
-    raise RuntimeError("could not sample an admissible pair")
-
-
 def random_crossing(cfg: RootConfig, rng: np.random.Generator, sign: int = +1,
                     min_dist: float = 0.05, tries: int = 500) -> CrossingData:
     """Random non-pinched crossing with all zeta0 at distance > min_dist from Z."""

@@ -206,10 +206,10 @@ def rw_images_negative(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
     }
 
 
-def commutant_dim(mats: GenMatrices, cutoff: float = 1e-8) -> int:
+def commutant_dim(mats: GenMatrices) -> int:
     """Dimension of {A : [A, K] = [A, E] = [A, F] = 0} via the stacked nullspace.
 
-    Rank cutoff is relative to the largest singular value of the stack.
+    Singular values below 1e-8 times the largest one count as zero.
     """
     N = mats.K.shape[0]
     eye = np.eye(N, dtype=complex)
@@ -219,5 +219,5 @@ def commutant_dim(mats: GenMatrices, cutoff: float = 1e-8) -> int:
     stack = np.vstack(rows)
     svals = np.linalg.svd(stack, compute_uv=False)
     smax = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > cutoff * smax))
+    rank = int(np.sum(svals > 1e-8 * smax))
     return N * N - rank

@@ -122,6 +122,21 @@ def test_unevaluated_identity_fails(monkeypatch):
     assert "commutant reducible case" not in res  # registered from N = 3 on
 
 
+def test_nan_evaluation_fails(monkeypatch):
+    real = selftest.check_weylrep
+
+    def notes_nan(cfg, rng, trials):
+        out = real(cfg, rng, trials)
+        out.note("Weyl relation", float("nan"))
+        return out
+
+    monkeypatch.setattr(selftest, "check_weylrep", notes_nan)
+    res = {r.name: r for r in selftest.run_all(Ns=[2], seed=1, scale=0.1)}
+    assert res["Weyl relation"].samples > 1  # finite evaluations came first
+    assert not res["Weyl relation"].passed
+    assert res["Casimir scalar"].passed
+
+
 def test_criterion_01_dilogarithm_suite():
     _check_criterion(1)
 

@@ -1,11 +1,13 @@
 """CLI: JSON round trips, exit codes, canned matrices, README examples."""
 
+import dataclasses
 import json
 import pathlib
 import re
 
 import numpy as np
 
+from holorm import cli, selftest
 from holorm.characters import LogWeylChar
 from holorm.cli import main
 from holorm.qdilog import RootConfig
@@ -37,11 +39,15 @@ def test_selftest_bad_n(capsys):
     assert "N must be >= 2" in json.loads(out)["error"]
 
 
-def test_selftest_unachievable_tolerance(capsys):
-    code, out = run(capsys, "selftest", "--N", "2", "--scale", "0.1",
-                    "--tol-rel", "1e-30")
+def test_selftest_unachievable_tolerance(capsys, monkeypatch):
+    ident = selftest.IDENTITIES["lambda product"]
+    monkeypatch.setitem(selftest.IDENTITIES, ident.name,
+                        dataclasses.replace(ident, tol=1e-30))
+    code, out = run(capsys, "selftest", "--N", "2", "--scale", "0.1")
     assert code == 1
-    assert json.loads(out)["passed"] is False
+    rep = json.loads(out)
+    assert rep["passed"] is False
+    assert not rep["checks"]["qdilog/lambda product"]["passed"]
 
 
 def test_rmat_kashaev_entry(capsys):
@@ -204,7 +210,11 @@ def test_braid_kashaev_r3_words(tmp_path, capsys):
     assert dev < 1e-10
 
 
-def test_braid_matrix_free_and_determinism(tmp_path, capsys):
+def test_braid_matrix_free_and_determinism(tmp_path, capsys, monkeypatch):
+    def no_state_sum(*args):
+        raise AssertionError("--matrix-free must not compute the state sum")
+
+    monkeypatch.setattr(cli, "jfunc_eval", no_state_sum)
     spec = json.loads(json.dumps(BRAID_SPEC))
     path = tmp_path / "braid.json"
     path.write_text(json.dumps(spec))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from holorm.qdilog import (ConstraintViolationError, Flattening, RootConfig,
-                           SingularArgumentError, TWO_PI_I, Tolerance,
+                           SingularArgumentError, TWO_PI_I,
                            cyc_dilog, d_const, fusion_f, index_mod,
                            lambda0, lambda_dilog, li2,
                            lifted_dilog, qpoch, s_norm)
@@ -20,8 +20,6 @@ from conftest import rel
 def test_root_config_validation():
     with pytest.raises(ValueError):
         RootConfig(1)
-    with pytest.raises(ValueError):
-        Tolerance(constraint=2.0)
     cfg = RootConfig(4)
     assert abs(cfg.omega ** 4 - 1) < 1e-14
     assert abs(cfg.xi ** 2 - cfg.omega) < 1e-14

@@ -10,8 +10,8 @@ from holorm.qdilog import RootConfig, TWO_PI_I
 from holorm.rmatrix import (CrossingData, PinchedCrossingError, braiding_op,
                             colored_jones_closed_form, crossing_zetas,
                             det_braiding, det_lu, factorized_ops, kashaev_rmat,
-                            make_crossing, nilpotent_closed_form, rmat,
-                            rmat_pinched, transform_rules,
+                            logdet_braiding, make_crossing, nilpotent_closed_form,
+                            rmat, rmat_pinched, transform_rules,
                             weight_basis_closed_form, weight_basis_rmat)
 from holorm.sampling import (kashaev_crossing, random_crossing,
                              standard_pinched_crossing)
@@ -24,9 +24,9 @@ from conftest import mrel, rel
 def test_crossing_zetas_standard_pinched():
     cfg = RootConfig(3)
     c = kashaev_crossing(cfg)
-    zs = crossing_zetas(c, allow_pinched=True)
-    assert zs.pinched
-    assert all(abs(zs.zeta0[r]) < 1e-12 for r in "NWSE")
+    assert c.pinched
+    z0 = c.zeta0()
+    assert all(abs(z0[r]) < 1e-12 for r in "NWSE")
     with pytest.raises(PinchedCrossingError):
         crossing_zetas(c)
 
@@ -151,6 +151,17 @@ def test_det_closed_form_vs_lu(rng):
             assert rel(det_braiding(c), det_lu(braiding_op(c))) < 1e-7
 
 
+@pytest.mark.parametrize("N, seed, sign", [(26, 10, +1), (32, 1, -1)])
+def test_logdet_beyond_the_double_range(N, seed, sign):
+    # |det| is about e^748 and e^919 here, past the largest double (e^709.8);
+    # slogdet's own error grows with cond(B), about 1e14 at N = 32
+    c = random_crossing(RootConfig(N), np.random.default_rng(seed), sign)
+    s, logabs = np.linalg.slogdet(braiding_op(c).as_operator())
+    assert abs(cmath.exp(logdet_braiding(c) - logabs) / s - 1) < 1e-4
+    with pytest.raises(OverflowError):
+        det_braiding(c)
+
+
 def test_det_sign_flip_inverts_constant(rng):
     # the (N / D0^2)^(sign N^2) factor inverts under a sign flip
     from holorm.qdilog import d_const
@@ -227,21 +238,21 @@ def test_transform_rules_random_shifts(sign, rng):
 
 def test_pinched_theta_zero_entry():
     cfg = RootConfig(2)
-    t = rmat_pinched(kashaev_crossing(cfg))
+    t = rmat_pinched(kashaev_crossing(cfg)).entries.reshape(2, 2, 2, 2)
     # [n1-n2] + [n1'-n2'-1] = [1] + [1] = 2 >= N kills this entry
-    assert t.entry(1, 0, 0, 0) == 0.0
+    assert t[1, 0, 0, 0] == 0.0
 
 
 def test_kashaev_entries_and_zero_pattern():
     cfg = RootConfig(2)
-    K = kashaev_rmat(cfg)
-    assert rel(K.entry(0, 0, 0, 0), 1j) < 1e-13
+    K = kashaev_rmat(cfg).entries.reshape(2, 2, 2, 2)
+    assert rel(K[0, 0, 0, 0], 1j) < 1e-13
     for idx in np.ndindex(2, 2, 2, 2):
         n1, n2, n1p, n2p = idx
         t1 = ((n1 - n2) % 2) + ((n1p - n2p - 1) % 2)
         t2 = ((n2p - n1) % 2) + ((n2 - n1p) % 2)
         if t1 >= 2 or t2 >= 2:
-            assert K.entry(*idx) == 0.0
+            assert K[idx] == 0.0
 
 
 def test_kashaev_is_pinched_specialization():
