@@ -21,7 +21,7 @@ import numpy as np
 
 from .characters import LogWeylChar, braid
 from .qdilog import RootConfig, TWO_PI_I
-from .rmatrix import CrossingData, braiding_op, det_braiding
+from .rmatrix import CrossingData, braiding_op
 
 
 class InadmissibleColoringError(ValueError):
@@ -284,11 +284,6 @@ def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
                      np.kron(b, np.eye(N ** (w - c.pos - 1), dtype=complex)))
         total = op @ total
     return total
-
-
-def jfunc_dets(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> list:
-    """Closed-form braiding determinant at every crossing of the diagram."""
-    return [det_braiding(crossing_data(cfg, d, lc, c)) for c in d.crossings]
 
 
 @dataclass

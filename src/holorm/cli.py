@@ -41,7 +41,7 @@ def _jx(z: complex) -> list:
 
 
 def _jmat(M: np.ndarray) -> list:
-    return [[_jx(complex(v)) for v in row] for row in np.asarray(M)]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def _emit(obj, code: int = 0) -> int:

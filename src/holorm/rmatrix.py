@@ -10,6 +10,18 @@ Index conventions: tensors are stored as dense (N^2, N^2) arrays with
 entries[(n1, n2), (n1', n2')] = R_{n1 n2}^{n1' n2'}; rows are row-major over
 the *input* pair.  The braiding composes the R-matrix with the flip of the
 output pair, so it maps slot data (n1, n2) -> (n2', n1').
+
+One table per sign, _region_terms, pairs each region r with an index
+difference d_r, an offset and p_r = +1 (numerator) or -1 (denominator):
+    sign +1:  N (n2'-n1, 0, +1)  S (n2-n1', 0, +1)  W (n2-n1, -1, -1)  E (n2'-n1', 0, -1)
+    sign -1:  W (n1-n2, 0, +1)  E (n1'-n2', -1, +1)  S (n1'-n2, -1, -1)  N (n1-n2', -1, -1)
+Generic entries are omega**d_W / N * omega**((N-1) sum_{offset_r != 0} p_r
+(zeta0_r + zeta1_r)) * prod_r Lambda_r[d_r + offset_r]**p_r; the standard
+pinched form has the q-factorials prod_r (omega; omega)_{d_r+offset_r}**-p_r;
+the integer gamma- and beta-shift rules, and with them the non-standard
+pinched forms, read the same rows.  factorized_ops writes the paper's
+four-factor theorem on its own, so the factorization identity compares two
+independent routes.
 """
 
 from __future__ import annotations
@@ -205,7 +217,7 @@ class RTensor:
 
 def _lambda_tables(c: CrossingData) -> dict:
     zs = crossing_zetas(c)
-    return {r: lambda_table(c.cfg, zs.flattening(r)) for r in REGIONS}
+    return {r: np.array(lambda_table(c.cfg, zs.flattening(r))) for r in REGIONS}
 
 
 def _index_grids(N: int) -> tuple:
@@ -220,28 +232,38 @@ def _poch_table(q: complex, count: int) -> np.ndarray:
     return np.array([qpoch(q, q, k) for k in range(count)])
 
 
+def _region_terms(sign: int, n1, n2, n1p, n2p) -> dict:
+    """{region: (d, offset, p)} of the module docstring, numerators first.
+
+    Indices may be integers or broadcastable arrays."""
+    if sign == +1:
+        return {"N": (n2p - n1, 0, +1), "S": (n2 - n1p, 0, +1),
+                "W": (n2 - n1, -1, -1), "E": (n2p - n1p, 0, -1)}
+    return {"W": (n1 - n2, 0, +1), "E": (n1p - n2p, -1, +1),
+            "S": (n1p - n2, -1, -1), "N": (n1 - n2p, -1, -1)}
+
+
+def _region_ratio(terms: dict, tables: dict, num=1, power: int = 1):
+    """num * prod_r tables[r][d_r + offset_r]^(power p_r), formed as one
+    quotient of the numerator and denominator products in table order."""
+    den = 1
+    for r, (d, off, p) in terms.items():
+        val = tables[r][(d + off) % len(tables[r])]
+        if p * power > 0:
+            num = num * val
+        else:
+            den = den * val
+    return num / den
+
+
 def _assemble(c: CrossingData) -> np.ndarray:
     """Entries of the R-matrix of a non-pinched crossing, for both signs."""
     N = c.cfg.N
-    w = c.cfg.omega_pow
-    lam = _lambda_tables(c)
     z0, z1 = c.zeta0(), c.zeta1()
-    n1, n2, n1p, n2p = _index_grids(N)
-    lamN, lamW = np.array(lam["N"]), np.array(lam["W"])
-    lamS, lamE = np.array(lam["S"]), np.array(lam["E"])
-    if c.sign == +1:
-        pref = w(-(N - 1) * (z0["W"] + z1["W"])) / N
-        R = (pref
-             * np.power(c.cfg.omega, (n2 - n1))
-             * lamN[(n2p - n1) % N] * lamS[(n2 - n1p) % N]
-             / (lamW[(n2 - n1 - 1) % N] * lamE[(n2p - n1p) % N]))
-    else:
-        pref = w((N - 1) * (z0["E"] + z1["E"] - z0["S"] - z1["S"]
-                            - z0["N"] - z1["N"])) / N
-        R = (pref
-             * np.power(c.cfg.omega, (n1 - n2))
-             * lamW[(n1 - n2) % N] * lamE[(n1p - n2p - 1) % N]
-             / (lamN[(n1 - n2p - 1) % N] * lamS[(n1p - n2 - 1) % N]))
+    terms = _region_terms(c.sign, *_index_grids(N))
+    expo = sum(p * z[r] for r, (_, off, p) in terms.items() if off for z in (z0, z1))
+    pref = c.cfg.omega_pow((N - 1) * expo) / N
+    R = _region_ratio(terms, _lambda_tables(c), pref * np.power(c.cfg.omega, terms["W"][0]))
     return R.reshape(N * N, N * N)
 
 
@@ -294,8 +316,7 @@ def factorized_ops(c: CrossingData) -> FactorOps:
     z0, z1 = c.zeta0(), c.zeta1()
     n = np.arange(N)
     d_in = (n[:, None] - n[None, :])        # n1 - n2
-    lamN, lamW = np.array(lam["N"]), np.array(lam["W"])
-    lamS, lamE = np.array(lam["S"]), np.array(lam["E"])
+    lamN, lamW, lamS, lamE = (lam[r] for r in REGIONS)
     if c.sign == +1:
         zw = (w(-(N - 1) * (z0["W"] + z1["W"]))
               * np.power(c.cfg.omega, -d_in) / lamW[(-d_in - 1) % N]).reshape(-1)
@@ -362,78 +383,59 @@ def rmat_pinched(c: CrossingData) -> RTensor:
                * (a2p * m2 + 0j) ** (1 - cut(n1p - n2p - 1)))
         phase = warr(n1 * (al1 - mu1 - 1) + n2 * (al2 + mu2 + 1)
                      - n1p * (al1p - mu1) - n2p * (al2p + mu2))
-        qfac = (poch[(n2p - n1p) % N] * poch[(n2 - n1 - 1) % N]
-                / (poch[(n2p - n1) % N] * poch[(n2 - n1p) % N]))
     else:
         amp = ((a1 * m1 + 0j) ** (1 - cut(n1 - n2))
                * (m2 / a2p) ** cut(n1p - n2p - 1)
                * (a1 * a2 * m1 / m2) ** cut(n1p - n2 - 1))
         phase = warr(n1 * (al1 + mu1 + 1) + n2 * (al2 - mu2 - 1)
                      - n1p * (al1p + mu1) - n2p * (al2p - mu2))
-        qfac = (poch[(n1 - n2p - 1) % N] * poch[(n1p - n2 - 1) % N]
-                / (poch[(n1 - n2) % N] * poch[(n1p - n2p - 1) % N]))
+    qfac = _region_ratio(_region_terms(e, n1, n2, n1p, n2p),
+                         dict.fromkeys(REGIONS, poch), power=-1)
     R = theta * amp * phase * qfac / N
     return RTensor(c.cfg, R.reshape(N * N, N * N), e, pinched=True)
 
 
 def _pinched_nonstandard(c: CrossingData, ints: dict) -> RTensor:
-    """Reduce a non-standard pinched coloring to the standard one and map back."""
+    """Reduce a non-standard pinched coloring to the standard one and map back.
+
+    Beta shifts l move each zeta0_r by the table's d_r(l); these make every
+    zeta0 vanish (with l1 = 0).
+    """
     e = c.sign
-    # integer beta shifts making every zeta0 vanish (l1 fixed to 0)
-    l1 = 0
-    l2p = -e * ints["N"]
     l2 = -e * ints["W"]
-    l1p = l2 + e * ints["S"]
-    shifts = (l1, l2, l1p, l2p)
+    shifts = (0, l2, l2 + e * ints["S"], -e * ints["N"])
     std = apply_beta_shift(c, shifts)
-    rel = beta_shift_relation(c, shifts)
-    N = c.cfg.N
-    n1, n2, n1p, n2p = _index_grids(N)
-    Rs = rmat_pinched(std).entries.reshape(N, N, N, N)
-    # std = shifted(c): R_std[n] = phase * R_c[n + l]  =>  R_c[m] = R_std[m - l]/phase
-    out = Rs[(n1 - l1) % N, (n2 - l2) % N, (n1p - l1p) % N, (n2p - l2p) % N]
-    return RTensor(c.cfg, (out / rel).reshape(N * N, N * N), e, pinched=True)
+    back = tuple(-l for l in shifts)
+    rel = TransformRelation(c, beta_shift_relation(std, back), back, (0, 0, 0, 0), e)
+    return RTensor(c.cfg, rel.predict(rmat_pinched(std)), e, pinched=True)
 
 
 def beta_shift_relation(c: CrossingData, shifts: tuple) -> complex:
     """Phase relating R of a beta-shifted coloring to the original.
 
     With beta_i -> beta_i + l_i (integers), the new matrix satisfies
-    R_new[n] = phase * R_old[n + l].  The phase is a half-integer power of
-    omega built from region and meridian logs only, so it is finite at
-    pinched crossings as well.
+    R_new[n] = phase * R_old[n + l], with phase = omega**(sum_r p_r d_r(l)
+    zeta1_r / 2) over the region table.  kappa cancels (sum_r p_r d_r = 0),
+    so zeta1 is taken at kappa = 0 and the phase is finite at pinched
+    crossings as well.
     """
-    l1, l2, l1p, l2p = shifts
-    gN, gW, gS, gE = c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e
-    mu1, mu2 = c.lc1.mu, c.lc2.mu
-    w = c.cfg.omega_pow
-    if c.sign == +1:
-        B = (l2p * (gE - gN + mu2) + l1p * (gS - gE - mu1)
-             + l2 * (gW - gS - mu2) + l1 * (gN - gW + mu1))
-        return w(B / 2.0)
-    al1, al2, al2p = gW - gN, gS - gW, gE - gN
-    dW, dE, dS = l1 - l2, l1p - l2p, l1p - l2
-    B = (dW * (-al1 - mu1) + dE * (-al2p + mu2)
-         + dS * (al1 + al2 + mu1 - mu2))
-    return w(B / 2.0)
+    z1 = c.zeta1(kappa=0)
+    terms = _region_terms(c.sign, *shifts)
+    return c.cfg.omega_pow(sum(p * d * z1[r] for r, (d, _, p) in terms.items()) / 2.0)
 
 
 def gamma_shift_relation(c: CrossingData, kshifts: dict) -> tuple:
     """(phase, coeffs) for integer region shifts gamma_r -> gamma_r + k_r.
 
-    R_new[n1,n2,n1',n2'] = phase * omega**(linear(n)) * R_old[same indices],
-    where linear(n) has the returned per-index coefficients
-    coeffs = (cN, cW, cS, cE) pairing with (n2'-n1, n2-n1, n2-n1', n2'-n1')
-    for positive crossings and (n1-n2', n1-n2, n1'-n2, n1'-n2') for negative.
+    R_new[n] = phase * omega**(sum_r p_r k_r d_r(n)) * R_old[n] over the
+    region table, with phase = omega**(sum_r p_r k_r zeta0_r / 2) and
+    coeffs = (kN, kW, kS, kE).
     """
     z0 = c.zeta0()
-    kN, kW, kS, kE = (kshifts.get(r, 0) for r in REGIONS)
-    w = c.cfg.omega_pow
-    if c.sign == +1:
-        gamma = kN * z0["N"] + kS * z0["S"] - kW * z0["W"] - kE * z0["E"]
-    else:
-        gamma = kW * z0["W"] + kE * z0["E"] - kN * z0["N"] - kS * z0["S"]
-    return w(gamma / 2.0), (kN, kW, kS, kE)
+    k = {r: kshifts.get(r, 0) for r in REGIONS}
+    terms = _region_terms(c.sign, 0, 0, 0, 0)  # only the p_r are read
+    phase = c.cfg.omega_pow(sum(p * k[r] * z0[r] for r, (_, _, p) in terms.items()) / 2.0)
+    return phase, tuple(k[r] for r in REGIONS)
 
 
 def apply_gamma_shift(c: CrossingData, kshifts: dict) -> CrossingData:
@@ -476,13 +478,9 @@ class TransformRelation:
         n1, n2, n1p, n2p = _index_grids(N)
         Ro = R_old.entries.reshape(N, N, N, N)
         shifted = Ro[(n1 + l1) % N, (n2 + l2) % N, (n1p + l1p) % N, (n2p + l2p) % N]
-        kN, kW, kS, kE = self.gamma_coeffs
-        if self.sign == +1:
-            expo = (kN * (n2p - n1) + kS * (n2 - n1p)
-                    - kW * (n2 - n1) - kE * (n2p - n1p))
-        else:
-            expo = (kW * (n1 - n2) + kE * (n1p - n2p)
-                    - kN * (n1 - n2p) - kS * (n1p - n2))
+        k = dict(zip(REGIONS, self.gamma_coeffs))
+        terms = _region_terms(self.sign, n1, n2, n1p, n2p)
+        expo = sum(p * k[r] * d for r, (d, _, p) in terms.items())
         out = self.phase * np.power(R_old.cfg.omega, expo) * shifted
         return out.reshape(N * N, N * N)
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .characters import LogWeylChar, braid, principal_log_char
+from .characters import LogWeylChar
 from .qdilog import RootConfig
 
 
@@ -133,19 +133,8 @@ def pi_tensor(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
 COND_MAX = 1e12  # condition number beyond which a braiding element g counts as singular
 
 
-def _primed_generators(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
-                       lc1p: LogWeylChar, lc2p: LogWeylChar, sign: int) -> tuple:
-    """(x1, x2, y1, y2, z1, z2) and their inverses in the output representation.
-
-    When the primed data are omitted they are rebuilt by braiding the
-    characters with the given sign and taking principal logarithms.
-    """
-    if lc1p is None or lc2p is None:
-        out = braid(lc1.char(), lc2.char(), sign)
-        if not out.admissible:
-            raise ValueError("pair is not admissible; no braiding exists")
-        lc1p = principal_log_char(out.chi1p, mu=lc1.mu)
-        lc2p = principal_log_char(out.chi2p, mu=lc2.mu)
+def _primed_generators(cfg: RootConfig, lc1p: LogWeylChar, lc2p: LogWeylChar) -> tuple:
+    """(x1, x2, y1, y2, z1, z2) and their inverses in the output representation."""
     m = _pi2(cfg, lc1p, lc2p, Basis.FOURIER)
     gens = tuple(m[k] for k in ("x1", "x2", "y1", "y2", "z1", "z2"))
     return gens, tuple(np.linalg.inv(M) for M in gens)
@@ -158,7 +147,7 @@ def _checked_inv(g: np.ndarray, what: str) -> np.ndarray:
 
 
 def rw_images(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
-              lc1p: LogWeylChar = None, lc2p: LogWeylChar = None) -> dict:
+              lc1p: LogWeylChar, lc2p: LogWeylChar) -> dict:
     """Matrices of the braiding automorphism on generators, in the primed action.
 
     Each generator u of the doubled Weyl algebra is sent to an explicit
@@ -166,7 +155,7 @@ def rw_images(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
     representation attached to the *output* log-characters (lc1p, lc2p).
     """
     (x1, x2, y1, y2, z1, z2), (x1i, x2i, y1i, y2i, _, z2i) = _primed_generators(
-        cfg, lc1, lc2, lc1p, lc2p, +1)
+        cfg, lc1p, lc2p)
     eye = np.eye(x1.shape[0], dtype=complex)
     g = eye - x1i @ y1 @ (z1 - x1) @ y2i @ (x2 - z2i)
     gi = _checked_inv(g, "braiding element g")
@@ -180,7 +169,7 @@ def rw_images(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
 
 
 def rw_images_negative(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
-                       lc1p: LogWeylChar = None, lc2p: LogWeylChar = None) -> dict:
+                       lc1p: LogWeylChar, lc2p: LogWeylChar) -> dict:
     """Generator images intertwined by the negative R-matrix.
 
     The negative crossing realizes the inverse braiding automorphism
@@ -192,7 +181,7 @@ def rw_images_negative(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
     output representation.
     """
     (x1, x2, y1, y2, z1, z2), (x1i, x2i, y1i, y2i, z1i, _) = _primed_generators(
-        cfg, lc1, lc2, lc1p, lc2p, -1)
+        cfg, lc1p, lc2p)
     eye = np.eye(x1.shape[0], dtype=complex)
     g = eye - y2 @ (z2 - x2) @ y1i @ (eye - z1i @ x1i)
     gi = _checked_inv(g, "negative braiding element")

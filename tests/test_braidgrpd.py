@@ -7,10 +7,11 @@ import pytest
 
 from holorm.braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
                               check_move, crossing_data, edge_gluing_defects,
-                              extend_log_coloring, jfunc_dets, jfunc_eval,
-                              log_longitudes, propagate_chi)
+                              extend_log_coloring, jfunc_eval, log_longitudes,
+                              propagate_chi)
 from holorm.characters import WeylChar
 from holorm.qdilog import RootConfig, TWO_PI_I
+from holorm.rmatrix import logdet_braiding
 from holorm.sampling import (matched_pair_colorings, random_coloring,
                              _tune_longitudes)
 
@@ -249,7 +250,8 @@ def test_det_cocycle_r3_double(rng):
                               [0.0, 0.0, 0.0])
         if lc is None or max(abs(x) for x in log_longitudes(loop, lc)) > 1e-9:
             continue
-        prod = np.prod(jfunc_dets(cfg, loop, lc))
+        prod = np.exp(sum(logdet_braiding(crossing_data(cfg, loop, lc, c))
+                          for c in loop.crossings))
         assert min(abs(prod - 1), abs(prod + 1)) < 1e-6
         done += 1
     assert done >= 1

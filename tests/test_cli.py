@@ -50,6 +50,13 @@ def test_selftest_unachievable_tolerance(capsys, monkeypatch):
     assert not rep["checks"]["qdilog/lambda product"]["passed"]
 
 
+def test_jmat_matches_elementwise_conversion():
+    M = np.array([[complex(-0.0, 5e-324), complex(1e300, -0.0)],
+                  [complex(0.1, -2.5), complex(np.pi, 1 / 3)]])
+    loop = [[[float(v.real), float(v.imag)] for v in row] for row in M]
+    assert json.dumps(cli._jmat(M), indent=1) == json.dumps(loop, indent=1)
+
+
 def test_rmat_kashaev_entry(capsys):
     code, out = run(capsys, "rmat", "--N", "2", "--kashaev")
     assert code == 0

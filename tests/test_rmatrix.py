@@ -15,8 +15,8 @@ from holorm.rmatrix import (CrossingData, PinchedCrossingError, braiding_op,
                             weight_basis_closed_form, weight_basis_rmat)
 from holorm.sampling import (kashaev_crossing, random_crossing,
                              standard_pinched_crossing)
-from holorm.selftest import (IDENTITIES, _pinched_limit, _random_pinched_params,
-                             r2_backward_error)
+from holorm.selftest import (IDENTITIES, _det_deviation, _pinched_limit,
+                             _random_pinched_params, r2_backward_error)
 
 from conftest import mrel, rel
 
@@ -162,6 +162,12 @@ def test_logdet_beyond_the_double_range(N, seed, sign):
         det_braiding(c)
 
 
+def test_det_selftest_row_is_finite_past_the_double_range():
+    # the crossing of test_cli::test_rmat_determinant_overflow_is_a_json_error
+    c = random_crossing(RootConfig(26), np.random.default_rng(10), +1)
+    assert np.isfinite(_det_deviation(c, braiding_op(c)))
+
+
 def test_det_sign_flip_inverts_constant(rng):
     # the (N / D0^2)^(sign N^2) factor inverts under a sign flip
     from holorm.qdilog import d_const
@@ -294,6 +300,20 @@ def test_pinched_nonstandard_reduction(rng):
     got = rmat_pinched(shifted).entries
     lim = _pinched_limit(cfg, shifted)
     assert np.abs(lim - got).max() < 1e-5
+
+
+@pytest.mark.parametrize("N", (2, 3, 4, 5, 7))
+def test_gamma_shift_rule_at_pinched_crossings(N, rng):
+    # the closed pinched form and the region table's shift rule are
+    # independent routes to the shifted crossing's matrix
+    cfg = RootConfig(N)
+    for sign in (+1, -1):
+        for _ in range(4):
+            c = standard_pinched_crossing(cfg, *_random_pinched_params(rng), sign=sign)
+            ks = {r: int(rng.integers(-2, 3)) for r in "NWSE"}
+            shifted = transform_rules(c, gamma_shifts=ks)
+            assert mrel(rmat_pinched(shifted.crossing).entries,
+                        shifted.predict(rmat_pinched(c))) < 1e-10
 
 
 def test_rmat_pinched_rejects_generic(rng):

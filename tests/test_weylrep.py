@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from holorm.characters import LogWeylChar, braid, char_product, to_z0_char
+from holorm.characters import (LogWeylChar, braid, char_product, principal_log_char,
+                               to_z0_char)
 from holorm.qdilog import RootConfig
 from holorm.sampling import random_crossing, random_logchar
 from holorm.weylrep import (Basis, GenMatrices, central_scalars, commutant_dim,
@@ -92,14 +93,13 @@ def test_rw_images_center_and_cancellation(rng):
         lc1, lc2 = random_logchar(rng), random_logchar(rng)
         if not braid(lc1.char(), lc2.char(), +1).admissible:
             continue
-        imgs = rw_images(cfg, lc1, lc2)
+        out = braid(lc1.char(), lc2.char(), +1)
+        lc1p = principal_log_char(out.chi1p, mu=lc1.mu)
+        lc2p = principal_log_char(out.chi2p, mu=lc2.mu)
+        imgs = rw_images(cfg, lc1, lc2, lc1p, lc2p)
         assert mrel(imgs["z1"], cfg.omega_pow(lc1.mu) * np.eye(9)) < 1e-12
         assert mrel(imgs["z2"], cfg.omega_pow(lc2.mu) * np.eye(9)) < 1e-12
         # g cancels between the images of x1 and x2
-        out = braid(lc1.char(), lc2.char(), +1)
-        from holorm.characters import principal_log_char
-        lc1p = principal_log_char(out.chi1p, mu=lc1.mu)
-        lc2p = principal_log_char(out.chi2p, mu=lc2.mu)
         prim = pi_tensor(cfg, lc1p, lc2p)
         assert mrel(imgs["x1"] @ imgs["x2"], prim["x1"] @ prim["x2"]) < 1e-10
 
