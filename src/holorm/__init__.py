@@ -9,14 +9,13 @@ characters and their braiding (characters), cyclic Weyl-algebra modules
 
 from .qdilog import (Flattening, RootConfig, SingularArgumentError,
                      ConstraintViolationError, cyc_dilog, d_const,
-                     fusion_f, index_mod, lambda_dilog, li2, lifted_dilog,
-                     qpoch, s_norm)
+                     fusion_f, lambda_dilog, li2, lifted_dilog, qpoch,
+                     s_norm)
 from .characters import (BraidOutcome, LogWeylChar, SL2StarElement, WeylChar,
-                         braid, casimir_relation, char_product, classify_pair,
-                         is_pinched, principal_log_char, psi, to_z0_char)
+                         braid, casimir_relation, char_product, is_pinched,
+                         principal_log_char, psi, to_z0_char)
 from .weylrep import (Basis, GenMatrices, central_scalars, commutant_dim,
-                      fourier_basis_change, rep_matrices, rw_images,
-                      rw_images_negative)
+                      rep_matrices, rw_images, rw_images_negative)
 from .rmatrix import (CrossingData, PinchedCrossingError, RTensor, ZetaSet,
                       braiding_op, crossing_zetas, det_braiding, det_lu,
                       factorized_ops, kashaev_rmat, logdet_braiding,
@@ -25,7 +24,7 @@ from .rmatrix import (CrossingData, PinchedCrossingError, RTensor, ZetaSet,
 from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
                         LogColoring, build_diagram, check_move,
                         extend_log_coloring, jfunc_eval, log_longitudes,
-                        propagate_chi)
+                        pin_bottom, propagate_chi)
 
 __version__ = "0.1.0"
 

@@ -10,12 +10,17 @@ regions come in width+1 columns, the middle columns subdivided by the
 crossings acting there.  A coloring assigns a central character to every
 segment; a log-coloring additionally fixes logarithms: beta per segment,
 gamma per region, mu per component.
+
+propagate_chi is the one pass that braids characters through a diagram;
+extend_log_coloring runs it on the characters of the top logs and then only
+chooses logarithms.  pin_bottom turns bottom boundary data into the
+overrides that make a log-coloring end on it (bottom = top closes a braid).
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -175,72 +180,100 @@ def propagate_chi(d: DiagramGraph, top: list) -> ChiColoring:
 
 @dataclass
 class LogColoring:
-    """beta per segment, gamma per region, mu per component."""
+    """beta per segment, gamma per region, mu per component.
+
+    pinched_crossings lists the crossings found pinched by the pass that
+    built the coloring.
+    """
 
     beta: list
     gamma: list
     mu: list
+    pinched_crossings: list = field(default_factory=list)
 
-    def segment_logchar(self, d: DiagramGraph, c: Crossing, which: str) -> LogWeylChar:
-        seg = {"1": c.seg1, "2": c.seg2, "1p": c.seg1p, "2p": c.seg2p}[which]
-        g = self.gamma
-        alpha = {"1": g[c.reg_w] - g[c.reg_n],
-                 "2": g[c.reg_s] - g[c.reg_w],
-                 "2p": g[c.reg_e] - g[c.reg_n],
-                 "1p": g[c.reg_s] - g[c.reg_e]}[which]
-        return LogWeylChar(alpha, self.beta[seg], self.mu[d.seg_component[seg]])
+    def top(self, d: DiagramGraph) -> tuple:
+        """(betas of positions 1..width, gammas of columns 0..width) at the top."""
+        return ([self.beta[s] for s in d.top_segments[1:]],
+                [self.gamma[r] for r in d.top_regions])
+
+    def bottom(self, d: DiagramGraph) -> tuple:
+        """(betas of positions 1..width, gammas of columns 0..width) at the bottom."""
+        return ([self.beta[s] for s in d.bottom_segments[1:]],
+                [self.gamma[r] for r in d.bottom_regions])
+
+
+def top_characters(d: DiagramGraph, top_betas: list, top_gammas: list,
+                   mus: list) -> list:
+    """Characters of positions 1..width read off top log data."""
+    w = d.width
+    if len(top_betas) != w or len(top_gammas) != w + 1 or len(mus) != w:
+        raise ValueError("boundary data sizes do not match the diagram")
+    return [LogWeylChar(top_gammas[p] - top_gammas[p - 1], top_betas[p - 1],
+                        mus[p - 1]).char() for p in range(1, w + 1)]
 
 
 def extend_log_coloring(d: DiagramGraph, top_betas: list, top_gammas: list,
                         mus: list, beta_overrides: dict = None,
                         gamma_overrides: dict = None) -> LogColoring:
-    """Propagate a log-coloring from top boundary data.
+    """Choose logarithms for the coloring that propagate_chi gives the top data.
 
     Per crossing, the two output betas and the new region gamma default to
-    principal-branch logarithms; per-segment/region overrides choose other
-    branches.
+    principal logarithms of the propagated characters; at a pinched crossing
+    the output betas take the standard branch instead, on which all region
+    flattenings vanish exactly.  Per-segment/region overrides choose other
+    branches; they must be logarithms of the propagated characters, which
+    are not re-derived from them.
     """
-    if len(top_betas) != d.width or len(top_gammas) != d.width + 1:
-        raise ValueError("boundary data sizes do not match the diagram")
+    col = propagate_chi(d, top_characters(d, top_betas, top_gammas, mus))
     beta_overrides = beta_overrides or {}
     gamma_overrides = gamma_overrides or {}
     beta = [None] * d.n_segments
-    gamma = [None] * d.n_regions
-    for p in range(1, d.width + 1):
-        beta[d.top_segments[p]] = top_betas[p - 1]
-    for col in range(d.width + 1):
-        gamma[col] = top_gammas[col]
+    for s, b in zip(d.top_segments[1:], top_betas):
+        beta[s] = b
+    gamma = list(top_gammas) + [None] * len(d.crossings)
+    pinched = set(col.pinched_crossings)
     for c in d.crossings:
-        lc1 = LogWeylChar(gamma[c.reg_w] - gamma[c.reg_n], beta[c.seg1],
-                          mus[d.seg_component[c.seg1]])
-        lc2 = LogWeylChar(gamma[c.reg_s] - gamma[c.reg_w], beta[c.seg2],
-                          mus[d.seg_component[c.seg2]])
-        out = braid(lc1.char(), lc2.char(), c.sign)
-        if not out.admissible:
-            raise InadmissibleColoringError(c.index)
-        if out.pinched:
-            # standard branch choice: all region flattenings vanish exactly
-            b1p_default = lc1.beta + lc2.mu
-            b2p_default = lc1.beta
+        chi1p, chi2p = col.colors[c.seg1p], col.colors[c.seg2p]
+        if c.index in pinched:
+            b1p = beta[c.seg1] + mus[d.seg_component[c.seg2]]
+            b2p = beta[c.seg1]
         else:
-            b1p_default = cmath.log(out.chi1p.b) / TWO_PI_I
-            b2p_default = cmath.log(out.chi2p.b) / TWO_PI_I
-        b1p = beta_overrides.get(c.seg1p, b1p_default)
-        b2p = beta_overrides.get(c.seg2p, b2p_default)
-        ge = gamma_overrides.get(c.reg_e,
-                                 gamma[c.reg_n] + cmath.log(out.chi2p.a) / TWO_PI_I)
-        beta[c.seg1p], beta[c.seg2p] = b1p, b2p
-        gamma[c.reg_e] = ge
-    return LogColoring(beta, gamma, list(mus))
+            b1p = cmath.log(chi1p.b) / TWO_PI_I
+            b2p = cmath.log(chi2p.b) / TWO_PI_I
+        beta[c.seg1p] = beta_overrides.get(c.seg1p, b1p)
+        beta[c.seg2p] = beta_overrides.get(c.seg2p, b2p)
+        gamma[c.reg_e] = gamma_overrides.get(
+            c.reg_e, gamma[c.reg_n] + cmath.log(chi2p.a) / TWO_PI_I)
+    return LogColoring(beta, gamma, list(mus), col.pinched_crossings)
+
+
+def pin_bottom(d: DiagramGraph, betas: list, gammas: list) -> tuple:
+    """(beta_overrides, gamma_overrides) that make extend_log_coloring end on
+    the bottom data (betas of positions 1..width, gammas of columns 0..width).
+
+    A bottom region that is also a top region (a column no crossing acts in)
+    keeps its top value and gets no override.
+    """
+    beta_overrides = dict(zip(d.bottom_segments[1:], betas))
+    gamma_overrides = {r: g for r, g in zip(d.bottom_regions, gammas)
+                       if r not in d.top_regions}
+    return beta_overrides, gamma_overrides
 
 
 def crossing_data(cfg: RootConfig, d: DiagramGraph, lc: LogColoring,
                   c: Crossing) -> CrossingData:
+    g = lc.gamma
+
+    def logchar(seg, alpha):
+        return LogWeylChar(alpha, lc.beta[seg], lc.mu[d.seg_component[seg]])
+
     return CrossingData(
         cfg, c.sign,
-        lc.segment_logchar(d, c, "1"), lc.segment_logchar(d, c, "2"),
-        lc.segment_logchar(d, c, "1p"), lc.segment_logchar(d, c, "2p"),
-        lc.gamma[c.reg_n], lc.gamma[c.reg_w], lc.gamma[c.reg_s], lc.gamma[c.reg_e])
+        logchar(c.seg1, g[c.reg_w] - g[c.reg_n]),
+        logchar(c.seg2, g[c.reg_s] - g[c.reg_w]),
+        logchar(c.seg1p, g[c.reg_s] - g[c.reg_e]),
+        logchar(c.seg2p, g[c.reg_e] - g[c.reg_n]),
+        g[c.reg_n], g[c.reg_w], g[c.reg_s], g[c.reg_e])
 
 
 def log_longitudes(d: DiagramGraph, lc: LogColoring) -> list:
@@ -294,10 +327,7 @@ class MoveReport:
 
 
 def _boundary_data(d: DiagramGraph, lc: LogColoring) -> tuple:
-    top_b = tuple(lc.beta[d.top_segments[p]] for p in range(1, d.width + 1))
-    bot_b = tuple(lc.beta[d.bottom_segments[p]] for p in range(1, d.width + 1))
-    top_g = tuple(lc.gamma[r] for r in d.top_regions)
-    bot_g = tuple(lc.gamma[r] for r in d.bottom_regions)
+    (top_b, top_g), (bot_b, bot_g) = lc.top(d), lc.bottom(d)
     return top_b, bot_b, top_g, bot_g, tuple(lc.mu), tuple(d.perm[1:])
 
 

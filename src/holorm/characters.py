@@ -226,29 +226,6 @@ def braid(chi1: WeylChar, chi2: WeylChar, sign: int) -> BraidOutcome:
                         admissible=True, pinched=pinched)
 
 
-def classify_pair(chi1: WeylChar, chi2: WeylChar, sign: int = +1) -> dict:
-    """Admissibility / pinched report for a pair, with the Y discriminant.
-
-    Y = 1 + K1^{-N} E1^N F2^N K2^N evaluated on character values; its vanishing
-    on the output pair detects the inadmissible locus for the stated sign.
-    """
-    out = braid(chi1, chi2, sign)
-
-    def yval(u: WeylChar, v: WeylChar) -> complex:
-        e1 = u.b * (u.a - u.m)
-        f2 = (v.a - 1.0 / v.m) / (v.a * v.b)
-        return 1.0 + (1.0 / u.a) * e1 * f2 * v.a
-
-    report = {
-        "admissible": out.admissible,
-        "pinched": out.pinched,
-        "y_in": yval(chi1, chi2),
-    }
-    if out.admissible:
-        report["y_out"] = yval(out.chi1p, out.chi2p)
-    return report
-
-
 def casimir_relation(chi: WeylChar, mu: complex) -> float:
     """Residual of the Chebyshev/Casimir compatibility relation.
 

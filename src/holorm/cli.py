@@ -10,18 +10,21 @@ identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 
 import numpy as np
 
 from .braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
                         extend_log_coloring, jfunc_eval, log_longitudes,
-                        propagate_chi)
+                        propagate_chi, top_characters)
 from .characters import LogWeylChar, WeylChar
 from .qdilog import ConstraintViolationError, RootConfig
 from .rmatrix import (CrossingData, PinchedCrossingError, crossing_zetas,
-                      det_braiding, det_lu, kashaev_rmat, rmat, rmat_pinched)
+                      det_braiding, det_lu, kashaev_rmat, logdet_braiding, rmat,
+                      rmat_pinched)
 from .selftest import run_all
 
 
@@ -38,6 +41,12 @@ def _cx(v) -> complex:
 
 def _jx(z: complex) -> list:
     return [float(z.real), float(z.imag)]
+
+
+def _jdet(det) -> list:
+    """[re, im] of a determinant, or None (JSON null) where it is missing,
+    zero or not finite."""
+    return _jx(det) if det and cmath.isfinite(det) else None
 
 
 def _jmat(M: np.ndarray) -> list:
@@ -78,7 +87,10 @@ def cmd_selftest(args) -> int:
         key = f"{r.module}/{r.name}"
         entry = report.setdefault(key, {"max_deviation": 0.0, "tol": r.tol,
                                         "passed": True})
-        entry["max_deviation"] = max(entry["max_deviation"], r.deviation)
+        # a deviation that is not a finite number (NaN: never evaluated) is null
+        dev = entry["max_deviation"]
+        entry["max_deviation"] = (max(dev, r.deviation) if dev is not None
+                                  and math.isfinite(r.deviation) else None)
         entry["passed"] = entry["passed"] and r.passed
         ok = ok and r.passed
     return _emit({"seed": args.seed, "N": Ns, "checks": report,
@@ -137,12 +149,19 @@ def cmd_rmat(args) -> int:
             out["zeta0"] = {r: _jx(v) for r, v in zs.zeta0.items()}
             out["zeta1"] = {r: _jx(v) for r, v in zs.zeta1.items()}
             out["kappa"] = _jx(c.resolved_kappa())
-            out["det_closed"] = _jx(det_braiding(c))
-            out["det_lu"] = _jx(det_lu(t.braiding()))
+            B = t.braiding()
+            try:
+                det_closed = det_braiding(c)
+            except OverflowError:
+                det_closed = None
+            out["det_closed"] = _jdet(det_closed)
+            with np.errstate(over="ignore", invalid="ignore"):  # null past the range
+                out["det_lu"] = _jdet(det_lu(B))
+            out["logdet_closed"] = _jx(logdet_braiding(c))
+            sign, logabs = np.linalg.slogdet(B.as_operator())
+            out["logdet_lu"] = _jx(logabs + 1j * np.angle(sign)) if sign else None
     except (PinchedCrossingError, ConstraintViolationError) as exc:
         return _fail(str(exc), 1)
-    except OverflowError as exc:
-        return _fail(f"closed-form determinant leaves the double range: {exc}", 1)
     out["entries"] = _jmat(t.entries)
     return _emit(out)
 
@@ -182,18 +201,19 @@ def cmd_braid(args) -> int:
     cfg = RootConfig(args.N)
     try:
         spec = _load_spec(args)
-        d, _ = _braid_setup(spec)
+        d, tops = _braid_setup(spec)
         log = spec["log"]
         top_b = [_cx(v) for v in log["beta"]]
         top_g = [_cx(v) for v in log["gamma"]]
         mus = [_cx(v) for v in log["mu"]]
+        chars = top_characters(d, top_b, top_g, mus)
+        if len(tops) != d.width or not all(
+                t.isclose(c) for t, c in zip(tops, chars)):
+            raise ValueError("top_colors do not match the characters of log")
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail(f"invalid braid spec: {exc}", 2)
     try:
         lc = extend_log_coloring(d, top_b, top_g, mus)
-        col = propagate_chi(d, [LogWeylChar(top_g[p] - top_g[p - 1],
-                                            top_b[p - 1], mus[p - 1]).char()
-                                for p in range(1, d.width + 1)])
         mat = None if args.matrix_free else jfunc_eval(cfg, d, lc)
     except InadmissibleColoringError as exc:
         return _fail(str(exc), 1, crossing=exc.crossing)
@@ -204,7 +224,7 @@ def cmd_braid(args) -> int:
         "gamma": [_jx(complex(g)) for g in lc.gamma],
         "mu": [_jx(complex(m)) for m in lc.mu],
         "log_longitudes": [_jx(complex(x)) for x in lam],
-        "pinched_crossings": col.pinched_crossings,
+        "pinched_crossings": lc.pinched_crossings,
     }
     if mat is not None:
         # serialized with the same row = input convention as crossings

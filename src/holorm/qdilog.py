@@ -309,12 +309,3 @@ def fusion_f(cfg: RootConfig, alpha: complex, beta: complex, gamma: complex) -> 
             den /= fac
         total += num / den * cfg.omega_pow(k * gamma)
     return total
-
-
-def index_mod(cfg: RootConfig, k: int) -> tuple:
-    """Return ([k], cutoff(k)): the representative in [0, N) and the 0/1 window flag.
-
-    cutoff(k) = 1 exactly when k already lies in {0, ..., N-1}.
-    """
-    modb = k % cfg.N
-    return modb, 1 if k == modb else 0

@@ -13,7 +13,7 @@ import numpy as np
 
 from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
                         LogColoring, build_diagram, extend_log_coloring,
-                        log_longitudes)
+                        log_longitudes, pin_bottom)
 from .characters import LogWeylChar, WeylChar, braid
 from .qdilog import Flattening, RootConfig
 from .rmatrix import CrossingData, make_crossing
@@ -84,13 +84,13 @@ def kashaev_crossing(cfg: RootConfig, sign: int = +1) -> CrossingData:
 
 
 def random_coloring(cfg: RootConfig, d: DiagramGraph, rng: np.random.Generator,
-                    tries: int = 300, **kw) -> LogColoring:
+                    tries: int = 300) -> LogColoring:
     for _ in range(tries):
         top_b = [random_value(rng, 0.35, 0.12) for _ in range(d.width)]
         top_g = [random_value(rng, 0.35, 0.12) for _ in range(d.width + 1)]
         mus = [random_value(rng, 0.35, 0.12) for _ in range(d.width)]
         try:
-            return extend_log_coloring(d, top_b, top_g, mus, **kw)
+            return extend_log_coloring(d, top_b, top_g, mus)
         except InadmissibleColoringError:
             continue
     raise RuntimeError("could not sample an admissible coloring")
@@ -112,22 +112,15 @@ def matched_pair_colorings(cfg: RootConfig, rng: np.random.Generator,
             lca = random_coloring(cfg, da, rng, tries=50)
         except RuntimeError:
             continue
-        top_b = [lca.beta[da.top_segments[p]] for p in range(1, width + 1)]
-        top_g = [lca.gamma[r] for r in da.top_regions]
-        b_over = {db.bottom_segments[p]: lca.beta[da.bottom_segments[p]]
-                  for p in range(1, width + 1)}
-        g_over = {db.bottom_regions[col]: lca.gamma[da.bottom_regions[col]]
-                  for col in range(width + 1)
-                  if db.bottom_regions[col] not in db.top_regions}
+        top_b, top_g = lca.top(da)
+        pins = pin_bottom(db, *lca.bottom(da))
         try:
-            lcb = extend_log_coloring(db, top_b, top_g, lca.mu,
-                                      beta_overrides=b_over, gamma_overrides=g_over)
+            lcb = extend_log_coloring(db, top_b, top_g, lca.mu, *pins)
         except InadmissibleColoringError:
             continue
         lama = log_longitudes(da, lca)
         if max(abs(x - y) for x, y in zip(lama, log_longitudes(db, lcb))) > 1e-9:
-            lcb = _tune_longitudes(db, lcb, top_b, top_g, lca.mu,
-                                   b_over, g_over, lama)
+            lcb = _tune_longitudes(db, lcb, pins, lama)
         if lcb is None:
             continue
         if max(abs(x - y) for x, y in zip(lama, log_longitudes(db, lcb))) > 1e-9:
@@ -136,17 +129,21 @@ def matched_pair_colorings(cfg: RootConfig, rng: np.random.Generator,
     raise RuntimeError("no matched pair of colorings found")
 
 
-def _tune_longitudes(d, lc, top_b, top_g, mus, b_over, g_over, target):
-    """Shift internal betas by integers to steer the longitudes to `target`."""
-    overrides = dict(b_over)
+def _tune_longitudes(d, lc, pins, target):
+    """Shift internal betas of lc by integers to steer its longitudes to `target`.
+
+    pins are the (beta, gamma) overrides lc was built with; returns None
+    when no integer shift gets there.
+    """
+    top_b, top_g = lc.top(d)
+    overrides, g_over = dict(pins[0]), pins[1]
     for s in d.internal_segments():
         remaining = [t - l for t, l in zip(target, log_longitudes(d, lc))]
         if max(abs(x) for x in remaining) <= 1e-9:
             break
         try:
-            probe = extend_log_coloring(d, top_b, top_g, mus,
-                                        beta_overrides={**overrides, s: lc.beta[s] + 1},
-                                        gamma_overrides=g_over)
+            probe = extend_log_coloring(d, top_b, top_g, lc.mu,
+                                        {**overrides, s: lc.beta[s] + 1}, g_over)
         except InadmissibleColoringError:
             return None
         eff = [x - y for x, y in zip(log_longitudes(d, probe), log_longitudes(d, lc))]
@@ -158,8 +155,7 @@ def _tune_longitudes(d, lc, top_b, top_g, mus, b_over, g_over, target):
             return None
         overrides[s] = lc.beta[s] + round(shift.real)
         try:
-            lc = extend_log_coloring(d, top_b, top_g, mus,
-                                     beta_overrides=overrides, gamma_overrides=g_over)
+            lc = extend_log_coloring(d, top_b, top_g, lc.mu, overrides, g_over)
         except InadmissibleColoringError:
             return None
     return lc

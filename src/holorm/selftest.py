@@ -19,7 +19,8 @@ import numpy as np
 from . import sampling
 from .braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
                         check_move, crossing_data, edge_gluing_defects,
-                        extend_log_coloring, jfunc_eval, log_longitudes)
+                        extend_log_coloring, jfunc_eval, log_longitudes,
+                        pin_bottom)
 from .characters import (LogWeylChar, braid, casimir_relation, char_product,
                          psi, to_z0_char)
 from .qdilog import (RootConfig, TWO_PI_I, cyc_dilog, d_const, fusion_f,
@@ -431,16 +432,6 @@ def _pinched_limit(cfg: RootConfig, cpin: CrossingData, t0: float = 1e-2,
 
 # -------------------------------------------------------------- braidgrpd
 
-def _closing_overrides(d, lc) -> tuple:
-    """(top betas, top gammas, beta and gamma overrides) making bottom = top."""
-    top_b = [lc.beta[d.top_segments[p]] for p in range(1, d.width + 1)]
-    top_g = [lc.gamma[r] for r in d.top_regions]
-    b_over = {d.bottom_segments[p]: top_b[p - 1] for p in range(1, d.width + 1)}
-    g_over = {d.bottom_regions[col]: top_g[col] for col in range(d.width + 1)
-              if d.bottom_regions[col] not in d.top_regions}
-    return top_b, top_g, b_over, g_over
-
-
 def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator,
                     trials: int = 5) -> dict:
     N = cfg.N
@@ -449,9 +440,8 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator,
     d2 = build_diagram(BraidWord(2, (1, -1)))
     for _ in range(trials):
         lc = sampling.random_coloring(cfg, d2, rng)
-        top_b, top_g, b_over, g_over = _closing_overrides(d2, lc)
-        lc = extend_log_coloring(d2, top_b, top_g, lc.mu,
-                                 beta_overrides=b_over, gamma_overrides=g_over)
+        top = lc.top(d2)
+        lc = extend_log_coloring(d2, *top, lc.mu, *pin_bottom(d2, *top))
         out.note("R2 move", float(np.abs(jfunc_eval(cfg, d2, lc)
                                          - np.eye(N * N)).max()))
     # composition functoriality: the word factors through its crossings
@@ -481,16 +471,9 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator,
                   for s in dd.internal_segments()}
         g_over = {r: lc0.gamma[r] + int(rng.integers(-2, 3))
                   for r in dd.internal_regions()}
-        for p in range(1, 4):
-            b_over[dd.bottom_segments[p]] = lc0.beta[dd.bottom_segments[p]]
-        for col in range(4):
-            r = dd.bottom_regions[col]
-            if r not in dd.top_regions:
-                g_over[r] = lc0.gamma[r]
-        lc1 = extend_log_coloring(
-            dd, [lc0.beta[dd.top_segments[p]] for p in (1, 2, 3)],
-            [lc0.gamma[r] for r in dd.top_regions], lc0.mu,
-            beta_overrides=b_over, gamma_overrides=g_over)
+        pin_b, pin_g = pin_bottom(dd, *lc0.bottom(dd))
+        lc1 = extend_log_coloring(dd, *lc0.top(dd), lc0.mu,
+                                  {**b_over, **pin_b}, {**g_over, **pin_g})
         lam0, lam1 = log_longitudes(dd, lc0), log_longitudes(dd, lc1)
         phase = cmath.exp(-TWO_PI_I / N * sum(
             (l1 - l0) * m for l1, l0, m in zip(lam1, lam0, lc0.mu)))
@@ -523,14 +506,13 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator,
         except RuntimeError:
             continue
         # impose boundary match bottom = top, then zero the longitudes
-        top_b, top_g, b_over, g_over = _closing_overrides(loop, lc)
+        top = lc.top(loop)
+        pins = pin_bottom(loop, *top)
         try:
-            lc = extend_log_coloring(loop, top_b, top_g, lc.mu,
-                                     beta_overrides=b_over, gamma_overrides=g_over)
+            lc = extend_log_coloring(loop, *top, lc.mu, *pins)
         except InadmissibleColoringError:
             continue
-        lc = sampling._tune_longitudes(loop, lc, top_b, top_g, lc.mu, b_over,
-                                       g_over, [0.0, 0.0, 0.0])
+        lc = sampling._tune_longitudes(loop, lc, pins, [0.0, 0.0, 0.0])
         if lc is None:
             continue
         if max(abs(x) for x in log_longitudes(loop, lc)) > 1e-9:

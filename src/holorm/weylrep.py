@@ -77,22 +77,6 @@ def fourier_matrix(cfg: RootConfig) -> np.ndarray:
                     dtype=complex)
 
 
-def fourier_basis_change(cfg: RootConfig, obj: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Apply the WEIGHT <-> FOURIER transform to a vector or conjugate a matrix.
-
-    For a matrix M expressed in the FOURIER basis, returns the WEIGHT-basis
-    matrix G M G^{-1} (or the reverse with inverse=True).
-    """
-    G = fourier_matrix(cfg)
-    Ginv = G.conj().T / cfg.N  # inverse: (1/N) omega**(-nk)
-    if inverse:
-        G, Ginv = Ginv, G
-    obj = np.asarray(obj, dtype=complex)
-    if obj.ndim == 1:
-        return G @ obj
-    return G @ obj @ Ginv
-
-
 def central_scalars(cfg: RootConfig, lc: LogWeylChar) -> dict:
     """Scalars by which K^N, E^N, F^N act on V(lc): a, b(a-m), (ab)^{-1}(a-1/m)."""
     chi = lc.char()

@@ -8,7 +8,7 @@ import pytest
 from holorm.braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
                               check_move, crossing_data, edge_gluing_defects,
                               extend_log_coloring, jfunc_eval, log_longitudes,
-                              propagate_chi)
+                              pin_bottom, propagate_chi, top_characters)
 from holorm.characters import WeylChar
 from holorm.qdilog import RootConfig, TWO_PI_I
 from holorm.rmatrix import logdet_braiding
@@ -18,6 +18,8 @@ from holorm.sampling import (matched_pair_colorings, random_coloring,
 from conftest import mrel
 
 KASHAEV_TRIPLE = [WeylChar(-1, 1, -1), WeylChar(-1, -1, -1), WeylChar(-1, 1, -1)]
+# top betas, gammas and meridians whose characters are KASHAEV_TRIPLE
+KASHAEV_LOGS = ([0.0, -0.5, -1.0], [0.0, -0.5, -1.0, -1.5], [-0.5, -0.5, -0.5])
 
 
 def test_word_validation():
@@ -68,6 +70,54 @@ def test_propagate_chi_kashaev_triple():
     assert col.pinched_crossings == [0, 1, 2]
 
 
+def _seeded_colorings(cfg, word, rng):
+    """Log-colorings of the word: two random ones, then one whose first
+    crossing is pinched (b2 = m1 b1 there); the Kashaev data for "kashaev"."""
+    if word == "kashaev":
+        d = build_diagram(BraidWord(3, (1, 2, 1)))
+        assert all(x.isclose(y) for x, y in
+                   zip(top_characters(d, *KASHAEV_LOGS), KASHAEV_TRIPLE))
+        return d, [extend_log_coloring(d, *KASHAEV_LOGS)]
+    d = build_diagram(BraidWord(max(abs(x) for x in word) + 1, word))
+    out = [random_coloring(cfg, d, rng) for _ in range(2)]
+    top_b, top_g = out[0].top(d)
+    i = abs(word[0])
+    top_b[i] = top_b[i - 1] + out[0].mu[i - 1]
+    out.append(extend_log_coloring(d, top_b, top_g, out[0].mu))
+    return d, out
+
+
+SEEDED_WORDS = [(1, -1), (1, 2, 1), (2, 1, -2, 1), "kashaev"]
+
+
+@pytest.mark.parametrize("word", SEEDED_WORDS)
+def test_log_coloring_pinched_crossings_come_from_its_one_pass(word, rng):
+    cfg = RootConfig(3)
+    d, colorings = _seeded_colorings(cfg, word, rng)
+    for lc in colorings:
+        col = propagate_chi(d, top_characters(d, *lc.top(d), lc.mu))
+        assert lc.pinched_crossings == col.pinched_crossings
+        assert lc.pinched_crossings == [
+            c.index for c in d.crossings if crossing_data(cfg, d, lc, c).pinched]
+    assert colorings[-1].pinched_crossings[:1] == [0]
+
+
+@pytest.mark.parametrize("word", SEEDED_WORDS)
+def test_pin_bottom_sets_the_bottom_boundary(word, rng):
+    # other branches of the bottom logs: integer shifts, except in the two
+    # outer columns, whose regions no crossing reaches
+    d, colorings = _seeded_colorings(RootConfig(3), word, rng)
+    for lc in colorings:
+        betas, gammas = lc.bottom(d)
+        betas = [b + int(rng.integers(-2, 3)) for b in betas]
+        gammas = ([gammas[0]] + [g + int(rng.integers(-2, 3)) for g in gammas[1:-1]]
+                  + [gammas[-1]])
+        pinned = extend_log_coloring(d, *lc.top(d), lc.mu,
+                                     *pin_bottom(d, betas, gammas))
+        assert pinned.bottom(d) == (betas, gammas)
+        assert pinned.top(d) == lc.top(d)
+
+
 def test_log_longitudes_single_crossing(rng):
     d = build_diagram(BraidWord(2, (1,)))
     lc = random_coloring(RootConfig(3), d, rng)
@@ -101,13 +151,8 @@ def test_jfunc_identity_word(rng):
 
 def _matched_r2_coloring(cfg, d, rng):
     lc = random_coloring(cfg, d, rng)
-    top_b = [lc.beta[d.top_segments[p]] for p in range(1, d.width + 1)]
-    top_g = [lc.gamma[r] for r in d.top_regions]
-    b_over = {d.bottom_segments[p]: top_b[p - 1] for p in range(1, d.width + 1)}
-    g_over = {d.bottom_regions[col]: top_g[col] for col in range(d.width + 1)
-              if d.bottom_regions[col] not in d.top_regions}
-    return extend_log_coloring(d, top_b, top_g, lc.mu,
-                               beta_overrides=b_over, gamma_overrides=g_over)
+    top = lc.top(d)
+    return extend_log_coloring(d, *top, lc.mu, *pin_bottom(d, *top))
 
 
 @pytest.mark.parametrize("N", [2, 3, 5])
@@ -126,11 +171,8 @@ def test_jfunc_r2_pinched(rng):
     top_b = [0.0, -0.5]
     top_g = [0.1, -0.4, -0.9]
     mus = [-0.5, -0.5]
-    lc = extend_log_coloring(
-        d, top_b, top_g, mus,
-        beta_overrides={d.bottom_segments[1]: 0.0, d.bottom_segments[2]: -0.5})
-    col = propagate_chi(d, [WeylChar(-1, 1, -1), WeylChar(-1, -1, -1)])
-    assert col.pinched_crossings == [0, 1]
+    lc = extend_log_coloring(d, top_b, top_g, mus, *pin_bottom(d, top_b, top_g))
+    assert lc.pinched_crossings == [0, 1]
     assert np.abs(jfunc_eval(cfg, d, lc) - np.eye(9)).max() < 1e-10
 
 
@@ -161,15 +203,9 @@ def test_log_decoration_dependence(rng):
     lc0 = random_coloring(cfg, d, rng)
     b_over = {s: lc0.beta[s] + int(rng.integers(-2, 3)) for s in d.internal_segments()}
     g_over = {r: lc0.gamma[r] + int(rng.integers(-2, 3)) for r in d.internal_regions()}
-    for p in range(1, 4):
-        b_over[d.bottom_segments[p]] = lc0.beta[d.bottom_segments[p]]
-    for col in range(4):
-        r = d.bottom_regions[col]
-        if r not in d.top_regions:
-            g_over[r] = lc0.gamma[r]
-    lc1 = extend_log_coloring(d, [lc0.beta[d.top_segments[p]] for p in (1, 2, 3)],
-                              [lc0.gamma[r] for r in d.top_regions], lc0.mu,
-                              beta_overrides=b_over, gamma_overrides=g_over)
+    pin_b, pin_g = pin_bottom(d, *lc0.bottom(d))
+    lc1 = extend_log_coloring(d, *lc0.top(d), lc0.mu,
+                              {**b_over, **pin_b}, {**g_over, **pin_g})
     lam0, lam1 = log_longitudes(d, lc0), log_longitudes(d, lc1)
     phase = cmath.exp(-TWO_PI_I / 3 * sum((l1 - l0) * m
                                           for l1, l0, m in zip(lam1, lam0, lc0.mu)))
@@ -199,8 +235,7 @@ def test_r2_move_report(rng):
     d2 = build_diagram(BraidWord(2, (1, -1)))
     d0 = build_diagram(BraidWord(2, ()))
     lc2 = _matched_r2_coloring(cfg, d2, rng)
-    lc0 = extend_log_coloring(d0, [lc2.beta[d2.top_segments[p]] for p in (1, 2)],
-                              [lc2.gamma[r] for r in d2.top_regions], lc2.mu)
+    lc0 = extend_log_coloring(d0, *lc2.top(d2), lc2.mu)
     rep = check_move(cfg, (d2, lc2), (d0, lc0), "R2")
     assert rep.eligible and rep.deviation < 1e-10
 
@@ -236,18 +271,13 @@ def test_det_cocycle_r3_double(rng):
             lc = random_coloring(cfg, loop, rng)
         except RuntimeError:
             continue
-        top_b = [lc.beta[loop.top_segments[p]] for p in (1, 2, 3)]
-        top_g = [lc.gamma[r] for r in loop.top_regions]
-        b_over = {loop.bottom_segments[p]: top_b[p - 1] for p in (1, 2, 3)}
-        g_over = {loop.bottom_regions[col]: top_g[col] for col in range(4)
-                  if loop.bottom_regions[col] not in loop.top_regions}
+        top = lc.top(loop)
+        pins = pin_bottom(loop, *top)
         try:
-            lc = extend_log_coloring(loop, top_b, top_g, lc.mu,
-                                     beta_overrides=b_over, gamma_overrides=g_over)
+            lc = extend_log_coloring(loop, *top, lc.mu, *pins)
         except InadmissibleColoringError:
             continue
-        lc = _tune_longitudes(loop, lc, top_b, top_g, lc.mu, b_over, g_over,
-                              [0.0, 0.0, 0.0])
+        lc = _tune_longitudes(loop, lc, pins, [0.0, 0.0, 0.0])
         if lc is None or max(abs(x) for x in log_longitudes(loop, lc)) > 1e-9:
             continue
         prod = np.exp(sum(logdet_braiding(crossing_data(cfg, loop, lc, c))

@@ -7,8 +7,7 @@ import pytest
 
 from holorm.characters import (RootMismatchError, WeylChar,
                                braid, casimir_relation, char_product,
-                               classify_pair, is_pinched, principal_log_char,
-                               psi, to_z0_char)
+                               is_pinched, principal_log_char, psi, to_z0_char)
 from holorm.qdilog import TWO_PI_I
 from holorm.sampling import random_char
 
@@ -71,6 +70,7 @@ def test_braid_kashaev_pair():
     assert out.admissible and out.pinched
     assert out.chi2p.isclose(WeylChar(-1, 1, -1))
     assert out.chi1p.isclose(WeylChar(-1, -1, -1))
+    assert not is_pinched(WeylChar(1, 2, 1), WeylChar(1, -1, 1))
 
 
 def test_braid_inadmissible_pair():
@@ -128,14 +128,6 @@ def test_product_preservation_and_a_balance(rng):
         assert p_in.isclose(p_out, rel=1e-10)
         assert abs(c1.a * c2.a - out.chi1p.a * out.chi2p.a) < 1e-12 * max(
             1.0, abs(c1.a * c2.a))
-
-
-def test_classify_pair():
-    rep = classify_pair(KASHAEV1, KASHAEV2, +1)
-    assert rep["pinched"] and rep["admissible"]
-    assert not is_pinched(WeylChar(1, 2, 1), WeylChar(1, -1, 1))
-    rep = classify_pair(WeylChar(2, 1, 1), WeylChar(0.5, 1, 1), +1)
-    assert not rep["admissible"]
 
 
 def test_casimir_relation(rng):

@@ -1,5 +1,6 @@
 """CLI: JSON round trips, exit codes, canned matrices, README examples."""
 
+import cmath
 import dataclasses
 import json
 import pathlib
@@ -17,9 +18,15 @@ from holorm.sampling import random_crossing
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def run(capsys, *argv):
+    """Exit code and stdout of one CLI call; stdout must be standard JSON."""
     code = main(list(argv))
     out = capsys.readouterr().out
+    json.loads(out, parse_constant=_no_constant)
     return code, out
 
 
@@ -31,6 +38,21 @@ def test_selftest_pass(capsys):
     assert rep["passed"] is True
     assert all(v["passed"] for v in rep["checks"].values())
     assert all("max_deviation" in v for v in rep["checks"].values())
+
+
+def test_selftest_unevaluated_identity_is_null(capsys, monkeypatch):
+    real = selftest.check_characters
+
+    def skips_det_psi(cfg, rng, trials):
+        out = real(cfg, rng, trials)
+        del out["det psi"], out.samples["det psi"]
+        return out
+
+    monkeypatch.setattr(selftest, "check_characters", skips_det_psi)
+    code, out = run(capsys, "selftest", "--N", "2", "--scale", "0.1")
+    assert code == 1
+    row = json.loads(out)["checks"]["characters/det psi"]
+    assert row["max_deviation"] is None and row["passed"] is False
 
 
 def test_selftest_bad_n(capsys):
@@ -114,6 +136,8 @@ def test_rmat_from_spec(tmp_path, capsys):
     dc = complex(*rep["det_closed"])
     dl = complex(*rep["det_lu"])
     assert abs(dc - dl) / abs(dl) < 1e-7
+    assert abs(cmath.exp(complex(*rep["logdet_closed"])) - dc) / abs(dc) < 1e-12
+    assert abs(cmath.exp(complex(*rep["logdet_lu"])) - dl) / abs(dl) < 1e-12
     # round trip: emit -> parse -> emit is byte-identical
     again = json.dumps(rep, indent=1, sort_keys=True) + "\n"
     assert again == out
@@ -140,15 +164,21 @@ def test_rmat_pinched_requires_flag(tmp_path, capsys):
     assert json.loads(out)["pinched"] is True
 
 
-def test_rmat_determinant_overflow_is_a_json_error(tmp_path, capsys):
-    # |det| of the braiding grows like 10^(N^2/2); at this crossing the
-    # closed form leaves the double range
+def test_rmat_beyond_the_double_range_emits_logdets(tmp_path, capsys):
+    # |det| of the braiding grows like 10^(N^2/2); at this crossing it
+    # leaves the double range, so only its logarithms are numbers
     c = random_crossing(RootConfig(26), np.random.default_rng(10), +1)
     path = tmp_path / "crossing.json"
     path.write_text(json.dumps(_crossing_spec(c)))
     code, out = run(capsys, "rmat", "--N", "26", "--input", str(path))
-    assert code == 1
-    assert "determinant" in json.loads(out)["error"]
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["det_closed"] is None and rep["det_lu"] is None
+    assert len(rep["entries"]) == 26 ** 2
+    d = complex(*rep["logdet_closed"]) - complex(*rep["logdet_lu"])
+    # equal mod 2 pi i, to the bound test_rmatrix::test_logdet_beyond_the_double_range
+    # uses for this crossing
+    assert abs(d - 2j * cmath.pi * round(d.imag / (2 * cmath.pi))) < 1e-4
 
 
 def test_readme_json_examples_run(tmp_path, capsys):
@@ -215,6 +245,18 @@ def test_braid_kashaev_r3_words(tmp_path, capsys):
                                       for row in rep["entries"]])
     dev = np.abs(mats[(1, 2, 1)] - mats[(2, 1, 2)]).max()
     assert dev < 1e-10
+
+
+def test_braid_rejects_top_colors_that_disagree_with_log(tmp_path, capsys):
+    path = tmp_path / "braid.json"
+    for tops in ([{"a": [0.3, 0.0], "b": [2.0, 0.0], "m": [5.0, 0.0]}] * 3,
+                 BRAID_SPEC["top_colors"][:2]):
+        spec = json.loads(json.dumps(BRAID_SPEC))
+        spec["top_colors"] = tops
+        path.write_text(json.dumps(spec))
+        code, out = run(capsys, "braid", "--N", "2", "--input", str(path))
+        assert code == 2
+        assert "top_colors" in json.loads(out)["error"]
 
 
 def test_braid_matrix_free_and_determinism(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from holorm.qdilog import (ConstraintViolationError, Flattening, RootConfig,
                            SingularArgumentError, TWO_PI_I,
-                           cyc_dilog, d_const, fusion_f, index_mod,
+                           cyc_dilog, d_const, fusion_f,
                            lambda0, lambda_dilog, li2,
                            lifted_dilog, qpoch, s_norm)
 from holorm.sampling import random_flattening
@@ -223,12 +223,3 @@ def test_fusion_integer_gamma_closed_form(rng):
                * qpoch(cfg.omega, cfg.omega, mb_kl + mb_m)
                / (qpoch(cfg.omega, cfg.omega, mb_kl) * qpoch(cfg.omega, cfg.omega, mb_m)))
         assert abs(lhs - rhs) / max(1.0, abs(lhs)) < 1e-10
-
-
-def test_index_mod():
-    cfg = RootConfig(6)
-    assert index_mod(cfg, -1) == (5, 0)
-    assert index_mod(cfg, 6) == (0, 0)
-    assert index_mod(cfg, 3) == (3, 1)
-    for n in range(-6, 6):
-        assert index_mod(cfg, n)[0] == 5 - index_mod(cfg, -n - 1)[0]
