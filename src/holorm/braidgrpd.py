@@ -26,7 +26,7 @@ import numpy as np
 
 from .characters import LogWeylChar, braid
 from .qdilog import RootConfig, TWO_PI_I
-from .rmatrix import CrossingData, braiding_op
+from .rmatrix import CrossingData, braiding_op, crossing_from_logs
 
 
 class InadmissibleColoringError(ValueError):
@@ -169,8 +169,8 @@ def propagate_chi(d: DiagramGraph, top: list) -> ChiColoring:
         out = braid(colors[c.seg1], colors[c.seg2], c.sign)
         if not out.admissible:
             raise InadmissibleColoringError(
-                c.index, f"inadmissible pair at crossing {c.index} "
-                         f"(letter {c.index}, positions {c.pos},{c.pos+1})")
+                c.index, f"inadmissible pair at crossing {c.index} (letter "
+                         f"{d.word.letters[c.index]}, positions {c.pos},{c.pos+1})")
         if out.pinched:
             pinched.append(c.index)
         colors[c.seg1p] = out.chi1p
@@ -262,18 +262,11 @@ def pin_bottom(d: DiagramGraph, betas: list, gammas: list) -> tuple:
 
 def crossing_data(cfg: RootConfig, d: DiagramGraph, lc: LogColoring,
                   c: Crossing) -> CrossingData:
-    g = lc.gamma
-
-    def logchar(seg, alpha):
-        return LogWeylChar(alpha, lc.beta[seg], lc.mu[d.seg_component[seg]])
-
-    return CrossingData(
-        cfg, c.sign,
-        logchar(c.seg1, g[c.reg_w] - g[c.reg_n]),
-        logchar(c.seg2, g[c.reg_s] - g[c.reg_w]),
-        logchar(c.seg1p, g[c.reg_s] - g[c.reg_e]),
-        logchar(c.seg2p, g[c.reg_e] - g[c.reg_n]),
-        g[c.reg_n], g[c.reg_w], g[c.reg_s], g[c.reg_e])
+    b, g = lc.beta, lc.gamma
+    return crossing_from_logs(
+        cfg, c.sign, (b[c.seg1], b[c.seg2], b[c.seg1p], b[c.seg2p]),
+        (lc.mu[d.seg_component[c.seg1]], lc.mu[d.seg_component[c.seg2]]),
+        (g[c.reg_n], g[c.reg_w], g[c.reg_s], g[c.reg_e]))
 
 
 def log_longitudes(d: DiagramGraph, lc: LogColoring) -> list:

@@ -57,10 +57,6 @@ class LogWeylChar:
                         cmath.exp(TWO_PI_I * self.beta),
                         cmath.exp(TWO_PI_I * self.mu))
 
-    def shifted(self, dalpha: int = 0, dbeta: int = 0) -> "LogWeylChar":
-        """Integer translate; same underlying character."""
-        return LogWeylChar(self.alpha + dalpha, self.beta + dbeta, self.mu)
-
 
 def principal_log_char(chi: WeylChar, mu: complex = None) -> LogWeylChar:
     """Principal-branch logarithms of a character (mu may be prescribed)."""
@@ -184,44 +180,38 @@ def _window_ok(*vals) -> bool:
     return all(SINGULAR < abs(v) < 1.0 / SINGULAR for v in vals)
 
 
+def _braid_positive(a1, b1, m1, a2, b2, m2):
+    """(a2', b2', a1', b1') of the braiding B, or None outside the window."""
+    A = 1.0 - (m1 * b1 / b2) * (1.0 - a1 / m1) * (1.0 - 1.0 / (m2 * a2))
+    den = 1.0 - m2 * a2 * (1.0 - b2 / (m1 * b1))
+    if not _window_ok(A, den):
+        return None
+    out = (a2 * A, b1 * (1.0 - (m1 / a1) * (1.0 - b2 / (m1 * b1))),
+           a1 / A, (m2 * b2 / m1) / den)
+    return out if _window_ok(*out) else None
+
+
 def braid(chi1: WeylChar, chi2: WeylChar, sign: int) -> BraidOutcome:
     """Braiding B (sign=+1) or its inverse (sign=-1) on a pair of characters.
 
-    Returns the outputs plus flags instead of raising, so coloring
-    propagation can report exactly where a diagram degenerates.
+    The inverse is B conjugated by tau(a, b, m) = (a, 1/b, 1/m) on both
+    characters.  Returns the outputs plus flags instead of raising, so
+    coloring propagation can report exactly where a diagram degenerates.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     a1, b1, m1 = chi1.as_tuple()
     a2, b2, m2 = chi2.as_tuple()
     pinched = is_pinched(chi1, chi2)
-    try:
-        if sign == +1:
-            A = 1.0 - (m1 * b1 / b2) * (1.0 - a1 / m1) * (1.0 - 1.0 / (m2 * a2))
-            if not _window_ok(A):
-                raise ZeroDivisionError
-            a1p = a1 / A
-            a2p = a2 * A
-            den = 1.0 - m2 * a2 * (1.0 - b2 / (m1 * b1))
-            if not _window_ok(den):
-                raise ZeroDivisionError
-            b1p = (m2 * b2 / m1) / den
-            b2p = b1 * (1.0 - (m1 / a1) * (1.0 - b2 / (m1 * b1)))
-        else:
-            A = 1.0 - (b2 / (m1 * b1)) * (1.0 - m1 * a1) * (1.0 - m2 / a2)
-            if not _window_ok(A):
-                raise ZeroDivisionError
-            a1p = a1 / A
-            a2p = a2 * A
-            b1p = (m2 * b2 / m1) * (1.0 - (a2 / m2) * (1.0 - m1 * b1 / b2))
-            den = 1.0 - (1.0 / (m1 * a1)) * (1.0 - m1 * b1 / b2)
-            if not _window_ok(den):
-                raise ZeroDivisionError
-            b2p = b1 / den
-        if not _window_ok(a1p, a2p, b1p, b2p):
-            raise ZeroDivisionError
-    except ZeroDivisionError:
+    if sign == +1:
+        out = _braid_positive(a1, b1, m1, a2, b2, m2)
+    else:
+        out = _braid_positive(a1, 1.0 / b1, 1.0 / m1, a2, 1.0 / b2, 1.0 / m2)
+        if out is not None:  # tau on the outputs; their meridians are m2, m1
+            out = (out[0], 1.0 / out[1], out[2], 1.0 / out[3])
+    if out is None:
         return BraidOutcome(chi2, chi1, admissible=False, pinched=pinched)
+    a2p, b2p, a1p, b1p = out
     return BraidOutcome(WeylChar(a2p, b2p, m2), WeylChar(a1p, b1p, m1),
                         admissible=True, pinched=pinched)
 

@@ -20,11 +20,11 @@ import numpy as np
 from .braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
                         extend_log_coloring, jfunc_eval, log_longitudes,
                         propagate_chi, top_characters)
-from .characters import LogWeylChar, WeylChar
+from .characters import WeylChar
 from .qdilog import ConstraintViolationError, RootConfig
-from .rmatrix import (CrossingData, PinchedCrossingError, crossing_zetas,
-                      det_braiding, det_lu, kashaev_rmat, logdet_braiding, rmat,
-                      rmat_pinched)
+from .rmatrix import (REGIONS, CrossingData, PinchedCrossingError,
+                      crossing_from_logs, crossing_zetas, det_braiding, det_lu,
+                      kashaev_rmat, logdet_braiding, rmat, rmat_pinched)
 from .selftest import run_all
 
 
@@ -81,19 +81,13 @@ def cmd_selftest(args) -> int:
         if N < 2:
             return _fail(f"N must be >= 2, got {N}", 2)
     results = run_all(Ns=Ns, seed=args.seed, scale=args.scale)
-    report = {}
-    ok = True
-    for r in results:
-        key = f"{r.module}/{r.name}"
-        entry = report.setdefault(key, {"max_deviation": 0.0, "tol": r.tol,
-                                        "passed": True})
-        # a deviation that is not a finite number (NaN: never evaluated) is null
-        dev = entry["max_deviation"]
-        entry["max_deviation"] = (max(dev, r.deviation) if dev is not None
-                                  and math.isfinite(r.deviation) else None)
-        entry["passed"] = entry["passed"] and r.passed
-        ok = ok and r.passed
-    return _emit({"seed": args.seed, "N": Ns, "checks": report,
+    # a deviation that is not a finite number (NaN: never evaluated) is null
+    checks = [{"identity": r.name, "suite": r.module, "N": r.N,
+               "max_deviation": r.deviation if math.isfinite(r.deviation) else None,
+               "tol": r.tol, "samples": r.samples, "passed": r.passed}
+              for r in results]
+    ok = all(r.passed for r in results)
+    return _emit({"seed": args.seed, "N": Ns, "checks": checks,
                   "passed": ok}, 0 if ok else 1)
 
 
@@ -101,20 +95,20 @@ def cmd_selftest(args) -> int:
 
 def _crossing_from_spec(cfg: RootConfig, spec: dict) -> CrossingData:
     segs = spec["segments"]
-    regs = spec["regions"]
-    g = {k: _cx(regs[k]) for k in ("N", "W", "S", "E")}
-
-    def lc(key, alpha):
-        data = segs[key]
-        a = _cx(data["alpha"]) if "alpha" in data else alpha
-        return LogWeylChar(a, _cx(data["beta"]), _cx(data["mu"]))
-
+    mus = [_cx(segs[k]["mu"]) for k in ("1", "2")]
+    if any(abs(_cx(segs[k + "p"]["mu"]) - mu) > 1e-10 for k, mu in zip("12", mus)):
+        raise ConstraintViolationError("meridian logs must be preserved")
     kappa = spec.get("kappa", "auto")
-    kappa = None if kappa in (None, "auto") else _cx(kappa)
-    return CrossingData(cfg, int(spec["sign"]),
-                        lc("1", g["W"] - g["N"]), lc("2", g["S"] - g["W"]),
-                        lc("1p", g["S"] - g["E"]), lc("2p", g["E"] - g["N"]),
-                        g["N"], g["W"], g["S"], g["E"], kappa=kappa)
+    c = crossing_from_logs(cfg, int(spec["sign"]),
+                           [_cx(segs[k]["beta"]) for k in ("1", "2", "1p", "2p")], mus,
+                           [_cx(spec["regions"][r]) for r in REGIONS],
+                           None if kappa in (None, "auto") else _cx(kappa))
+    # an explicit alpha must be the region difference the crossing derived
+    for k, lc in (("1", c.lc1), ("2", c.lc2), ("2p", c.lc2p), ("1p", c.lc1p)):
+        if "alpha" in segs[k] and abs(_cx(segs[k]["alpha"]) - lc.alpha) > 1e-8:
+            raise ConstraintViolationError(f"segment alpha {_cx(segs[k]['alpha'])} "
+                                           f"does not match region difference {lc.alpha}")
+    return c
 
 
 def cmd_rmat(args) -> int:
@@ -146,8 +140,8 @@ def cmd_rmat(args) -> int:
         else:
             t = rmat(c)
             zs = crossing_zetas(c)
-            out["zeta0"] = {r: _jx(v) for r, v in zs.zeta0.items()}
-            out["zeta1"] = {r: _jx(v) for r, v in zs.zeta1.items()}
+            out["zeta0"] = {r: _jx(f.zeta0) for r, f in zs.items()}
+            out["zeta1"] = {r: _jx(f.zeta1) for r, f in zs.items()}
             out["kappa"] = _jx(c.resolved_kappa())
             B = t.braiding()
             try:

@@ -172,8 +172,12 @@ def li2(z: complex) -> complex:
     Power series for small |z|, the reflection z -> 1-z near z = 1, the
     inversion z -> 1/z outside the unit disc, and otherwise the expansion in
     u = -log(1-z) (convergent for |u| < 2 pi).  Absolute error ~ 1e-14.
+    On the cut (1, inf) the value is the limit from below, the one principal
+    Log(1 - z) gives, whatever the sign of the zero imaginary part.
     """
     z = complex(z)
+    if z.imag == 0 and z.real > 1:
+        z = complex(z.real, -0.0)
     if z == 0:
         return 0.0 + 0.0j
     if z == 1:

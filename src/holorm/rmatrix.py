@@ -3,8 +3,11 @@
 A crossing carries a sign, four segment log-characters (two in, two out,
 related by the character braiding), four region log-parameters, and a
 resolved logarithm kappa of the combination K = e^{2 pi i gamma_N} /
-(1 - (b_2'/b_1)^sign).  From these, four flattenings (one per region) are
-formed, and the R-matrix is a ratio of four quantum dilogarithms per entry.
+(1 - (b_2'/b_1)^sign).  crossing_from_logs builds every crossing from the
+segment betas, strand meridians and region logs; a segment alpha is the
+difference of the region logs on its two sides.  From these, four
+flattenings (one per region) are formed, and the R-matrix is a ratio of
+four quantum dilogarithms per entry.
 
 Index conventions: tensors are stored as dense (N^2, N^2) arrays with
 entries[(n1, n2), (n1', n2')] = R_{n1 n2}^{n1' n2'}; rows are row-major over
@@ -27,7 +30,7 @@ independent routes.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,10 +138,32 @@ class CrossingData:
                 0.5 * e * (self.lc2.beta - self.lc2p.beta))
 
 
+def crossing_from_logs(cfg: RootConfig, sign: int, betas, mus, gammas,
+                       kappa: complex = None) -> CrossingData:
+    """The crossing with segment betas (1, 2, 1', 2'), strand meridians (1, 2)
+    and region logs (N, W, S, E).
+
+    This is the one place that forms segment alphas: each is the difference
+    of the region logs on its two sides.
+    """
+    b1, b2, b1p, b2p = betas
+    m1, m2 = mus
+    g_n, g_w, g_s, g_e = gammas
+    return CrossingData(cfg, sign,
+                        LogWeylChar(g_w - g_n, b1, m1), LogWeylChar(g_s - g_w, b2, m2),
+                        LogWeylChar(g_s - g_e, b1p, m1), LogWeylChar(g_e - g_n, b2p, m2),
+                        g_n, g_w, g_s, g_e, kappa)
+
+
+def _logs(c: CrossingData) -> tuple:
+    """(betas, mus, gammas) of c in crossing_from_logs order."""
+    return ((c.lc1.beta, c.lc2.beta, c.lc1p.beta, c.lc2p.beta), (c.lc1.mu, c.lc2.mu),
+            (c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e))
+
+
 def make_crossing(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, sign: int,
                   gamma_n: complex = 0.0, beta1p: complex = None,
-                  beta2p: complex = None, alpha2p: complex = None,
-                  kappa: complex = None) -> CrossingData:
+                  beta2p: complex = None, alpha2p: complex = None) -> CrossingData:
     """Assemble a crossing from input log-characters, choosing output logs.
 
     Output beta's default to principal logarithms of the braided characters;
@@ -155,41 +180,20 @@ def make_crossing(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, sign: int
     if alpha2p is None:
         alpha2p = cmath.log(out.chi2p.a) / TWO_PI_I
     gamma_w = gamma_n + lc1.alpha
-    gamma_s = gamma_w + lc2.alpha
-    gamma_e = gamma_n + alpha2p
-    alpha1p = gamma_s - gamma_e
-    lc1p = LogWeylChar(alpha1p, beta1p, lc1.mu)
-    lc2p = LogWeylChar(alpha2p, beta2p, lc2.mu)
-    return CrossingData(cfg, sign, lc1, lc2, lc1p, lc2p,
-                        gamma_n, gamma_w, gamma_s, gamma_e, kappa)
+    return crossing_from_logs(cfg, sign, (lc1.beta, lc2.beta, beta1p, beta2p),
+                              (lc1.mu, lc2.mu),
+                              (gamma_n, gamma_w, gamma_w + lc2.alpha, gamma_n + alpha2p))
 
 
-@dataclass(frozen=True)
-class ZetaSet:
-    """Four flattenings of a non-pinched crossing, one per region."""
-
-    zeta0: dict
-    zeta1: dict
-
-    def flattening(self, region: str) -> Flattening:
-        return Flattening(self.zeta0[region], self.zeta1[region], tol=1e-7)
-
-    def balance_defect(self) -> float:
-        z = self.zeta0
-        return abs(z["N"] + z["S"] - z["W"] - z["E"])
-
-
-def crossing_zetas(c: CrossingData) -> ZetaSet:
-    """Region flattenings of a non-pinched crossing; errors out at pinched data."""
+def crossing_zetas(c: CrossingData) -> dict:
+    """{region: Flattening} of a non-pinched crossing; errors out at pinched data."""
     z0 = c.zeta0()
     if c.pinched:
         bad = min(z0.items(), key=lambda kv: abs(kv[1] - round(kv[1].real)))
         raise PinchedCrossingError(
             f"crossing is pinched (zeta0_{bad[0]} = {bad[1]} is integral)")
-    zs = ZetaSet(z0, c.zeta1())
-    for r in REGIONS:
-        zs.flattening(r)  # validates the constraint
-    return zs
+    z1 = c.zeta1()
+    return {r: Flattening(z0[r], z1[r], tol=1e-7) for r in REGIONS}
 
 
 @dataclass(frozen=True)
@@ -216,8 +220,7 @@ class RTensor:
 
 
 def _lambda_tables(c: CrossingData) -> dict:
-    zs = crossing_zetas(c)
-    return {r: np.array(lambda_table(c.cfg, zs.flattening(r))) for r in REGIONS}
+    return {r: np.array(lambda_table(c.cfg, f)) for r, f in crossing_zetas(c).items()}
 
 
 def _index_grids(N: int) -> tuple:
@@ -439,26 +442,16 @@ def gamma_shift_relation(c: CrossingData, kshifts: dict) -> tuple:
 
 
 def apply_gamma_shift(c: CrossingData, kshifts: dict) -> CrossingData:
-    return replace(c,
-                   gamma_n=c.gamma_n + kshifts.get("N", 0),
-                   gamma_w=c.gamma_w + kshifts.get("W", 0),
-                   gamma_s=c.gamma_s + kshifts.get("S", 0),
-                   gamma_e=c.gamma_e + kshifts.get("E", 0),
-                   lc1=replace(c.lc1, alpha=c.lc1.alpha
-                               + kshifts.get("W", 0) - kshifts.get("N", 0)),
-                   lc2=replace(c.lc2, alpha=c.lc2.alpha
-                               + kshifts.get("S", 0) - kshifts.get("W", 0)),
-                   lc2p=replace(c.lc2p, alpha=c.lc2p.alpha
-                                + kshifts.get("E", 0) - kshifts.get("N", 0)),
-                   lc1p=replace(c.lc1p, alpha=c.lc1p.alpha
-                                + kshifts.get("S", 0) - kshifts.get("E", 0)))
+    betas, mus, gammas = _logs(c)
+    return crossing_from_logs(c.cfg, c.sign, betas, mus,
+                              [g + kshifts.get(r, 0) for r, g in zip(REGIONS, gammas)],
+                              c.kappa)
 
 
 def apply_beta_shift(c: CrossingData, shifts: tuple) -> CrossingData:
-    l1, l2, l1p, l2p = shifts
-    return replace(c,
-                   lc1=c.lc1.shifted(dbeta=l1), lc2=c.lc2.shifted(dbeta=l2),
-                   lc1p=c.lc1p.shifted(dbeta=l1p), lc2p=c.lc2p.shifted(dbeta=l2p))
+    betas, mus, gammas = _logs(c)
+    return crossing_from_logs(c.cfg, c.sign, [b + l for b, l in zip(betas, shifts)],
+                              mus, gammas, c.kappa)
 
 
 @dataclass(frozen=True)
@@ -639,8 +632,7 @@ def logdet_braiding(c: CrossingData) -> complex:
         raise PinchedCrossingError("determinant formula needs a non-pinched crossing")
     N = c.cfg.N
     e = c.sign
-    zs = crossing_zetas(c)
-    ell = {r: lifted_dilog(zs.flattening(r)) for r in REGIONS}
+    ell = {r: lifted_dilog(f) for r, f in crossing_zetas(c).items()}
     i_c = ell["N"] + ell["S"] - ell["W"] - ell["E"]
     lam1, lam2 = c.log_longitudes()
     return (-e * N * i_c / TWO_PI_I

@@ -68,13 +68,13 @@ def random_crossing(cfg: RootConfig, rng: np.random.Generator, sign: int = +1,
 
 def standard_pinched_crossing(cfg: RootConfig, al1: complex, al2: complex,
                               mu1: complex, mu2: complex, sign: int = +1,
-                              beta: complex = 0.0, gamma_n: complex = 0.1,
                               alpha2p: complex = None) -> CrossingData:
-    """Pinched crossing (b2 = m1 b1) with the standard log-coloring."""
-    lc1 = LogWeylChar(al1, beta, mu1)
-    lc2 = LogWeylChar(al2, beta + mu1, mu2)
-    return make_crossing(cfg, lc1, lc2, sign, gamma_n=gamma_n,
-                         beta1p=beta + mu2, beta2p=beta, alpha2p=alpha2p)
+    """Pinched crossing (b2 = m1 b1) with the standard log-coloring, at
+    beta_1 = 0 and gamma_N = 0.1."""
+    lc1 = LogWeylChar(al1, 0.0, mu1)
+    lc2 = LogWeylChar(al2, mu1, mu2)
+    return make_crossing(cfg, lc1, lc2, sign, gamma_n=0.1,
+                         beta1p=mu2, beta2p=0.0, alpha2p=alpha2p)
 
 
 def kashaev_crossing(cfg: RootConfig, sign: int = +1) -> CrossingData:

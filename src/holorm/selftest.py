@@ -12,7 +12,7 @@ flows through one seeded generator, so reports are reproducible.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .characters import (LogWeylChar, braid, casimir_relation, char_product,
 from .qdilog import (RootConfig, TWO_PI_I, cyc_dilog, d_const, fusion_f,
                      lambda_dilog, lambda_table, lifted_dilog, qpoch, s_norm)
 from .rmatrix import (CrossingData, braiding_op, colored_jones_closed_form,
-                      factorized_ops, kashaev_rmat, logdet_braiding,
+                      factorized_ops, kashaev_rmat, logdet_braiding, make_crossing,
                       nilpotent_closed_form, rmat, rmat_pinched,
                       transform_rules, weight_basis_closed_form,
                       weight_basis_rmat)
@@ -311,10 +311,8 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator,
                      _mrel(B.entries, factorized_ops(c).braiding_matrix()))
             kap = c.resolved_kappa()
             for p in (-3, 2):
-                c2 = CrossingData(cfg, c.sign, c.lc1, c.lc2, c.lc1p, c.lc2p,
-                                  c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e,
-                                  kappa=kap + p)
-                out.note("kappa independence", _mrel(rmat(c2).entries, R.entries))
+                out.note("kappa independence",
+                         _mrel(rmat(replace(c, kappa=kap + p)).entries, R.entries))
             out.note("determinant closed vs LU", _det_deviation(c, B))
             ks = {r: int(rng.integers(-2, 3)) for r in "NWSE"}
             rel_g = transform_rules(c, gamma_shifts=ks)
@@ -404,23 +402,20 @@ def _random_pinched_params(rng) -> tuple:
 def _pinched_limit(cfg: RootConfig, cpin: CrossingData, t0: float = 1e-2,
                    steps: int = 7) -> np.ndarray:
     """Richardson-extrapolated limit of the generic formula toward a pinched point."""
+    def near(x, ref):
+        """The logarithm of x (over 2 pi i) on the branch closest to ref."""
+        lg = cmath.log(x) / TWO_PI_I
+        return lg + round((ref - lg).real)
+
     def perturbed(t):
-        lc2t = LogWeylChar(cpin.lc2.alpha, cpin.lc2.beta + t, cpin.lc2.mu)
+        lc2t = replace(cpin.lc2, beta=cpin.lc2.beta + t)
         outt = braid(cpin.lc1.char(), lc2t.char(), cpin.sign)
         if not outt.admissible or outt.pinched:
             raise RuntimeError("perturbation left the admissible range")
-        b2pt = cmath.log(outt.chi2p.b) / TWO_PI_I
-        b1pt = cmath.log(outt.chi1p.b) / TWO_PI_I
-        b2pt += round((cpin.lc2p.beta - b2pt).real)
-        b1pt += round((cpin.lc1p.beta - b1pt).real)
-        al2pt = cmath.log(outt.chi2p.a) / TWO_PI_I
-        al2pt += round((cpin.lc2p.alpha - al2pt).real)
-        ge = cpin.gamma_n + al2pt
-        lc1pt = LogWeylChar(cpin.gamma_s - ge, b1pt, cpin.lc1.mu)
-        lc2pt = LogWeylChar(al2pt, b2pt, cpin.lc2.mu)
-        ct = CrossingData(cfg, cpin.sign, cpin.lc1, lc2t, lc1pt, lc2pt,
-                          cpin.gamma_n, cpin.gamma_w, cpin.gamma_s, ge)
-        return rmat(ct).entries
+        return rmat(make_crossing(cfg, cpin.lc1, lc2t, cpin.sign, cpin.gamma_n,
+                                  near(outt.chi1p.b, cpin.lc1p.beta),
+                                  near(outt.chi2p.b, cpin.lc2p.beta),
+                                  near(outt.chi2p.a, cpin.lc2p.alpha))).entries
 
     ts = [t0 / 2 ** k for k in range(steps)]
     tab = [perturbed(t) for t in ts]

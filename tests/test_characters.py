@@ -79,17 +79,18 @@ def test_braid_inadmissible_pair():
 
 
 def test_braid_inverse_pair(rng):
-    for _ in range(500):
-        c1, c2 = random_char(rng), random_char(rng)
-        out = braid(c1, c2, +1)
-        if not out.admissible:
-            continue
-        back = braid(out.chi2p, out.chi1p, -1)
-        assert back.admissible
-        assert back.chi2p.isclose(c1, rel=1e-10)
-        assert back.chi1p.isclose(c2, rel=1e-10)
-        # fully exact meridian preservation
-        assert out.chi1p.m == c1.m and out.chi2p.m == c2.m
+    for sign in (+1, -1):
+        for _ in range(500):
+            c1, c2 = random_char(rng), random_char(rng)
+            out = braid(c1, c2, sign)
+            if not out.admissible:
+                continue
+            back = braid(out.chi2p, out.chi1p, -sign)
+            assert back.admissible
+            assert back.chi2p.isclose(c1, rel=1e-10)
+            assert back.chi1p.isclose(c2, rel=1e-10)
+            # fully exact meridian preservation
+            assert out.chi1p.m == c1.m and out.chi2p.m == c2.m
 
 
 def test_braid_relation(rng):

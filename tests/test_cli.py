@@ -36,8 +36,17 @@ def test_selftest_pass(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["passed"] is True
-    assert all(v["passed"] for v in rep["checks"].values())
-    assert all("max_deviation" in v for v in rep["checks"].values())
+    rows = rep["checks"]
+    # one row per identity and N, in run_all order
+    expect = selftest.run_all(Ns=[2, 3], seed=7, scale=0.15)
+    assert [(r["suite"], r["identity"], r["N"]) for r in rows] == [
+        (r.module, r.name, r.N) for r in expect]
+    assert [r["samples"] for r in rows] == [r.samples for r in expect]
+    for row in rows:
+        assert set(row) == {"identity", "suite", "N", "max_deviation", "tol",
+                            "samples", "passed"}
+        assert row["passed"] and row["samples"] > 0
+        assert row["max_deviation"] <= row["tol"]
 
 
 def test_selftest_unevaluated_identity_is_null(capsys, monkeypatch):
@@ -51,8 +60,10 @@ def test_selftest_unevaluated_identity_is_null(capsys, monkeypatch):
     monkeypatch.setattr(selftest, "check_characters", skips_det_psi)
     code, out = run(capsys, "selftest", "--N", "2", "--scale", "0.1")
     assert code == 1
-    row = json.loads(out)["checks"]["characters/det psi"]
-    assert row["max_deviation"] is None and row["passed"] is False
+    rows = [r for r in json.loads(out)["checks"] if r["identity"] == "det psi"]
+    assert [r["N"] for r in rows] == [2]
+    assert rows[0]["max_deviation"] is None and rows[0]["passed"] is False
+    assert rows[0]["samples"] == 0
 
 
 def test_selftest_bad_n(capsys):
@@ -69,7 +80,8 @@ def test_selftest_unachievable_tolerance(capsys, monkeypatch):
     assert code == 1
     rep = json.loads(out)
     assert rep["passed"] is False
-    assert not rep["checks"]["qdilog/lambda product"]["passed"]
+    failed = [(r["suite"], r["identity"]) for r in rep["checks"] if not r["passed"]]
+    assert failed == [("qdilog", "lambda product")]
 
 
 def test_jmat_matches_elementwise_conversion():
@@ -86,19 +98,6 @@ def test_rmat_kashaev_entry(capsys):
     assert rep["pinched"] is True
     re, im = rep["entries"][0][0]
     assert abs(re) < 1e-12 and abs(im - 1.0) < 1e-12
-
-
-CROSSING_SPEC = {
-    "sign": 1,
-    "segments": {
-        "1": {"beta": [0.11, 0.02], "mu": [0.21, -0.03]},
-        "2": {"beta": [-0.17, 0.05], "mu": [-0.12, 0.04]},
-        "1p": {"beta": None, "mu": [0.21, -0.03]},
-        "2p": {"beta": None, "mu": [-0.12, 0.04]},
-    },
-    "regions": {"N": [0.05, 0.0], "W": None, "S": None, "E": None},
-    "kappa": "auto",
-}
 
 
 def _crossing_spec(c):
@@ -141,6 +140,35 @@ def test_rmat_from_spec(tmp_path, capsys):
     # round trip: emit -> parse -> emit is byte-identical
     again = json.dumps(rep, indent=1, sort_keys=True) + "\n"
     assert again == out
+
+
+def test_rmat_spec_alpha_and_output_mu_are_checked(tmp_path, capsys):
+    spec = _filled_crossing_spec()
+    path = tmp_path / "crossing.json"
+    path.write_text(json.dumps(spec))
+    plain = run(capsys, "rmat", "--N", "3", "--input", str(path))
+    # alphas that agree with the region differences change nothing
+    regs = {r: complex(*v) for r, v in spec["regions"].items()}
+    for key, (hi, lo) in {"1": "WN", "2": "SW", "1p": "SE", "2p": "EN"}.items():
+        d = regs[hi] - regs[lo]
+        spec["segments"][key]["alpha"] = [d.real, d.imag]
+    path.write_text(json.dumps(spec))
+    assert run(capsys, "rmat", "--N", "3", "--input", str(path)) == plain
+    bad = json.loads(json.dumps(spec))
+    bad["segments"]["2p"]["alpha"][0] += 0.25
+    path.write_text(json.dumps(bad))
+    code, out = run(capsys, "rmat", "--N", "3", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"].startswith(
+        "invalid crossing spec: segment alpha (")
+    assert "does not match region difference" in json.loads(out)["error"]
+    bad = json.loads(json.dumps(spec))
+    bad["segments"]["1p"]["mu"][1] += 1e-6
+    path.write_text(json.dumps(bad))
+    code, out = run(capsys, "rmat", "--N", "3", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "invalid crossing spec: meridian logs must be preserved")
 
 
 def test_rmat_pinched_requires_flag(tmp_path, capsys):
@@ -292,13 +320,17 @@ def test_color_command(tmp_path, capsys):
 def test_color_inadmissible(tmp_path, capsys):
     spec = json.loads(json.dumps(BRAID_SPEC))
     spec["width"] = 2
-    spec["word"] = [1]
     spec["top_colors"] = [
         {"a": [2.0, 0.0], "b": [1.0, 0.0], "m": [1.0, 0.0]},
         {"a": [0.5, 0.0], "b": [1.0, 0.0], "m": [1.0, 0.0]},
     ]
     path = tmp_path / "braid.json"
-    path.write_text(json.dumps(spec))
-    code, out = run(capsys, "color", "--N", "2", "--input", str(path))
-    assert code == 1
-    assert json.loads(out)["crossing"] == 0
+    for letter in (1, -1):
+        spec["word"] = [letter]
+        path.write_text(json.dumps(spec))
+        code, out = run(capsys, "color", "--N", "2", "--input", str(path))
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["crossing"] == 0
+        assert rep["error"] == ("inadmissible pair at crossing 0 "
+                                f"(letter {letter}, positions 1,2)")

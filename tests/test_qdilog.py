@@ -6,6 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holorm.qdilog import (ConstraintViolationError, Flattening, RootConfig,
                            SingularArgumentError, TWO_PI_I,
@@ -89,6 +90,38 @@ def test_li2_against_mpmath(rng):
             continue
         worst = max(worst, abs(li2(z) - complex(mp.polylog(2, z))))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_li2_on_its_cut_takes_the_value_from_below(zero):
+    # on (1, inf) principal Log(1 - z) is the limit from below, and so is
+    # mpmath's Li2, whichever signed zero the imaginary part carries
+    for x in (1.0 + 1e-9, 1.2, 1.4, 1.5, 2.0, 3.7, 10.0, 1e6):
+        ref = complex(mp.polylog(2, x))
+        assert abs(li2(complex(x, zero)) - ref) < 1e-14 * max(1.0, abs(ref))
+
+
+def _flattening_near(zeta0, ref_zeta1):
+    """The flattening over zeta0 whose zeta1 is the branch nearest ref_zeta1."""
+    f = Flattening.from_zeta0(zeta0)
+    return f.shifted(k1=round((ref_zeta1 - f.zeta1).real))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(y=st.floats(0.005, 1.0), eps=st.floats(1e-12, 1e-9),
+       N=st.sampled_from([2, 3, 5]))
+def test_lifted_dilog_and_lambda0_continuous_across_the_cut(y, eps, N):
+    # e^(2 pi i zeta0) crosses (1, inf) where Re zeta0 = 0 and Im zeta0 < 0;
+    # with zeta1 moving continuously, L and Lambda(.|0) must not jump there,
+    # whichever signed zero Re zeta0 carries on the cut itself
+    cfg = RootConfig(N)
+    ref = Flattening.from_zeta0(complex(-eps, -y)).zeta1
+    vals = [(lifted_dilog(f), lambda0(cfg, f))
+            for f in (_flattening_near(complex(x, -y), ref)
+                      for x in (-eps, -0.0, 0.0, eps))]
+    for ell, lam in vals[1:]:
+        assert abs(ell - vals[0][0]) < 1e-6
+        assert rel(lam, vals[0][1]) < 1e-6
 
 
 def test_lifted_dilog_singular():

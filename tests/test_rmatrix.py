@@ -1,18 +1,21 @@
 """R-matrix assembly: zetas, closed forms, factorization, pinched limits."""
 
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
 
 from holorm.characters import LogWeylChar
 from holorm.qdilog import RootConfig, TWO_PI_I
-from holorm.rmatrix import (CrossingData, PinchedCrossingError, braiding_op,
-                            colored_jones_closed_form, crossing_zetas,
-                            det_braiding, det_lu, factorized_ops, kashaev_rmat,
-                            logdet_braiding, make_crossing, nilpotent_closed_form,
-                            rmat, rmat_pinched, transform_rules,
-                            weight_basis_closed_form, weight_basis_rmat)
+from holorm.rmatrix import (CrossingData, PinchedCrossingError,
+                            apply_beta_shift, apply_gamma_shift, braiding_op,
+                            colored_jones_closed_form, crossing_from_logs,
+                            crossing_zetas, det_braiding, det_lu, factorized_ops,
+                            kashaev_rmat, logdet_braiding, make_crossing,
+                            nilpotent_closed_form, rmat, rmat_pinched,
+                            transform_rules, weight_basis_closed_form,
+                            weight_basis_rmat)
 from holorm.sampling import (kashaev_crossing, random_crossing,
                              standard_pinched_crossing)
 from holorm.selftest import (IDENTITIES, _det_deviation, _pinched_limit,
@@ -36,9 +39,8 @@ def test_crossing_zetas_balance(rng):
     for sign in (+1, -1):
         c = random_crossing(cfg, rng, sign)
         zs = crossing_zetas(c)
-        assert zs.balance_defect() < 1e-12
-        for r in "NWSE":
-            f = zs.flattening(r)
+        assert abs(zs["N"].zeta0 + zs["S"].zeta0 - zs["W"].zeta0 - zs["E"].zeta0) < 1e-12
+        for f in zs.values():
             assert abs(cmath.exp(TWO_PI_I * f.zeta1)
                        * (1 - cmath.exp(TWO_PI_I * f.zeta0)) - 1) < 1e-9
 
@@ -49,10 +51,10 @@ def test_kappa_shift_leaves_rmatrix_fixed(rng):
     base = rmat(c).entries
     kap = c.resolved_kappa()
     for p in (-3, -1, 1, 2, 3):
-        shifted = CrossingData(cfg, c.sign, c.lc1, c.lc2, c.lc1p, c.lc2p,
-                               c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e,
-                               kappa=kap + p)
+        shifted = dataclasses.replace(c, kappa=kap + p)
         assert mrel(rmat(shifted).entries, base) < 1e-12
+    with pytest.raises(ValueError):  # replace runs the checks again
+        dataclasses.replace(c, kappa=kap + 0.5)
 
 
 def test_rmat_rejects_pinched():
@@ -126,8 +128,7 @@ def test_factor_ze_diagonal_entries(rng):
     c = random_crossing(cfg, rng, +1)
     f = factorized_ops(c)
     from holorm.qdilog import lambda_dilog
-    zs = crossing_zetas(c)
-    fe = zs.flattening("E")
+    fe = crossing_zetas(c)["E"]
     for n1 in range(3):
         for n2 in range(3):
             assert rel(f.ze_diag[3 * n1 + n2],
@@ -153,11 +154,17 @@ def test_det_closed_form_vs_lu(rng):
 
 @pytest.mark.parametrize("N, seed, sign", [(26, 10, +1), (32, 1, -1)])
 def test_logdet_beyond_the_double_range(N, seed, sign):
-    # |det| is about e^748 and e^919 here, past the largest double (e^709.8);
-    # slogdet's own error grows with cond(B), about 1e14 at N = 32
+    # |det| is about e^748 and e^919 here, past the largest double (e^709.8).
+    # The four factors of braiding = (1/N) Z_E (Z_N x Z_S) Z_W give its log
+    # determinant on their own: Z_W, Z_E are diagonal and Z_N, Z_S circulant,
+    # with eigenvalues the DFT of their first column.
     c = random_crossing(RootConfig(N), np.random.default_rng(seed), sign)
-    s, logabs = np.linalg.slogdet(braiding_op(c).as_operator())
-    assert abs(cmath.exp(logdet_braiding(c) - logabs) / s - 1) < 1e-4
+    f = factorized_ops(c)
+    from_factors = (np.log(f.zw_diag).sum() + np.log(f.ze_diag).sum()
+                    + N * np.log(np.fft.fft(f.zn[:, 0])).sum()
+                    + N * np.log(np.fft.fft(f.zs[:, 0])).sum() - N * N * np.log(N))
+    d = logdet_braiding(c) - from_factors
+    assert abs(d - TWO_PI_I * round(d.imag / (2 * cmath.pi))) < 1e-9
     with pytest.raises(OverflowError):
         det_braiding(c)
 
@@ -179,8 +186,7 @@ def test_det_sign_flip_inverts_constant(rng):
     # strip the longitude and dilogarithm parts by dividing them out
     from holorm.qdilog import lifted_dilog
     for c, expo in ((cpos, +1), (cneg, -1)):
-        zs = crossing_zetas(c)
-        ell = {r: lifted_dilog(zs.flattening(r)) for r in "NWSE"}
+        ell = {r: lifted_dilog(f) for r, f in crossing_zetas(c).items()}
         i_c = ell["N"] + ell["S"] - ell["W"] - ell["E"]
         lam1, lam2 = c.log_longitudes()
         rest = (cmath.exp(-c.sign * 3 * i_c / TWO_PI_I)
@@ -365,6 +371,26 @@ def test_colored_jones_closed_form():
     cj = colored_jones_closed_form(RootConfig(2)).reshape(2, 2, 2, 2)
     assert rel(cj[1, 0, 0, 1], 2.0) < 1e-13
     assert cj[0, 1, 1, 0] == 0.0  # n2' < n2 entries vanish
+
+
+def test_crossing_from_logs_derives_every_alpha(rng):
+    def alphas_are_region_differences(c):
+        return (c.lc1.alpha == c.gamma_w - c.gamma_n
+                and c.lc2.alpha == c.gamma_s - c.gamma_w
+                and c.lc1p.alpha == c.gamma_s - c.gamma_e
+                and c.lc2p.alpha == c.gamma_e - c.gamma_n)
+
+    cfg = RootConfig(3)
+    for sign in (+1, -1):
+        c = random_crossing(cfg, rng, sign)
+        betas = (c.lc1.beta, c.lc2.beta, c.lc1p.beta, c.lc2p.beta)
+        gammas = (c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e)
+        assert crossing_from_logs(cfg, sign, betas, (c.lc1.mu, c.lc2.mu), gammas) == c
+        for built in (c, apply_gamma_shift(c, {"N": 1, "E": -2}),
+                      apply_beta_shift(c, (1, 0, -1, 2)),
+                      standard_pinched_crossing(cfg, *_random_pinched_params(rng),
+                                                sign=sign)):
+            assert alphas_are_region_differences(built)
 
 
 def test_make_crossing_validation(rng):
