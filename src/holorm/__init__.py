@@ -19,8 +19,8 @@ from .weylrep import (Basis, GenMatrices, central_scalars, commutant_dim,
 from .rmatrix import (CrossingData, PinchedCrossingError, RTensor,
                       braiding_op, crossing_from_logs, crossing_zetas,
                       det_braiding, det_lu, factorized_ops, kashaev_rmat,
-                      logdet_braiding, make_crossing, rmat, rmat_pinched,
-                      transform_rules, weight_basis_rmat)
+                      logdet_braiding, rmat, rmat_pinched, transform_rules,
+                      weight_basis_rmat)
 from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
                         LogColoring, build_diagram, check_move,
                         extend_log_coloring, jfunc_eval, log_longitudes,

@@ -23,8 +23,8 @@ from .braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
 from .characters import WeylChar
 from .qdilog import ConstraintViolationError, RootConfig
 from .rmatrix import (REGIONS, CrossingData, PinchedCrossingError,
-                      crossing_from_logs, crossing_zetas, det_braiding, det_lu,
-                      kashaev_rmat, logdet_braiding, rmat, rmat_pinched)
+                      crossing_from_logs, crossing_zetas, det_lu, kashaev_rmat,
+                      logdet_braiding, rmat, rmat_pinched)
 from .selftest import run_all
 
 
@@ -144,14 +144,15 @@ def cmd_rmat(args) -> int:
             out["zeta1"] = {r: _jx(f.zeta1) for r, f in zs.items()}
             out["kappa"] = _jx(c.resolved_kappa())
             B = t.braiding()
+            logdet = logdet_braiding(c)
             try:
-                det_closed = det_braiding(c)
+                det_closed = cmath.exp(logdet)
             except OverflowError:
                 det_closed = None
             out["det_closed"] = _jdet(det_closed)
             with np.errstate(over="ignore", invalid="ignore"):  # null past the range
                 out["det_lu"] = _jdet(det_lu(B))
-            out["logdet_closed"] = _jx(logdet_braiding(c))
+            out["logdet_closed"] = _jx(logdet)
             sign, logabs = np.linalg.slogdet(B.as_operator())
             out["logdet_lu"] = _jx(logabs + 1j * np.angle(sign)) if sign else None
     except (PinchedCrossingError, ConstraintViolationError) as exc:

@@ -146,24 +146,13 @@ def cyc_dilog(cfg: RootConfig, zeta: complex, k: int) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _li2_u_coeffs(n_terms: int = 90) -> tuple:
-    """Coefficients B_n/(n+1)! of the expansion of Li2 in u = -log(1-z)."""
-    # Bernoulli numbers by the exact Akiyama-Tanigawa style recursion.
-    bern = [Fraction(0)] * n_terms
-    for m in range(n_terms):
-        row = [Fraction(1, j + 1) for j in range(m + 1)]
-        for j in range(m, 0, -1):
-            for i in range(j):
-                row[i] = (i + 1) * (row[i] - row[i + 1])
-        bern[m] = row[0]
-    if n_terms > 1:
-        bern[1] = -bern[1]  # convention B_1 = -1/2
-    coeffs = []
-    fact = Fraction(1)
-    for n in range(n_terms):
-        fact *= n + 1
-        coeffs.append(float(bern[n] / fact))
-    return tuple(coeffs)
+def _li2_u_coeffs() -> tuple:
+    """The 90 coefficients B_n/(n+1)! of the expansion of Li2 in u = -log(1-z)."""
+    # B_0 = 1, B_m = -1/(m+1) sum_{k<m} C(m+1, k) B_k, which gives B_1 = -1/2.
+    bern = [Fraction(1)]
+    for m in range(1, 90):
+        bern.append(-sum(math.comb(m + 1, k) * b for k, b in enumerate(bern)) / (m + 1))
+    return tuple(float(b / math.factorial(n + 1)) for n, b in enumerate(bern))
 
 
 def li2(z: complex) -> complex:

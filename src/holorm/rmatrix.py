@@ -161,30 +161,6 @@ def _logs(c: CrossingData) -> tuple:
             (c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e))
 
 
-def make_crossing(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, sign: int,
-                  gamma_n: complex = 0.0, beta1p: complex = None,
-                  beta2p: complex = None, alpha2p: complex = None) -> CrossingData:
-    """Assemble a crossing from input log-characters, choosing output logs.
-
-    Output beta's default to principal logarithms of the braided characters;
-    the E-region parameter is gamma_N + alpha2p, where alpha2p defaults to the
-    principal log of a_2' but may be prescribed outright.
-    """
-    out = braid(lc1.char(), lc2.char(), sign)
-    if not out.admissible:
-        raise ConstraintViolationError("character pair is inadmissible")
-    if beta1p is None:
-        beta1p = cmath.log(out.chi1p.b) / TWO_PI_I
-    if beta2p is None:
-        beta2p = cmath.log(out.chi2p.b) / TWO_PI_I
-    if alpha2p is None:
-        alpha2p = cmath.log(out.chi2p.a) / TWO_PI_I
-    gamma_w = gamma_n + lc1.alpha
-    return crossing_from_logs(cfg, sign, (lc1.beta, lc2.beta, beta1p, beta2p),
-                              (lc1.mu, lc2.mu),
-                              (gamma_n, gamma_w, gamma_w + lc2.alpha, gamma_n + alpha2p))
-
-
 def crossing_zetas(c: CrossingData) -> dict:
     """{region: Flattening} of a non-pinched crossing; errors out at pinched data."""
     z0 = c.zeta0()
@@ -408,8 +384,7 @@ def _pinched_nonstandard(c: CrossingData, ints: dict) -> RTensor:
     l2 = -e * ints["W"]
     shifts = (0, l2, l2 + e * ints["S"], -e * ints["N"])
     std = apply_beta_shift(c, shifts)
-    back = tuple(-l for l in shifts)
-    rel = TransformRelation(c, beta_shift_relation(std, back), back, (0, 0, 0, 0), e)
+    rel = transform_rules(std, beta_shifts=tuple(-l for l in shifts))
     return RTensor(c.cfg, rel.predict(rmat_pinched(std)), e, pinched=True)
 
 
@@ -644,7 +619,8 @@ def det_braiding(c: CrossingData) -> complex:
     """Closed-form determinant of the braiding at a non-pinched crossing.
 
     Past the double range it raises OverflowError, and below it returns 0;
-    logdet_braiding stays finite in both cases.
+    logdet_braiding stays finite in both cases.  No holorm module calls it;
+    perfbench's workloads and self-checks do, and its tracer times it.
     """
     return cmath.exp(logdet_braiding(c))
 

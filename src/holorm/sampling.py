@@ -12,24 +12,22 @@ from __future__ import annotations
 import numpy as np
 
 from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
-                        LogColoring, build_diagram, extend_log_coloring,
-                        log_longitudes, pin_bottom)
-from .characters import LogWeylChar, WeylChar, braid
+                        LogColoring, build_diagram, crossing_data,
+                        extend_log_coloring, log_longitudes, pin_bottom)
+from .characters import LogWeylChar, WeylChar
 from .qdilog import Flattening, RootConfig
-from .rmatrix import CrossingData, make_crossing
+from .rmatrix import CrossingData
 
 
-def random_flattening(cfg: RootConfig, rng: np.random.Generator,
-                      min_dist: float = 0.05, im: float = 0.25,
-                      branches: int = 2) -> Flattening:
-    """Random flattening with dist(zeta0, Z) > min_dist."""
+def random_flattening(cfg: RootConfig, rng: np.random.Generator) -> Flattening:
+    """Random flattening with dist(zeta0, Z) > 0.05 and branch in -2..2."""
     while True:
-        z0 = rng.uniform(0.0, 1.0) + 1j * rng.uniform(-im, im)
+        z0 = rng.uniform(0.0, 1.0) + 1j * rng.uniform(-0.25, 0.25)
         if min(abs(z0 - round(z0.real)), abs(z0 - round(z0.real) - 1),
-               abs(z0 - round(z0.real) + 1)) <= min_dist:
+               abs(z0 - round(z0.real) + 1)) <= 0.05:
             continue
         z0 += int(rng.integers(-1, 2))
-        return Flattening.from_zeta0(z0, branch=int(rng.integers(-branches, branches + 1)))
+        return Flattening.from_zeta0(z0, branch=int(rng.integers(-2, 3)))
 
 
 def random_value(rng: np.random.Generator, scale: float = 0.4,
@@ -37,30 +35,45 @@ def random_value(rng: np.random.Generator, scale: float = 0.4,
     return rng.uniform(-scale, scale) + 1j * rng.uniform(-im, im)
 
 
-def random_logchar(rng: np.random.Generator, scale: float = 0.4,
-                   im: float = 0.15) -> LogWeylChar:
-    return LogWeylChar(random_value(rng, scale, im), random_value(rng, scale, im),
-                       random_value(rng, scale, im))
+def random_logchar(rng: np.random.Generator) -> LogWeylChar:
+    return LogWeylChar(random_value(rng), random_value(rng), random_value(rng))
 
 
 def random_char(rng: np.random.Generator) -> WeylChar:
     return random_logchar(rng).char()
 
 
-def random_crossing(cfg: RootConfig, rng: np.random.Generator, sign: int = +1,
-                    min_dist: float = 0.05, tries: int = 500) -> CrossingData:
-    """Random non-pinched crossing with all zeta0 at distance > min_dist from Z."""
-    for _ in range(tries):
+def letter_crossing(cfg: RootConfig, sign: int, lc1: LogWeylChar, lc2: LogWeylChar,
+                    gamma_n: complex, beta1p: complex = None, beta2p: complex = None,
+                    alpha2p: complex = None) -> CrossingData:
+    """The crossing of the one-letter word (sign,) with input logs lc1, lc2
+    and region N log gamma_n.
+
+    extend_log_coloring picks the output logs; beta1p, beta2p and the E
+    region's gamma_n + alpha2p override its choice when given.
+    """
+    d = build_diagram(BraidWord(2, (sign,)))
+    c = d.crossings[0]
+    betas = {s: b for s, b in ((c.seg1p, beta1p), (c.seg2p, beta2p)) if b is not None}
+    gammas = {} if alpha2p is None else {c.reg_e: gamma_n + alpha2p}
+    gamma_w = gamma_n + lc1.alpha
+    lc = extend_log_coloring(d, [lc1.beta, lc2.beta],
+                             [gamma_n, gamma_w, gamma_w + lc2.alpha],
+                             [lc1.mu, lc2.mu], betas, gammas)
+    return crossing_data(cfg, d, lc, c)
+
+
+def random_crossing(cfg: RootConfig, rng: np.random.Generator,
+                    sign: int = +1) -> CrossingData:
+    """Random non-pinched crossing with all zeta0 at distance > 0.05 from Z."""
+    for _ in range(500):
         lc1, lc2 = random_logchar(rng), random_logchar(rng)
-        if not braid(lc1.char(), lc2.char(), sign).admissible:
-            continue
         try:
-            c = make_crossing(cfg, lc1, lc2, sign,
-                              gamma_n=random_value(rng, 0.3, 0.1))
+            c = letter_crossing(cfg, sign, lc1, lc2, random_value(rng, 0.3, 0.1))
         except Exception:
             continue
         z0 = c.zeta0()
-        if min(abs(z0[r] - round(z0[r].real)) for r in "NWSE") < min_dist:
+        if min(abs(z0[r] - round(z0[r].real)) for r in "NWSE") < 0.05:
             continue
         return c
     raise RuntimeError("could not sample a crossing")
@@ -69,12 +82,10 @@ def random_crossing(cfg: RootConfig, rng: np.random.Generator, sign: int = +1,
 def standard_pinched_crossing(cfg: RootConfig, al1: complex, al2: complex,
                               mu1: complex, mu2: complex, sign: int = +1,
                               alpha2p: complex = None) -> CrossingData:
-    """Pinched crossing (b2 = m1 b1) with the standard log-coloring, at
-    beta_1 = 0 and gamma_N = 0.1."""
-    lc1 = LogWeylChar(al1, 0.0, mu1)
-    lc2 = LogWeylChar(al2, mu1, mu2)
-    return make_crossing(cfg, lc1, lc2, sign, gamma_n=0.1,
-                         beta1p=mu2, beta2p=0.0, alpha2p=alpha2p)
+    """Pinched crossing (b2 = m1 b1) at beta_1 = 0 and gamma_N = 0.1, with
+    the standard log-coloring extend_log_coloring picks at a pinched crossing."""
+    return letter_crossing(cfg, sign, LogWeylChar(al1, 0.0, mu1),
+                           LogWeylChar(al2, mu1, mu2), 0.1, alpha2p=alpha2p)
 
 
 def kashaev_crossing(cfg: RootConfig, sign: int = +1) -> CrossingData:
@@ -97,8 +108,7 @@ def random_coloring(cfg: RootConfig, d: DiagramGraph, rng: np.random.Generator,
 
 
 def matched_pair_colorings(cfg: RootConfig, rng: np.random.Generator,
-                           word_a: tuple, word_b: tuple, width: int,
-                           tries: int = 300) -> tuple:
+                           word_a: tuple, word_b: tuple, width: int) -> tuple:
     """Colorings of two words with identical boundary data and log-longitudes.
 
     The second word is colored with the first word's boundary values imposed
@@ -107,7 +117,7 @@ def matched_pair_colorings(cfg: RootConfig, rng: np.random.Generator,
     words are related by braid moves).
     """
     da, db = build_diagram(BraidWord(width, word_a)), build_diagram(BraidWord(width, word_b))
-    for _ in range(tries):
+    for _ in range(300):
         try:
             lca = random_coloring(cfg, da, rng, tries=50)
         except RuntimeError:

@@ -26,10 +26,9 @@ from .characters import (LogWeylChar, braid, casimir_relation, char_product,
 from .qdilog import (RootConfig, TWO_PI_I, cyc_dilog, d_const, fusion_f,
                      lambda_dilog, lambda_table, lifted_dilog, qpoch, s_norm)
 from .rmatrix import (CrossingData, braiding_op, colored_jones_closed_form,
-                      factorized_ops, kashaev_rmat, logdet_braiding, make_crossing,
-                      nilpotent_closed_form, rmat, rmat_pinched,
-                      transform_rules, weight_basis_closed_form,
-                      weight_basis_rmat)
+                      factorized_ops, kashaev_rmat, logdet_braiding,
+                      nilpotent_closed_form, rmat, rmat_pinched, transform_rules,
+                      weight_basis_closed_form, weight_basis_rmat)
 from .weylrep import (Basis, central_scalars, commutant_dim, matrix_power,
                       pi_tensor, rep_matrices, rw_images, rw_images_negative)
 
@@ -399,9 +398,9 @@ def _random_pinched_params(rng) -> tuple:
             complex(rng.uniform(0.3, 0.45) + 0.04j * rng.uniform(-1, 1)))
 
 
-def _pinched_limit(cfg: RootConfig, cpin: CrossingData, t0: float = 1e-2,
-                   steps: int = 7) -> np.ndarray:
-    """Richardson-extrapolated limit of the generic formula toward a pinched point."""
+def _pinched_limit(cfg: RootConfig, cpin: CrossingData) -> np.ndarray:
+    """Richardson-extrapolated limit of the generic formula toward a pinched
+    point, from seven perturbations beta_2 + 1e-2 / 2**k."""
     def near(x, ref):
         """The logarithm of x (over 2 pi i) on the branch closest to ref."""
         lg = cmath.log(x) / TWO_PI_I
@@ -412,12 +411,12 @@ def _pinched_limit(cfg: RootConfig, cpin: CrossingData, t0: float = 1e-2,
         outt = braid(cpin.lc1.char(), lc2t.char(), cpin.sign)
         if not outt.admissible or outt.pinched:
             raise RuntimeError("perturbation left the admissible range")
-        return rmat(make_crossing(cfg, cpin.lc1, lc2t, cpin.sign, cpin.gamma_n,
-                                  near(outt.chi1p.b, cpin.lc1p.beta),
-                                  near(outt.chi2p.b, cpin.lc2p.beta),
-                                  near(outt.chi2p.a, cpin.lc2p.alpha))).entries
+        return rmat(sampling.letter_crossing(
+            cfg, cpin.sign, cpin.lc1, lc2t, cpin.gamma_n,
+            near(outt.chi1p.b, cpin.lc1p.beta), near(outt.chi2p.b, cpin.lc2p.beta),
+            near(outt.chi2p.a, cpin.lc2p.alpha))).entries
 
-    ts = [t0 / 2 ** k for k in range(steps)]
+    ts = [1e-2 / 2 ** k for k in range(7)]
     tab = [perturbed(t) for t in ts]
     for j in range(1, len(tab)):
         for i in range(len(tab) - 1, j - 1, -1):

@@ -12,8 +12,7 @@ from holorm import cli, selftest
 from holorm.characters import LogWeylChar
 from holorm.cli import main
 from holorm.qdilog import RootConfig
-from holorm.rmatrix import make_crossing
-from holorm.sampling import random_crossing
+from holorm.sampling import letter_crossing, random_crossing
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -121,7 +120,7 @@ def _filled_crossing_spec(N=3):
     """Fill in a crossing description with braided output data."""
     lc1 = LogWeylChar(0.31 - 0.04j, 0.11 + 0.02j, 0.21 - 0.03j)
     lc2 = LogWeylChar(-0.23 + 0.06j, -0.17 + 0.05j, -0.12 + 0.04j)
-    return _crossing_spec(make_crossing(RootConfig(N), lc1, lc2, +1, gamma_n=0.05))
+    return _crossing_spec(letter_crossing(RootConfig(N), +1, lc1, lc2, 0.05))
 
 
 def test_rmat_from_spec(tmp_path, capsys):

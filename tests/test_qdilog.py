@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holorm.qdilog import (ConstraintViolationError, Flattening, RootConfig,
-                           SingularArgumentError, TWO_PI_I,
+                           SingularArgumentError, TWO_PI_I, _li2_u_coeffs,
                            cyc_dilog, d_const, fusion_f,
                            lambda0, lambda_dilog, li2,
                            lifted_dilog, qpoch, s_norm)
@@ -122,6 +123,27 @@ def test_lifted_dilog_and_lambda0_continuous_across_the_cut(y, eps, N):
     for ell, lam in vals[1:]:
         assert abs(ell - vals[0][0]) < 1e-6
         assert rel(lam, vals[0][1]) < 1e-6
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(k=st.sampled_from([-2, -1, 1, 2]), y=st.floats(0.005, 1.0),
+       eps=st.floats(1e-12, 1e-10), N=st.sampled_from([2, 3, 5]))
+def test_lifted_dilog_jumps_by_4pi2k_across_re_zeta0_k(k, y, eps, N):
+    # e^(2 pi i zeta0) crosses (1, inf) at every integer Re zeta0 = k; with
+    # zeta1 moving continuously, L jumps by 4 pi^2 k there and Lambda(.|0),
+    # whose D(zeta0) crosses a cut too, does not jump
+    cfg = RootConfig(N)
+    ref = Flattening.from_zeta0(complex(k - eps, -y)).zeta1
+    below, above = (_flattening_near(complex(k + x, -y), ref) for x in (-eps, eps))
+    assert abs(lifted_dilog(above) - lifted_dilog(below) - 4 * math.pi ** 2 * k) < 1e-6
+    assert rel(lambda0(cfg, above), lambda0(cfg, below)) < 1e-6
+
+
+def test_li2_u_coeffs_are_bernoulli_over_factorial():
+    coeffs = _li2_u_coeffs()
+    assert len(coeffs) == 90
+    for k, c in enumerate(coeffs):
+        assert c == float(Fraction(*mp.bernfrac(k)) / math.factorial(k + 1))
 
 
 def test_lifted_dilog_singular():

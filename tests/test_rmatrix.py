@@ -12,11 +12,12 @@ from holorm.rmatrix import (CrossingData, PinchedCrossingError,
                             apply_beta_shift, apply_gamma_shift, braiding_op,
                             colored_jones_closed_form, crossing_from_logs,
                             crossing_zetas, det_braiding, det_lu, factorized_ops,
-                            kashaev_rmat, logdet_braiding, make_crossing,
-                            nilpotent_closed_form, rmat, rmat_pinched,
-                            transform_rules, weight_basis_closed_form,
-                            weight_basis_rmat)
-from holorm.sampling import (kashaev_crossing, random_crossing,
+                            kashaev_rmat, logdet_braiding, nilpotent_closed_form,
+                            rmat, rmat_pinched, transform_rules,
+                            weight_basis_closed_form, weight_basis_rmat)
+from holorm.braidgrpd import (BraidWord, build_diagram, crossing_data,
+                              extend_log_coloring)
+from holorm.sampling import (kashaev_crossing, letter_crossing, random_crossing,
                              standard_pinched_crossing)
 from holorm.selftest import (IDENTITIES, _det_deviation, _pinched_limit,
                              _random_pinched_params, r2_backward_error)
@@ -393,8 +394,27 @@ def test_crossing_from_logs_derives_every_alpha(rng):
             assert alphas_are_region_differences(built)
 
 
-def test_make_crossing_validation(rng):
+def test_letter_crossing_validation(rng):
     cfg = RootConfig(3)
-    with pytest.raises(Exception):
-        make_crossing(cfg, LogWeylChar(0.25, 0.0, 0.0),
-                      LogWeylChar(-0.25, 0.0, 0.0), 0)
+    with pytest.raises(ValueError, match="generator 0"):
+        letter_crossing(cfg, 0, LogWeylChar(0.25, 0.0, 0.0),
+                        LogWeylChar(-0.25, 0.0, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_letter_crossing_takes_the_standard_branch_at_pinched_pairs(sign, rng):
+    # b2 = m1 b1 with beta_1 off 0: principal output logs would leave some
+    # zeta0 at +-1, the standard branch puts all four at 0
+    cfg = RootConfig(3)
+    d = build_diagram(BraidWord(2, (sign,)))
+    for _ in range(50):
+        al1, al2, mu1, mu2 = _random_pinched_params(rng)
+        beta1, gamma_n = rng.uniform(-0.45, 0.45), complex(rng.uniform(-0.3, 0.3))
+        lc1, lc2 = LogWeylChar(al1, beta1, mu1), LogWeylChar(al2, beta1 + mu1, mu2)
+        c = letter_crossing(cfg, sign, lc1, lc2, gamma_n)
+        assert c.pinched
+        assert all(abs(z) < 1e-9 for z in c.zeta0().values())
+        gamma_w = gamma_n + al1
+        lc = extend_log_coloring(d, [lc1.beta, lc2.beta],
+                                 [gamma_n, gamma_w, gamma_w + al2], [mu1, mu2])
+        assert c == crossing_data(cfg, d, lc, d.crossings[0])
