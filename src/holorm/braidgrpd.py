@@ -15,6 +15,11 @@ propagate_chi is the one pass that braids characters through a diagram;
 extend_log_coloring runs it on the characters of the top logs and then only
 chooses logarithms.  pin_bottom turns bottom boundary data into the
 overrides that make a log-coloring end on it (bottom = top closes a braid).
+
+jfunc_eval composes the braidings of the crossings.  Each acts on two
+adjacent slots only, so it is contracted into those two slots of the running
+operator: c * N^(2w+2) multiply-adds for c crossings on w strands, an N^(2w)
+output and one working copy of that size (the operator before the crossing).
 """
 
 from __future__ import annotations
@@ -298,17 +303,17 @@ def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
     """State-sum matrix of the log-colored diagram (operator[out, in]).
 
     Top crossing acts first; pinched crossings are routed to the closed
-    pinched braiding automatically.
+    pinched braiding automatically.  Rows are row-major over the slots, so
+    slots pos and pos+1 are the middle axis of the view
+    (N^(pos-1), N^2, everything else), and the braiding multiplies that
+    axis alone.
     """
     N = cfg.N
     w = d.width
     total = np.eye(N ** w, dtype=complex)
     for c in d.crossings:
-        cd = crossing_data(cfg, d, lc, c)
-        b = braiding_op(cd).as_operator()
-        op = np.kron(np.eye(N ** (c.pos - 1), dtype=complex),
-                     np.kron(b, np.eye(N ** (w - c.pos - 1), dtype=complex)))
-        total = op @ total
+        b = braiding_op(crossing_data(cfg, d, lc, c)).as_operator()
+        total = (b @ total.reshape(N ** (c.pos - 1), N * N, -1)).reshape(N ** w, N ** w)
     return total
 
 

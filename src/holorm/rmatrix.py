@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +138,16 @@ class CrossingData:
         return (0.5 * e * (self.lc1p.beta - self.lc1.beta),
                 0.5 * e * (self.lc2.beta - self.lc2p.beta))
 
+    @cached_property
+    def _flattenings(self) -> dict:
+        z0 = self.zeta0()
+        if self.pinched:
+            bad = min(z0.items(), key=lambda kv: abs(kv[1] - round(kv[1].real)))
+            raise PinchedCrossingError(
+                f"crossing is pinched (zeta0_{bad[0]} = {bad[1]} is integral)")
+        z1 = self.zeta1()
+        return {r: Flattening(z0[r], z1[r], tol=1e-7) for r in REGIONS}
+
 
 def crossing_from_logs(cfg: RootConfig, sign: int, betas, mus, gammas,
                        kappa: complex = None) -> CrossingData:
@@ -162,14 +173,12 @@ def _logs(c: CrossingData) -> tuple:
 
 
 def crossing_zetas(c: CrossingData) -> dict:
-    """{region: Flattening} of a non-pinched crossing; errors out at pinched data."""
-    z0 = c.zeta0()
-    if c.pinched:
-        bad = min(z0.items(), key=lambda kv: abs(kv[1] - round(kv[1].real)))
-        raise PinchedCrossingError(
-            f"crossing is pinched (zeta0_{bad[0]} = {bad[1]} is integral)")
-    z1 = c.zeta1()
-    return {r: Flattening(z0[r], z1[r], tol=1e-7) for r in REGIONS}
+    """{region: Flattening} of a non-pinched crossing; errors out at pinched data.
+
+    The four flattenings are built on the first call and cached on the
+    (frozen) crossing, so rmat, logdet_braiding and the CLI share them.
+    """
+    return c._flattenings
 
 
 @dataclass(frozen=True)

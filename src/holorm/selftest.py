@@ -438,17 +438,16 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator,
         lc = extend_log_coloring(d2, *top, lc.mu, *pin_bottom(d2, *top))
         out.note("R2 move", float(np.abs(jfunc_eval(cfg, d2, lc)
                                          - np.eye(N * N)).max()))
-    # composition functoriality: the word factors through its crossings
+    # composition functoriality: the word factors through its crossings.
+    # (I x B1)(B0 x I) is summed over the one slot the braidings share.
     d_ab = build_diagram(BraidWord(3, (1, 2)))
     for _ in range(trials):
         lc = sampling.random_coloring(cfg, d_ab, rng)
         full = jfunc_eval(cfg, d_ab, lc)
-        c0, c1 = d_ab.crossings
-        m0 = np.kron(braiding_op(crossing_data(cfg, d_ab, lc, c0)).as_operator(),
-                     np.eye(N))
-        m1 = np.kron(np.eye(N),
-                     braiding_op(crossing_data(cfg, d_ab, lc, c1)).as_operator())
-        out.note("composition functoriality", _mrel(full, m1 @ m0))
+        b0, b1 = (braiding_op(crossing_data(cfg, d_ab, lc, c)).as_operator()
+                  .reshape(N, N, N, N) for c in d_ab.crossings)
+        m10 = np.einsum("bcyk,ayij->abcijk", b1, b0).reshape(N ** 3, N ** 3)
+        out.note("composition functoriality", _mrel(full, m10))
     # edge gluing (absolute defect)
     for word in ((1, -1), (1, 1), (1, 2, 1), (2, 1, -2, 1)):
         width = max(abs(x) for x in word) + 1

@@ -5,17 +5,20 @@ import cmath
 import numpy as np
 import pytest
 
+from holorm import rmatrix
 from holorm.braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
                               check_move, crossing_data, edge_gluing_defects,
                               extend_log_coloring, jfunc_eval, log_longitudes,
                               pin_bottom, propagate_chi, top_characters)
 from holorm.characters import WeylChar
 from holorm.qdilog import RootConfig, TWO_PI_I
-from holorm.rmatrix import logdet_braiding
+from holorm.rmatrix import braiding_op, logdet_braiding
 from holorm.sampling import (matched_pair_colorings, random_coloring,
                              _tune_longitudes)
 
 from conftest import mrel
+
+EPS = np.finfo(float).eps
 
 KASHAEV_TRIPLE = [WeylChar(-1, 1, -1), WeylChar(-1, -1, -1), WeylChar(-1, 1, -1)]
 # top betas, gammas and meridians whose characters are KASHAEV_TRIPLE
@@ -174,6 +177,57 @@ def test_jfunc_r2_pinched(rng):
     lc = extend_log_coloring(d, top_b, top_g, mus, *pin_bottom(d, top_b, top_g))
     assert lc.pinched_crossings == [0, 1]
     assert np.abs(jfunc_eval(cfg, d, lc) - np.eye(9)).max() < 1e-10
+
+
+def _dense_state_sum(cfg, d, lc):
+    """Test-only oracle: the product of kron(I, B, I) over the crossings, top
+    crossing first, and the same product of the |B| (the rounding scale)."""
+    N, w = cfg.N, d.width
+    J = np.eye(N ** w, dtype=complex)
+    J_abs = np.eye(N ** w)
+    for c in d.crossings:
+        b = braiding_op(crossing_data(cfg, d, lc, c)).as_operator()
+        left, right = np.eye(N ** (c.pos - 1)), np.eye(N ** (w - c.pos - 1))
+        J = np.kron(left, np.kron(b, right)) @ J
+        J_abs = np.kron(left, np.kron(np.abs(b), right)) @ J_abs
+    return J, J_abs
+
+
+def _assert_matches_dense_oracle(cfg, d, lc):
+    """Normwise: each crossing sums N^2 terms per entry and the product N^w."""
+    J_ref, J_abs = _dense_state_sum(cfg, d, lc)
+    J = jfunc_eval(cfg, d, lc)
+    tol = 4 * (len(d.crossings) * cfg.N ** 2 + cfg.N ** d.width) * EPS
+    assert np.linalg.norm(J - J_ref) <= tol * np.linalg.norm(J_abs)
+
+
+# every generator position with both signs
+@pytest.mark.parametrize("width, N, word", [
+    (3, 5, (1, -2, -1, 2)),
+    (4, 4, (1, -2, 3, -1, 2, -3)),
+    (5, 3, (1, -2, 3, -4, -1, 2, -3, 4)),
+])
+def test_jfunc_matches_dense_oracle(width, N, word, rng):
+    cfg = RootConfig(N)
+    d = build_diagram(BraidWord(width, word))
+    for _ in range(2):
+        _assert_matches_dense_oracle(cfg, d, random_coloring(cfg, d, rng))
+
+
+def test_jfunc_inner_pinched_crossing_matches_dense_oracle(monkeypatch):
+    # positions 2 and 3 carry the pinched pair of test_jfunc_r2_pinched
+    cfg = RootConfig(3)
+    d = build_diagram(BraidWord(4, (2, -1, 3, -2)))
+    lc = extend_log_coloring(d, [0.13 + 0.05j, 0.0, -0.5, -0.21 + 0.03j],
+                             [0.02 - 0.04j, 0.1, -0.4, -0.9, -0.6 + 0.07j],
+                             [0.17 - 0.02j, -0.5, -0.5, 0.23 + 0.04j])
+    assert lc.pinched_crossings == [0]
+    calls = []
+    real = rmatrix.rmat_pinched
+    monkeypatch.setattr(rmatrix, "rmat_pinched", lambda c: calls.append(c) or real(c))
+    jfunc_eval(cfg, d, lc)
+    assert len(calls) == 1
+    _assert_matches_dense_oracle(cfg, d, lc)
 
 
 def test_composition_functoriality(rng):

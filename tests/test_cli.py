@@ -11,7 +11,7 @@ import numpy as np
 from holorm import cli, selftest
 from holorm.characters import LogWeylChar
 from holorm.cli import main
-from holorm.qdilog import RootConfig
+from holorm.qdilog import Flattening, RootConfig
 from holorm.sampling import letter_crossing, random_crossing
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -219,6 +219,20 @@ def test_readme_json_examples_run(tmp_path, capsys):
         for command, N in commands:
             code, out = run(capsys, command, "--N", N, "--input", str(path))
             assert code == 0, out
+
+
+def test_rmat_builds_each_flattening_once(tmp_path, capsys, monkeypatch):
+    # the README crossing: rmat, the zeta output and logdet_braiding share
+    # the four region flattenings
+    path = tmp_path / "spec.json"
+    path.write_text(re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[0])
+    made = []
+    real = Flattening.__post_init__
+    monkeypatch.setattr(Flattening, "__post_init__",
+                        lambda f: made.append(f) or real(f))
+    code, out = run(capsys, "rmat", "--N", "3", "--input", str(path))
+    assert code == 0
+    assert len(made) == 4
 
 
 def test_rmat_malformed_spec(tmp_path, capsys):
