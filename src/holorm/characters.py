@@ -58,18 +58,6 @@ class LogWeylChar:
                         cmath.exp(TWO_PI_I * self.mu))
 
 
-def principal_log_char(chi: WeylChar, mu: complex = None) -> LogWeylChar:
-    """Principal-branch logarithms of a character (mu may be prescribed)."""
-    alpha = cmath.log(chi.a) / TWO_PI_I
-    beta = cmath.log(chi.b) / TWO_PI_I
-    if mu is None:
-        mu = cmath.log(chi.m) / TWO_PI_I
-    else:
-        if abs(cmath.exp(TWO_PI_I * mu) - chi.m) > 1e-9 * max(1.0, abs(chi.m)):
-            raise RootMismatchError(f"mu={mu} is not a logarithm of m={chi.m}")
-    return LogWeylChar(alpha, beta, mu)
-
-
 @dataclass(frozen=True)
 class SL2StarElement:
     """Dual-group element: a pair (lower, upper) of triangular 2x2 matrices.

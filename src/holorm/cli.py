@@ -150,10 +150,10 @@ def cmd_rmat(args) -> int:
             except OverflowError:
                 det_closed = None
             out["det_closed"] = _jdet(det_closed)
+            sign, logabs = det_lu(B)
             with np.errstate(over="ignore", invalid="ignore"):  # null past the range
-                out["det_lu"] = _jdet(det_lu(B))
+                out["det_lu"] = _jdet(sign * np.exp(logabs))
             out["logdet_closed"] = _jx(logdet)
-            sign, logabs = np.linalg.slogdet(B.as_operator())
             out["logdet_lu"] = _jx(logabs + 1j * np.angle(sign)) if sign else None
     except (PinchedCrossingError, ConstraintViolationError) as exc:
         return _fail(str(exc), 1)

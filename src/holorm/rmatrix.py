@@ -215,6 +215,11 @@ def _index_grids(N: int) -> tuple:
             n[None, None, :, None], n[None, None, None, :])
 
 
+def _omega_arr(N: int, x):
+    """omega**x elementwise over an array x."""
+    return np.exp(TWO_PI_I * x / N)
+
+
 def _poch_table(q: complex, count: int) -> np.ndarray:
     """[(q; q)_0, ..., (q; q)_{count-1}]."""
     return np.array([qpoch(q, q, k) for k in range(count)])
@@ -361,22 +366,19 @@ def rmat_pinched(c: CrossingData) -> RTensor:
     def cut(x):
         return ((0 <= x) & (x < N)).astype(int)
 
-    def warr(x):
-        return np.exp(TWO_PI_I * x / N)
-
     if e == +1:
         amp = (a1p / a1
                * (a1 / m1) ** (2 - cut(n1 - n2) - cut(n2 - n1p))
                * (a2 * m2 + 0j) ** (-cut(n2 - n1p))
                * (a2p * m2 + 0j) ** (1 - cut(n1p - n2p - 1)))
-        phase = warr(n1 * (al1 - mu1 - 1) + n2 * (al2 + mu2 + 1)
-                     - n1p * (al1p - mu1) - n2p * (al2p + mu2))
+        phase = _omega_arr(N, n1 * (al1 - mu1 - 1) + n2 * (al2 + mu2 + 1)
+                           - n1p * (al1p - mu1) - n2p * (al2p + mu2))
     else:
         amp = ((a1 * m1 + 0j) ** (1 - cut(n1 - n2))
                * (m2 / a2p) ** cut(n1p - n2p - 1)
                * (a1 * a2 * m1 / m2) ** cut(n1p - n2 - 1))
-        phase = warr(n1 * (al1 + mu1 + 1) + n2 * (al2 - mu2 - 1)
-                     - n1p * (al1p + mu1) - n2p * (al2p - mu2))
+        phase = _omega_arr(N, n1 * (al1 + mu1 + 1) + n2 * (al2 - mu2 - 1)
+                           - n1p * (al1p + mu1) - n2p * (al2p - mu2))
     qfac = _region_ratio(_region_terms(e, n1, n2, n1p, n2p),
                          dict.fromkeys(REGIONS, poch), power=-1)
     R = theta * amp * phase * qfac / N
@@ -500,109 +502,6 @@ def kashaev_rmat(cfg: RootConfig) -> RTensor:
     return RTensor(cfg, R.reshape(N * N, N * N), +1, pinched=True)
 
 
-def weight_basis_rmat(c: CrossingData) -> RTensor:
-    """Pinched R-matrix in the weight basis (discrete Fourier conjugate)."""
-    from .weylrep import fourier_matrix
-    if not c.pinched:
-        raise PinchedCrossingError("weight-basis closed form needs a pinched crossing")
-    N = c.cfg.N
-    base = rmat_pinched(c)
-    G = fourier_matrix(c.cfg)
-    G2 = np.kron(G, G)
-    G2inv = np.kron(G.conj().T, G.conj().T) / (N * N)
-    op_wb = G2 @ base.as_operator() @ G2inv
-    return RTensor(c.cfg, op_wb.T.copy(), c.sign, pinched=True)
-
-
-def weight_basis_closed_form(c: CrossingData) -> np.ndarray:
-    """Closed-form entries of the weight-basis pinched R-matrix.
-
-    R_{n1 n2}^{n1' n2'} = delta_N(n1+n2, n1'+n2') * a1 (m2 a2 - 1) /
-    (m1 + a1 (m2 a2 - 1)) / (1 - omega**(-alpha2'-mu2+n2'))
-    * (1/N) * f(-alpha2'-mu2+n2', -alpha2-mu2+n2-1, alpha1'-mu1-n1').
-    """
-    from .qdilog import fusion_f
-    if not c.pinched:
-        raise PinchedCrossingError("closed form needs a pinched crossing")
-    N = c.cfg.N
-    w = c.cfg.omega_pow
-    chi1, chi2 = c.lc1.char(), c.lc2.char()
-    a1, m1, a2, m2 = chi1.a, chi1.m, chi2.a, chi2.m
-    mu1, mu2 = c.lc1.mu, c.lc2.mu
-    al2, al1p, al2p = c.lc2.alpha, c.lc1p.alpha, c.lc2p.alpha
-    const = a1 * (m2 * a2 - 1.0) / (m1 + a1 * (m2 * a2 - 1.0)) / N
-    R = np.zeros((N, N, N, N), dtype=complex)
-    for n2 in range(N):
-        for n2p in range(N):
-            for n1p in range(N):
-                fs = fusion_f(c.cfg, -al2p - mu2 + n2p, -al2 - mu2 + n2 - 1,
-                              al1p - mu1 - n1p)
-                val = const / (1.0 - w(-al2p - mu2 + n2p)) * fs
-                for n1 in range(N):
-                    if (n1 + n2 - n1p - n2p) % N == 0:
-                        R[n1, n2, n1p, n2p] = val
-    return R.reshape(N * N, N * N)
-
-
-def nilpotent_closed_form(c: CrossingData) -> np.ndarray:
-    """Weight-basis pinched R-matrix when alpha_1 = mu_1 = alpha_1'.
-
-    With nu_2 = alpha_2 + mu_2 and k = (n2' - n2 mod N), the entries are
-    delta_N(n1+n2, n1'+n2') * (1-omega**(-nu2+n2))/(1-omega**(-nu2+n2'))
-    * omega**(n1'(-nu2+n2)) / <-nu2+n2 | k>
-    * (w;w)_{k+n1'} / ((w;w)_k (w;w)_{n1'}).
-    """
-    from .qdilog import cyc_dilog
-    if not c.pinched:
-        raise PinchedCrossingError("closed form needs a pinched crossing")
-    if (abs(c.lc1.alpha - c.lc1.mu) > 1e-9
-            or abs(c.lc1p.alpha - c.lc1.alpha) > 1e-9):
-        raise ConstraintViolationError("needs alpha_1 = mu_1 = alpha_1'")
-    N = c.cfg.N
-    w = c.cfg.omega_pow
-    nu2 = c.lc2.alpha + c.lc2.mu
-    poch = _poch_table(c.cfg.omega, 2 * N)
-    R = np.zeros((N, N, N, N), dtype=complex)
-    for n1 in range(N):
-        for n2 in range(N):
-            for n1p in range(N):
-                for n2p in range(N):
-                    if (n1 + n2 - n1p - n2p) % N != 0:
-                        continue
-                    k = (n2p - n2) % N
-                    if k + n1p >= N:
-                        continue
-                    R[n1, n2, n1p, n2p] = (
-                        (1.0 - w(-nu2 + n2)) / (1.0 - w(-nu2 + n2p))
-                        * w(n1p * (-nu2 + n2)) / cyc_dilog(c.cfg, -nu2 + n2, k)
-                        * poch[k + n1p] / (poch[k] * poch[n1p]))
-    return R.reshape(N * N, N * N)
-
-
-def colored_jones_closed_form(cfg: RootConfig) -> np.ndarray:
-    """Weight-basis pinched R-matrix at alpha_j = mu_j = -1/2 (all j).
-
-    Entries delta(n1+n2, n1'+n2') * omega**(n1'(1+n2))
-    * (w;w)_{n2'} (w;w)_{n1} / ((w;w)_{n2} (w;w)_{n2'-n2} (w;w)_{n1'}),
-    nonzero only when the index sums agree exactly and n2' >= n2; the
-    framed N-th colored Jones braiding kernel.
-    """
-    N = cfg.N
-    w = cfg.omega_pow
-    poch = _poch_table(cfg.omega, N)
-    R = np.zeros((N, N, N, N), dtype=complex)
-    for n1 in range(N):
-        for n2 in range(N):
-            for n1p in range(N):
-                for n2p in range(N):
-                    if n1 + n2 != n1p + n2p or n2p < n2:
-                        continue
-                    R[n1, n2, n1p, n2p] = (w(n1p * (1 + n2))
-                                           * poch[n2p] * poch[n1]
-                                           / (poch[n2] * poch[n2p - n2] * poch[n1p]))
-    return R.reshape(N * N, N * N)
-
-
 def logdet_braiding(c: CrossingData) -> complex:
     """A logarithm of the closed-form determinant of the braiding.
 
@@ -634,6 +533,8 @@ def det_braiding(c: CrossingData) -> complex:
     return cmath.exp(logdet_braiding(c))
 
 
-def det_lu(t: RTensor) -> complex:
-    """Reference determinant by LU factorization of the operator matrix."""
-    return complex(np.linalg.det(t.as_operator()))
+def det_lu(t: RTensor) -> tuple:
+    """Reference determinant by LU factorization of the operator matrix, as
+    numpy's (sign, log|det|) pair, so that it stays finite past the double
+    range; the determinant is sign * exp(log|det|)."""
+    return np.linalg.slogdet(t.as_operator())

@@ -4,7 +4,9 @@ Each check function (one per suite) returns {identity name: max deviation},
 with the number of evaluations per identity in its .samples attribute.
 IDENTITIES registers every identity with its suite, tolerance and smallest
 N; run_all turns the suites' output into one result per registered identity
-and N, and `holorm selftest` and the acceptance tests both read it.
+and N, and `holorm selftest` and the acceptance tests both read it.  The
+weight-basis closed forms of the pinched R-matrix live here too: they are
+reference oracles that only these identities and the tests read.
 Deviations are relative unless the name says otherwise.  All randomness
 flows through one seeded generator, so reports are reproducible.
 """
@@ -23,14 +25,16 @@ from .braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
                         pin_bottom)
 from .characters import (LogWeylChar, braid, casimir_relation, char_product,
                          psi, to_z0_char)
-from .qdilog import (RootConfig, TWO_PI_I, cyc_dilog, d_const, fusion_f,
-                     lambda_dilog, lambda_table, lifted_dilog, qpoch, s_norm)
-from .rmatrix import (CrossingData, braiding_op, colored_jones_closed_form,
-                      factorized_ops, kashaev_rmat, logdet_braiding,
-                      nilpotent_closed_form, rmat, rmat_pinched, transform_rules,
-                      weight_basis_closed_form, weight_basis_rmat)
-from .weylrep import (Basis, central_scalars, commutant_dim, matrix_power,
-                      pi_tensor, rep_matrices, rw_images, rw_images_negative)
+from .qdilog import (ConstraintViolationError, RootConfig, TWO_PI_I, cyc_dilog,
+                     d_const, fusion_f, lambda_dilog, lambda_table, lifted_dilog,
+                     qpoch, s_norm)
+from .rmatrix import (CrossingData, PinchedCrossingError, RTensor, _index_grids,
+                      _omega_arr, _poch_table, braiding_op, factorized_ops,
+                      kashaev_rmat, logdet_braiding, rmat, rmat_pinched,
+                      transform_rules)
+from .weylrep import (Basis, central_scalars, commutant_dim, fourier_matrix,
+                      matrix_power, pi_tensor, rep_matrices, rw_images,
+                      rw_images_negative)
 
 
 def _rel(a, b) -> float:
@@ -57,11 +61,14 @@ class _Worst(dict):
         self.samples = {}
 
     def note(self, key, val):
-        old = self.get(key, 0.0)
+        """Note one deviation, or an array of them: one sample per entry,
+        and the array's max (NaN if any entry is NaN) as its deviation."""
+        vals = np.asarray(val, dtype=float)
+        old, val = self.get(key, 0.0), float(vals.max())
         # a NaN compares false with everything: once noted it sticks, and
         # the identity fails (max() would drop it)
-        self[key] = old if old != old or old >= val else float(val)
-        self.samples[key] = self.samples.get(key, 0) + 1
+        self[key] = old if old != old or old >= val else val
+        self.samples[key] = self.samples.get(key, 0) + vals.size
 
 
 def r2_backward_error(c: CrossingData) -> float:
@@ -321,7 +328,9 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator,
             rel_b = transform_rules(c, beta_shifts=ls)
             out.note("beta shift rule",
                      _mrel(rmat(rel_b.crossing).entries, rel_b.predict(R)))
-    # recurrences at a positive crossing
+    # recurrences at a positive crossing, at every entry: np.roll(R4, 1,
+    # axis) holds the entry whose index on that axis is one lower
+    n1, n2, n1p, n2p = _index_grids(N)
     for _ in range(max(2, trials // 2)):
         c = sampling.random_crossing(cfg, rng, +1)
         R4 = rmat(c).entries.reshape(N, N, N, N)
@@ -330,27 +339,22 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator,
         al1, al2 = c.lc1.alpha, c.lc2.alpha
         al1p, al2p = c.lc1p.alpha, c.lc2p.alpha
         mu1, mu2 = c.lc1.mu, c.lc2.mu
-        for n1 in range(N):
-            for n2 in range(N):
-                for n1p in range(N):
-                    for n2p in range(N):
-                        lhs = R4[n1, n2, n1p, n2p]
-                        out.note("recurrence i", abs(
-                            lhs - R4[n1, n2, n1p, (n2p - 1) % N] * w(-al2p - mu2)
-                            * (1 - w(z0["E"] + n2p - n1p))
-                            / (1 - w(z0["N"] + n2p - n1))) / scale)
-                        out.note("recurrence ii", abs(
-                            lhs - R4[n1, n2, (n1p - 1) % N, n2p] * w(-al1p + mu1)
-                            * (1 - w(z0["S"] + n2 - n1p + 1))
-                            / (1 - w(z0["E"] + n2p - n1p + 1))) / scale)
-                        out.note("recurrence iii", abs(
-                            lhs - R4[n1, (n2 - 1) % N, n1p, n2p] * w(al2 + mu2 + 1)
-                            * (1 - w(z0["W"] - 1 + n2 - n1))
-                            / (1 - w(z0["S"] + n2 - n1p))) / scale)
-                        out.note("recurrence iv", abs(
-                            lhs - R4[(n1 - 1) % N, n2, n1p, n2p] * w(al1 - mu1 - 1)
-                            * (1 - w(z0["N"] + n2p - n1 + 1))
-                            / (1 - w(z0["W"] + n2 - n1))) / scale)
+        out.note("recurrence i", np.abs(
+            R4 - np.roll(R4, 1, axis=3) * w(-al2p - mu2)
+            * (1 - _omega_arr(N, z0["E"] + n2p - n1p))
+            / (1 - _omega_arr(N, z0["N"] + n2p - n1))) / scale)
+        out.note("recurrence ii", np.abs(
+            R4 - np.roll(R4, 1, axis=2) * w(-al1p + mu1)
+            * (1 - _omega_arr(N, z0["S"] + n2 - n1p + 1))
+            / (1 - _omega_arr(N, z0["E"] + n2p - n1p + 1))) / scale)
+        out.note("recurrence iii", np.abs(
+            R4 - np.roll(R4, 1, axis=1) * w(al2 + mu2 + 1)
+            * (1 - _omega_arr(N, z0["W"] - 1 + n2 - n1))
+            / (1 - _omega_arr(N, z0["S"] + n2 - n1p))) / scale)
+        out.note("recurrence iv", np.abs(
+            R4 - np.roll(R4, 1, axis=0) * w(al1 - mu1 - 1)
+            * (1 - _omega_arr(N, z0["N"] + n2p - n1 + 1))
+            / (1 - _omega_arr(N, z0["W"] + n2 - n1))) / scale)
     # R2 contraction as a normwise backward error
     for _ in range(trials):
         out.note("R2 contraction",
@@ -422,6 +426,90 @@ def _pinched_limit(cfg: RootConfig, cpin: CrossingData) -> np.ndarray:
         for i in range(len(tab) - 1, j - 1, -1):
             tab[i] = tab[i] + (tab[i] - tab[i - 1]) * ts[i] / (ts[i - j] - ts[i])
     return tab[-1]
+
+
+# ------------------------------------------------ weight-basis closed forms
+# The pinched R-matrix in the weight basis, in general and at its nilpotent
+# and colored-Jones (Kashaev, q-alg/9504020) specializations.
+
+def weight_basis_rmat(c: CrossingData) -> RTensor:
+    """Pinched R-matrix in the weight basis (discrete Fourier conjugate)."""
+    if not c.pinched:
+        raise PinchedCrossingError("weight-basis closed form needs a pinched crossing")
+    N = c.cfg.N
+    G = fourier_matrix(c.cfg)
+    G2 = np.kron(G, G)
+    G2inv = np.kron(G.conj().T, G.conj().T) / (N * N)
+    op_wb = G2 @ rmat_pinched(c).as_operator() @ G2inv
+    return RTensor(c.cfg, op_wb.T.copy(), c.sign, pinched=True)
+
+
+def weight_basis_closed_form(c: CrossingData) -> np.ndarray:
+    """Closed-form entries of the weight-basis pinched R-matrix.
+
+    R_{n1 n2}^{n1' n2'} = delta_N(n1+n2, n1'+n2') * a1 (m2 a2 - 1) /
+    (m1 + a1 (m2 a2 - 1)) / (1 - omega**(-alpha2'-mu2+n2'))
+    * (1/N) * f(-alpha2'-mu2+n2', -alpha2-mu2+n2-1, alpha1'-mu1-n1').
+    """
+    if not c.pinched:
+        raise PinchedCrossingError("closed form needs a pinched crossing")
+    N = c.cfg.N
+    w = c.cfg.omega_pow
+    chi1, chi2 = c.lc1.char(), c.lc2.char()
+    a1, m1, a2, m2 = chi1.a, chi1.m, chi2.a, chi2.m
+    mu1, mu2 = c.lc1.mu, c.lc2.mu
+    al2, al1p, al2p = c.lc2.alpha, c.lc1p.alpha, c.lc2p.alpha
+    const = a1 * (m2 * a2 - 1.0) / (m1 + a1 * (m2 * a2 - 1.0)) / N
+    val = np.array([const / (1.0 - w(-al2p - mu2 + n2p))
+                    * fusion_f(c.cfg, -al2p - mu2 + n2p, -al2 - mu2 + n2 - 1,
+                               al1p - mu1 - n1p)
+                    for n2, n1p, n2p in np.ndindex(N, N, N)]).reshape(N, N, N)
+    n1, n2, n1p, n2p = _index_grids(N)
+    R = np.where((n1 + n2 - n1p - n2p) % N == 0, val[n2, n1p, n2p], 0.0)
+    return R.reshape(N * N, N * N)
+
+
+def nilpotent_closed_form(c: CrossingData) -> np.ndarray:
+    """Weight-basis pinched R-matrix when alpha_1 = mu_1 = alpha_1'.
+
+    With nu_2 = alpha_2 + mu_2 and k = (n2' - n2 mod N), the entries are
+    delta_N(n1+n2, n1'+n2') * (1-omega**(-nu2+n2))/(1-omega**(-nu2+n2'))
+    * omega**(n1'(-nu2+n2)) / <-nu2+n2 | k>
+    * (w;w)_{k+n1'} / ((w;w)_k (w;w)_{n1'}), and zero where k + n1' >= N.
+    """
+    if not c.pinched:
+        raise PinchedCrossingError("closed form needs a pinched crossing")
+    if (abs(c.lc1.alpha - c.lc1.mu) > 1e-9
+            or abs(c.lc1p.alpha - c.lc1.alpha) > 1e-9):
+        raise ConstraintViolationError("needs alpha_1 = mu_1 = alpha_1'")
+    N = c.cfg.N
+    nu2 = c.lc2.alpha + c.lc2.mu
+    poch = _poch_table(c.cfg.omega, 2 * N)
+    cd = np.array([[cyc_dilog(c.cfg, -nu2 + n, k) for k in range(N)] for n in range(N)])
+    wn = _omega_arr(N, -nu2 + np.arange(N))
+    n1, n2, n1p, n2p = _index_grids(N)
+    k = (n2p - n2) % N
+    R = np.where(((n1 + n2 - n1p - n2p) % N == 0) & (k + n1p < N),
+                 (1.0 - wn[n2]) / (1.0 - wn[n2p]) * _omega_arr(N, n1p * (-nu2 + n2))
+                 / cd[n2, k] * poch[k + n1p] / (poch[k] * poch[n1p]), 0.0)
+    return R.reshape(N * N, N * N)
+
+
+def colored_jones_closed_form(cfg: RootConfig) -> np.ndarray:
+    """Weight-basis pinched R-matrix at alpha_j = mu_j = -1/2 (all j).
+
+    Entries delta(n1+n2, n1'+n2') * omega**(n1'(1+n2))
+    * (w;w)_{n2'} (w;w)_{n1} / ((w;w)_{n2} (w;w)_{n2'-n2} (w;w)_{n1'}),
+    nonzero only when the index sums agree exactly and n2' >= n2; the
+    framed N-th colored Jones braiding kernel.
+    """
+    N = cfg.N
+    poch = _poch_table(cfg.omega, N)
+    n1, n2, n1p, n2p = _index_grids(N)
+    R = np.where((n1 + n2 == n1p + n2p) & (n2p >= n2),
+                 _omega_arr(N, n1p * (1 + n2)) * poch[n2p] * poch[n1]
+                 / (poch[n2] * poch[(n2p - n2) % N] * poch[n1p]), 0.0)
+    return R.reshape(N * N, N * N)
 
 
 # -------------------------------------------------------------- braidgrpd

@@ -124,16 +124,23 @@ def test_unevaluated_identity_fails(monkeypatch):
 
 def test_nan_evaluation_fails(monkeypatch):
     real = selftest.check_weylrep
+    counts = {}
 
     def notes_nan(cfg, rng, trials):
         out = real(cfg, rng, trials)
         out.note("Weyl relation", float("nan"))
+        # an array note counts one sample per entry; a NaN entry sticks
+        counts["before"] = out.samples["[E,F] relation"]
+        out.note("[E,F] relation", np.zeros((2, 3)))
+        out.note("[E,F] relation", np.array([[0.0, np.nan], [0.0, 0.0]]))
         return out
 
     monkeypatch.setattr(selftest, "check_weylrep", notes_nan)
     res = {r.name: r for r in selftest.run_all(Ns=[2], seed=1, scale=0.1)}
     assert res["Weyl relation"].samples > 1  # finite evaluations came first
     assert not res["Weyl relation"].passed
+    assert res["[E,F] relation"].samples == counts["before"] + 6 + 4
+    assert not res["[E,F] relation"].passed
     assert res["Casimir scalar"].passed
 
 

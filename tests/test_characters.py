@@ -7,7 +7,7 @@ import pytest
 
 from holorm.characters import (RootMismatchError, WeylChar,
                                braid, casimir_relation, char_product,
-                               is_pinched, principal_log_char, psi, to_z0_char)
+                               is_pinched, psi, to_z0_char)
 from holorm.qdilog import TWO_PI_I
 from holorm.sampling import random_char
 
@@ -143,11 +143,3 @@ def test_casimir_relation(rng):
     assert casimir_relation(chi, -0.5) < 1e-14
     with pytest.raises(RootMismatchError):
         casimir_relation(chi, 0.2)
-
-
-def test_principal_log_char(rng):
-    chi = random_char(rng)
-    lc = principal_log_char(chi)
-    assert lc.char().isclose(chi, rel=1e-12)
-    with pytest.raises(RootMismatchError):
-        principal_log_char(chi, mu=lc.mu + 0.3)

@@ -10,17 +10,17 @@ from holorm.characters import LogWeylChar
 from holorm.qdilog import RootConfig, TWO_PI_I
 from holorm.rmatrix import (CrossingData, PinchedCrossingError,
                             apply_beta_shift, apply_gamma_shift, braiding_op,
-                            colored_jones_closed_form, crossing_from_logs,
-                            crossing_zetas, det_braiding, det_lu, factorized_ops,
-                            kashaev_rmat, logdet_braiding, nilpotent_closed_form,
-                            rmat, rmat_pinched, transform_rules,
-                            weight_basis_closed_form, weight_basis_rmat)
+                            crossing_from_logs, crossing_zetas, det_braiding,
+                            det_lu, factorized_ops, kashaev_rmat,
+                            logdet_braiding, rmat, rmat_pinched, transform_rules)
 from holorm.braidgrpd import (BraidWord, build_diagram, crossing_data,
                               extend_log_coloring)
 from holorm.sampling import (kashaev_crossing, letter_crossing, random_crossing,
                              standard_pinched_crossing)
 from holorm.selftest import (IDENTITIES, _det_deviation, _pinched_limit,
-                             _random_pinched_params, r2_backward_error)
+                             _random_pinched_params, colored_jones_closed_form,
+                             nilpotent_closed_form, r2_backward_error,
+                             weight_basis_closed_form, weight_basis_rmat)
 
 from conftest import mrel, rel
 
@@ -150,7 +150,8 @@ def test_det_closed_form_vs_lu(rng):
         cfg = RootConfig(N)
         for sign in (+1, -1):
             c = random_crossing(cfg, rng, sign)
-            assert rel(det_braiding(c), det_lu(braiding_op(c))) < 1e-7
+            s, logabs = det_lu(braiding_op(c))
+            assert rel(det_braiding(c), s * np.exp(logabs)) < 1e-7
 
 
 @pytest.mark.parametrize("N, seed, sign", [(26, 10, +1), (32, 1, -1)])

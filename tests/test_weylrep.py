@@ -1,11 +1,12 @@
 """Cyclic modules, quantum-group matrices, braiding images, commutants."""
 
+import cmath
+
 import numpy as np
 import pytest
 
-from holorm.characters import (LogWeylChar, braid, char_product, principal_log_char,
-                               to_z0_char)
-from holorm.qdilog import RootConfig
+from holorm.characters import LogWeylChar, braid, char_product, to_z0_char
+from holorm.qdilog import RootConfig, TWO_PI_I
 from holorm.sampling import random_crossing, random_logchar
 from holorm.weylrep import (Basis, GenMatrices, central_scalars, commutant_dim,
                             fourier_matrix, matrix_power, pi_tensor,
@@ -94,8 +95,10 @@ def test_rw_images_center_and_cancellation(rng):
         if not braid(lc1.char(), lc2.char(), +1).admissible:
             continue
         out = braid(lc1.char(), lc2.char(), +1)
-        lc1p = principal_log_char(out.chi1p, mu=lc1.mu)
-        lc2p = principal_log_char(out.chi2p, mu=lc2.mu)
+        lc1p = LogWeylChar(cmath.log(out.chi1p.a) / TWO_PI_I,
+                           cmath.log(out.chi1p.b) / TWO_PI_I, lc1.mu)
+        lc2p = LogWeylChar(cmath.log(out.chi2p.a) / TWO_PI_I,
+                           cmath.log(out.chi2p.b) / TWO_PI_I, lc2.mu)
         imgs = rw_images(cfg, lc1, lc2, lc1p, lc2p)
         assert mrel(imgs["z1"], cfg.omega_pow(lc1.mu) * np.eye(9)) < 1e-12
         assert mrel(imgs["z2"], cfg.omega_pow(lc2.mu) * np.eye(9)) < 1e-12
