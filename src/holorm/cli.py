@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import sys
@@ -63,6 +64,16 @@ def _fail(msg: str, code: int, **extra) -> int:
     return _emit({"error": msg, **extra}, code)
 
 
+@contextlib.contextmanager
+def _json_types():
+    """A TypeError while reading values out of a JSON spec (a list where an
+    object belongs, a number where a pair belongs) is malformed input."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"wrong JSON type: {exc}") from exc
+
+
 def _load_spec(args):
     if args.input == "-":
         return json.load(sys.stdin)
@@ -80,6 +91,8 @@ def cmd_selftest(args) -> int:
     for N in Ns:
         if N < 2:
             return _fail(f"N must be >= 2, got {N}", 2)
+    if not (math.isfinite(args.scale) and args.scale >= 0):
+        return _fail(f"--scale must be finite and >= 0, got {args.scale}", 2)
     results = run_all(Ns=Ns, seed=args.seed, scale=args.scale)
     # a deviation that is not a finite number (NaN: never evaluated) is null
     checks = [{"identity": r.name, "suite": r.module, "N": r.N,
@@ -94,19 +107,24 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------- rmat
 
 def _crossing_from_spec(cfg: RootConfig, spec: dict) -> CrossingData:
-    segs = spec["segments"]
-    mus = [_cx(segs[k]["mu"]) for k in ("1", "2")]
-    if any(abs(_cx(segs[k + "p"]["mu"]) - mu) > 1e-10 for k, mu in zip("12", mus)):
+    with _json_types():
+        segs = spec["segments"]
+        mus = [_cx(segs[k]["mu"]) for k in ("1", "2")]
+        mus_out = [_cx(segs[k]["mu"]) for k in ("1p", "2p")]
+        betas = [_cx(segs[k]["beta"]) for k in ("1", "2", "1p", "2p")]
+        regions = [_cx(spec["regions"][r]) for r in REGIONS]
+        sign = int(spec["sign"])
+        kappa = spec.get("kappa", "auto")
+        kappa = None if kappa in (None, "auto") else _cx(kappa)
+        alphas = {k: _cx(segs[k]["alpha"]) for k in ("1", "2", "2p", "1p")
+                  if "alpha" in segs[k]}
+    if any(abs(mo - mu) > 1e-10 for mo, mu in zip(mus_out, mus)):
         raise ConstraintViolationError("meridian logs must be preserved")
-    kappa = spec.get("kappa", "auto")
-    c = crossing_from_logs(cfg, int(spec["sign"]),
-                           [_cx(segs[k]["beta"]) for k in ("1", "2", "1p", "2p")], mus,
-                           [_cx(spec["regions"][r]) for r in REGIONS],
-                           None if kappa in (None, "auto") else _cx(kappa))
+    c = crossing_from_logs(cfg, sign, betas, mus, regions, kappa)
     # an explicit alpha must be the region difference the crossing derived
     for k, lc in (("1", c.lc1), ("2", c.lc2), ("2p", c.lc2p), ("1p", c.lc1p)):
-        if "alpha" in segs[k] and abs(_cx(segs[k]["alpha"]) - lc.alpha) > 1e-8:
-            raise ConstraintViolationError(f"segment alpha {_cx(segs[k]['alpha'])} "
+        if k in alphas and abs(alphas[k] - lc.alpha) > 1e-8:
+            raise ConstraintViolationError(f"segment alpha {alphas[k]} "
                                            f"does not match region difference {lc.alpha}")
     return c
 
@@ -123,13 +141,12 @@ def cmd_rmat(args) -> int:
         return _fail(f"cannot read crossing spec: {exc}", 2)
     try:
         c = _crossing_from_spec(cfg, spec)
-    except (KeyError, ValueError, ConstraintViolationError) as exc:
+    except (KeyError, ValueError) as exc:
         return _fail(f"invalid crossing spec: {exc}", 2)
     out = {"N": cfg.N, "sign": c.sign, "pinched": c.pinched}
     if c.pinched and not args.pinched:
         z0 = c.zeta0()
-        bad = {r: _jx(z0[r]) for r in "NWSE"
-               if abs(z0[r] - round(z0[r].real)) < 1e-7}
+        bad = {r: _jx(z0[r]) for r in c.integral_zeta0()}
         return _fail("crossing is pinched (zeta0 integral); pass --pinched "
                      "to evaluate the closed pinched form", 1,
                      integral_zeta0=bad)
@@ -164,11 +181,11 @@ def cmd_rmat(args) -> int:
 # --------------------------------------------------------------- braid/color
 
 def _braid_setup(spec):
-    word = BraidWord(int(spec["width"]), tuple(spec["word"]))
-    d = build_diagram(word)
-    tops = [WeylChar(_cx(t["a"]), _cx(t["b"]), _cx(t["m"]))
-            for t in spec["top_colors"]]
-    return d, tops
+    with _json_types():
+        word = BraidWord(int(spec["width"]), tuple(spec["word"]))
+        tops = [WeylChar(_cx(t["a"]), _cx(t["b"]), _cx(t["m"]))
+                for t in spec["top_colors"]]
+    return build_diagram(word), tops
 
 
 def cmd_color(args) -> int:
@@ -197,10 +214,11 @@ def cmd_braid(args) -> int:
     try:
         spec = _load_spec(args)
         d, tops = _braid_setup(spec)
-        log = spec["log"]
-        top_b = [_cx(v) for v in log["beta"]]
-        top_g = [_cx(v) for v in log["gamma"]]
-        mus = [_cx(v) for v in log["mu"]]
+        with _json_types():
+            log = spec["log"]
+            top_b = [_cx(v) for v in log["beta"]]
+            top_g = [_cx(v) for v in log["gamma"]]
+            mus = [_cx(v) for v in log["mu"]]
         chars = top_characters(d, top_b, top_g, mus)
         if len(tops) != d.width or not all(
                 t.isclose(c) for t, c in zip(tops, chars)):

@@ -294,7 +294,11 @@ def fusion_f(cfg: RootConfig, alpha: complex, beta: complex, gamma: complex) -> 
     num, den = 1.0 + 0.0j, 1.0 + 0.0j
     for k in range(cfg.N):
         if k > 0:
-            num /= 1.0 - cfg.omega_pow(alpha + k)
+            fac = 1.0 - cfg.omega_pow(alpha + k)
+            if abs(fac) < SINGULAR:
+                raise SingularArgumentError(
+                    f"fusion sum pole: 1 - omega**(alpha+{k}) ~ 0 at alpha={alpha}")
+            num /= fac
             fac = 1.0 - cfg.omega_pow(beta + k)
             if abs(fac) < SINGULAR:
                 raise SingularArgumentError(

@@ -21,8 +21,8 @@ difference d_r, an offset and p_r = +1 (numerator) or -1 (denominator):
 Generic entries are omega**d_W / N * omega**((N-1) sum_{offset_r != 0} p_r
 (zeta0_r + zeta1_r)) * prod_r Lambda_r[d_r + offset_r]**p_r; the standard
 pinched form has the q-factorials prod_r (omega; omega)_{d_r+offset_r}**-p_r;
-the integer gamma- and beta-shift rules, and with them the non-standard
-pinched forms, read the same rows.  factorized_ops writes the paper's
+the one integer-shift rule (transform_rules), and with it the non-standard
+pinched forms, reads the same rows.  factorized_ops writes the paper's
 four-factor theorem on its own, so the factorization identity compares two
 independent routes.
 """
@@ -138,13 +138,20 @@ class CrossingData:
         return (0.5 * e * (self.lc1p.beta - self.lc1.beta),
                 0.5 * e * (self.lc2.beta - self.lc2p.beta))
 
+    def integral_zeta0(self) -> dict:
+        """{region: integer} for each zeta^0 within 1e-7 of an integer; the one
+        integrality test of zeta^0."""
+        z0 = self.zeta0()
+        ints = {r: round(v.real) for r, v in z0.items()}
+        return {r: n for r, n in ints.items() if abs(z0[r] - n) <= 1e-7}
+
     @cached_property
     def _flattenings(self) -> dict:
         z0 = self.zeta0()
         if self.pinched:
-            bad = min(z0.items(), key=lambda kv: abs(kv[1] - round(kv[1].real)))
+            r = next(iter(self.integral_zeta0()))
             raise PinchedCrossingError(
-                f"crossing is pinched (zeta0_{bad[0]} = {bad[1]} is integral)")
+                f"crossing is pinched (zeta0_{r} = {z0[r]} is integral)")
         z1 = self.zeta1()
         return {r: Flattening(z0[r], z1[r], tol=1e-7) for r in REGIONS}
 
@@ -164,12 +171,6 @@ def crossing_from_logs(cfg: RootConfig, sign: int, betas, mus, gammas,
                         LogWeylChar(g_w - g_n, b1, m1), LogWeylChar(g_s - g_w, b2, m2),
                         LogWeylChar(g_s - g_e, b1p, m1), LogWeylChar(g_e - g_n, b2p, m2),
                         g_n, g_w, g_s, g_e, kappa)
-
-
-def _logs(c: CrossingData) -> tuple:
-    """(betas, mus, gammas) of c in crossing_from_logs order."""
-    return ((c.lc1.beta, c.lc2.beta, c.lc1p.beta, c.lc2p.beta), (c.lc1.mu, c.lc2.mu),
-            (c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e))
 
 
 def crossing_zetas(c: CrossingData) -> dict:
@@ -338,18 +339,17 @@ def rmat_pinched(c: CrossingData) -> RTensor:
     """Closed-form R-matrix at a pinched crossing.
 
     Standard log-colorings (all zeta^0 = 0) are evaluated directly; other
-    pinched log-colorings are reduced to a standard one with the integer
-    shift rules and reassembled, which is exact.
+    pinched log-colorings are reduced to a standard one with transform_rules
+    and reassembled, which is exact.
     """
     if not c.pinched:
         raise PinchedCrossingError("crossing is not pinched")
-    z0 = c.zeta0()
-    ints = {r: round(z0[r].real) for r in REGIONS}
+    ints = c.integral_zeta0()
     for r in REGIONS:
-        if abs(z0[r] - ints[r]) > 1e-7:
+        if r not in ints:
             raise PinchedCrossingError(
-                f"pinched crossing has non-integral zeta0_{r} = {z0[r]}")
-    if any(ints[r] != 0 for r in REGIONS):
+                f"pinched crossing has non-integral zeta0_{r} = {c.zeta0()[r]}")
+    if any(ints.values()):
         return _pinched_nonstandard(c, ints)
     N = c.cfg.N
     e = c.sign
@@ -394,50 +394,9 @@ def _pinched_nonstandard(c: CrossingData, ints: dict) -> RTensor:
     e = c.sign
     l2 = -e * ints["W"]
     shifts = (0, l2, l2 + e * ints["S"], -e * ints["N"])
-    std = apply_beta_shift(c, shifts)
+    std = transform_rules(c, beta_shifts=shifts).crossing
     rel = transform_rules(std, beta_shifts=tuple(-l for l in shifts))
     return RTensor(c.cfg, rel.predict(rmat_pinched(std)), e, pinched=True)
-
-
-def beta_shift_relation(c: CrossingData, shifts: tuple) -> complex:
-    """Phase relating R of a beta-shifted coloring to the original.
-
-    With beta_i -> beta_i + l_i (integers), the new matrix satisfies
-    R_new[n] = phase * R_old[n + l], with phase = omega**(sum_r p_r d_r(l)
-    zeta1_r / 2) over the region table.  kappa cancels (sum_r p_r d_r = 0),
-    so zeta1 is taken at kappa = 0 and the phase is finite at pinched
-    crossings as well.
-    """
-    z1 = c.zeta1(kappa=0)
-    terms = _region_terms(c.sign, *shifts)
-    return c.cfg.omega_pow(sum(p * d * z1[r] for r, (d, _, p) in terms.items()) / 2.0)
-
-
-def gamma_shift_relation(c: CrossingData, kshifts: dict) -> tuple:
-    """(phase, coeffs) for integer region shifts gamma_r -> gamma_r + k_r.
-
-    R_new[n] = phase * omega**(sum_r p_r k_r d_r(n)) * R_old[n] over the
-    region table, with phase = omega**(sum_r p_r k_r zeta0_r / 2) and
-    coeffs = (kN, kW, kS, kE).
-    """
-    z0 = c.zeta0()
-    k = {r: kshifts.get(r, 0) for r in REGIONS}
-    terms = _region_terms(c.sign, 0, 0, 0, 0)  # only the p_r are read
-    phase = c.cfg.omega_pow(sum(p * k[r] * z0[r] for r, (_, _, p) in terms.items()) / 2.0)
-    return phase, tuple(k[r] for r in REGIONS)
-
-
-def apply_gamma_shift(c: CrossingData, kshifts: dict) -> CrossingData:
-    betas, mus, gammas = _logs(c)
-    return crossing_from_logs(c.cfg, c.sign, betas, mus,
-                              [g + kshifts.get(r, 0) for r, g in zip(REGIONS, gammas)],
-                              c.kappa)
-
-
-def apply_beta_shift(c: CrossingData, shifts: tuple) -> CrossingData:
-    betas, mus, gammas = _logs(c)
-    return crossing_from_logs(c.cfg, c.sign, [b + l for b, l in zip(betas, shifts)],
-                              mus, gammas, c.kappa)
 
 
 @dataclass(frozen=True)
@@ -466,21 +425,34 @@ class TransformRelation:
 
 def transform_rules(c: CrossingData, gamma_shifts: dict = None,
                     beta_shifts: tuple = (0, 0, 0, 0)) -> TransformRelation:
-    """Combined integer gamma- and beta-shift relation for a crossing.
+    """The one integer-shift rule: beta_i -> beta_i + l_i and gamma_r ->
+    gamma_r + k_r, all integers.
 
-    The relation composes as beta shift first (phase from the original
-    crossing) and gamma shift second (phase from the beta-shifted one), so
-    that the index-linear gamma factor applies at the unshifted entry indices.
+    Over the region table the shifted crossing's R-matrix is
+    R_new[n] = phase * omega**(sum_r p_r k_r d_r(n)) * R_old[n + l], with
+    phase = phase_g * phase_b.  The beta phase is omega**(sum_r p_r d_r(l)
+    zeta1_r / 2) with c's zeta1 at kappa = 0: kappa cancels (sum_r p_r d_r
+    = 0), so it is finite at pinched crossings too.  The gamma phase is
+    omega**(sum_r p_r k_r zeta0_r / 2) with the beta-shifted zeta0, so that
+    the index-linear gamma factor applies at the unshifted entry indices.
     """
     gamma_shifts = gamma_shifts or {}
     for v in list(gamma_shifts.values()) + list(beta_shifts):
         if int(v) != v:
             raise ValueError("all shifts must be integers")
-    phase_b = beta_shift_relation(c, beta_shifts)
-    cb = apply_beta_shift(c, beta_shifts)
-    phase_g, coeffs = gamma_shift_relation(cb, gamma_shifts)
-    cg = apply_gamma_shift(cb, gamma_shifts)
-    return TransformRelation(cg, phase_g * phase_b, tuple(beta_shifts), coeffs, c.sign)
+    k = {r: gamma_shifts.get(r, 0) for r in REGIONS}
+    betas = (c.lc1.beta, c.lc2.beta, c.lc1p.beta, c.lc2p.beta)
+    gammas = (c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e)
+    shifted = crossing_from_logs(c.cfg, c.sign, [b + l for b, l in zip(betas, beta_shifts)],
+                                 (c.lc1.mu, c.lc2.mu),
+                                 [g + k[r] for r, g in zip(REGIONS, gammas)], c.kappa)
+    z1, z0 = c.zeta1(kappa=0), shifted.zeta0()  # zeta0 reads no gamma
+    phase_b = c.cfg.omega_pow(sum(
+        p * d * z1[r] for r, (d, _, p) in _region_terms(c.sign, *beta_shifts).items()) / 2.0)
+    phase_g = c.cfg.omega_pow(sum(
+        p * k[r] * z0[r] for r, (_, _, p) in _region_terms(c.sign, 0, 0, 0, 0).items()) / 2.0)
+    return TransformRelation(shifted, phase_g * phase_b, tuple(beta_shifts),
+                             tuple(k[r] for r in REGIONS), c.sign)
 
 
 def kashaev_rmat(cfg: RootConfig) -> RTensor:

@@ -70,7 +70,7 @@ def random_crossing(cfg: RootConfig, rng: np.random.Generator,
         lc1, lc2 = random_logchar(rng), random_logchar(rng)
         try:
             c = letter_crossing(cfg, sign, lc1, lc2, random_value(rng, 0.3, 0.1))
-        except Exception:
+        except ValueError:  # every holorm error is one
             continue
         z0 = c.zeta0()
         if min(abs(z0[r] - round(z0[r].real)) for r in "NWSE") < 0.05:

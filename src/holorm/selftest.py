@@ -365,7 +365,7 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator,
         for sign in (+1, -1):
             try:
                 cpin = sampling.standard_pinched_crossing(cfg, *prm, sign=sign)
-            except Exception:
+            except ValueError:
                 continue
             lim = _pinched_limit(cfg, cpin)
             out.note("pinched limit (abs)",

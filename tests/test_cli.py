@@ -7,6 +7,7 @@ import pathlib
 import re
 
 import numpy as np
+import pytest
 
 from holorm import cli, selftest
 from holorm.characters import LogWeylChar
@@ -240,6 +241,35 @@ def test_rmat_malformed_spec(tmp_path, capsys):
     path.write_text("{not json")
     code, out = run(capsys, "rmat", "--N", "2", "--input", str(path))
     assert code == 2
+
+
+def _number_segment_spec():
+    spec = _filled_crossing_spec()
+    spec["segments"]["1"] = 5
+    return spec
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["rmat"], [1]),
+    (["braid"], [1]),
+    (["color"], [1]),
+    (["rmat"], _number_segment_spec),
+    (["selftest", "--scale", "inf"], None),
+    (["selftest", "--scale=-inf"], None),
+    (["selftest", "--scale", "nan"], None),
+    (["selftest", "--scale=-3"], None),
+], ids=["rmat-list", "braid-list", "color-list", "rmat-number-segment",
+        "scale-inf", "scale-minus-inf", "scale-nan", "scale-negative"])
+def test_malformed_input_exits_2(argv, spec, tmp_path, capsys):
+    # wrong JSON types and a non-finite or negative trial multiplier are
+    # malformed input
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec() if callable(spec) else spec))
+        argv = argv + ["--input", str(path)]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]
 
 
 BRAID_SPEC = {

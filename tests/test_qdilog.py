@@ -247,6 +247,13 @@ def test_fusion_constraint_violation():
         fusion_f(cfg, 0.3, 0.7 + 0.2j, 0.11)
 
 
+@pytest.mark.parametrize("alpha", [-1, -1 - 1e-10])
+def test_fusion_numerator_pole(alpha):
+    # 1 - omega**(alpha + 1) vanishes (or nearly) although the constraint holds
+    with pytest.raises(SingularArgumentError, match="alpha"):
+        fusion_f(RootConfig(3), alpha, 0.3, 5j)
+
+
 def test_fusion_shift_identity(rng):
     cfg = RootConfig(5)
     w = cfg.omega_pow

@@ -8,8 +8,7 @@ import pytest
 
 from holorm.characters import LogWeylChar
 from holorm.qdilog import RootConfig, TWO_PI_I
-from holorm.rmatrix import (CrossingData, PinchedCrossingError,
-                            apply_beta_shift, apply_gamma_shift, braiding_op,
+from holorm.rmatrix import (CrossingData, PinchedCrossingError, braiding_op,
                             crossing_from_logs, crossing_zetas, det_braiding,
                             det_lu, factorized_ops, kashaev_rmat,
                             logdet_braiding, rmat, rmat_pinched, transform_rules)
@@ -31,6 +30,7 @@ def test_crossing_zetas_standard_pinched():
     assert c.pinched
     z0 = c.zeta0()
     assert all(abs(z0[r]) < 1e-12 for r in "NWSE")
+    assert c.integral_zeta0() == {"N": 0, "W": 0, "S": 0, "E": 0}
     with pytest.raises(PinchedCrossingError):
         crossing_zetas(c)
 
@@ -39,6 +39,7 @@ def test_crossing_zetas_balance(rng):
     cfg = RootConfig(4)
     for sign in (+1, -1):
         c = random_crossing(cfg, rng, sign)
+        assert c.integral_zeta0() == {}
         zs = crossing_zetas(c)
         assert abs(zs["N"].zeta0 + zs["S"].zeta0 - zs["W"].zeta0 - zs["E"].zeta0) < 1e-12
         for f in zs.values():
@@ -300,11 +301,10 @@ def test_pinched_nonstandard_reduction(rng):
     cfg = RootConfig(3)
     prm = _random_pinched_params(rng)
     base = standard_pinched_crossing(cfg, *prm)
-    from holorm.rmatrix import apply_beta_shift
     shifts = (0, 1, -1, 2)
-    shifted = apply_beta_shift(base, shifts)
-    z0 = shifted.zeta0()
-    assert any(abs(round(z0[r].real)) > 0 for r in "NWSE")
+    shifted = transform_rules(base, beta_shifts=shifts).crossing
+    ints = shifted.integral_zeta0()
+    assert set(ints) == set("NWSE") and any(ints.values())
     got = rmat_pinched(shifted).entries
     lim = _pinched_limit(cfg, shifted)
     assert np.abs(lim - got).max() < 1e-5
@@ -388,8 +388,8 @@ def test_crossing_from_logs_derives_every_alpha(rng):
         betas = (c.lc1.beta, c.lc2.beta, c.lc1p.beta, c.lc2p.beta)
         gammas = (c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e)
         assert crossing_from_logs(cfg, sign, betas, (c.lc1.mu, c.lc2.mu), gammas) == c
-        for built in (c, apply_gamma_shift(c, {"N": 1, "E": -2}),
-                      apply_beta_shift(c, (1, 0, -1, 2)),
+        for built in (c, transform_rules(c, gamma_shifts={"N": 1, "E": -2}).crossing,
+                      transform_rules(c, beta_shifts=(1, 0, -1, 2)).crossing,
                       standard_pinched_crossing(cfg, *_random_pinched_params(rng),
                                                 sign=sign)):
             assert alphas_are_region_differences(built)
