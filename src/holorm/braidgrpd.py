@@ -17,9 +17,13 @@ chooses logarithms.  pin_bottom turns bottom boundary data into the
 overrides that make a log-coloring end on it (bottom = top closes a braid).
 
 jfunc_eval composes the braidings of the crossings.  Each acts on two
-adjacent slots only, so it is contracted into those two slots of the running
-operator: c * N^(2w+2) multiply-adds for c crossings on w strands, an N^(2w)
-output and one working copy of that size (the operator before the crossing).
+adjacent slots only, and a slot no crossing has reached yet carries the
+identity, so the running operator is dense only on the interval of slots
+reached so far, h of them after a crossing.  The first braiding is that
+operator, at no cost; a crossing that reaches one new slot contracts one
+index, N^(2h+1) multiply-adds; a crossing inside the interval N^(2h+2).  The
+result is one N^(2w) output; an identity matrix is built only for slots that
+a crossing skips or that no crossing reaches.
 """
 
 from __future__ import annotations
@@ -303,18 +307,60 @@ def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
     """State-sum matrix of the log-colored diagram (operator[out, in]).
 
     Top crossing acts first; pinched crossings are routed to the closed
-    pinched braiding automatically.  Rows are row-major over the slots, so
-    slots pos and pos+1 are the middle axis of the view
-    (N^(pos-1), N^2, everything else), and the braiding multiplies that
-    axis alone.
+    pinched braiding automatically.  Rows are row-major over the slots.  The
+    running operator `op` is dense on the slots lo..hi reached so far and the
+    identity acts on the others:
+    - the first braiding is `op`, at no cost;
+    - a crossing inside lo..hi multiplies the middle axis of the view
+      (N^(pos-lo), N^2, everything else): N^(2h+2) multiply-adds for the h
+      slots of lo..hi;
+    - a crossing that reaches one new slot sums over the one index it
+      shares with `op`: N^(2h+1) multiply-adds for the h slots of lo..hi
+      after it, written block by block into one preallocated output (no
+      transposed intermediate, no copy);
+    - the identity is put in by kron only on slots skipped between
+      crossings (then the crossing reaches one new slot) and on the outer
+      slots at the end.
+    The result is one N^(2w) output.  The empty word gives the identity,
+    the only case that builds np.eye(N^w).
     """
-    N = cfg.N
-    w = d.width
-    total = np.eye(N ** w, dtype=complex)
+    N, w = cfg.N, d.width
+    op = None
     for c in d.crossings:
         b = braiding_op(crossing_data(cfg, d, lc, c)).as_operator()
-        total = (b @ total.reshape(N ** (c.pos - 1), N * N, -1)).reshape(N ** w, N ** w)
-    return total
+        p = c.pos
+        if op is None:
+            op, lo, hi = b, p, p + 1
+            continue
+        if p > hi:
+            op, hi = np.kron(op, np.eye(N ** (p - hi))), p
+        elif p + 1 < lo:
+            op, lo = np.kron(np.eye(N ** (lo - p - 1)), op), p + 1
+        h = hi - lo + 1
+        b3 = b.reshape(N * N, N, N)      # [out pair, in slot p, in slot p+1]
+        if p == hi:
+            # out[a, k, m, j] = sum_i op[a, i, m] b3[k, i, j]
+            rows = op.reshape(N ** (h - 1), N, N ** h).transpose(0, 2, 1)
+            out = np.empty((N ** (h - 1), N * N, N ** h, N), dtype=complex)
+            for a in range(N ** (h - 1)):
+                np.matmul(rows[a], b3, out=out[a])
+            op, hi = out.reshape(N ** (h + 1), N ** (h + 1)), hi + 1
+        elif p + 1 == lo:
+            # out[k, a, j, m] = sum_i b3[k, j, i] op[i, a, m]
+            rows = op.reshape(N, N ** (h - 1), N ** h)
+            out = np.empty((N * N, N ** (h - 1), N, N ** h), dtype=complex)
+            for a in range(N ** (h - 1)):
+                np.matmul(b3, rows[:, a], out=out[:, a])
+            op, lo = out.reshape(N ** (h + 1), N ** (h + 1)), lo - 1
+        else:
+            op = (b @ op.reshape(N ** (p - lo), N * N, -1)).reshape(N ** h, N ** h)
+    if op is None:
+        return np.eye(N ** w, dtype=complex)
+    if lo > 1:
+        op = np.kron(np.eye(N ** (lo - 1)), op)
+    if hi < w:
+        op = np.kron(op, np.eye(N ** (w - hi)))
+    return op
 
 
 @dataclass

@@ -40,6 +40,15 @@ def _cx(v) -> complex:
     raise ValueError(f"cannot parse complex value from {v!r}")
 
 
+def _int(v, name: str) -> int:
+    """An integer field of a spec.  Any other number (1.7, true) is
+    malformed input, not truncated."""
+    if isinstance(v, bool) or not (isinstance(v, int)
+                                   or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _jx(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
@@ -113,7 +122,7 @@ def _crossing_from_spec(cfg: RootConfig, spec: dict) -> CrossingData:
         mus_out = [_cx(segs[k]["mu"]) for k in ("1p", "2p")]
         betas = [_cx(segs[k]["beta"]) for k in ("1", "2", "1p", "2p")]
         regions = [_cx(spec["regions"][r]) for r in REGIONS]
-        sign = int(spec["sign"])
+        sign = _int(spec["sign"], "sign")
         kappa = spec.get("kappa", "auto")
         kappa = None if kappa in (None, "auto") else _cx(kappa)
         alphas = {k: _cx(segs[k]["alpha"]) for k in ("1", "2", "2p", "1p")
@@ -141,7 +150,7 @@ def cmd_rmat(args) -> int:
         return _fail(f"cannot read crossing spec: {exc}", 2)
     try:
         c = _crossing_from_spec(cfg, spec)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OverflowError) as exc:  # a log too large to exponentiate
         return _fail(f"invalid crossing spec: {exc}", 2)
     out = {"N": cfg.N, "sign": c.sign, "pinched": c.pinched}
     if c.pinched and not args.pinched:
@@ -182,7 +191,8 @@ def cmd_rmat(args) -> int:
 
 def _braid_setup(spec):
     with _json_types():
-        word = BraidWord(int(spec["width"]), tuple(spec["word"]))
+        word = BraidWord(_int(spec["width"], "width"),
+                         tuple(_int(x, "word letter") for x in spec["word"]))
         tops = [WeylChar(_cx(t["a"]), _cx(t["b"]), _cx(t["m"]))
                 for t in spec["top_colors"]]
     return build_diagram(word), tops
@@ -223,7 +233,8 @@ def cmd_braid(args) -> int:
         if len(tops) != d.width or not all(
                 t.isclose(c) for t, c in zip(tops, chars)):
             raise ValueError("top_colors do not match the characters of log")
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError,
+            OverflowError) as exc:  # a log too large to exponentiate
         return _fail(f"invalid braid spec: {exc}", 2)
     try:
         lc = extend_log_coloring(d, top_b, top_g, mus)

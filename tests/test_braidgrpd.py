@@ -201,11 +201,18 @@ def _assert_matches_dense_oracle(cfg, d, lc):
     assert np.linalg.norm(J - J_ref) <= tol * np.linalg.norm(J_abs)
 
 
-# every generator position with both signs
+# every generator position with both signs; then one word per way a
+# crossing meets the slots reached before it: a new slot on the left, a
+# skipped slot, outer slots never reached, a single letter
 @pytest.mark.parametrize("width, N, word", [
     (3, 5, (1, -2, -1, 2)),
     (4, 4, (1, -2, 3, -1, 2, -3)),
     (5, 3, (1, -2, 3, -4, -1, 2, -3, 4)),
+    (3, 5, (2, 1, -2)),
+    (5, 3, (1, 4, -2, 3)),
+    (4, 4, (2, -2)),
+    (4, 4, (2,)),
+    (2, 5, (-1,)),
 ])
 def test_jfunc_matches_dense_oracle(width, N, word, rng):
     cfg = RootConfig(N)
@@ -214,14 +221,38 @@ def test_jfunc_matches_dense_oracle(width, N, word, rng):
         _assert_matches_dense_oracle(cfg, d, random_coloring(cfg, d, rng))
 
 
-def test_jfunc_inner_pinched_crossing_matches_dense_oracle(monkeypatch):
-    # positions 2 and 3 carry the pinched pair of test_jfunc_r2_pinched
+# positions 2 and 3 carry the pinched pair of test_jfunc_r2_pinched
+PINCHED_LOGS = ([0.13 + 0.05j, 0.0, -0.5, -0.21 + 0.03j],
+                [0.02 - 0.04j, 0.1, -0.4, -0.9, -0.6 + 0.07j],
+                [0.17 - 0.02j, -0.5, -0.5, 0.23 + 0.04j])
+
+
+def _pinch_second_crossing(d):
+    """PINCHED_LOGS with one top beta re-chosen so that the second crossing,
+    positive at positions pos and pos+1, is pinched: b(pos+1) = m(pos) b(pos).
+    The beta re-chosen is that of the position the first crossing misses."""
+    top_b, top_g, mus = (list(x) for x in PINCHED_LOGS)
+    lc = extend_log_coloring(d, top_b, top_g, mus)
+    c0, c1 = d.crossings[:2]
+    if c0.pos == c1.pos - 1:       # the first crossing leaves seg1p at pos
+        top_b[c1.pos] = lc.beta[c0.seg1p] + mus[d.seg_component[c0.seg1p]]
+    else:                          # and seg2p at pos+1
+        top_b[c1.pos - 1] = lc.beta[c0.seg2p] - mus[c1.pos - 1]
+    return top_b, top_g, mus
+
+
+@pytest.mark.parametrize("word, pinched", [
+    ((2, -1, 3, -2), 0),
+    ((2,), 0),
+    ((-1, 2, -3), 1),
+    ((-3, 2, -1), 1),
+], ids=["first-then-both-sides", "first-and-only", "extends-right", "extends-left"])
+def test_jfunc_pinched_crossing_matches_dense_oracle(word, pinched, monkeypatch):
     cfg = RootConfig(3)
-    d = build_diagram(BraidWord(4, (2, -1, 3, -2)))
-    lc = extend_log_coloring(d, [0.13 + 0.05j, 0.0, -0.5, -0.21 + 0.03j],
-                             [0.02 - 0.04j, 0.1, -0.4, -0.9, -0.6 + 0.07j],
-                             [0.17 - 0.02j, -0.5, -0.5, 0.23 + 0.04j])
-    assert lc.pinched_crossings == [0]
+    d = build_diagram(BraidWord(4, word))
+    logs = PINCHED_LOGS if pinched == 0 else _pinch_second_crossing(d)
+    lc = extend_log_coloring(d, *logs)
+    assert lc.pinched_crossings == [pinched]
     calls = []
     real = rmatrix.rmat_pinched
     monkeypatch.setattr(rmatrix, "rmat_pinched", lambda c: calls.append(c) or real(c))

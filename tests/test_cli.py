@@ -222,6 +222,15 @@ def test_readme_json_examples_run(tmp_path, capsys):
             assert code == 0, out
 
 
+def test_integral_float_is_an_integer(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    outs = []
+    for sign in (1, 1.0):
+        path.write_text(json.dumps(_edited(_filled_crossing_spec, "sign", sign)))
+        outs.append(run(capsys, "rmat", "--N", "2", "--input", str(path)))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 def test_rmat_builds_each_flattening_once(tmp_path, capsys, monkeypatch):
     # the README crossing: rmat, the zeta output and logdet_braiding share
     # the four region flattenings
@@ -243,9 +252,15 @@ def test_rmat_malformed_spec(tmp_path, capsys):
     assert code == 2
 
 
-def _number_segment_spec():
-    spec = _filled_crossing_spec()
-    spec["segments"]["1"] = 5
+def _edited(spec, *path_and_value):
+    """A copy of `spec` (or of what it returns) with the entry at the key
+    path set to the value."""
+    *path, value = path_and_value
+    spec = json.loads(json.dumps(spec() if callable(spec) else spec))
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
     return spec
 
 
@@ -253,16 +268,26 @@ def _number_segment_spec():
     (["rmat"], [1]),
     (["braid"], [1]),
     (["color"], [1]),
-    (["rmat"], _number_segment_spec),
+    (["rmat"], lambda: _edited(_filled_crossing_spec, "segments", "1", 5)),
     (["selftest", "--scale", "inf"], None),
     (["selftest", "--scale=-inf"], None),
     (["selftest", "--scale", "nan"], None),
     (["selftest", "--scale=-3"], None),
+    (["rmat"], lambda: _edited(_filled_crossing_spec, "sign", 1.7)),
+    (["rmat"], lambda: _edited(_filled_crossing_spec, "sign", True)),
+    (["color"], lambda: _edited(BRAID_SPEC, "width", 3.9)),
+    (["braid"], lambda: _edited(BRAID_SPEC, "word", 1, 2.6)),
+    (["rmat"], lambda: _edited(_filled_crossing_spec, "segments", "1", "beta", [0, -200])),
+    (["braid"], lambda: _edited(BRAID_SPEC, "log", "beta", 0, [0, -200])),
 ], ids=["rmat-list", "braid-list", "color-list", "rmat-number-segment",
-        "scale-inf", "scale-minus-inf", "scale-nan", "scale-negative"])
+        "scale-inf", "scale-minus-inf", "scale-nan", "scale-negative",
+        "sign-fraction", "sign-bool", "width-fraction", "letter-fraction",
+        "rmat-log-overflow", "braid-log-overflow"])
 def test_malformed_input_exits_2(argv, spec, tmp_path, capsys):
-    # wrong JSON types and a non-finite or negative trial multiplier are
-    # malformed input
+    # wrong JSON types, integer fields that are not integers (truncating
+    # them would evaluate another crossing or braid), logs whose exponential
+    # overflows, and a non-finite or negative trial multiplier are malformed
+    # input
     if spec is not None:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec() if callable(spec) else spec))
