@@ -5,13 +5,16 @@ pairs of doubles; matrices are nested row-major lists with the row indexing
 the input pair (n1, n2) and the column the output pair.  The only randomness,
 in selftest, is controlled by --seed, so identical invocations produce
 identical output.
+
+Failures: a spec or option that cannot be read as the command's input
+(MalformedInput) exits 2; a library error raised while evaluating
+well-formed input (DOMAIN_ERRORS) exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import contextlib
 import json
 import math
 import sys
@@ -22,11 +25,21 @@ from .braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
                         extend_log_coloring, jfunc_eval, log_longitudes,
                         propagate_chi, top_characters)
 from .characters import WeylChar
-from .qdilog import ConstraintViolationError, RootConfig
+from .qdilog import (ConstraintViolationError, RootConfig,
+                     SingularArgumentError)
 from .rmatrix import (REGIONS, CrossingData, PinchedCrossingError,
                       crossing_from_logs, crossing_zetas, det_lu, kashaev_rmat,
                       logdet_braiding, rmat, rmat_pinched)
 from .selftest import run_all
+
+# well-formed data outside the domain: inadmissible, pinched, at a
+# dilogarithm pole, or off a flattening constraint
+DOMAIN_ERRORS = (ConstraintViolationError, InadmissibleColoringError,
+                 PinchedCrossingError, SingularArgumentError)
+
+
+class MalformedInput(ValueError):
+    """A spec or option that cannot be read as the command's input."""
 
 
 def _cx(v) -> complex:
@@ -73,21 +86,20 @@ def _fail(msg: str, code: int, **extra) -> int:
     return _emit({"error": msg, **extra}, code)
 
 
-@contextlib.contextmanager
-def _json_types():
-    """A TypeError while reading values out of a JSON spec (a list where an
-    object belongs, a number where a pair belongs) is malformed input."""
+def _read_spec(args, what: str, parse):
+    """parse(spec) of the --input JSON spec.  Whatever goes wrong on the way
+    is malformed input: an unreadable file or invalid JSON, a missing key, a
+    value of the wrong JSON type, a log whose exponential overflows, and the
+    library's own checks of the objects built from the spec."""
     try:
-        yield
-    except TypeError as exc:
-        raise ValueError(f"wrong JSON type: {exc}") from exc
-
-
-def _load_spec(args):
-    if args.input == "-":
-        return json.load(sys.stdin)
-    with open(args.input) as fh:
-        return json.load(fh)
+        if args.input == "-":
+            spec = json.load(sys.stdin)
+        else:
+            with open(args.input) as fh:
+                spec = json.load(fh)
+        return parse(spec)
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"invalid {what} spec: {exc}") from exc
 
 
 # ------------------------------------------------------------------ selftest
@@ -96,12 +108,12 @@ def cmd_selftest(args) -> int:
     try:
         Ns = [int(x) for x in args.N.split(",")]
     except ValueError:
-        return _fail(f"cannot parse --N {args.N!r}", 2)
+        raise MalformedInput(f"cannot parse --N {args.N!r}") from None
     for N in Ns:
         if N < 2:
-            return _fail(f"N must be >= 2, got {N}", 2)
+            raise MalformedInput(f"N must be >= 2, got {N}")
     if not (math.isfinite(args.scale) and args.scale >= 0):
-        return _fail(f"--scale must be finite and >= 0, got {args.scale}", 2)
+        raise MalformedInput(f"--scale must be finite and >= 0, got {args.scale}")
     results = run_all(Ns=Ns, seed=args.seed, scale=args.scale)
     # a deviation that is not a finite number (NaN: never evaluated) is null
     checks = [{"identity": r.name, "suite": r.module, "N": r.N,
@@ -116,17 +128,16 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------- rmat
 
 def _crossing_from_spec(cfg: RootConfig, spec: dict) -> CrossingData:
-    with _json_types():
-        segs = spec["segments"]
-        mus = [_cx(segs[k]["mu"]) for k in ("1", "2")]
-        mus_out = [_cx(segs[k]["mu"]) for k in ("1p", "2p")]
-        betas = [_cx(segs[k]["beta"]) for k in ("1", "2", "1p", "2p")]
-        regions = [_cx(spec["regions"][r]) for r in REGIONS]
-        sign = _int(spec["sign"], "sign")
-        kappa = spec.get("kappa", "auto")
-        kappa = None if kappa in (None, "auto") else _cx(kappa)
-        alphas = {k: _cx(segs[k]["alpha"]) for k in ("1", "2", "2p", "1p")
-                  if "alpha" in segs[k]}
+    segs = spec["segments"]
+    mus = [_cx(segs[k]["mu"]) for k in ("1", "2")]
+    mus_out = [_cx(segs[k]["mu"]) for k in ("1p", "2p")]
+    betas = [_cx(segs[k]["beta"]) for k in ("1", "2", "1p", "2p")]
+    regions = [_cx(spec["regions"][r]) for r in REGIONS]
+    sign = _int(spec["sign"], "sign")
+    kappa = spec.get("kappa", "auto")
+    kappa = None if kappa in (None, "auto") else _cx(kappa)
+    alphas = {k: _cx(segs[k]["alpha"]) for k in ("1", "2", "2p", "1p")
+              if "alpha" in segs[k]}
     if any(abs(mo - mu) > 1e-10 for mo, mu in zip(mus_out, mus)):
         raise ConstraintViolationError("meridian logs must be preserved")
     c = crossing_from_logs(cfg, sign, betas, mus, regions, kappa)
@@ -144,14 +155,7 @@ def cmd_rmat(args) -> int:
         t = kashaev_rmat(cfg)
         return _emit({"N": cfg.N, "kind": "kashaev", "pinched": True,
                       "entries": _jmat(t.entries)})
-    try:
-        spec = _load_spec(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read crossing spec: {exc}", 2)
-    try:
-        c = _crossing_from_spec(cfg, spec)
-    except (KeyError, ValueError, OverflowError) as exc:  # a log too large to exponentiate
-        return _fail(f"invalid crossing spec: {exc}", 2)
+    c = _read_spec(args, "crossing", lambda spec: _crossing_from_spec(cfg, spec))
     out = {"N": cfg.N, "sign": c.sign, "pinched": c.pinched}
     if c.pinched and not args.pinched:
         z0 = c.zeta0()
@@ -159,30 +163,27 @@ def cmd_rmat(args) -> int:
         return _fail("crossing is pinched (zeta0 integral); pass --pinched "
                      "to evaluate the closed pinched form", 1,
                      integral_zeta0=bad)
-    try:
-        if c.pinched:
-            t = rmat_pinched(c)
-            out["zeta0"] = {r: _jx(v) for r, v in c.zeta0().items()}
-        else:
-            t = rmat(c)
-            zs = crossing_zetas(c)
-            out["zeta0"] = {r: _jx(f.zeta0) for r, f in zs.items()}
-            out["zeta1"] = {r: _jx(f.zeta1) for r, f in zs.items()}
-            out["kappa"] = _jx(c.resolved_kappa())
-            B = t.braiding()
-            logdet = logdet_braiding(c)
-            try:
-                det_closed = cmath.exp(logdet)
-            except OverflowError:
-                det_closed = None
-            out["det_closed"] = _jdet(det_closed)
-            sign, logabs = det_lu(B)
-            with np.errstate(over="ignore", invalid="ignore"):  # null past the range
-                out["det_lu"] = _jdet(sign * np.exp(logabs))
-            out["logdet_closed"] = _jx(logdet)
-            out["logdet_lu"] = _jx(logabs + 1j * np.angle(sign)) if sign else None
-    except (PinchedCrossingError, ConstraintViolationError) as exc:
-        return _fail(str(exc), 1)
+    if c.pinched:
+        t = rmat_pinched(c)
+        out["zeta0"] = {r: _jx(v) for r, v in c.zeta0().items()}
+    else:
+        t = rmat(c)
+        zs = crossing_zetas(c)
+        out["zeta0"] = {r: _jx(f.zeta0) for r, f in zs.items()}
+        out["zeta1"] = {r: _jx(f.zeta1) for r, f in zs.items()}
+        out["kappa"] = _jx(c.resolved_kappa())
+        B = t.braiding()
+        logdet = logdet_braiding(c)
+        try:
+            det_closed = cmath.exp(logdet)
+        except OverflowError:
+            det_closed = None
+        out["det_closed"] = _jdet(det_closed)
+        sign, logabs = det_lu(B)
+        with np.errstate(over="ignore", invalid="ignore"):  # null past the range
+            out["det_lu"] = _jdet(sign * np.exp(logabs))
+        out["logdet_closed"] = _jx(logdet)
+        out["logdet_lu"] = _jx(logabs + 1j * np.angle(sign)) if sign else None
     out["entries"] = _jmat(t.entries)
     return _emit(out)
 
@@ -190,25 +191,32 @@ def cmd_rmat(args) -> int:
 # --------------------------------------------------------------- braid/color
 
 def _braid_setup(spec):
-    with _json_types():
-        word = BraidWord(_int(spec["width"], "width"),
-                         tuple(_int(x, "word letter") for x in spec["word"]))
-        tops = [WeylChar(_cx(t["a"]), _cx(t["b"]), _cx(t["m"]))
-                for t in spec["top_colors"]]
-    return build_diagram(word), tops
+    """The diagram of the spec's word and its top characters.  The width is
+    checked against top_colors before the diagram's per-strand lists exist."""
+    width = _int(spec["width"], "width")
+    letters = tuple(_int(x, "word letter") for x in spec["word"])
+    tops = [WeylChar(_cx(t["a"]), _cx(t["b"]), _cx(t["m"]))
+            for t in spec["top_colors"]]
+    if width != len(tops):
+        raise ValueError(f"width {width} does not match the {len(tops)} top_colors")
+    return build_diagram(BraidWord(width, letters)), tops
+
+
+def _log_setup(spec):
+    """_braid_setup and the top logs (betas, gammas, mus) of `log`, whose
+    characters must be the top_colors."""
+    d, tops = _braid_setup(spec)
+    logs = [[_cx(v) for v in spec["log"][k]] for k in ("beta", "gamma", "mu")]
+    chars = top_characters(d, *logs)
+    if not all(t.isclose(c) for t, c in zip(tops, chars)):
+        raise ValueError("top_colors do not match the characters of log")
+    return d, logs
 
 
 def cmd_color(args) -> int:
     cfg = RootConfig(args.N)
-    try:
-        spec = _load_spec(args)
-        d, tops = _braid_setup(spec)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        return _fail(f"invalid braid spec: {exc}", 2)
-    try:
-        col = propagate_chi(d, tops)
-    except InadmissibleColoringError as exc:
-        return _fail(str(exc), 1, crossing=exc.crossing)
+    d, tops = _read_spec(args, "braid", _braid_setup)
+    col = propagate_chi(d, tops)
     return _emit({
         "N": cfg.N, "width": d.width, "word": list(d.word.letters),
         "segments": [{"a": _jx(c.a), "b": _jx(c.b), "m": _jx(c.m)}
@@ -221,26 +229,9 @@ def cmd_color(args) -> int:
 
 def cmd_braid(args) -> int:
     cfg = RootConfig(args.N)
-    try:
-        spec = _load_spec(args)
-        d, tops = _braid_setup(spec)
-        with _json_types():
-            log = spec["log"]
-            top_b = [_cx(v) for v in log["beta"]]
-            top_g = [_cx(v) for v in log["gamma"]]
-            mus = [_cx(v) for v in log["mu"]]
-        chars = top_characters(d, top_b, top_g, mus)
-        if len(tops) != d.width or not all(
-                t.isclose(c) for t, c in zip(tops, chars)):
-            raise ValueError("top_colors do not match the characters of log")
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            OverflowError) as exc:  # a log too large to exponentiate
-        return _fail(f"invalid braid spec: {exc}", 2)
-    try:
-        lc = extend_log_coloring(d, top_b, top_g, mus)
-        mat = None if args.matrix_free else jfunc_eval(cfg, d, lc)
-    except InadmissibleColoringError as exc:
-        return _fail(str(exc), 1, crossing=exc.crossing)
+    d, logs = _read_spec(args, "braid", _log_setup)
+    lc = extend_log_coloring(d, *logs)
+    mat = None if args.matrix_free else jfunc_eval(cfg, d, lc)
     lam = log_longitudes(d, lc)
     out = {
         "N": cfg.N, "width": d.width, "word": list(d.word.letters),
@@ -301,12 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "N", None) is not None and isinstance(args.N, int) and args.N < 2:
-        return _fail(f"N must be >= 2, got {args.N}", 2)
     try:
+        if isinstance(args.N, int) and args.N < 2:
+            raise MalformedInput(f"N must be >= 2, got {args.N}")
         return args.fn(args)
-    except ValueError as exc:
+    except MalformedInput as exc:
         return _fail(str(exc), 2)
+    except DOMAIN_ERRORS as exc:
+        extra = ({"crossing": exc.crossing}
+                 if isinstance(exc, InadmissibleColoringError) else {})
+        return _fail(str(exc), 1, **extra)
 
 
 if __name__ == "__main__":

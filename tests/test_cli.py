@@ -13,7 +13,8 @@ from holorm import cli, selftest
 from holorm.characters import LogWeylChar
 from holorm.cli import main
 from holorm.qdilog import Flattening, RootConfig
-from holorm.sampling import letter_crossing, random_crossing
+from holorm.sampling import (letter_crossing, random_crossing,
+                             standard_pinched_crossing)
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -279,15 +280,18 @@ def _edited(spec, *path_and_value):
     (["braid"], lambda: _edited(BRAID_SPEC, "word", 1, 2.6)),
     (["rmat"], lambda: _edited(_filled_crossing_spec, "segments", "1", "beta", [0, -200])),
     (["braid"], lambda: _edited(BRAID_SPEC, "log", "beta", 0, [0, -200])),
+    (["color"], lambda: _edited(BRAID_SPEC, "width", 10 ** 30)),
+    (["braid"], lambda: _edited(BRAID_SPEC, "width", 10 ** 30)),
 ], ids=["rmat-list", "braid-list", "color-list", "rmat-number-segment",
         "scale-inf", "scale-minus-inf", "scale-nan", "scale-negative",
         "sign-fraction", "sign-bool", "width-fraction", "letter-fraction",
-        "rmat-log-overflow", "braid-log-overflow"])
+        "rmat-log-overflow", "braid-log-overflow", "color-huge-width",
+        "braid-huge-width"])
 def test_malformed_input_exits_2(argv, spec, tmp_path, capsys):
     # wrong JSON types, integer fields that are not integers (truncating
     # them would evaluate another crossing or braid), logs whose exponential
-    # overflows, and a non-finite or negative trial multiplier are malformed
-    # input
+    # overflows, a width too large for any diagram, and a non-finite or
+    # negative trial multiplier are malformed input
     if spec is not None:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec() if callable(spec) else spec))
@@ -311,6 +315,54 @@ BRAID_SPEC = {
         "mu": [[-0.5, 0.0], [-0.5, 0.0], [-0.5, 0.0]],
     },
 }
+
+
+def _letter_braid_spec(c):
+    """The braid spec of the one-letter word whose crossing is c."""
+    def cx(z):
+        return [z.real, z.imag]
+    tops = [lc.char() for lc in (c.lc1, c.lc2)]
+    return {"width": 2, "word": [c.sign],
+            "top_colors": [{"a": cx(t.a), "b": cx(t.b), "m": cx(t.m)} for t in tops],
+            "log": {"beta": [cx(c.lc1.beta), cx(c.lc2.beta)],
+                    "gamma": [cx(c.gamma_n), cx(c.gamma_w), cx(c.gamma_s)],
+                    "mu": [cx(c.lc1.mu), cx(c.lc2.mu)]}}
+
+
+@pytest.mark.parametrize("command", ["color", "braid"])
+def test_width_is_checked_before_the_diagram_is_built(command, tmp_path,
+                                                      capsys, monkeypatch):
+    def no_diagram(word):
+        raise AssertionError("build_diagram ran on a width top_colors contradict")
+
+    monkeypatch.setattr(cli, "build_diagram", no_diagram)
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(_edited(BRAID_SPEC, "width", 5)))
+    code, out = run(capsys, command, "--N", "2", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "invalid braid spec: width 5 does not match the 3 top_colors")
+
+
+@pytest.mark.parametrize("t", [3e-9, 1e-9])
+@pytest.mark.parametrize("command", ["rmat", "braid"])
+def test_near_pinched_crossing_is_a_domain_failure(command, t, tmp_path, capsys):
+    # is_pinched (1e-9 relative) calls this crossing generic, but a
+    # dilogarithm pole (t = 3e-9) or the flattening constraint (t = 1e-9)
+    # trips while it is evaluated: well-formed input outside the domain
+    cfg = RootConfig(12)
+    cp = standard_pinched_crossing(cfg, 0.21 + 0.01j, -0.23 + 0.02j,
+                                   0.12 - 0.01j, 0.37 + 0.01j)
+    c = letter_crossing(cfg, +1, cp.lc1,
+                        dataclasses.replace(cp.lc2, beta=cp.lc2.beta + t), cp.gamma_n)
+    assert not c.pinched
+    spec = _crossing_spec(c) if command == "rmat" else _letter_braid_spec(c)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, command, "--N", "12", "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["error"].startswith(
+        ("Lambda singular", "flattening constraint violated"))
 
 
 def test_braid_identity_word(tmp_path, capsys):

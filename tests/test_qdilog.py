@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from holorm.qdilog import (ConstraintViolationError, Flattening, RootConfig,
                            SingularArgumentError, TWO_PI_I, _li2_u_coeffs,
                            cyc_dilog, d_const, fusion_f,
-                           lambda0, lambda_dilog, li2,
+                           lambda0, lambda_dilog, lambda_table, li2,
                            lifted_dilog, qpoch, s_norm)
 from holorm.sampling import random_flattening
 
@@ -187,9 +187,10 @@ def test_lambda_recurrence_and_periodicity(N, rng):
     for _ in range(10):
         f = random_flattening(cfg, rng)
         lam0 = lambda0(cfg, f)
+        table = lambda_table(cfg, f)  # the running recurrence rmat reads
         for n in range(-N, N + 1):
+            assert rel(table[n % N], lambda_dilog(cfg, f, n)) < 1e-10
             route = lam0 * w(-n * f.zeta1) * cyc_dilog(cfg, f.zeta0, n)
-            assert rel(route, lambda_dilog(cfg, f, n)) < 1e-10
             routeN = lam0 * w(-(n + N) * f.zeta1) * cyc_dilog(cfg, f.zeta0, n + N)
             assert rel(route, routeN) < 1e-10
             # same code path is periodic by construction

@@ -16,6 +16,7 @@ from holorm.braidgrpd import (BraidWord, build_diagram, crossing_data,
                               extend_log_coloring)
 from holorm.sampling import (kashaev_crossing, letter_crossing, random_crossing,
                              standard_pinched_crossing)
+from holorm import selftest
 from holorm.selftest import (IDENTITIES, _det_deviation, _pinched_limit,
                              _random_pinched_params, colored_jones_closed_form,
                              nilpotent_closed_form, r2_backward_error,
@@ -176,6 +177,27 @@ def test_det_selftest_row_is_finite_past_the_double_range():
     # the crossing of test_cli::test_rmat_determinant_overflow_is_a_json_error
     c = random_crossing(RootConfig(26), np.random.default_rng(10), +1)
     assert np.isfinite(_det_deviation(c, braiding_op(c)))
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_det_selftest_row_holds_at_n32(sign):
+    # closed form and LU differ by 6.8e-6 and 3.3e-5 here, past the row's
+    # former fixed 1e-7; LU's own error grows with cond_1(B), and so does the
+    # row's bound
+    c = random_crossing(RootConfig(32), np.random.default_rng(5), sign)
+    dev = _det_deviation(c, braiding_op(c))
+    assert dev <= IDENTITIES["determinant closed vs LU"].tol
+
+
+def test_det_selftest_row_rejects_a_wrong_determinant(rng, monkeypatch):
+    # at small N the bound is below the former 1e-7: a closed log
+    # determinant off by 1e-8, which 1e-7 let pass, fails the row
+    c = random_crossing(RootConfig(3), rng, +1)
+    B = braiding_op(c)
+    assert _det_deviation(c, B) <= IDENTITIES["determinant closed vs LU"].tol
+    monkeypatch.setattr(selftest, "logdet_braiding",
+                        lambda c: logdet_braiding(c) + 1e-8)
+    assert _det_deviation(c, B) > IDENTITIES["determinant closed vs LU"].tol
 
 
 def test_det_sign_flip_inverts_constant(rng):
