@@ -17,9 +17,9 @@ from .characters import (BraidOutcome, LogWeylChar, SL2StarElement, WeylChar,
 from .weylrep import (Basis, GenMatrices, central_scalars, commutant_dim,
                       rep_matrices, rw_images, rw_images_negative)
 from .rmatrix import (CrossingData, PinchedCrossingError, RTensor,
-                      braiding_op, crossing_from_logs, crossing_zetas,
-                      det_braiding, det_lu, factorized_ops, kashaev_rmat,
-                      logdet_braiding, rmat, rmat_pinched, transform_rules)
+                      braiding_op, crossing_from_logs, det_braiding, det_lu,
+                      factorized_ops, kashaev_rmat, logdet_braiding, rmat,
+                      rmat_pinched, transform_rules)
 from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
                         LogColoring, build_diagram, check_move,
                         extend_log_coloring, jfunc_eval, log_longitudes,

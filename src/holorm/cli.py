@@ -28,7 +28,7 @@ from .characters import WeylChar
 from .qdilog import (ConstraintViolationError, RootConfig,
                      SingularArgumentError)
 from .rmatrix import (REGIONS, CrossingData, PinchedCrossingError,
-                      crossing_from_logs, crossing_zetas, det_lu, kashaev_rmat,
+                      crossing_from_logs, det_lu, kashaev_rmat,
                       logdet_braiding, rmat, rmat_pinched)
 from .selftest import run_all
 
@@ -36,6 +36,9 @@ from .selftest import run_all
 # dilogarithm pole, or off a flattening constraint
 DOMAIN_ERRORS = (ConstraintViolationError, InadmissibleColoringError,
                  PinchedCrossingError, SingularArgumentError)
+
+
+MAX_SCALE = 100.0  # the largest --scale, 200 times the default: every selftest ends
 
 
 class MalformedInput(ValueError):
@@ -112,8 +115,10 @@ def cmd_selftest(args) -> int:
     for N in Ns:
         if N < 2:
             raise MalformedInput(f"N must be >= 2, got {N}")
-    if not (math.isfinite(args.scale) and args.scale >= 0):
-        raise MalformedInput(f"--scale must be finite and >= 0, got {args.scale}")
+    if not 0 <= args.scale <= MAX_SCALE:  # NaN fails too
+        raise MalformedInput(f"--scale must be in [0, {MAX_SCALE:g}], got {args.scale}")
+    if args.seed < 0:
+        raise MalformedInput(f"--seed must be >= 0, got {args.seed}")
     results = run_all(Ns=Ns, seed=args.seed, scale=args.scale)
     # a deviation that is not a finite number (NaN: never evaluated) is null
     checks = [{"identity": r.name, "suite": r.module, "N": r.N,
@@ -168,7 +173,7 @@ def cmd_rmat(args) -> int:
         out["zeta0"] = {r: _jx(v) for r, v in c.zeta0().items()}
     else:
         t = rmat(c)
-        zs = crossing_zetas(c)
+        zs = c.flattenings
         out["zeta0"] = {r: _jx(f.zeta0) for r, f in zs.items()}
         out["zeta1"] = {r: _jx(f.zeta1) for r, f in zs.items()}
         out["kappa"] = _jx(c.resolved_kappa())

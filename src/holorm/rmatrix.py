@@ -146,7 +146,10 @@ class CrossingData:
         return {r: n for r, n in ints.items() if abs(z0[r] - n) <= 1e-7}
 
     @cached_property
-    def _flattenings(self) -> dict:
+    def flattenings(self) -> dict:
+        """{region: Flattening} of a non-pinched crossing; errors out at
+        pinched data.  Built on first use and cached on the (frozen)
+        crossing, so rmat, logdet_braiding and the CLI share them."""
         z0 = self.zeta0()
         if self.pinched:
             r = next(iter(self.integral_zeta0()))
@@ -173,15 +176,6 @@ def crossing_from_logs(cfg: RootConfig, sign: int, betas, mus, gammas,
                         g_n, g_w, g_s, g_e, kappa)
 
 
-def crossing_zetas(c: CrossingData) -> dict:
-    """{region: Flattening} of a non-pinched crossing; errors out at pinched data.
-
-    The four flattenings are built on the first call and cached on the
-    (frozen) crossing, so rmat, logdet_braiding and the CLI share them.
-    """
-    return c._flattenings
-
-
 @dataclass(frozen=True)
 class RTensor:
     """Dense N^2 x N^2 tensor with entries[(n1,n2), (n1',n2')] over Z/N.
@@ -192,8 +186,6 @@ class RTensor:
 
     cfg: RootConfig
     entries: np.ndarray
-    sign: int
-    pinched: bool = False
 
     def as_operator(self) -> np.ndarray:
         return self.entries.T.copy()
@@ -202,11 +194,11 @@ class RTensor:
         """This R-matrix composed with the flip of the output pair."""
         N = self.cfg.N
         ent = self.entries.reshape(N, N, N, N).transpose(0, 1, 3, 2).reshape(N * N, N * N)
-        return RTensor(self.cfg, ent, self.sign, self.pinched)
+        return RTensor(self.cfg, ent)
 
 
 def _lambda_tables(c: CrossingData) -> dict:
-    return {r: np.array(lambda_table(c.cfg, f)) for r, f in crossing_zetas(c).items()}
+    return {r: np.array(lambda_table(c.cfg, f)) for r, f in c.flattenings.items()}
 
 
 def _index_grids(N: int) -> tuple:
@@ -265,7 +257,7 @@ def rmat(c: CrossingData) -> RTensor:
     """The R-matrix of a non-pinched crossing (positive or negative form)."""
     if c.pinched:
         raise PinchedCrossingError("use rmat_pinched for pinched crossings")
-    return RTensor(c.cfg, _assemble(c), c.sign)
+    return RTensor(c.cfg, _assemble(c))
 
 
 def braiding_op(c: CrossingData) -> RTensor:
@@ -382,7 +374,7 @@ def rmat_pinched(c: CrossingData) -> RTensor:
     qfac = _region_ratio(_region_terms(e, n1, n2, n1p, n2p),
                          dict.fromkeys(REGIONS, poch), power=-1)
     R = theta * amp * phase * qfac / N
-    return RTensor(c.cfg, R.reshape(N * N, N * N), e, pinched=True)
+    return RTensor(c.cfg, R.reshape(N * N, N * N))
 
 
 def _pinched_nonstandard(c: CrossingData, ints: dict) -> RTensor:
@@ -396,7 +388,7 @@ def _pinched_nonstandard(c: CrossingData, ints: dict) -> RTensor:
     shifts = (0, l2, l2 + e * ints["S"], -e * ints["N"])
     std = transform_rules(c, beta_shifts=shifts).crossing
     rel = transform_rules(std, beta_shifts=tuple(-l for l in shifts))
-    return RTensor(c.cfg, rel.predict(rmat_pinched(std)), e, pinched=True)
+    return RTensor(c.cfg, rel.predict(rmat_pinched(std)))
 
 
 @dataclass(frozen=True)
@@ -407,7 +399,6 @@ class TransformRelation:
     phase: complex
     index_shift: tuple           # (l1, l2, l1p, l2p) added to the entry indices
     gamma_coeffs: tuple          # (kN, kW, kS, kE)
-    sign: int
 
     def predict(self, R_old: RTensor) -> np.ndarray:
         """Entries of the shifted crossing's R-matrix from the original one."""
@@ -417,7 +408,7 @@ class TransformRelation:
         Ro = R_old.entries.reshape(N, N, N, N)
         shifted = Ro[(n1 + l1) % N, (n2 + l2) % N, (n1p + l1p) % N, (n2p + l2p) % N]
         k = dict(zip(REGIONS, self.gamma_coeffs))
-        terms = _region_terms(self.sign, n1, n2, n1p, n2p)
+        terms = _region_terms(self.crossing.sign, n1, n2, n1p, n2p)
         expo = sum(p * k[r] * d for r, (d, _, p) in terms.items())
         out = self.phase * np.power(R_old.cfg.omega, expo) * shifted
         return out.reshape(N * N, N * N)
@@ -452,7 +443,7 @@ def transform_rules(c: CrossingData, gamma_shifts: dict = None,
     phase_g = c.cfg.omega_pow(sum(
         p * k[r] * z0[r] for r, (_, _, p) in _region_terms(c.sign, 0, 0, 0, 0).items()) / 2.0)
     return TransformRelation(shifted, phase_g * phase_b, tuple(beta_shifts),
-                             tuple(k[r] for r in REGIONS), c.sign)
+                             tuple(k[r] for r in REGIONS))
 
 
 def kashaev_rmat(cfg: RootConfig) -> RTensor:
@@ -471,7 +462,7 @@ def kashaev_rmat(cfg: RootConfig) -> RTensor:
     den = (poch_w[(n2p - n1) % N] * poch_w[(n2 - n1p) % N]
            * poch_wb[(n1p - n2p - 1) % N] * poch_wb[(n1 - n2) % N])
     R = theta * num / den
-    return RTensor(cfg, R.reshape(N * N, N * N), +1, pinched=True)
+    return RTensor(cfg, R.reshape(N * N, N * N))
 
 
 def logdet_braiding(c: CrossingData) -> complex:
@@ -487,7 +478,7 @@ def logdet_braiding(c: CrossingData) -> complex:
         raise PinchedCrossingError("determinant formula needs a non-pinched crossing")
     N = c.cfg.N
     e = c.sign
-    ell = {r: lifted_dilog(f) for r, f in crossing_zetas(c).items()}
+    ell = {r: lifted_dilog(f) for r, f in c.flattenings.items()}
     i_c = ell["N"] + ell["S"] - ell["W"] - ell["E"]
     lam1, lam2 = c.log_longitudes()
     return (-e * N * i_c / TWO_PI_I

@@ -29,8 +29,8 @@ from .characters import (LogWeylChar, braid, casimir_relation, char_product,
 from .qdilog import (ConstraintViolationError, RootConfig, TWO_PI_I, cyc_dilog,
                      d_const, fusion_f, lambda_dilog, lambda_table, lifted_dilog,
                      qpoch, s_norm)
-from .rmatrix import (CrossingData, PinchedCrossingError, RTensor, _index_grids,
-                      _omega_arr, _poch_table, braiding_op, factorized_ops,
+from .rmatrix import (CrossingData, FactorOps, PinchedCrossingError, RTensor,
+                      _index_grids, _omega_arr, _poch_table, braiding_op, factorized_ops,
                       kashaev_rmat, logdet_braiding, rmat, rmat_pinched,
                       transform_rules)
 from .weylrep import (Basis, central_scalars, commutant_dim, fourier_matrix,
@@ -56,6 +56,18 @@ def _det_deviation(c: CrossingData, B) -> float:
     s, logabs = np.linalg.slogdet(op)
     bound = 1e-10 + len(op) * np.finfo(float).eps * np.linalg.cond(op, 1)
     return float(abs(np.exp(logdet_braiding(c) - logabs) / s - 1.0) / bound)
+
+
+def _det_factor_deviation(c: CrossingData, f: FactorOps) -> float:
+    """|log det_closed - log det of the factors f| mod 2 pi i, over max(1,
+    |log det_closed|): braiding = (1/N) Z_E (Z_N x Z_S) Z_W, Z_W and Z_E
+    diagonal, Z_N and Z_S circulant (eigenvalues: DFT of the first column)."""
+    N = c.cfg.N
+    closed = logdet_braiding(c)
+    d = closed - (np.log(f.zw_diag).sum() + np.log(f.ze_diag).sum()
+                  + N * np.log(np.fft.fft(f.zn[:, 0])).sum()
+                  + N * np.log(np.fft.fft(f.zs[:, 0])).sum() - N * N * np.log(N))
+    return float(abs(d - TWO_PI_I * round(d.imag / (2 * np.pi))) / max(1.0, abs(closed)))
 
 
 class _Worst(dict):
@@ -316,13 +328,14 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
             for key in ("x1", "x2", "y1inv", "y2", "z1", "z2"):
                 out.note("intertwining", _mrel(act @ piu[key], imgs[key] @ act))
             B = braiding_op(c)
-            out.note("factorization",
-                     _mrel(B.entries, factorized_ops(c).braiding_matrix()))
+            fops = factorized_ops(c)
+            out.note("factorization", _mrel(B.entries, fops.braiding_matrix()))
             kap = c.resolved_kappa()
             for p in (-3, 2):
                 out.note("kappa independence",
                          _mrel(rmat(replace(c, kappa=kap + p)).entries, R.entries))
             out.note("determinant closed vs LU", _det_deviation(c, B))
+            out.note("determinant closed vs factors", _det_factor_deviation(c, fops))
             ks = {r: int(rng.integers(-2, 3)) for r in "NWSE"}
             rel_g = transform_rules(c, gamma_shifts=ks)
             out.note("gamma shift rule",
@@ -444,7 +457,7 @@ def weight_basis_rmat(c: CrossingData) -> RTensor:
     G2 = np.kron(G, G)
     G2inv = np.kron(G.conj().T, G.conj().T) / (N * N)
     op_wb = G2 @ rmat_pinched(c).as_operator() @ G2inv
-    return RTensor(c.cfg, op_wb.T.copy(), c.sign, pinched=True)
+    return RTensor(c.cfg, op_wb.T.copy())
 
 
 def weight_basis_closed_form(c: CrossingData) -> np.ndarray:
@@ -661,6 +674,7 @@ IDENTITIES = {i.name: i for i in (
     Identity("factorization", "rmatrix", 1e-9),
     Identity("kappa independence", "rmatrix", 1e-12),
     Identity("determinant closed vs LU", "rmatrix", 1.0),  # deviation / LU bound
+    Identity("determinant closed vs factors", "rmatrix", 1e-11),
     Identity("gamma shift rule", "rmatrix", 1e-8),
     Identity("beta shift rule", "rmatrix", 1e-8),
     Identity("recurrence i", "rmatrix", 1e-8),

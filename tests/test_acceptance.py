@@ -37,7 +37,8 @@ CRITERIA = {
     5: ["R3 move", "Kashaev braid relation", "composition functoriality"],
     6: ["factorization"],
     7: ["pinched limit (abs)", "Kashaev normalization"],
-    8: ["determinant closed vs LU", "determinant cocycle"],
+    8: ["determinant closed vs LU", "determinant closed vs factors",
+        "determinant cocycle"],
     9: ["weight-basis closed form", "colored-Jones form", "nilpotent form"],
     10: ["kappa independence", "gamma shift rule", "beta shift rule",
          "log-decoration dependence", "edge gluing (abs)"],

@@ -282,16 +282,17 @@ def _edited(spec, *path_and_value):
     (["braid"], lambda: _edited(BRAID_SPEC, "log", "beta", 0, [0, -200])),
     (["color"], lambda: _edited(BRAID_SPEC, "width", 10 ** 30)),
     (["braid"], lambda: _edited(BRAID_SPEC, "width", 10 ** 30)),
+    (["selftest", "--seed", "-1"], None),
 ], ids=["rmat-list", "braid-list", "color-list", "rmat-number-segment",
         "scale-inf", "scale-minus-inf", "scale-nan", "scale-negative",
         "sign-fraction", "sign-bool", "width-fraction", "letter-fraction",
         "rmat-log-overflow", "braid-log-overflow", "color-huge-width",
-        "braid-huge-width"])
+        "braid-huge-width", "seed-negative"])
 def test_malformed_input_exits_2(argv, spec, tmp_path, capsys):
     # wrong JSON types, integer fields that are not integers (truncating
     # them would evaluate another crossing or braid), logs whose exponential
-    # overflows, a width too large for any diagram, and a non-finite or
-    # negative trial multiplier are malformed input
+    # overflows, a width too large for any diagram, a non-finite or
+    # negative trial multiplier and a negative seed are malformed input
     if spec is not None:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec() if callable(spec) else spec))
@@ -299,6 +300,21 @@ def test_malformed_input_exits_2(argv, spec, tmp_path, capsys):
     code, out = run(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("scale", ["101", "1e300"])
+def test_scale_above_the_cap_exits_2_before_any_suite(scale, capsys, monkeypatch):
+    # run_all would be asked for int(30 * 1e300) trials and never return
+    def no_suite(**kwargs):
+        raise AssertionError("a suite started")
+
+    monkeypatch.setattr(cli, "run_all", no_suite)
+    code, out = run(capsys, "selftest", "--scale", scale)
+    assert code == 2
+    assert "--scale" in json.loads(out)["error"]
+    # the cap itself is accepted
+    monkeypatch.setattr(cli, "run_all", lambda **kwargs: [])
+    assert run(capsys, "selftest", "--scale", "100")[0] == 0
 
 
 BRAID_SPEC = {

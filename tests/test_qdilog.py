@@ -68,6 +68,10 @@ def test_cyc_dilog_singular():
     cfg = RootConfig(3)
     with pytest.raises(SingularArgumentError):
         cyc_dilog(cfg, -1.0, 1)  # 1 - omega^(zeta+1) = 0
+    # |1 - omega^(zeta+1)| = 2 pi delta / 3: 8.4e-10 is a pole, 1.26e-9 is not
+    with pytest.raises(SingularArgumentError):
+        cyc_dilog(cfg, -1.0 + 4e-10, 1)
+    assert rel(cyc_dilog(cfg, -1.0 + 6e-10, 1), 3j / (2 * math.pi * 6e-10)) < 1e-6
 
 
 def test_li2_special_values():
@@ -214,6 +218,10 @@ def test_lambda_singular_at_integer():
     f = Flattening(1e-13, -12.0, tol=1.0)  # constraint meaningless this close
     with pytest.raises(SingularArgumentError):
         lambda0(cfg, f)
+    # zeta0 + 1 = 3e-10 = 0 mod 3: |1 - e^(2 pi i zeta0)| = 1.9e-9 is no
+    # pole, but the factor 1 - omega**(zeta0+1) of Lambda(.|1) is
+    with pytest.raises(SingularArgumentError):
+        lambda_table(cfg, Flattening.from_zeta0(-1.0 + 3e-10))
 
 
 @pytest.mark.parametrize("N", [2, 3, 5])
@@ -248,11 +256,18 @@ def test_fusion_constraint_violation():
         fusion_f(cfg, 0.3, 0.7 + 0.2j, 0.11)
 
 
-@pytest.mark.parametrize("alpha", [-1, -1 - 1e-10])
-def test_fusion_numerator_pole(alpha):
-    # 1 - omega**(alpha + 1) vanishes (or nearly) although the constraint holds
-    with pytest.raises(SingularArgumentError, match="alpha"):
-        fusion_f(RootConfig(3), alpha, 0.3, 5j)
+@pytest.mark.parametrize("alpha, beta, gamma, pole", [
+    pytest.param(-1, 0.3, 5j, "alpha", id="-1"),
+    pytest.param(-1 - 1e-10, 0.3, 5j, "alpha", id="-1.0000000001"),
+    pytest.param(0.3, -1 - 1e-10, None, "beta", id="beta-denominator")])
+def test_fusion_numerator_pole(alpha, beta, gamma, pole):
+    # 1 - omega**(alpha + 1) vanishes (or nearly) although the constraint
+    # holds; the denominator's factors 1 - omega**(beta + k) are checked too
+    if gamma is None:  # the gamma that meets the constraint
+        gamma = cmath.log((1 - cmath.exp(TWO_PI_I * alpha))
+                          / (1 - cmath.exp(TWO_PI_I * beta))) / TWO_PI_I
+    with pytest.raises(SingularArgumentError, match=pole):
+        fusion_f(RootConfig(3), alpha, beta, gamma)
 
 
 def test_fusion_shift_identity(rng):
