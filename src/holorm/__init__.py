@@ -12,18 +12,16 @@ from .qdilog import (Flattening, RootConfig, SingularArgumentError,
                      fusion_f, lambda_dilog, li2, lifted_dilog, qpoch,
                      s_norm)
 from .characters import (BraidOutcome, LogWeylChar, SL2StarElement, WeylChar,
-                         braid, casimir_relation, char_product, is_pinched,
-                         psi, to_z0_char)
-from .weylrep import (Basis, GenMatrices, central_scalars, commutant_dim,
-                      rep_matrices, rw_images, rw_images_negative)
+                         braid, char_product, is_pinched, psi, to_z0_char)
+from .weylrep import (Basis, GenMatrices, commutant_dim, rep_matrices,
+                      rw_images, rw_images_negative)
 from .rmatrix import (CrossingData, PinchedCrossingError, RTensor,
                       braiding_op, crossing_from_logs, det_braiding, det_lu,
                       factorized_ops, kashaev_rmat, logdet_braiding, rmat,
                       rmat_pinched, transform_rules)
 from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
-                        LogColoring, build_diagram, check_move,
-                        extend_log_coloring, jfunc_eval, log_longitudes,
-                        pin_bottom, propagate_chi)
+                        LogColoring, build_diagram, extend_log_coloring,
+                        jfunc_eval, log_longitudes, pin_bottom, propagate_chi)
 
 __version__ = "0.1.0"
 

@@ -16,14 +16,7 @@ extend_log_coloring runs it on the characters of the top logs and then only
 chooses logarithms.  pin_bottom turns bottom boundary data into the
 overrides that make a log-coloring end on it (bottom = top closes a braid).
 
-jfunc_eval composes the braidings of the crossings.  Each acts on two
-adjacent slots only, and a slot no crossing has reached yet carries the
-identity, so the running operator is dense only on the interval of slots
-reached so far, h of them after a crossing.  The first braiding is that
-operator, at no cost; a crossing that reaches one new slot contracts one
-index, N^(2h+1) multiply-adds; a crossing inside the interval N^(2h+2).  The
-result is one N^(2w) output; an identity matrix is built only for slots that
-a crossing skips or that no crossing reaches.
+jfunc_eval composes the braidings of the crossings into the state sum.
 """
 
 from __future__ import annotations
@@ -290,19 +283,6 @@ def log_longitudes(d: DiagramGraph, lc: LogColoring) -> list:
     return lam
 
 
-def edge_gluing_defects(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> list:
-    """Signed zeta^0 sums around internal regions (all should vanish)."""
-    role_sign = {"N": +1, "W": -1, "S": +1, "E": -1}
-    sums = {}
-    for c in d.crossings:
-        cd = crossing_data(cfg, d, lc, c)
-        z0 = cd.zeta0()
-        for role, reg in (("N", c.reg_n), ("W", c.reg_w),
-                          ("S", c.reg_s), ("E", c.reg_e)):
-            sums[reg] = sums.get(reg, 0.0) + c.sign * role_sign[role] * z0[role]
-    return [abs(sums.get(r, 0.0)) for r in d.internal_regions()]
-
-
 def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
     """State-sum matrix of the log-colored diagram (operator[out, in]).
 
@@ -361,54 +341,3 @@ def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
     if hi < w:
         op = np.kron(op, np.eye(N ** (w - hi)))
     return op
-
-
-@dataclass
-class MoveReport:
-    eligible: bool
-    reason: str
-    deviation: float
-
-
-def _boundary_data(d: DiagramGraph, lc: LogColoring) -> tuple:
-    (top_b, top_g), (bot_b, bot_g) = lc.top(d), lc.bottom(d)
-    return top_b, bot_b, top_g, bot_g, tuple(lc.mu), tuple(d.perm[1:])
-
-
-def check_move(cfg: RootConfig, before: tuple, after: tuple, kind: str) -> MoveReport:
-    """Verify a log-colored R2 or R3 move.
-
-    before/after are (DiagramGraph, LogColoring) pairs.  Eligibility: equal
-    boundary log-data and, for R3, equal log-longitudes per component (the
-    segment-log matching condition).  On an eligible move the two state sums
-    are compared entrywise, to 1e-8 for R2 and 1e-7 for R3.
-    """
-    if kind not in ("R2", "R3"):
-        raise ValueError("kind must be 'R2' or 'R3'")
-    (d1, lc1), (d2, lc2) = before, after
-    if d1.width != d2.width:
-        return MoveReport(False, "widths differ", float("nan"))
-    b1, b2 = _boundary_data(d1, lc1), _boundary_data(d2, lc2)
-    names = ("top betas", "bottom betas", "top gammas", "bottom gammas",
-             "meridians", "permutation")
-    for name, u, v in zip(names, b1, b2):
-        dev = max((abs(complex(x) - complex(y)) for x, y in zip(u, v)), default=0.0)
-        if name == "permutation":
-            if u != v:
-                return MoveReport(False, "strand permutations differ", float("nan"))
-        elif dev > 1e-9:
-            return MoveReport(False, f"boundary mismatch in {name} ({dev:.2e})",
-                              float("nan"))
-    l1 = log_longitudes(d1, lc1)
-    l2 = log_longitudes(d2, lc2)
-    ldev = max(abs(x - y) for x, y in zip(l1, l2))
-    if ldev > 1e-9:
-        return MoveReport(False,
-                          f"log-decoration mismatch (max |dlambda| = {ldev:.2e}); "
-                          "for R3 this is the beta + beta'' = beta' + beta~' condition",
-                          float("nan"))
-    m1 = jfunc_eval(cfg, d1, lc1)
-    m2 = jfunc_eval(cfg, d2, lc2)
-    dev = float(np.abs(m1 - m2).max() / max(1.0, np.abs(m1).max()))
-    tol = 1e-8 if kind == "R2" else 1e-7
-    return MoveReport(dev <= tol, "ok" if dev <= tol else "state sums differ", dev)

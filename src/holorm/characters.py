@@ -18,10 +18,6 @@ import numpy as np
 from .qdilog import SINGULAR, TWO_PI_I
 
 
-class RootMismatchError(ValueError):
-    """A claimed N-th root does not exponentiate to the claimed value."""
-
-
 @dataclass(frozen=True)
 class WeylChar:
     """Central character: a = chi(x^N), b = chi(y^N), m = chi(z^N), all nonzero."""
@@ -96,18 +92,6 @@ class SL2StarElement:
     @property
     def phi(self) -> complex:
         return self.lower[1, 0]
-
-    @property
-    def chi_KN(self) -> complex:
-        return self.kappa
-
-    @property
-    def chi_EN(self) -> complex:
-        return self.eps
-
-    @property
-    def chi_FN(self) -> complex:
-        return self.phi / self.kappa
 
     def holonomy(self) -> np.ndarray:
         """psi of this element: lower @ inverse(upper)."""
@@ -203,18 +187,3 @@ def braid(chi1: WeylChar, chi2: WeylChar, sign: int) -> BraidOutcome:
     return BraidOutcome(WeylChar(a2p, b2p, m2), WeylChar(a1p, b1p, m1),
                         admissible=True, pinched=pinched)
 
-
-def casimir_relation(chi: WeylChar, mu: complex) -> float:
-    """Residual of the Chebyshev/Casimir compatibility relation.
-
-    P_N(t + 1/t) = t^N + 1/t^N with t = omega**(mu + 1/2) must match
-    chi(E^N F^N - K^N - K^{-N}); both sides equal -(m + 1/m).
-    The residual is |LHS - RHS| (absolute, both sides O(1)-normalized).
-    """
-    a, b, m = chi.as_tuple()
-    if abs(cmath.exp(TWO_PI_I * mu) - m) > 1e-9 * max(1.0, abs(m)):
-        raise RootMismatchError(f"omega**(N mu) = {cmath.exp(TWO_PI_I * mu)} != m = {m}")
-    tN = cmath.exp(TWO_PI_I * mu) * cmath.exp(1j * cmath.pi)  # omega**(N(mu+1/2)) = -m
-    lhs = tN + 1.0 / tN
-    rhs = b * (a - m) * (a - 1.0 / m) / (a * b) - a - 1.0 / a
-    return abs(lhs - rhs)

@@ -27,9 +27,9 @@ from .braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
 from .characters import WeylChar
 from .qdilog import (ConstraintViolationError, RootConfig,
                      SingularArgumentError)
-from .rmatrix import (REGIONS, CrossingData, PinchedCrossingError,
-                      crossing_from_logs, det_lu, kashaev_rmat,
-                      logdet_braiding, rmat, rmat_pinched)
+from .rmatrix import (ALPHA_TOL, MERIDIAN_TOL, REGIONS, CrossingData,
+                      PinchedCrossingError, crossing_from_logs, det_lu,
+                      kashaev_rmat, logdet_braiding, rmat, rmat_pinched)
 from .selftest import run_all
 
 # well-formed data outside the domain: inadmissible, pinched, at a
@@ -143,12 +143,12 @@ def _crossing_from_spec(cfg: RootConfig, spec: dict) -> CrossingData:
     kappa = None if kappa in (None, "auto") else _cx(kappa)
     alphas = {k: _cx(segs[k]["alpha"]) for k in ("1", "2", "2p", "1p")
               if "alpha" in segs[k]}
-    if any(abs(mo - mu) > 1e-10 for mo, mu in zip(mus_out, mus)):
+    if any(abs(mo - mu) > MERIDIAN_TOL for mo, mu in zip(mus_out, mus)):
         raise ConstraintViolationError("meridian logs must be preserved")
     c = crossing_from_logs(cfg, sign, betas, mus, regions, kappa)
     # an explicit alpha must be the region difference the crossing derived
     for k, lc in (("1", c.lc1), ("2", c.lc2), ("2p", c.lc2p), ("1p", c.lc1p)):
-        if k in alphas and abs(alphas[k] - lc.alpha) > 1e-8:
+        if k in alphas and abs(alphas[k] - lc.alpha) > ALPHA_TOL:
             raise ConstraintViolationError(f"segment alpha {alphas[k]} "
                                            f"does not match region difference {lc.alpha}")
     return c

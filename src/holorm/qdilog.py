@@ -255,11 +255,15 @@ def lambda_dilog(cfg: RootConfig, f: Flattening, n: int) -> complex:
 
 
 def lambda_table(cfg: RootConfig, f: Flattening) -> list:
-    """[Lambda(.|0), ..., Lambda(.|N-1)] via the running recurrence."""
+    """[Lambda(.|0), ..., Lambda(.|N-1)] via the running recurrence.
+
+    Its factors 1 - omega**(zeta0+j), j = 1..N-1, are the ones D(zeta0)
+    passes through _off_pole inside lambda0, so they need no guard here.
+    """
     vals = [lambda0(cfg, f)]
     w = cfg.omega_pow(-f.zeta1)
-    for fac in _factors(cfg, f.zeta0, cfg.N - 1, "Lambda pole at zeta0 + {j} for zeta0 = {}"):
-        vals.append(vals[-1] * w / fac)
+    for j in range(1, cfg.N):
+        vals.append(vals[-1] * w / (1.0 - cfg.omega_pow(f.zeta0 + j)))
     return vals
 
 

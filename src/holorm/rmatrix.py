@@ -45,6 +45,8 @@ class PinchedCrossingError(ValueError):
 
 
 REGIONS = ("N", "W", "S", "E")
+MERIDIAN_TOL = 1e-10  # |mu_i - mu_i'|: a strand keeps its meridian log
+ALPHA_TOL = 1e-8      # |alpha - region difference| of a segment
 
 
 @dataclass(frozen=True)
@@ -72,15 +74,15 @@ class CrossingData:
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("crossing sign must be +1 or -1")
-        if (abs(self.lc1.mu - self.lc1p.mu) > 1e-10
-                or abs(self.lc2.mu - self.lc2p.mu) > 1e-10):
+        if (abs(self.lc1.mu - self.lc1p.mu) > MERIDIAN_TOL
+                or abs(self.lc2.mu - self.lc2p.mu) > MERIDIAN_TOL):
             raise ConstraintViolationError("meridian logs must be preserved")
         pairs = ((self.lc1.alpha, self.gamma_w - self.gamma_n),
                  (self.lc2.alpha, self.gamma_s - self.gamma_w),
                  (self.lc2p.alpha, self.gamma_e - self.gamma_n),
                  (self.lc1p.alpha, self.gamma_s - self.gamma_e))
         for al, diff in pairs:
-            if abs(al - diff) > 1e-8:
+            if abs(al - diff) > ALPHA_TOL:
                 raise ConstraintViolationError(
                     f"segment alpha {al} does not match region difference {diff}")
         out = braid(self.lc1.char(), self.lc2.char(), self.sign)
@@ -245,18 +247,18 @@ def _region_ratio(terms: dict, tables: dict, num=1, power: int = 1):
 def _assemble(c: CrossingData) -> np.ndarray:
     """Entries of the R-matrix of a non-pinched crossing, for both signs."""
     N = c.cfg.N
+    tables = _lambda_tables(c)  # raises PinchedCrossingError before zeta1 would
     z0, z1 = c.zeta0(), c.zeta1()
     terms = _region_terms(c.sign, *_index_grids(N))
     expo = sum(p * z[r] for r, (_, off, p) in terms.items() if off for z in (z0, z1))
     pref = c.cfg.omega_pow((N - 1) * expo) / N
-    R = _region_ratio(terms, _lambda_tables(c), pref * np.power(c.cfg.omega, terms["W"][0]))
+    R = _region_ratio(terms, tables, pref * np.power(c.cfg.omega, terms["W"][0]))
     return R.reshape(N * N, N * N)
 
 
 def rmat(c: CrossingData) -> RTensor:
-    """The R-matrix of a non-pinched crossing (positive or negative form)."""
-    if c.pinched:
-        raise PinchedCrossingError("use rmat_pinched for pinched crossings")
+    """The R-matrix of a non-pinched crossing (positive or negative form).
+    A pinched one raises PinchedCrossingError; rmat_pinched evaluates it."""
     return RTensor(c.cfg, _assemble(c))
 
 
@@ -293,9 +295,8 @@ class FactorOps:
 
 
 def factorized_ops(c: CrossingData) -> FactorOps:
-    """Structured dilogarithm factors whose composition is braiding_op(c)."""
-    if c.pinched:
-        raise PinchedCrossingError("no exact four-factor form at a pinched crossing")
+    """Structured dilogarithm factors whose composition is braiding_op(c), at a
+    non-pinched crossing."""
     N = c.cfg.N
     w = c.cfg.omega_pow
     lam = _lambda_tables(c)
@@ -474,8 +475,6 @@ def logdet_braiding(c: CrossingData) -> complex:
     half-longitudes lambda_i of the two strands.  |det| grows like
     10^(N^2/2), past the double range from N ~ 26, while this stays finite.
     """
-    if c.pinched:
-        raise PinchedCrossingError("determinant formula needs a non-pinched crossing")
     N = c.cfg.N
     e = c.sign
     ell = {r: lifted_dilog(f) for r, f in c.flattenings.items()}

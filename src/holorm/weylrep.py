@@ -77,13 +77,6 @@ def fourier_matrix(cfg: RootConfig) -> np.ndarray:
                     dtype=complex)
 
 
-def central_scalars(cfg: RootConfig, lc: LogWeylChar) -> dict:
-    """Scalars by which K^N, E^N, F^N act on V(lc): a, b(a-m), (ab)^{-1}(a-1/m)."""
-    chi = lc.char()
-    a, b, m = chi.as_tuple()
-    return {"KN": a, "EN": b * (a - m), "FN": (a - 1.0 / m) / (a * b)}
-
-
 def matrix_power(M: np.ndarray, n: int) -> np.ndarray:
     """Repeated multiplication (exactness over speed for small N)."""
     out = np.eye(M.shape[0], dtype=complex)

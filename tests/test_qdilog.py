@@ -219,8 +219,9 @@ def test_lambda_singular_at_integer():
     with pytest.raises(SingularArgumentError):
         lambda0(cfg, f)
     # zeta0 + 1 = 3e-10 = 0 mod 3: |1 - e^(2 pi i zeta0)| = 1.9e-9 is no
-    # pole, but the factor 1 - omega**(zeta0+1) of Lambda(.|1) is
-    with pytest.raises(SingularArgumentError):
+    # pole, but the factor 1 - omega**(zeta0+1) of Lambda(.|1) is; D(zeta0),
+    # inside lambda0, is the guard that meets it
+    with pytest.raises(SingularArgumentError, match=r"D\(zeta\) singular"):
         lambda_table(cfg, Flattening.from_zeta0(-1.0 + 3e-10))
 
 

@@ -62,11 +62,12 @@ def test_kappa_shift_leaves_rmatrix_fixed(rng):
 
 
 def test_rmat_rejects_pinched():
+    # the one pinched check is CrossingData.flattenings: it names the
+    # integral zeta0 before anything asks for the undefined kappa
     cfg = RootConfig(2)
-    with pytest.raises(PinchedCrossingError):
-        rmat(kashaev_crossing(cfg))
-    with pytest.raises(PinchedCrossingError):
-        factorized_ops(kashaev_crossing(cfg))
+    for f in (rmat, factorized_ops, logdet_braiding):
+        with pytest.raises(PinchedCrossingError, match=r"zeta0_N = 0.0 is integral"):
+            f(kashaev_crossing(cfg))
 
 
 @pytest.mark.parametrize("N", [2, 3, 5])

@@ -8,9 +8,10 @@ import pytest
 from holorm.characters import LogWeylChar, braid, char_product, to_z0_char
 from holorm.qdilog import RootConfig, TWO_PI_I
 from holorm.sampling import random_crossing, random_logchar
-from holorm.weylrep import (Basis, GenMatrices, central_scalars, commutant_dim,
-                            fourier_matrix, matrix_power, pi_tensor,
-                            rep_matrices, rw_images, rw_images_negative)
+from holorm.selftest import _central_scalars
+from holorm.weylrep import (Basis, GenMatrices, commutant_dim, fourier_matrix,
+                            matrix_power, pi_tensor, rep_matrices, rw_images,
+                            rw_images_negative)
 
 from conftest import mrel
 
@@ -59,15 +60,14 @@ def test_fourier_basis_change(rng):
 def test_central_scalars(rng):
     cfg = RootConfig(5)
     lc = random_logchar(rng)
-    sc = central_scalars(cfg, lc)
-    chi = lc.char()
-    assert abs(sc["KN"] - chi.a) < 1e-13
+    sc = _central_scalars(to_z0_char(lc.char()))
+    assert abs(sc[0] - lc.char().a) < 1e-13
     lc_am = LogWeylChar(0.21 + 0.05j, 0.4, 0.21 + 0.05j)  # a = m
-    assert abs(central_scalars(cfg, lc_am)["EN"]) < 1e-13
+    assert abs(_central_scalars(to_z0_char(lc_am.char()))[1]) < 1e-13
     for basis in (Basis.WEIGHT, Basis.FOURIER):
         g = rep_matrices(cfg, lc, basis)
-        for key, M in (("KN", g.K), ("EN", g.E), ("FN", g.F)):
-            assert mrel(matrix_power(M, 5), sc[key] * np.eye(5)) < 1e-9
+        for M, s in zip((g.K, g.E, g.F), sc):
+            assert mrel(matrix_power(M, 5), s * np.eye(5)) < 1e-9
 
 
 def test_tensor_grading(rng):
@@ -83,9 +83,8 @@ def test_tensor_grading(rng):
         F12 = np.kron(g1.F, eye) + np.kron(np.linalg.inv(g1.K), g2.F)
         prod = char_product(to_z0_char(lc1.char()), to_z0_char(lc2.char()))
         eye2 = np.eye(N * N)
-        assert mrel(matrix_power(K12, N), prod.chi_KN * eye2) < 1e-8
-        assert mrel(matrix_power(E12, N), prod.chi_EN * eye2) < 1e-8
-        assert mrel(matrix_power(F12, N), prod.chi_FN * eye2) < 1e-8
+        for M, s in zip((K12, E12, F12), _central_scalars(prod)):
+            assert mrel(matrix_power(M, N), s * eye2) < 1e-8
 
 
 def test_rw_images_center_and_cancellation(rng):
