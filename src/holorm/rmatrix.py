@@ -19,12 +19,11 @@ difference d_r, an offset and p_r = +1 (numerator) or -1 (denominator):
     sign +1:  N (n2'-n1, 0, +1)  S (n2-n1', 0, +1)  W (n2-n1, -1, -1)  E (n2'-n1', 0, -1)
     sign -1:  W (n1-n2, 0, +1)  E (n1'-n2', -1, +1)  S (n1'-n2, -1, -1)  N (n1-n2', -1, -1)
 Generic entries are omega**d_W / N * omega**((N-1) sum_{offset_r != 0} p_r
-(zeta0_r + zeta1_r)) * prod_r Lambda_r[d_r + offset_r]**p_r; the standard
-pinched form has the q-factorials prod_r (omega; omega)_{d_r+offset_r}**-p_r;
-the one integer-shift rule (transform_rules), and with it the non-standard
-pinched forms, reads the same rows.  factorized_ops writes the paper's
-four-factor theorem on its own, so the factorization identity compares two
-independent routes.
+(zeta0_r + zeta1_r)) * prod_r Lambda_r[d_r + offset_r]**p_r.  Every pinched
+crossing, standard or not, and the Kashaev matrix read the same table with
+kappa dropped (_assemble).  The integer-shift rule (transform_rules) reads
+the same rows; factorized_ops writes the paper's four-factor theorem on its
+own, so the factorization identity compares two independent routes.
 """
 
 from __future__ import annotations
@@ -231,41 +230,59 @@ def _region_terms(sign: int, n1, n2, n1p, n2p) -> dict:
             "S": (n1p - n2, -1, -1), "N": (n1 - n2p, -1, -1)}
 
 
-def _region_ratio(terms: dict, tables: dict, num=1, power: int = 1):
-    """num * prod_r tables[r][d_r + offset_r]^(power p_r), formed as one
-    quotient of the numerator and denominator products in table order."""
+def _region_ratio(terms: dict, k: dict, tables: dict, num=1):
+    """num * prod_r tables[r][k_r mod N]^p_r, formed as one quotient of the
+    numerator and denominator products in table order."""
     den = 1
-    for r, (d, off, p) in terms.items():
-        val = tables[r][(d + off) % len(tables[r])]
-        if p * power > 0:
+    for r, (_, _, p) in terms.items():
+        val = tables[r][k[r] % len(tables[r])]
+        if p > 0:
             num = num * val
         else:
             den = den * val
     return num / den
 
 
-def _assemble(c: CrossingData) -> np.ndarray:
-    """Entries of the R-matrix of a non-pinched crossing, for both signs."""
+def _assemble(c: CrossingData, pinched: bool) -> np.ndarray:
+    """Entries of the R-matrix over the region table, for both signs.
+
+    Generic crossings read the Lambda tables at k_r = d_r + offset_r.  At a
+    pinched crossing zeta0_r is an integer n_r and the divergent part kappa
+    is dropped: zeta1 is taken at kappa = 0, Lambda_r[k] becomes
+    omega**(-k zeta1_r) / (omega; omega)_k read at k_r = d_r + offset_r + n_r,
+    the prefactor gains omega**(sum_r p_r n_r zeta1_r / 2), and every entry
+    with sum_r p_r floor(k_r / N) != 1 is zero.
+    """
     N = c.cfg.N
-    tables = _lambda_tables(c)  # raises PinchedCrossingError before zeta1 would
-    z0, z1 = c.zeta0(), c.zeta1()
     terms = _region_terms(c.sign, *_index_grids(N))
-    expo = sum(p * z[r] for r, (_, off, p) in terms.items() if off for z in (z0, z1))
-    pref = c.cfg.omega_pow((N - 1) * expo) / N
-    R = _region_ratio(terms, tables, pref * np.power(c.cfg.omega, terms["W"][0]))
+    if pinched:
+        z0, z1 = _integral_zeta0(c), c.zeta1(kappa=0)
+        poch = _poch_table(c.cfg.omega, N)
+        tables = {r: _omega_arr(N, -np.arange(N) * z1[r]) / poch for r in REGIONS}
+    else:
+        tables = _lambda_tables(c)  # raises PinchedCrossingError before zeta1 would
+        z0, z1 = c.zeta0(), c.zeta1()
+    k = {r: d + off + (z0[r] if pinched else 0) for r, (d, off, _) in terms.items()}
+    expo = (N - 1) * sum(p * z[r] for r, (_, off, p) in terms.items() if off for z in (z0, z1))
+    if pinched:
+        expo += sum(p * z0[r] * z1[r] for r, (_, _, p) in terms.items()) / 2.0
+    pref = c.cfg.omega_pow(expo) / N
+    R = _region_ratio(terms, k, tables, pref * np.power(c.cfg.omega, terms["W"][0]))
+    if pinched:
+        R = np.where(sum(p * (k[r] // N) for r, (_, _, p) in terms.items()) == 1, R, 0.0)
     return R.reshape(N * N, N * N)
 
 
 def rmat(c: CrossingData) -> RTensor:
     """The R-matrix of a non-pinched crossing (positive or negative form).
     A pinched one raises PinchedCrossingError; rmat_pinched evaluates it."""
-    return RTensor(c.cfg, _assemble(c))
+    return RTensor(c.cfg, _assemble(c, pinched=False))
 
 
 def braiding_op(c: CrossingData) -> RTensor:
     """The braiding: R-matrix composed with the flip of the output pair.
 
-    Works for pinched crossings too (closed pinched form is used there).
+    Works for pinched crossings too (rmat_pinched is used there).
     """
     return (rmat_pinched(c) if c.pinched else rmat(c)).braiding()
 
@@ -321,75 +338,23 @@ def factorized_ops(c: CrossingData) -> FactorOps:
     return FactorOps(c.cfg, zw, zn, zs, ze)
 
 
-def _theta(N: int, n1, n2, n1p, n2p):
-    """0/1 cutoff coupling all four indices of a pinched entry."""
-    t1 = ((n1 - n2) % N) + ((n1p - n2p - 1) % N)
-    t2 = ((n2p - n1) % N) + ((n2 - n1p) % N)
-    return ((0 <= t1) & (t1 < N)) & ((0 <= t2) & (t2 < N))
-
-
-def rmat_pinched(c: CrossingData) -> RTensor:
-    """Closed-form R-matrix at a pinched crossing.
-
-    Standard log-colorings (all zeta^0 = 0) are evaluated directly; other
-    pinched log-colorings are reduced to a standard one with transform_rules
-    and reassembled, which is exact.
-    """
-    if not c.pinched:
-        raise PinchedCrossingError("crossing is not pinched")
+def _integral_zeta0(c: CrossingData) -> dict:
+    """{region: n_r} of a pinched crossing, every zeta0_r = n_r an integer."""
     ints = c.integral_zeta0()
     for r in REGIONS:
         if r not in ints:
             raise PinchedCrossingError(
                 f"pinched crossing has non-integral zeta0_{r} = {c.zeta0()[r]}")
-    if any(ints.values()):
-        return _pinched_nonstandard(c, ints)
-    N = c.cfg.N
-    e = c.sign
-    a1, a2 = c.lc1.char().a, c.lc2.char().a
-    m1, m2 = c.lc1.char().m, c.lc2.char().m
-    a1p, a2p = c.lc1p.char().a, c.lc2p.char().a
-    al1, al2 = c.lc1.alpha, c.lc2.alpha
-    al1p, al2p = c.lc1p.alpha, c.lc2p.alpha
-    mu1, mu2 = c.lc1.mu, c.lc2.mu
-    n1, n2, n1p, n2p = _index_grids(N)
-    theta = _theta(N, n1, n2, n1p, n2p)
-    poch = _poch_table(c.cfg.omega, N)
-
-    def cut(x):
-        return ((0 <= x) & (x < N)).astype(int)
-
-    if e == +1:
-        amp = (a1p / a1
-               * (a1 / m1) ** (2 - cut(n1 - n2) - cut(n2 - n1p))
-               * (a2 * m2 + 0j) ** (-cut(n2 - n1p))
-               * (a2p * m2 + 0j) ** (1 - cut(n1p - n2p - 1)))
-        phase = _omega_arr(N, n1 * (al1 - mu1 - 1) + n2 * (al2 + mu2 + 1)
-                           - n1p * (al1p - mu1) - n2p * (al2p + mu2))
-    else:
-        amp = ((a1 * m1 + 0j) ** (1 - cut(n1 - n2))
-               * (m2 / a2p) ** cut(n1p - n2p - 1)
-               * (a1 * a2 * m1 / m2) ** cut(n1p - n2 - 1))
-        phase = _omega_arr(N, n1 * (al1 + mu1 + 1) + n2 * (al2 - mu2 - 1)
-                           - n1p * (al1p + mu1) - n2p * (al2p - mu2))
-    qfac = _region_ratio(_region_terms(e, n1, n2, n1p, n2p),
-                         dict.fromkeys(REGIONS, poch), power=-1)
-    R = theta * amp * phase * qfac / N
-    return RTensor(c.cfg, R.reshape(N * N, N * N))
+    return ints
 
 
-def _pinched_nonstandard(c: CrossingData, ints: dict) -> RTensor:
-    """Reduce a non-standard pinched coloring to the standard one and map back.
-
-    Beta shifts l move each zeta0_r by the table's d_r(l); these make every
-    zeta0 vanish (with l1 = 0).
-    """
-    e = c.sign
-    l2 = -e * ints["W"]
-    shifts = (0, l2, l2 + e * ints["S"], -e * ints["N"])
-    std = transform_rules(c, beta_shifts=shifts).crossing
-    rel = transform_rules(std, beta_shifts=tuple(-l for l in shifts))
-    return RTensor(c.cfg, rel.predict(rmat_pinched(std)))
+def rmat_pinched(c: CrossingData) -> RTensor:
+    """The R-matrix at a pinched crossing: the region table at kappa = 0
+    (see _assemble), for standard (all zeta^0 = 0) and other log-colorings
+    alike."""
+    if not c.pinched:
+        raise PinchedCrossingError("crossing is not pinched")
+    return RTensor(c.cfg, _assemble(c, pinched=True))
 
 
 @dataclass(frozen=True)
@@ -450,20 +415,12 @@ def transform_rules(c: CrossingData, gamma_shifts: dict = None,
 def kashaev_rmat(cfg: RootConfig) -> RTensor:
     """The canonical cyclic R-matrix underlying the Kashaev invariant.
 
-    Entries N omega**(n2'-n1+1/2) * theta / (four q-factorials); this is the
-    alpha = mu = -1/2 specialization, up to an overall half-power of omega
-    kept for compatibility with the usual normalization in the literature.
+    omega**(1/2) times rmat_pinched at the alpha = mu = -1/2 crossing; the
+    half-power keeps the usual normalization in the literature.
     """
-    N = cfg.N
-    poch_w = _poch_table(cfg.omega, N)
-    poch_wb = _poch_table(cfg.omega.conjugate(), N)
-    n1, n2, n1p, n2p = _index_grids(N)
-    theta = _theta(N, n1, n2, n1p, n2p)
-    num = N * cfg.omega_pow(0.5) * np.power(cfg.omega, (n2p - n1))
-    den = (poch_w[(n2p - n1) % N] * poch_w[(n2 - n1p) % N]
-           * poch_wb[(n1p - n2p - 1) % N] * poch_wb[(n1 - n2) % N])
-    R = theta * num / den
-    return RTensor(cfg, R.reshape(N * N, N * N))
+    c = crossing_from_logs(cfg, +1, (0.0, -0.5, -0.5, 0.0), (-0.5, -0.5),
+                           (0.1, -0.4, -0.9, -0.4))
+    return RTensor(cfg, cfg.omega_pow(0.5) * rmat_pinched(c).entries)
 
 
 def logdet_braiding(c: CrossingData) -> complex:

@@ -5,12 +5,13 @@ with the number of evaluations per identity in its .samples attribute.
 IDENTITIES registers every identity with its suite, tolerance and smallest
 N; run_all turns the suites' output into one result per registered identity
 and N, and `holorm selftest` and the acceptance tests both read it.  The
-weight-basis closed forms of the pinched R-matrix, the Casimir relation and
-the edge-gluing defects live here too: they are reference oracles that only
-these identities and the tests read.  Deviations are relative unless the
-name says otherwise, the braid-level ones normwise over whole state sums,
-and the LU determinant row's is in units of LU's error bound.  All
-randomness flows through one seeded generator, so reports are reproducible.
+closed forms of the pinched R-matrix (Kashaev's and the weight-basis ones),
+the Casimir relation and the edge-gluing defects live here too: they are
+reference oracles that only these identities and the tests read.
+Deviations are relative unless the name says otherwise, the braid-level
+ones normwise over whole state sums, and the LU determinant row's is in
+units of LU's error bound.  All randomness flows through one seeded
+generator, so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -417,10 +418,9 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
                      float(np.abs(lim - rmat_pinched(cpin).entries).max()))
     out.note("pinched R2 contraction", r2_backward_error(
         sampling.standard_pinched_crossing(cfg, *_random_pinched_params(rng))))
-    # Kashaev: closed pinched form times omega^(1/2) is the canonical matrix
+    # Kashaev: the region table at alpha = mu = -1/2 is the canonical matrix
     K = kashaev_rmat(cfg)
-    ck = sampling.kashaev_crossing(cfg)
-    out.note("Kashaev normalization", _mrel(rmat_pinched(ck).entries * w(0.5), K.entries))
+    out.note("Kashaev normalization", _mrel(K.entries, kashaev_closed_form(cfg)))
     B = K.braiding().as_operator()
     B1, B2 = np.kron(B, np.eye(N)), np.kron(np.eye(N), B)
     out.note("Kashaev braid relation", _mrel(B1 @ B2 @ B1, B2 @ B1 @ B2))
@@ -473,9 +473,30 @@ def _pinched_limit(cfg: RootConfig, cpin: CrossingData) -> np.ndarray:
     return tab[-1]
 
 
-# ------------------------------------------------ weight-basis closed forms
-# The pinched R-matrix in the weight basis, in general and at its nilpotent
-# and colored-Jones (Kashaev, q-alg/9504020) specializations.
+# ------------------------------------------------------ pinched closed forms
+# Kashaev's matrix (q-alg/9504020) in the Fourier basis, and the pinched
+# R-matrix in the weight basis, in general and at its nilpotent and
+# colored-Jones specializations.
+
+def kashaev_closed_form(cfg: RootConfig) -> np.ndarray:
+    """Kashaev's cyclic R-matrix (q-alg/9504020) in the Fourier basis.
+
+    Entries N omega**(n2'-n1+1/2) theta / ((w;w)_[n2'-n1] (w;w)_[n2-n1']
+    (wb;wb)_[n1'-n2'-1] (wb;wb)_[n1-n2]), wb = 1/omega and [x] = x mod N,
+    with the cutoff theta = 1 exactly when [n1-n2] + [n1'-n2'-1] < N and
+    [n2'-n1] + [n2-n1'] < N.
+    """
+    N = cfg.N
+    poch_w = _poch_table(cfg.omega, N)
+    poch_wb = _poch_table(cfg.omega.conjugate(), N)
+    n1, n2, n1p, n2p = _index_grids(N)
+    theta = (((n1 - n2) % N + (n1p - n2p - 1) % N < N)
+             & ((n2p - n1) % N + (n2 - n1p) % N < N))
+    num = N * cfg.omega_pow(0.5) * np.power(cfg.omega, (n2p - n1))
+    den = (poch_w[(n2p - n1) % N] * poch_w[(n2 - n1p) % N]
+           * poch_wb[(n1p - n2p - 1) % N] * poch_wb[(n1 - n2) % N])
+    return (theta * num / den).reshape(N * N, N * N)
+
 
 def weight_basis_rmat(c: CrossingData) -> RTensor:
     """Pinched R-matrix in the weight basis (discrete Fourier conjugate)."""

@@ -8,9 +8,9 @@ import pytest
 
 from holorm.characters import LogWeylChar
 from holorm.qdilog import RootConfig, TWO_PI_I
-from holorm.rmatrix import (CrossingData, PinchedCrossingError, braiding_op,
-                            crossing_from_logs, det_braiding,
-                            det_lu, factorized_ops, kashaev_rmat,
+from holorm.rmatrix import (CrossingData, PinchedCrossingError, _index_grids,
+                            _region_terms, braiding_op, crossing_from_logs,
+                            det_braiding, det_lu, factorized_ops, kashaev_rmat,
                             logdet_braiding, rmat, rmat_pinched, transform_rules)
 from holorm.braidgrpd import (BraidWord, build_diagram, crossing_data,
                               extend_log_coloring)
@@ -19,9 +19,9 @@ from holorm.sampling import (kashaev_crossing, letter_crossing, random_crossing,
 from holorm import selftest
 from holorm.selftest import (IDENTITIES, _det_deviation, _det_factor_deviation,
                              _pinched_limit, _random_pinched_params,
-                             colored_jones_closed_form, nilpotent_closed_form,
-                             r2_backward_error, weight_basis_closed_form,
-                             weight_basis_rmat)
+                             colored_jones_closed_form, kashaev_closed_form,
+                             nilpotent_closed_form, r2_backward_error,
+                             weight_basis_closed_form, weight_basis_rmat)
 
 from conftest import mrel, rel
 
@@ -300,11 +300,14 @@ def test_kashaev_entries_and_zero_pattern():
 
 def test_kashaev_is_pinched_specialization():
     # the closed pinched form at alpha = mu = -1/2 equals the canonical
-    # Kashaev matrix up to the overall factor omega**(1/2) the latter carries
+    # Kashaev matrix up to the overall factor omega**(1/2) the latter carries,
+    # and both equal Kashaev's explicit q-factorial formula
     for N in (2, 3, 5, 7):
         cfg = RootConfig(N)
+        K = kashaev_rmat(cfg).entries
         Rp = rmat_pinched(kashaev_crossing(cfg)).entries
-        assert mrel(Rp * cfg.omega_pow(0.5), kashaev_rmat(cfg).entries) < 1e-12
+        assert mrel(Rp * cfg.omega_pow(0.5), K) < 1e-12
+        assert mrel(K, kashaev_closed_form(cfg)) < 1e-12
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 7])
@@ -340,16 +343,32 @@ def test_pinched_nonstandard_reduction(rng):
 
 @pytest.mark.parametrize("N", (2, 3, 4, 5, 7))
 def test_gamma_shift_rule_at_pinched_crossings(N, rng):
-    # the closed pinched form and the region table's shift rule are
-    # independent routes to the shifted crossing's matrix
+    # rmat_pinched evaluates every crossing on its own, so it and the shift
+    # rule are independent routes to the shifted crossing's matrix; beta
+    # shifts make the crossing non-standard (some zeta0 a nonzero integer)
     cfg = RootConfig(N)
     for sign in (+1, -1):
         for _ in range(4):
             c = standard_pinched_crossing(cfg, *_random_pinched_params(rng), sign=sign)
             ks = {r: int(rng.integers(-2, 3)) for r in "NWSE"}
-            shifted = transform_rules(c, gamma_shifts=ks)
-            assert mrel(rmat_pinched(shifted.crossing).entries,
-                        shifted.predict(rmat_pinched(c))) < 1e-10
+            ls = tuple(int(l) for l in rng.integers(-3, 4, size=4))
+            for shifted in (transform_rules(c, gamma_shifts=ks),
+                            transform_rules(c, beta_shifts=ls)):
+                assert mrel(rmat_pinched(shifted.crossing).entries,
+                            shifted.predict(rmat_pinched(c))) < 1e-10
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_region_table_cutoff_is_kashaev_theta(sign):
+    # the table's cutoff sum_r p_r floor((d_r + offset_r)/N) = 1 is the
+    # explicit [n1-n2] + [n1'-n2'-1] < N and [n2'-n1] + [n2-n1'] < N
+    for N in range(2, 33):
+        n1, n2, n1p, n2p = _index_grids(N)
+        terms = _region_terms(sign, n1, n2, n1p, n2p)
+        cut = sum(p * ((d + off) // N) for d, off, p in terms.values()) == 1
+        theta = (((n1 - n2) % N + (n1p - n2p - 1) % N < N)
+                 & ((n2p - n1) % N + (n2 - n1p) % N < N))
+        assert np.array_equal(cut, theta), N
 
 
 def test_rmat_pinched_rejects_generic(rng):
