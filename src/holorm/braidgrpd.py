@@ -16,7 +16,9 @@ extend_log_coloring runs it on the characters of the top logs and then only
 chooses logarithms.  pin_bottom turns bottom boundary data into the
 overrides that make a log-coloring end on it (bottom = top closes a braid).
 
-jfunc_eval composes the braidings of the crossings into the state sum.
+jfunc_eval composes the braidings of the crossings into the state sum;
+apply applies them, crossing by crossing, to a block of vectors without
+forming it.
 """
 
 from __future__ import annotations
@@ -283,6 +285,32 @@ def log_longitudes(d: DiagramGraph, lc: LogColoring) -> list:
     return lam
 
 
+def on_slots(b: np.ndarray, X: np.ndarray, N: int, before: int) -> np.ndarray:
+    """The N^2 x N^2 operator b applied to the two tensor slots of X's rows
+    that follow the first `before` slots (rows row-major over slots of
+    dimension N): b times the middle axis of the view (N^before, N^2, rest),
+    returned in that shape."""
+    return b @ X.reshape(N ** before, N * N, -1)
+
+
+def apply(cfg: RootConfig, d: DiagramGraph, lc: LogColoring,
+          V: np.ndarray) -> np.ndarray:
+    """The state sum of the log-colored diagram applied to V, whose N^w rows
+    are row-major over the slots, without forming the state sum.
+
+    Top crossing first, each braiding acts on slots pos and pos+1 of the
+    columns (pinched crossings are routed to the closed pinched braiding):
+    N^(w+2) multiply-adds per crossing and column.  The empty word returns V.
+    """
+    N, w = cfg.N, d.width
+    if V.shape[0] != N ** w:
+        raise ValueError(f"V has {V.shape[0]} rows; width {w} at N = {N} needs {N ** w}")
+    for c in d.crossings:
+        b = braiding_op(crossing_data(cfg, d, lc, c)).as_operator()
+        V = on_slots(b, V, N, c.pos - 1).reshape(V.shape)
+    return V
+
+
 def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
     """State-sum matrix of the log-colored diagram (operator[out, in]).
 
@@ -302,7 +330,8 @@ def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
       crossings (then the crossing reaches one new slot) and on the outer
       slots at the end.
     The result is one N^(2w) output.  The empty word gives the identity,
-    the only case that builds np.eye(N^w).
+    the only case that builds np.eye(N^w).  apply on np.eye(N^w) gives the
+    same matrix, but pays N^(2w+2) per crossing from the first one on.
     """
     N, w = cfg.N, d.width
     op = None
@@ -333,7 +362,7 @@ def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
                 np.matmul(b3, rows[:, a], out=out[:, a])
             op, lo = out.reshape(N ** (h + 1), N ** (h + 1)), lo - 1
         else:
-            op = (b @ op.reshape(N ** (p - lo), N * N, -1)).reshape(N ** h, N ** h)
+            op = on_slots(b, op, N, p - lo).reshape(N ** h, N ** h)
     if op is None:
         return np.eye(N ** w, dtype=complex)
     if lo > 1:

@@ -120,10 +120,12 @@ def cmd_selftest(args) -> int:
     if args.seed < 0:
         raise MalformedInput(f"--seed must be >= 0, got {args.seed}")
     results = run_all(Ns=Ns, seed=args.seed, scale=args.scale)
-    # a deviation that is not a finite number (NaN: never evaluated) is null
+    # a deviation that is not a finite number (NaN: never evaluated) is
+    # null, and so is the headroom where tol / deviation is not finite
     checks = [{"identity": r.name, "suite": r.module, "N": r.N,
                "max_deviation": r.deviation if math.isfinite(r.deviation) else None,
-               "tol": r.tol, "samples": r.samples, "passed": r.passed}
+               "tol": r.tol, "headroom": r.headroom, "samples": r.samples,
+               "passed": r.passed}
               for r in results]
     ok = all(r.passed for r in results)
     return _emit({"seed": args.seed, "N": Ns, "checks": checks,

@@ -1,21 +1,24 @@
 """Braid diagrams, coloring propagation, the state sum, and moves."""
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from holorm import rmatrix
+from holorm import selftest
 from holorm.braidgrpd import (BraidWord, InadmissibleColoringError, LogColoring,
-                              build_diagram, crossing_data, extend_log_coloring,
-                              jfunc_eval, log_longitudes, pin_bottom,
-                              propagate_chi, top_characters)
+                              apply, build_diagram, crossing_data,
+                              extend_log_coloring, jfunc_eval, log_longitudes,
+                              pin_bottom, propagate_chi, top_characters)
 from holorm.characters import WeylChar
 from holorm.qdilog import RootConfig, TWO_PI_I
-from holorm.rmatrix import braiding_op, logdet_braiding
+from holorm.rmatrix import braiding_op, kashaev_rmat, logdet_braiding
 from holorm.sampling import (matched_pair_colorings, random_coloring,
                              _tune_longitudes)
-from holorm.selftest import IDENTITIES, _sum_dev, edge_gluing_defects
+from holorm.selftest import (IDENTITIES, _sum_dev, braid_relation_deviation,
+                             check_braidgrpd, edge_gluing_defects)
 
 from conftest import mrel
 
@@ -194,18 +197,32 @@ def _dense_state_sum(cfg, d, lc):
     return J, J_abs
 
 
+def _oracle_tol(cfg, d):
+    """Each crossing sums N^2 terms per entry and the product N^w."""
+    return 4 * (len(d.crossings) * cfg.N ** 2 + cfg.N ** d.width) * EPS
+
+
 def _assert_matches_dense_oracle(cfg, d, lc):
-    """Normwise: each crossing sums N^2 terms per entry and the product N^w."""
+    """Normwise, in units of the rounding scale of the product."""
     J_ref, J_abs = _dense_state_sum(cfg, d, lc)
     J = jfunc_eval(cfg, d, lc)
-    tol = 4 * (len(d.crossings) * cfg.N ** 2 + cfg.N ** d.width) * EPS
-    assert np.linalg.norm(J - J_ref) <= tol * np.linalg.norm(J_abs)
+    assert np.linalg.norm(J - J_ref) <= _oracle_tol(cfg, d) * np.linalg.norm(J_abs)
+
+
+def _assert_apply_matches_jfunc(cfg, d, lc, rng):
+    """apply(V) against jfunc_eval @ V, in the bound of the dense oracle
+    times ||V||."""
+    V = rng.standard_normal((cfg.N ** d.width, 3)) + 1j * rng.standard_normal(
+        (cfg.N ** d.width, 3))
+    J_abs = _dense_state_sum(cfg, d, lc)[1]
+    dev = np.linalg.norm(apply(cfg, d, lc, V) - jfunc_eval(cfg, d, lc) @ V)
+    assert dev <= _oracle_tol(cfg, d) * np.linalg.norm(J_abs) * np.linalg.norm(V)
 
 
 # every generator position with both signs; then one word per way a
 # crossing meets the slots reached before it: a new slot on the left, a
 # skipped slot, outer slots never reached, a single letter
-@pytest.mark.parametrize("width, N, word", [
+ORACLE_WORDS = [
     (3, 5, (1, -2, -1, 2)),
     (4, 4, (1, -2, 3, -1, 2, -3)),
     (5, 3, (1, -2, 3, -4, -1, 2, -3, 4)),
@@ -214,7 +231,10 @@ def _assert_matches_dense_oracle(cfg, d, lc):
     (4, 4, (2, -2)),
     (4, 4, (2,)),
     (2, 5, (-1,)),
-])
+]
+
+
+@pytest.mark.parametrize("width, N, word", ORACLE_WORDS)
 def test_jfunc_matches_dense_oracle(width, N, word, rng):
     cfg = RootConfig(N)
     d = build_diagram(BraidWord(width, word))
@@ -260,6 +280,32 @@ def test_jfunc_pinched_crossing_matches_dense_oracle(word, pinched, monkeypatch)
     jfunc_eval(cfg, d, lc)
     assert len(calls) == 1
     _assert_matches_dense_oracle(cfg, d, lc)
+    calls.clear()
+    apply(cfg, d, lc, np.ones((3 ** 4, 1)))
+    assert len(calls) == 1
+    _assert_apply_matches_jfunc(cfg, d, lc, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("width, N, word", ORACLE_WORDS)
+def test_apply_matches_jfunc(width, N, word, rng):
+    cfg = RootConfig(N)
+    d = build_diagram(BraidWord(width, word))
+    for _ in range(2):
+        _assert_apply_matches_jfunc(cfg, d, random_coloring(cfg, d, rng), rng)
+
+
+def test_apply_vector_empty_word_and_shape(rng):
+    cfg = RootConfig(3)
+    d = build_diagram(BraidWord(3, (1, -2)))
+    lc = random_coloring(cfg, d, rng)
+    v = rng.standard_normal(27) + 1j * rng.standard_normal(27)
+    assert np.array_equal(apply(cfg, d, lc, v), apply(cfg, d, lc, v[:, None])[:, 0])
+    d0 = build_diagram(BraidWord(3, ()))
+    lc0 = extend_log_coloring(d0, *lc.top(d), lc.mu)
+    assert np.array_equal(apply(cfg, d0, lc0, v), v)
+    for rows in (9, 28, 81):
+        with pytest.raises(ValueError):
+            apply(cfg, d, lc, np.ones((rows, 2)))
 
 
 def test_composition_functoriality(rng):
@@ -372,3 +418,46 @@ def test_det_cocycle_r3_double(rng):
         assert min(abs(prod - 1), abs(prod + 1)) < 1e-6
         done += 1
     assert done >= 1
+
+
+def test_braid_rows_are_matrix_free():
+    # one dense width-3 state sum at N = 16 holds 16^6 complex entries
+    # (268 MB), and one N^3 x N^3 kron product as many
+    cfg = RootConfig(16)
+    limit = 64 * 2 ** 20
+    tracemalloc.start()
+    try:
+        out = check_braidgrpd(cfg, np.random.default_rng(1), 2)
+        rows_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kashaev = braid_relation_deviation(cfg, kashaev_rmat(cfg).braiding().as_operator())
+        kashaev_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows_peak < limit and kashaev_peak < limit
+    for name in ("R2 move", "R3 move", "composition functoriality",
+                 "log-decoration dependence"):
+        assert out.samples[name] > 0 and out[name] <= IDENTITIES[name].tol
+    assert kashaev <= IDENTITIES["Kashaev braid relation"].tol
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 9])
+def test_kashaev_braid_relation_needs_the_output_flip(N):
+    # the R-matrix without the flip of its output pair is no braiding (its
+    # transpose would be, so transposing is no mutation here)
+    cfg = RootConfig(N)
+    K = kashaev_rmat(cfg)
+    tol = IDENTITIES["Kashaev braid relation"].tol
+    assert braid_relation_deviation(cfg, K.braiding().as_operator()) <= tol
+    assert braid_relation_deviation(cfg, K.as_operator()) > 0.1
+
+
+def test_log_decoration_row_fails_without_the_phase(monkeypatch):
+    # equal log-longitudes make the predicted phase 1
+    cfg = RootConfig(3)
+    tol = IDENTITIES["log-decoration dependence"].tol
+    assert check_braidgrpd(cfg, np.random.default_rng(4), 4)[
+        "log-decoration dependence"] <= tol
+    monkeypatch.setattr(selftest, "log_longitudes", lambda d, lc: [0j] * d.width)
+    assert check_braidgrpd(cfg, np.random.default_rng(4), 4)[
+        "log-decoration dependence"] > tol

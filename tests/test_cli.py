@@ -45,9 +45,15 @@ def test_selftest_pass(capsys):
     assert [r["samples"] for r in rows] == [r.samples for r in expect]
     for row in rows:
         assert set(row) == {"identity", "suite", "N", "max_deviation", "tol",
-                            "samples", "passed"}
+                            "headroom", "samples", "passed"}
         assert row["passed"] and row["samples"] > 0
         assert row["max_deviation"] <= row["tol"]
+        if row["max_deviation"] == 0.0:
+            assert row["headroom"] is None
+        else:
+            assert row["headroom"] == row["tol"] / row["max_deviation"] >= 1.0
+    # tol 0 and deviation 0: no finite headroom
+    assert {r["headroom"] for r in rows if r["identity"] == "commutant generic"} == {None}
 
 
 def test_selftest_unevaluated_identity_is_null(capsys, monkeypatch):
@@ -64,7 +70,17 @@ def test_selftest_unevaluated_identity_is_null(capsys, monkeypatch):
     rows = [r for r in json.loads(out)["checks"] if r["identity"] == "det psi"]
     assert [r["N"] for r in rows] == [2]
     assert rows[0]["max_deviation"] is None and rows[0]["passed"] is False
+    assert rows[0]["headroom"] is None
     assert rows[0]["samples"] == 0
+
+
+def test_selftest_headroom_is_null_where_not_finite():
+    def headroom(dev):
+        return selftest.CheckResult("m", "x", 2, dev, 1e-8, 1).headroom
+    assert headroom(1e-10) == 1e-8 / 1e-10
+    assert headroom(1e-2) == 1e-6
+    for dev in (0.0, float("nan"), float("inf"), 1e-320):
+        assert headroom(dev) is None
 
 
 def test_selftest_bad_n(capsys):
