@@ -2,9 +2,9 @@
 
 Everything here is built from the primitive root omega = exp(2*pi*i/N) and
 its fractional powers omega**x := exp(2*pi*i*x/N) for complex x.  The main
-objects are the q-Pochhammer symbol, the cyclic dilogarithm <zeta|k>, the
-normalized quantum dilogarithm Lambda(zeta0, zeta1 | n) attached to a
-flattening (a coherent pair of logarithms), the classical lifted dilogarithm
+objects are the cyclic dilogarithm <zeta|k>, the normalized quantum
+dilogarithm Lambda(zeta0, zeta1 | n) attached to a flattening (a coherent
+pair of logarithms) and its series in n, the classical lifted dilogarithm
 L, and the constants D(zeta) and S(zeta0, zeta1).
 
 Branch convention: every logarithm is the principal one, Im log in (-pi, pi].
@@ -106,27 +106,6 @@ def _factors(cfg: RootConfig, x: complex, count: int, msg: str):
     """1 - omega**(x+j) for j = 1..count, each through _off_pole(., msg, x, j)."""
     for j in range(1, count + 1):
         yield _off_pole(1.0 - cfg.omega_pow(x + j), msg, x, j)
-
-
-def qpoch(a: complex, q: complex, k: int) -> complex:
-    """q-Pochhammer symbol (a; q)_k for integer k of any sign.
-
-    k > 0: (1-a)(1-aq)...(1-aq^{k-1});  k = 0: 1;
-    k < 0: 1/[(1-a/q)(1-a/q^2)...(1-aq^k)].
-    """
-    if k > 0:
-        out = 1.0 + 0.0j
-        f = complex(a)
-        for _ in range(k):
-            out *= 1.0 - f
-            f *= q
-        return out
-    out = 1.0 + 0.0j
-    f = complex(a)
-    for _ in range(-k):
-        f /= q
-        out *= _off_pole(1.0 - f, "(a; q)_k with k={} hits a vanishing factor 1 - a q^-j", k)
-    return 1.0 / out
 
 
 def cyc_dilog(cfg: RootConfig, zeta: complex, k: int) -> complex:
@@ -254,17 +233,25 @@ def lambda_dilog(cfg: RootConfig, f: Flattening, n: int) -> complex:
     return lambda0(cfg, f) * cfg.omega_pow(-n * f.zeta1) * cyc_dilog(cfg, f.zeta0, n)
 
 
-def lambda_table(cfg: RootConfig, f: Flattening) -> list:
-    """[Lambda(.|0), ..., Lambda(.|N-1)] via the running recurrence.
-
-    Its factors 1 - omega**(zeta0+j), j = 1..N-1, are the ones D(zeta0)
-    passes through _off_pole inside lambda0, so they need no guard here.
+def lambda_series(cfg: RootConfig, start: complex, zeta0: complex,
+                  zeta1: complex) -> list:
+    """[start * omega**(-k zeta1) / prod_{j=1..k} (1 - omega**(zeta0+j)), k < N],
+    every power formed by omega_pow: lambda_table from start Lambda(.|0), and
+    the pinched table omega**(-k zeta1) / (omega; omega)_k from start 1 at
+    zeta0 = 0.  No factor needs a guard: at zeta0 = 0 none vanishes, and else
+    they are D(zeta0)'s, which lambda0 passes through _off_pole, bit for bit.
     """
-    vals = [lambda0(cfg, f)]
-    w = cfg.omega_pow(-f.zeta1)
+    vals = [start]
+    den = 1.0
     for j in range(1, cfg.N):
-        vals.append(vals[-1] * w / (1.0 - cfg.omega_pow(f.zeta0 + j)))
+        den *= 1.0 - cfg.omega_pow(zeta0 + j)
+        vals.append(start * cfg.omega_pow(-j * zeta1) / den)
     return vals
+
+
+def lambda_table(cfg: RootConfig, f: Flattening) -> list:
+    """[Lambda(.|0), ..., Lambda(.|N-1)]: lambda_series from lambda0."""
+    return lambda_series(cfg, lambda0(cfg, f), f.zeta0, f.zeta1)
 
 
 def s_norm(cfg: RootConfig, f: Flattening) -> complex:

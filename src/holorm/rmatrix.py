@@ -21,9 +21,10 @@ difference d_r, an offset and p_r = +1 (numerator) or -1 (denominator):
 Generic entries are omega**d_W / N * omega**((N-1) sum_{offset_r != 0} p_r
 (zeta0_r + zeta1_r)) * prod_r Lambda_r[d_r + offset_r]**p_r.  Every pinched
 crossing, standard or not, and the Kashaev matrix read the same table with
-kappa dropped (_assemble).  The integer-shift rule (transform_rules) reads
-the same rows; factorized_ops writes the paper's four-factor theorem on its
-own, so the factorization identity compares two independent routes.
+kappa dropped (_assemble); both kinds of table are qdilog.lambda_series.
+The integer-shift rule (transform_rules) reads the same rows; factorized_ops
+writes the paper's four-factor theorem on its own, so the factorization
+identity compares two independent routes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 
 from .characters import LogWeylChar, braid, is_pinched
 from .qdilog import (Flattening, RootConfig, ConstraintViolationError,
-                     TWO_PI_I, d_const, lambda_table, lifted_dilog, qpoch)
+                     TWO_PI_I, d_const, lambda_series, lambda_table,
+                     lifted_dilog)
 
 
 class PinchedCrossingError(ValueError):
@@ -209,16 +211,6 @@ def _index_grids(N: int) -> tuple:
             n[None, None, :, None], n[None, None, None, :])
 
 
-def _omega_arr(N: int, x):
-    """omega**x elementwise over an array x."""
-    return np.exp(TWO_PI_I * x / N)
-
-
-def _poch_table(q: complex, count: int) -> np.ndarray:
-    """[(q; q)_0, ..., (q; q)_{count-1}]."""
-    return np.array([qpoch(q, q, k) for k in range(count)])
-
-
 def _region_terms(sign: int, n1, n2, n1p, n2p) -> dict:
     """{region: (d, offset, p)} of the module docstring, numerators first.
 
@@ -249,16 +241,16 @@ def _assemble(c: CrossingData, pinched: bool) -> np.ndarray:
     Generic crossings read the Lambda tables at k_r = d_r + offset_r.  At a
     pinched crossing zeta0_r is an integer n_r and the divergent part kappa
     is dropped: zeta1 is taken at kappa = 0, Lambda_r[k] becomes
-    omega**(-k zeta1_r) / (omega; omega)_k read at k_r = d_r + offset_r + n_r,
-    the prefactor gains omega**(sum_r p_r n_r zeta1_r / 2), and every entry
-    with sum_r p_r floor(k_r / N) != 1 is zero.
+    omega**(-k zeta1_r) / (omega; omega)_k (lambda_series from 1 at zeta0 =
+    0) read at k_r = d_r + offset_r + n_r, the prefactor gains
+    omega**(sum_r p_r n_r zeta1_r / 2), and every entry with sum_r p_r
+    floor(k_r / N) != 1 is zero.
     """
     N = c.cfg.N
     terms = _region_terms(c.sign, *_index_grids(N))
     if pinched:
         z0, z1 = _integral_zeta0(c), c.zeta1(kappa=0)
-        poch = _poch_table(c.cfg.omega, N)
-        tables = {r: _omega_arr(N, -np.arange(N) * z1[r]) / poch for r in REGIONS}
+        tables = {r: np.array(lambda_series(c.cfg, 1.0, 0.0, z1[r])) for r in REGIONS}
     else:
         tables = _lambda_tables(c)  # raises PinchedCrossingError before zeta1 would
         z0, z1 = c.zeta0(), c.zeta1()

@@ -88,10 +88,9 @@ def standard_pinched_crossing(cfg: RootConfig, al1: complex, al2: complex,
                            LogWeylChar(al2, mu1, mu2), 0.1, alpha2p=alpha2p)
 
 
-def kashaev_crossing(cfg: RootConfig, sign: int = +1) -> CrossingData:
+def kashaev_crossing(cfg: RootConfig) -> CrossingData:
     """The alpha = mu = -1/2 pinched crossing underlying the Kashaev matrix."""
-    return standard_pinched_crossing(cfg, -0.5, -0.5, -0.5, -0.5, sign=sign,
-                                     alpha2p=-0.5)
+    return standard_pinched_crossing(cfg, -0.5, -0.5, -0.5, -0.5, alpha2p=-0.5)
 
 
 def random_coloring(cfg: RootConfig, d: DiagramGraph, rng: np.random.Generator,

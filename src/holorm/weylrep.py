@@ -85,12 +85,12 @@ def matrix_power(M: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _pi2(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, basis: Basis) -> dict:
+def _pi2(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar) -> dict:
     """Tensor-product matrices of the elementary generators on V(lc1) (x) V(lc2)."""
     N = cfg.N
     eye = np.eye(N, dtype=complex)
-    g1 = rep_matrices(cfg, lc1, basis)
-    g2 = rep_matrices(cfg, lc2, basis)
+    g1 = rep_matrices(cfg, lc1)
+    g2 = rep_matrices(cfg, lc2)
     return {
         "x1": np.kron(g1.x, eye), "x2": np.kron(eye, g2.x),
         "y1": np.kron(g1.y, eye), "y2": np.kron(eye, g2.y),
@@ -98,10 +98,9 @@ def _pi2(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, basis: Basis) -> d
     }
 
 
-def pi_tensor(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
-              basis: Basis = Basis.FOURIER) -> dict:
+def pi_tensor(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar) -> dict:
     """Generator matrices {x1, x2, y1inv, y2, z1, z2} of the unprimed tensor action."""
-    m = _pi2(cfg, lc1, lc2, basis)
+    m = _pi2(cfg, lc1, lc2)
     return {"x1": m["x1"], "x2": m["x2"],
             "y1inv": np.linalg.inv(m["y1"]), "y2": m["y2"],
             "z1": m["z1"], "z2": m["z2"]}
@@ -112,7 +111,7 @@ COND_MAX = 1e12  # condition number beyond which a braiding element g counts as 
 
 def _primed_generators(cfg: RootConfig, lc1p: LogWeylChar, lc2p: LogWeylChar) -> tuple:
     """(x1, x2, y1, y2, z1, z2) and their inverses in the output representation."""
-    m = _pi2(cfg, lc1p, lc2p, Basis.FOURIER)
+    m = _pi2(cfg, lc1p, lc2p)
     gens = tuple(m[k] for k in ("x1", "x2", "y1", "y2", "z1", "z2"))
     return gens, tuple(np.linalg.inv(M) for M in gens)
 

@@ -1,4 +1,4 @@
-"""Special functions: roots of unity, q-Pochhammer, dilogarithms, fusion sums."""
+"""Special functions: roots of unity, q-factorials, dilogarithms, fusion sums."""
 
 import cmath
 import math
@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from holorm.qdilog import (ConstraintViolationError, Flattening, RootConfig,
                            SingularArgumentError, TWO_PI_I, _li2_u_coeffs,
                            cyc_dilog, d_const, fusion_f,
-                           lambda0, lambda_dilog, lambda_table, li2,
-                           lifted_dilog, qpoch, s_norm)
+                           lambda0, lambda_dilog, lambda_series, lambda_table,
+                           li2, lifted_dilog, s_norm)
 from holorm.sampling import random_flattening
 
 from conftest import rel
@@ -40,17 +40,21 @@ def test_omega_pow_additive(rng):
         assert rel(cfg.omega_pow(x + y), cfg.omega_pow(x) * cfg.omega_pow(y)) < 1e-12
 
 
-def test_qpoch_basic():
-    assert qpoch(0.3 + 0.1j, 0.7, 0) == 1.0
-    cfg = RootConfig(5)
-    assert abs(qpoch(cfg.omega, cfg.omega, 5)) < 1e-13  # contains 1 - omega^5
-    a, q = 0.4 + 0.2j, 1.1 - 0.3j
-    assert rel(qpoch(a, q, -1), 1.0 / (1.0 - a / q)) < 1e-14
+def _mp_qfactorials(N: int, count: int) -> list:
+    """[(omega; omega)_k for k < count] from mpmath at 40 digits."""
+    with mp.workdps(40):
+        q = mp.exp(2j * mp.pi / N)
+        return [complex(mp.qp(q, q, k)) for k in range(count)]
 
 
-def test_qpoch_negative_singular():
-    with pytest.raises(SingularArgumentError):
-        qpoch(0.5, 0.5, -1)  # 1 - a/q = 0
+@pytest.mark.parametrize("N", [2, 3, 8, 23, 32])
+def test_lambda_series_q_factorials(N):
+    # (omega; omega)_k is 1/series at zeta0 = zeta1 = 0
+    cfg = RootConfig(N)
+    series = lambda_series(cfg, 1.0, 0.0, 0.0)
+    assert len(series) == N and series[0] == 1.0
+    for k, ref in enumerate(_mp_qfactorials(N, N)):
+        assert rel(1.0 / series[k], ref) < 1e-14
 
 
 def test_cyc_dilog_values(rng):
@@ -59,9 +63,11 @@ def test_cyc_dilog_values(rng):
     assert cyc_dilog(cfg, z, 0) == 1.0
     assert rel(cyc_dilog(cfg, z, -1), 1 - cfg.omega_pow(z)) < 1e-14
     assert rel(cyc_dilog(RootConfig(2), 0.0, 1), 0.5) < 1e-14
-    for k in range(-5, 6):
-        assert rel(cyc_dilog(cfg, z, k),
-                   1.0 / qpoch(cfg.omega_pow(z + 1), cfg.omega, k)) < 1e-13
+    # <z|k> = 1/(omega**(z+1); omega)_k and <z|-k> = (omega**z; omega**-1)_k
+    q, a = mp.exp(2j * mp.pi / 5), mp.exp(2j * mp.pi * z / 5)
+    for k in range(6):
+        assert rel(cyc_dilog(cfg, z, k), complex(1 / mp.qp(a * q, q, k))) < 1e-13
+        assert rel(cyc_dilog(cfg, z, -k), complex(mp.qp(a, 1 / q, k))) < 1e-13
 
 
 def test_cyc_dilog_singular():
@@ -191,7 +197,7 @@ def test_lambda_recurrence_and_periodicity(N, rng):
     for _ in range(10):
         f = random_flattening(cfg, rng)
         lam0 = lambda0(cfg, f)
-        table = lambda_table(cfg, f)  # the running recurrence rmat reads
+        table = lambda_table(cfg, f)  # the series rmat reads
         for n in range(-N, N + 1):
             assert rel(table[n % N], lambda_dilog(cfg, f, n)) < 1e-10
             route = lam0 * w(-n * f.zeta1) * cyc_dilog(cfg, f.zeta0, n)
@@ -293,12 +299,12 @@ def test_fusion_shift_identity(rng):
 def test_fusion_integer_gamma_closed_form(rng):
     cfg = RootConfig(5)
     w = cfg.omega_pow
+    poch = _mp_qfactorials(5, 10)
     alpha = 0.31 + 0.11j
     for (k, l, m) in ((1, 0, 0), (2, 1, -1), (1, 1, 0)):
         lhs = fusion_f(cfg, alpha + k, alpha + l - 1, m)
         mb_m, mb_kl = (-m) % 5, (k - l) % 5
         rhs = (5 * (1 - w(alpha + l)) / (1 - cmath.exp(TWO_PI_I * alpha))
                * w(mb_m * (alpha + l)) / cyc_dilog(cfg, alpha + l, mb_kl)
-               * qpoch(cfg.omega, cfg.omega, mb_kl + mb_m)
-               / (qpoch(cfg.omega, cfg.omega, mb_kl) * qpoch(cfg.omega, cfg.omega, mb_m)))
+               * poch[mb_kl + mb_m] / (poch[mb_kl] * poch[mb_m]))
         assert abs(lhs - rhs) / max(1.0, abs(lhs)) < 1e-10

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -308,6 +309,36 @@ def test_kashaev_is_pinched_specialization():
         Rp = rmat_pinched(kashaev_crossing(cfg)).entries
         assert mrel(Rp * cfg.omega_pow(0.5), K) < 1e-12
         assert mrel(K, kashaev_closed_form(cfg)) < 1e-12
+
+
+def _kashaev_reference(N: int) -> np.ndarray:
+    """Kashaev's explicit matrix (the formula of kashaev_closed_form) with
+    40-digit q-factorials: entries T[a, b] U[c, d] with a = [n2'-n1],
+    b = [n2-n1'], c = [n1'-n2'-1], d = [n1-n2], T[a, b] = N omega**(a+1/2)
+    / ((w;w)_a (w;w)_b), U[c, d] = 1/((wb;wb)_c (wb;wb)_d), under the cutoff
+    a + b < N and c + d < N.  Only the final product is rounded."""
+    with mp.workdps(40):
+        q = mp.exp(2j * mp.pi / N)
+        pw = [mp.qp(q, q, k) for k in range(N)]
+        pwb = [mp.qp(1 / q, 1 / q, k) for k in range(N)]
+        T = np.array([[complex(N * q ** (a + mp.mpf(1) / 2) / (pw[a] * pw[b]))
+                       for b in range(N)] for a in range(N)])
+        U = np.array([[complex(1 / (pwb[c] * pwb[d])) for d in range(N)]
+                      for c in range(N)])
+    n1, n2, n1p, n2p = _index_grids(N)
+    a, b = (n2p - n1) % N, (n2 - n1p) % N
+    c, d = (n1p - n2p - 1) % N, (n1 - n2) % N
+    R = np.where((a + b < N) & (c + d < N), T[a, b] * U[c, d], 0.0)
+    return R.reshape(N * N, N * N)
+
+
+@pytest.mark.parametrize("N", [8, 16, 23, 24, 32])
+def test_kashaev_rmat_accuracy(N):
+    # the reference rounds only its last product, so its own error is a few
+    # eps; the bound leaves room for the matrix's rounding, not for more
+    ref = _kashaev_reference(N)
+    K = kashaev_rmat(RootConfig(N)).entries
+    assert np.linalg.norm(K - ref) / np.linalg.norm(ref) < 4e-15
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 7])
