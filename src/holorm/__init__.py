@@ -9,7 +9,7 @@ characters and their braiding (characters), cyclic Weyl-algebra modules
 
 from .qdilog import (Flattening, RootConfig, SingularArgumentError,
                      ConstraintViolationError, cyc_dilog, d_const,
-                     fusion_f, lambda_dilog, li2, lifted_dilog, s_norm)
+                     fusion_f, li2, lifted_dilog, s_norm)
 from .characters import (BraidOutcome, LogWeylChar, SL2StarElement, WeylChar,
                          braid, char_product, is_pinched, psi, to_z0_char)
 from .weylrep import (Basis, GenMatrices, commutant_dim, rep_matrices,

@@ -97,11 +97,6 @@ class SL2StarElement:
         """psi of this element: lower @ inverse(upper)."""
         return self.lower @ np.linalg.inv(self.upper)
 
-    def isclose(self, other: "SL2StarElement", rel: float = 1e-9) -> bool:
-        s = max(1.0, float(np.abs(self.lower).max()), float(np.abs(self.upper).max()))
-        return (np.abs(self.lower - other.lower).max() <= rel * s
-                and np.abs(self.upper - other.upper).max() <= rel * s)
-
 
 def psi(chi: WeylChar) -> np.ndarray:
     """Holonomy matrix of a character; determinant 1.

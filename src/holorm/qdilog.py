@@ -223,16 +223,6 @@ def lambda0(cfg: RootConfig, f: Flattening) -> complex:
     return cmath.exp(-ell / (TWO_PI_I * cfg.N)) * num / den / d_const(cfg, f.zeta0)
 
 
-def lambda_dilog(cfg: RootConfig, f: Flattening, n: int) -> complex:
-    """Quantum dilogarithm Lambda(zeta0, zeta1 | n), N-periodic in n.
-
-    Lambda(.|n) = Lambda(.|0) * omega**(-n zeta1) * <zeta0|n>; the integer
-    argument is reduced mod N up front, which makes periodicity exact.
-    """
-    n = n % cfg.N
-    return lambda0(cfg, f) * cfg.omega_pow(-n * f.zeta1) * cyc_dilog(cfg, f.zeta0, n)
-
-
 def lambda_series(cfg: RootConfig, start: complex, zeta0: complex,
                   zeta1: complex) -> list:
     """[start * omega**(-k zeta1) / prod_{j=1..k} (1 - omega**(zeta0+j)), k < N],

@@ -33,8 +33,7 @@ from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
 from .characters import (LogWeylChar, SL2StarElement, WeylChar, braid,
                          char_product, psi, to_z0_char)
 from .qdilog import (ConstraintViolationError, RootConfig, TWO_PI_I, cyc_dilog,
-                     d_const, fusion_f, lambda_dilog, lambda_table, lifted_dilog,
-                     s_norm)
+                     d_const, fusion_f, lambda_table, lifted_dilog, s_norm)
 from .rmatrix import (CrossingData, FactorOps, PinchedCrossingError, RTensor,
                       _index_grids, braiding_op, factorized_ops, kashaev_rmat,
                       logdet_braiding, rmat, rmat_pinched, transform_rules)
@@ -106,14 +105,16 @@ def _det_deviation(c: CrossingData, B) -> float:
 
 def _det_factor_deviation(c: CrossingData, f: FactorOps) -> float:
     """|log det_closed - log det of the factors f| mod 2 pi i, over max(1,
-    |log det_closed|): braiding = (1/N) Z_E (Z_N x Z_S) Z_W, Z_W and Z_E
+    sum |t_i|) for the terms t_i that the factor side adds, the rounding
+    bound of that sum: braiding = (1/N) Z_E (Z_N x Z_S) Z_W, Z_W and Z_E
     diagonal, Z_N and Z_S circulant (eigenvalues: DFT of the first column)."""
     N = c.cfg.N
-    closed = logdet_braiding(c)
-    d = closed - (np.log(f.zw_diag).sum() + np.log(f.ze_diag).sum()
-                  + N * np.log(np.fft.fft(f.zn[:, 0])).sum()
-                  + N * np.log(np.fft.fft(f.zs[:, 0])).sum() - N * N * np.log(N))
-    return float(abs(d - TWO_PI_I * round(d.imag / (2 * np.pi))) / max(1.0, abs(closed)))
+    terms = (np.log(f.zw_diag), np.log(f.ze_diag),
+             N * np.log(np.fft.fft(f.zn[:, 0])), N * np.log(np.fft.fft(f.zs[:, 0])),
+             np.array([-N * N * np.log(N)]))
+    d = logdet_braiding(c) - sum(t.sum() for t in terms)
+    size = sum(np.abs(t).sum() for t in terms)
+    return float(abs(d - TWO_PI_I * round(d.imag / (2 * np.pi))) / max(1.0, size))
 
 
 class _Worst(dict):
@@ -160,48 +161,48 @@ def check_qdilog(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict
         f = sampling.random_flattening(cfg, rng)
         z0, z1 = f.zeta0, f.zeta1
         lam = lambda_table(cfg, f)
-        # the series table the R-matrix reads vs the reduced closed route,
-        # n in [-N, N]
+        dual = f.dual()
+        lamd = lambda_table(cfg, dual)
+        # the series table the R-matrix reads vs the cyclic-dilogarithm
+        # product Lambda(.|0) omega**(-n zeta1) <zeta0|n>, n in [-N, N]
         for n in range(-N, N + 1):
-            out.note("lambda recurrence", _rel(lam[n % N], lambda_dilog(cfg, f, n)))
+            m = n % N
+            out.note("lambda recurrence",
+                     _rel(lam[m], lam[0] * w(-m * z1) * cyc_dilog(cfg, z0, m)))
             route = lam[0] * w(-n * z1) * cyc_dilog(cfg, z0, n)
             routeN = lam[0] * w(-(n + N) * z1) * cyc_dilog(cfg, z0, n + N)
             out.note("lambda periodicity", _rel(route, routeN))
         # shifts
         for k in (-2, -1, 1, 2):
             out.note("lambda shift (zeta0)",
-                     _rel(lambda_dilog(cfg, f.shifted(k0=k), 1),
-                          w(k * z1 / 2) * lambda_dilog(cfg, f, 1 + k)))
+                     _rel(lambda_table(cfg, f.shifted(k0=k))[1],
+                          w(k * z1 / 2) * lam[(1 + k) % N]))
             out.note("lambda shift (zeta1)",
-                     _rel(lambda_dilog(cfg, f.shifted(k1=k), 2),
-                          w(-k * z0 / 2 - 2 * k) * lambda_dilog(cfg, f, 2)))
+                     _rel(lambda_table(cfg, f.shifted(k1=k))[2 % N],
+                          w(-k * z0 / 2 - 2 * k) * lam[2 % N]))
         # product over a period
         out.note("lambda product",
                  _rel(np.prod(lam),
                       w(-N * (N - 1) * z1 / 2) * cmath.exp(-lifted_dilog(f) / TWO_PI_I)))
         # inverse sum
         for (k, l) in ((0, 0), (1, 0), (2, 1), (0, 3 % N)):
-            tot = sum(w(n) * lambda_dilog(cfg, f, n + k)
-                      / lambda_dilog(cfg, f, n + l - 1) for n in range(N))
+            tot = sum(w(n) * lam[(n + k) % N] / lam[(n + l - 1) % N] for n in range(N))
             expect = (N * w(-k) * w((N - 1) * (z0 + z1)) if (l - k) % N == 0 else 0.0)
             out.note("lambda inverse sum", abs(tot - expect) / max(1.0, abs(expect)))
         # Fourier pair and its composition
         S = s_norm(cfg, f)
-        dual = f.dual()
         for n in range(N):
-            lhs = sum(lambda_dilog(cfg, f, k) * w(n * k) for k in range(N))
+            lhs = sum(lam[k] * w(n * k) for k in range(N))
             out.note("Fourier transform",
-                     _rel(lhs, w((N - 1) * z0) * N / S / lambda_dilog(cfg, dual, n - 1)))
-            lhs2 = sum(w(-n * k) / lambda_dilog(cfg, f, k) for k in range(N))
+                     _rel(lhs, w((N - 1) * z0) * N / S / lamd[(n - 1) % N]))
+            lhs2 = sum(w(-n * k) / lam[k] for k in range(N))
             out.note("Fourier inverse",
-                     _rel(lhs2, S * w((N - 1) * z1) * w(n) * lambda_dilog(cfg, dual, n)))
+                     _rel(lhs2, S * w((N - 1) * z1) * w(n) * lamd[n]))
         # composing the closed-form transform with the inverse DFT returns
         # the Lambda table (N * identity after normalization)
-        G = [w((N - 1) * z0) * N / S / lambda_dilog(cfg, dual, n - 1)
-             for n in range(N)]
+        G = [w((N - 1) * z0) * N / S / lamd[(n - 1) % N] for n in range(N)]
         back = [sum(G[n] * w(-n * m) for n in range(N)) / N for m in range(N)]
-        out.note("Fourier roundtrip",
-                 max(_rel(back[m], lambda_dilog(cfg, f, m)) for m in range(N)))
+        out.note("Fourier roundtrip", max(_rel(back[m], lam[m]) for m in range(N)))
         # S identities
         out.note("S symmetry", _rel(S, s_norm(cfg, dual)))
         for n in (-1, 1, 2):
@@ -400,7 +401,7 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
                 pi, rho = piu[key], imgs[key]
                 out.note("intertwining", np.linalg.norm(act @ pi - rho @ act) / (
                     np.linalg.norm(act) * (np.linalg.norm(pi) + np.linalg.norm(rho))))
-            B = braiding_op(c)
+            B = R.braiding()
             fops = factorized_ops(c)
             out.note("factorization", _mrel(B.entries, fops.braiding_matrix()))
             kap = c.resolved_kappa()

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
@@ -237,6 +238,23 @@ def test_readme_json_examples_run(tmp_path, capsys):
         for command, N in commands:
             code, out = run(capsys, command, "--N", N, "--input", str(path))
             assert code == 0, out
+
+
+def test_readme_cli_lines_run(tmp_path, capsys, monkeypatch):
+    # every line of the README's CLI block, with its crossing as
+    # crossing.json and c.json and its braid as braid.json
+    text = README.read_text()
+    crossing, braid_spec = re.findall(r"```json\n(.*?)```", text, re.S)
+    for name, spec in (("crossing.json", crossing), ("c.json", crossing),
+                       ("braid.json", braid_spec)):
+        (tmp_path / name).write_text(spec)
+    monkeypatch.chdir(tmp_path)
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) == 6 and all(argv[0] == "holorm" for argv in lines)
+    for argv in lines:
+        code, out = run(capsys, *argv[1:])
+        assert code == 0, (argv, out)
 
 
 def test_integral_float_is_an_integer(tmp_path, capsys):

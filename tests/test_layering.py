@@ -1,13 +1,16 @@
-"""Layering: the runtime modules import nothing from the check-side modules.
+"""Layering: the runtime modules import nothing from the check-side modules,
+and no module imports anything but numpy and the standard library.
 
 weylrep (the cyclic modules), sampling (random test data) and selftest (the
 identity battery and its reference oracles) serve the checks; qdilog,
 characters, rmatrix and braidgrpd compute R-matrices and state sums without
-them.  Every import statement counts, at module level or inside a function.
+them.  numpy is the one declared runtime dependency.  Every import statement
+counts, at module level or inside a function.
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -39,3 +42,13 @@ def test_runtime_module_imports_no_check_side_module(module):
     imports = _holorm_imports((SRC / f"{module}.py").read_text())
     assert not imports & CHECK_SIDE
 
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_imports_only_numpy_and_the_standard_library(path):
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    assert found - {"holorm"} <= set(sys.stdlib_module_names) | {"numpy"}

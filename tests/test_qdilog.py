@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holorm import selftest
 from holorm.qdilog import (ConstraintViolationError, Flattening, RootConfig,
                            SingularArgumentError, TWO_PI_I, _li2_u_coeffs,
                            cyc_dilog, d_const, fusion_f,
-                           lambda0, lambda_dilog, lambda_series, lambda_table,
+                           lambda0, lambda_series, lambda_table,
                            li2, lifted_dilog, s_norm)
 from holorm.sampling import random_flattening
 
@@ -199,12 +200,11 @@ def test_lambda_recurrence_and_periodicity(N, rng):
         lam0 = lambda0(cfg, f)
         table = lambda_table(cfg, f)  # the series rmat reads
         for n in range(-N, N + 1):
-            assert rel(table[n % N], lambda_dilog(cfg, f, n)) < 1e-10
+            m = n % N
+            assert rel(table[m], lam0 * w(-m * f.zeta1) * cyc_dilog(cfg, f.zeta0, m)) < 1e-10
             route = lam0 * w(-n * f.zeta1) * cyc_dilog(cfg, f.zeta0, n)
             routeN = lam0 * w(-(n + N) * f.zeta1) * cyc_dilog(cfg, f.zeta0, n + N)
             assert rel(route, routeN) < 1e-10
-            # same code path is periodic by construction
-            assert lambda_dilog(cfg, f, n) == lambda_dilog(cfg, f, n + N)
 
 
 def test_lambda_shift_rules(rng):
@@ -212,11 +212,31 @@ def test_lambda_shift_rules(rng):
     w = cfg.omega_pow
     for _ in range(10):
         f = random_flattening(cfg, rng)
+        lam = lambda_table(cfg, f)
         for k in (-2, -1, 1, 2):
-            assert rel(lambda_dilog(cfg, f.shifted(k1=k), 0),
-                       w(-k * f.zeta0 / 2) * lambda_dilog(cfg, f, 0)) < 1e-10
-            assert rel(lambda_dilog(cfg, f.shifted(k0=k), 1),
-                       w(k * f.zeta1 / 2) * lambda_dilog(cfg, f, 1 + k)) < 1e-10
+            assert rel(lambda_table(cfg, f.shifted(k1=k))[0],
+                       w(-k * f.zeta0 / 2) * lam[0]) < 1e-10
+            assert rel(lambda_table(cfg, f.shifted(k0=k))[1],
+                       w(k * f.zeta1 / 2) * lam[(1 + k) % 5]) < 1e-10
+
+
+def test_lambda_rows_check_the_table_the_rmatrix_reads(monkeypatch):
+    # every Lambda the battery's rows read comes from lambda_table, the
+    # series rmat reads: one entry off by 1e-6 fails each row that reads it
+    # at an index, not only the recurrence and the period product
+    real = selftest.lambda_table
+
+    def perturbed(cfg, f):
+        table = real(cfg, f)
+        table[1] *= 1 + 1e-6
+        return table
+
+    monkeypatch.setattr(selftest, "lambda_table", perturbed)
+    out = selftest.check_qdilog(RootConfig(5), np.random.default_rng(5), 4)
+    failed = {k for k, v in out.items() if not v <= selftest.IDENTITIES[k].tol}
+    assert failed == {"lambda recurrence", "lambda product", "lambda shift (zeta0)",
+                      "lambda inverse sum", "Fourier transform", "Fourier inverse",
+                      "Fourier roundtrip"}
 
 
 def test_lambda_singular_at_integer():
