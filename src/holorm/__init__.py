@@ -11,7 +11,8 @@ from .qdilog import (Flattening, RootConfig, SingularArgumentError,
                      ConstraintViolationError, cyc_dilog, d_const,
                      fusion_f, li2, lifted_dilog, s_norm)
 from .characters import (BraidOutcome, LogWeylChar, SL2StarElement, WeylChar,
-                         braid, char_product, is_pinched, psi, to_z0_char)
+                         braid, braid_coords, char_product, is_pinched, psi,
+                         psi_coords, to_z0_char, z0_coords)
 from .weylrep import (Basis, GenMatrices, commutant_dim, rep_matrices,
                       rw_images, rw_images_negative)
 from .rmatrix import (CrossingData, PinchedCrossingError, RTensor,

@@ -56,11 +56,14 @@ class LogWeylChar:
 
 @dataclass(frozen=True)
 class SL2StarElement:
-    """Dual-group element: a pair (lower, upper) of triangular 2x2 matrices.
+    """Dual-group element: a pair (lower, upper) of triangular 2x2 matrices,
+    or a stack of them (shape (..., 2, 2)).
 
     lower = [[kappa, 0], [phi, 1]], upper = [[1, eps], [0, kappa]], kappa != 0.
     Group coordinates of a character chi: kappa = chi(K^N) = a,
     eps = chi(E^N) = b(a-m), phi = kappa*chi(F^N) = b^{-1}(a - 1/m).
+    The properties kappa, eps and phi are arrays over the stack (0-d for
+    one element).
     """
 
     lower: np.ndarray
@@ -69,57 +72,74 @@ class SL2StarElement:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=complex)
         up = np.asarray(self.upper, dtype=complex)
-        if lo.shape != (2, 2) or up.shape != (2, 2):
+        if lo.shape[-2:] != (2, 2) or up.shape != lo.shape:
             raise ValueError("SL2* components must be 2x2")
-        scale = max(1.0, float(np.abs(lo).max()), float(np.abs(up).max()))
-        if (abs(lo[0, 1]) > 1e-9 * scale or abs(lo[1, 1] - 1.0) > 1e-9 * scale
-                or abs(up[1, 0]) > 1e-9 * scale or abs(up[0, 0] - 1.0) > 1e-9 * scale
-                or abs(lo[0, 0] - up[1, 1]) > 1e-9 * scale):
+        tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo).max(axis=(-2, -1)),
+                                                np.abs(up).max(axis=(-2, -1))))
+        if np.any((abs(lo[..., 0, 1]) > tol) | (abs(lo[..., 1, 1] - 1.0) > tol)
+                  | (abs(up[..., 1, 0]) > tol) | (abs(up[..., 0, 0] - 1.0) > tol)
+                  | (abs(lo[..., 0, 0] - up[..., 1, 1]) > tol)):
             raise ValueError("matrices do not have the SL2* triangular shape")
-        if abs(lo[0, 0]) < 1e-12:
+        if np.any(abs(lo[..., 0, 0]) < 1e-12):
             raise ValueError("kappa must be nonzero")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
     @property
-    def kappa(self) -> complex:
-        return self.lower[0, 0]
+    def kappa(self) -> np.ndarray:
+        return self.lower[..., 0, 0]
 
     @property
-    def eps(self) -> complex:
-        return self.upper[0, 1]
+    def eps(self) -> np.ndarray:
+        return self.upper[..., 0, 1]
 
     @property
-    def phi(self) -> complex:
-        return self.lower[1, 0]
+    def phi(self) -> np.ndarray:
+        return self.lower[..., 1, 0]
 
     def holonomy(self) -> np.ndarray:
         """psi of this element: lower @ inverse(upper)."""
         return self.lower @ np.linalg.inv(self.upper)
 
 
-def psi(chi: WeylChar) -> np.ndarray:
-    """Holonomy matrix of a character; determinant 1.
+def _mat2(p, q, r, s) -> np.ndarray:
+    """[[p, q], [r, s]] as a complex matrix; entries that are equal-shape
+    arrays give a stack of matrices of that shape."""
+    M = np.empty(np.broadcast(p, q, r, s).shape + (2, 2), dtype=complex)
+    M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1] = p, q, r, s
+    return M
 
-    [[a, -b(a-m)], [b^{-1}(a - 1/m), m + 1/m - a]]
+
+def psi_coords(a, b, m) -> np.ndarray:
+    """Holonomy matrix of the character (a, b, m); determinant 1.
+
+    [[a, -b(a-m)], [b^{-1}(a - 1/m), m + 1/m - a]].  The coordinates are
+    scalars, or equal-shape arrays for a stack of matrices.
     """
-    a, b, m = chi.a, chi.b, chi.m
-    return np.array([[a, -b * (a - m)],
-                     [(a - 1.0 / m) / b, m + 1.0 / m - a]], dtype=complex)
+    return _mat2(a, -b * (a - m), (a - 1.0 / m) / b, m + 1.0 / m - a)
+
+
+def psi(chi: WeylChar) -> np.ndarray:
+    """Holonomy matrix of a character (psi_coords of its coordinates)."""
+    return psi_coords(*chi.as_tuple())
+
+
+def z0_coords(a, b, m) -> SL2StarElement:
+    """SL2* element of the character (a, b, m); psi = lower @ upper^{-1} by
+    construction.  Equal-shape coordinate arrays give a stack of elements."""
+    eps = b * (a - m)
+    phi = (a - 1.0 / m) / b
+    return SL2StarElement(_mat2(a, 0.0, phi, 1.0), _mat2(1.0, eps, 0.0, a))
 
 
 def to_z0_char(chi: WeylChar) -> SL2StarElement:
-    """SL2* element of a character; psi(chi) = lower @ upper^{-1} by construction."""
-    a, b, m = chi.a, chi.b, chi.m
-    eps = b * (a - m)
-    phi = (a - 1.0 / m) / b
-    lower = np.array([[a, 0.0], [phi, 1.0]], dtype=complex)
-    upper = np.array([[1.0, eps], [0.0, a]], dtype=complex)
-    return SL2StarElement(lower, upper)
+    """SL2* element of a character (z0_coords of its coordinates)."""
+    return z0_coords(*chi.as_tuple())
 
 
 def char_product(c1: SL2StarElement, c2: SL2StarElement) -> SL2StarElement:
-    """Group product (componentwise matrix product); realizes the coproduct pairing."""
+    """Group product (componentwise matrix product); realizes the coproduct
+    pairing.  Stacks multiply element by element."""
     return SL2StarElement(c1.lower @ c2.lower, c1.upper @ c2.upper)
 
 
@@ -143,42 +163,59 @@ def is_pinched(chi1: WeylChar, chi2: WeylChar) -> bool:
     return abs(b2 - m1b1) <= SINGULAR * max(abs(b2), abs(m1b1))
 
 
-def _window_ok(*vals) -> bool:
-    return all(SINGULAR < abs(v) < 1.0 / SINGULAR for v in vals)
+def _in_window(*vals):
+    """SINGULAR < |v| < 1/SINGULAR for every v: a bool for scalars, an
+    entrywise mask for arrays."""
+    ok = True
+    for v in vals:
+        r = abs(v)
+        ok = ok & (SINGULAR < r) & (r < 1.0 / SINGULAR)
+    return ok
 
 
-def _braid_positive(a1, b1, m1, a2, b2, m2):
-    """(a2', b2', a1', b1') of the braiding B, or None outside the window."""
-    A = 1.0 - (m1 * b1 / b2) * (1.0 - a1 / m1) * (1.0 - 1.0 / (m2 * a2))
-    den = 1.0 - m2 * a2 * (1.0 - b2 / (m1 * b1))
-    if not _window_ok(A, den):
-        return None
-    out = (a2 * A, b1 * (1.0 - (m1 / a1) * (1.0 - b2 / (m1 * b1))),
-           a1 / A, (m2 * b2 / m1) / den)
-    return out if _window_ok(*out) else None
+def braid_coords(a1, b1, m1, a2, b2, m2, sign: int):
+    """Braiding B (sign=+1) or its inverse (sign=-1) on character coordinates.
+
+    Returns ((a2', b2', m2), (a1', b1', m1)), ok: the outputs in braid order
+    (meridians pass through) and whether the pair is admissible, i.e. every
+    intermediate and output lies in the window SINGULAR < |.| < 1/SINGULAR.
+    The inverse is B conjugated by tau(a, b, m) = (a, 1/b, 1/m) on both
+    characters.  The coordinates are complex scalars, or equal-shape arrays
+    for a batch of pairs: then ok is a mask and the entries where it is False
+    hold no braiding.  A scalar pair outside the window returns (None, False)
+    before any division by a vanishing factor.
+    """
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    m1_in, m2_in = m1, m2
+    if sign == -1:
+        b1, m1, b2, m2 = 1.0 / b1, 1.0 / m1, 1.0 / b2, 1.0 / m2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        A = 1.0 - (m1 * b1 / b2) * (1.0 - a1 / m1) * (1.0 - 1.0 / (m2 * a2))
+        den = 1.0 - m2 * a2 * (1.0 - b2 / (m1 * b1))
+        ok = _in_window(A, den)
+        if ok is False:
+            return None, False
+        a2p, b2p, a1p, b1p = (a2 * A, b1 * (1.0 - (m1 / a1) * (1.0 - b2 / (m1 * b1))),
+                              a1 / A, (m2 * b2 / m1) / den)
+        ok = ok & _in_window(a2p, b2p, a1p, b1p)
+        if ok is False:
+            return None, False
+        if sign == -1:  # tau on the outputs
+            b2p, b1p = 1.0 / b2p, 1.0 / b1p
+    return ((a2p, b2p, m2_in), (a1p, b1p, m1_in)), ok
 
 
 def braid(chi1: WeylChar, chi2: WeylChar, sign: int) -> BraidOutcome:
     """Braiding B (sign=+1) or its inverse (sign=-1) on a pair of characters.
 
-    The inverse is B conjugated by tau(a, b, m) = (a, 1/b, 1/m) on both
-    characters.  Returns the outputs plus flags instead of raising, so
-    coloring propagation can report exactly where a diagram degenerates.
+    braid_coords on the pair's coordinates.  Returns the outputs plus flags
+    instead of raising, so coloring propagation can report exactly where a
+    diagram degenerates.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    a1, b1, m1 = chi1.as_tuple()
-    a2, b2, m2 = chi2.as_tuple()
+    out, ok = braid_coords(*chi1.as_tuple(), *chi2.as_tuple(), sign)
     pinched = is_pinched(chi1, chi2)
-    if sign == +1:
-        out = _braid_positive(a1, b1, m1, a2, b2, m2)
-    else:
-        out = _braid_positive(a1, 1.0 / b1, 1.0 / m1, a2, 1.0 / b2, 1.0 / m2)
-        if out is not None:  # tau on the outputs; their meridians are m2, m1
-            out = (out[0], 1.0 / out[1], out[2], 1.0 / out[3])
-    if out is None:
+    if not ok:
         return BraidOutcome(chi2, chi1, admissible=False, pinched=pinched)
-    a2p, b2p, a1p, b1p = out
-    return BraidOutcome(WeylChar(a2p, b2p, m2), WeylChar(a1p, b1p, m1),
+    return BraidOutcome(WeylChar(*out[0]), WeylChar(*out[1]),
                         admissible=True, pinched=pinched)
-

@@ -15,7 +15,7 @@ from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
                         LogColoring, build_diagram, crossing_data,
                         extend_log_coloring, log_longitudes, pin_bottom)
 from .characters import LogWeylChar, WeylChar
-from .qdilog import Flattening, RootConfig
+from .qdilog import TWO_PI_I, Flattening, RootConfig
 from .rmatrix import CrossingData
 
 
@@ -30,17 +30,32 @@ def random_flattening(cfg: RootConfig, rng: np.random.Generator) -> Flattening:
         return Flattening.from_zeta0(z0, branch=int(rng.integers(-2, 3)))
 
 
-def random_value(rng: np.random.Generator, scale: float = 0.4,
-                 im: float = 0.15) -> complex:
+def random_value(rng: np.random.Generator, scale: float, im: float) -> complex:
     return rng.uniform(-scale, scale) + 1j * rng.uniform(-im, im)
 
 
+# each log of a sampled character: |Re| < 0.4, |Im| < 0.15
+CHAR_LOG_BOX = (0.4, 0.15)
+
+
 def random_logchar(rng: np.random.Generator) -> LogWeylChar:
-    return LogWeylChar(random_value(rng), random_value(rng), random_value(rng))
+    return LogWeylChar(*(random_value(rng, *CHAR_LOG_BOX) for _ in range(3)))
 
 
 def random_char(rng: np.random.Generator) -> WeylChar:
     return random_logchar(rng).char()
+
+
+def random_char_coords(rng: np.random.Generator, shape: tuple) -> tuple:
+    """Coordinate arrays (a, b, m) of a `shape` array of random characters.
+
+    Draws the same numbers from the stream, in the same order, as
+    prod(shape) random_char calls in C order, so either route leaves the
+    generator in the same state.
+    """
+    re, im = CHAR_LOG_BOX
+    logs = rng.uniform([-re, -im], [re, im], size=(*shape, 3, 2)).view(complex)[..., 0]
+    return tuple(np.moveaxis(np.exp(TWO_PI_I * logs), -1, 0))
 
 
 def letter_crossing(cfg: RootConfig, sign: int, lc1: LogWeylChar, lc2: LogWeylChar,

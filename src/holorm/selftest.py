@@ -30,8 +30,8 @@ from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
                         LogColoring, apply, build_diagram, crossing_data,
                         extend_log_coloring, log_longitudes, on_slots,
                         pin_bottom)
-from .characters import (LogWeylChar, SL2StarElement, WeylChar, braid,
-                         char_product, psi, to_z0_char)
+from .characters import (LogWeylChar, SL2StarElement, braid, braid_coords,
+                         char_product, psi_coords, to_z0_char, z0_coords)
 from .qdilog import (ConstraintViolationError, RootConfig, TWO_PI_I, cyc_dilog,
                      d_const, fusion_f, lambda_table, lifted_dilog, s_norm)
 from .rmatrix import (CrossingData, FactorOps, PinchedCrossingError, RTensor,
@@ -126,8 +126,11 @@ class _Worst(dict):
 
     def note(self, key, val):
         """Note one deviation, or an array of them: one sample per entry,
-        and the array's max (NaN if any entry is NaN) as its deviation."""
+        and the array's max (NaN if any entry is NaN) as its deviation.
+        An empty array notes nothing."""
         vals = np.asarray(val, dtype=float)
+        if vals.size == 0:
+            return
         old, val = self.get(key, 0.0), float(vals.max())
         # a NaN compares false with everything: once noted it sticks, and
         # the identity fails (max() would drop it)
@@ -164,11 +167,12 @@ def check_qdilog(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict
         dual = f.dual()
         lamd = lambda_table(cfg, dual)
         # the series table the R-matrix reads vs the cyclic-dilogarithm
-        # product Lambda(.|0) omega**(-n zeta1) <zeta0|n>, n in [-N, N]
-        for n in range(-N, N + 1):
-            m = n % N
+        # product Lambda(.|0) omega**(-n zeta1) <zeta0|n>, once per entry
+        for n in range(N):
             out.note("lambda recurrence",
-                     _rel(lam[m], lam[0] * w(-m * z1) * cyc_dilog(cfg, z0, m)))
+                     _rel(lam[n], lam[0] * w(-n * z1) * cyc_dilog(cfg, z0, n)))
+        # that product is N-periodic in n
+        for n in range(-N, N + 1):
             route = lam[0] * w(-n * z1) * cyc_dilog(cfg, z0, n)
             routeN = lam[0] * w(-(n + N) * z1) * cyc_dilog(cfg, z0, n + N)
             out.note("lambda periodicity", _rel(route, routeN))
@@ -257,39 +261,39 @@ def check_qdilog(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict
 # ------------------------------------------------------------ characters
 
 def check_characters(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
+    """Every trial at once: coordinate arrays through braid_coords, z0_coords,
+    char_product and psi_coords, drawn as the scalar samplers draw them."""
     out = _Worst()
-    for _ in range(trials):
-        c1, c2 = sampling.random_char(rng), sampling.random_char(rng)
-        o = braid(c1, c2, +1)
-        if not o.admissible:
-            continue
-        back = braid(o.chi2p, o.chi1p, -1)
-        if back.admissible:
-            out.note("inverse pair", max(
-                max(map(abs, np.subtract(back.chi2p.as_tuple(), c1.as_tuple()))),
-                max(map(abs, np.subtract(back.chi1p.as_tuple(), c2.as_tuple())))))
-        out.note("meridian preservation",
-                 max(abs(o.chi1p.m - c1.m), abs(o.chi2p.m - c2.m)))
-        p_in = char_product(to_z0_char(c1), to_z0_char(c2))
-        p_out = char_product(to_z0_char(o.chi2p), to_z0_char(o.chi1p))
-        out.note("product preservation", float(
-            max(np.abs(p_in.lower - p_out.lower).max(),
-                np.abs(p_in.upper - p_out.upper).max())))
-        out.note("a balance", abs(c1.a * c2.a - o.chi1p.a * o.chi2p.a))
-        out.note("det psi", abs(np.linalg.det(psi(c1)) - 1.0))
-        mu = cmath.log(c1.m) / TWO_PI_I
-        out.note("Casimir relation", casimir_relation(c1, mu))
-    for _ in range(trials * 4):
-        lhs = rhs = tuple(sampling.random_char(rng) for _ in range(3))
-        for i in (0, 1, 0):
-            lhs = lhs and _sigma(lhs, i)
-        for i in (1, 0, 1):
-            rhs = rhs and _sigma(rhs, i)
-        if lhs is None or rhs is None:
-            continue
-        out.note("braid relation", max(
-            abs(x - y) for u, v in zip(lhs, rhs)
-            for x, y in zip(u.as_tuple(), v.as_tuple())))
+    a, b, m = sampling.random_char_coords(rng, (trials, 2))
+    c1, c2 = (a[:, 0], b[:, 0], m[:, 0]), (a[:, 1], b[:, 1], m[:, 1])
+    (o2, o1), ok = braid_coords(*c1, *c2, +1)
+    c1, c2, o2, o1 = ([x[ok] for x in c] for c in (c1, c2, o2, o1))
+    back, back_ok = braid_coords(*o2, *o1, -1)
+    out.note("inverse pair", np.abs(np.subtract(
+        (*back[0], *back[1]), (*c1, *c2))).max(axis=0)[back_ok])
+    out.note("meridian preservation",
+             np.maximum(abs(o1[2] - c1[2]), abs(o2[2] - c2[2])))
+    p_in = char_product(z0_coords(*c1), z0_coords(*c2))
+    p_out = char_product(z0_coords(*o2), z0_coords(*o1))
+    out.note("product preservation", np.maximum(
+        np.abs(p_in.lower - p_out.lower).max(axis=(-2, -1)),
+        np.abs(p_in.upper - p_out.upper).max(axis=(-2, -1))))
+    out.note("a balance", abs(c1[0] * c2[0] - o1[0] * o2[0]))
+    out.note("det psi", abs(np.linalg.det(psi_coords(*c1)) - 1.0))
+    out.note("Casimir relation", casimir_relation(*c1, np.log(c1[2]) / TWO_PI_I))
+    # braid relation on triples: sigma_0 sigma_1 sigma_0 = sigma_1 sigma_0 sigma_1
+    a, b, m = sampling.random_char_coords(rng, (4 * trials, 3))
+    triple = tuple((a[:, j], b[:, j], m[:, j]) for j in range(3))
+    sides = []
+    for word in ((0, 1, 0), (1, 0, 1)):
+        t, t_ok = triple, True
+        for i in word:
+            pair, step_ok = braid_coords(*t[i], *t[i + 1], +1)
+            t, t_ok = t[:i] + pair + t[i + 2:], t_ok & step_ok
+        sides.append((sum(t, ()), t_ok))
+    (lhs, lhs_ok), (rhs, rhs_ok) = sides
+    out.note("braid relation",
+             np.abs(np.subtract(lhs, rhs)).max(axis=0)[lhs_ok & rhs_ok])
     return out
 
 
@@ -297,28 +301,22 @@ class RootMismatchError(ValueError):
     """A claimed N-th root does not exponentiate to the claimed value."""
 
 
-def casimir_relation(chi: WeylChar, mu: complex) -> float:
+def casimir_relation(a, b, m, mu):
     """Residual of the Chebyshev/Casimir compatibility relation.
 
     P_N(t + 1/t) = t^N + 1/t^N with t = omega**(mu + 1/2) must match
-    chi(E^N F^N - K^N - K^{-N}); both sides equal -(m + 1/m).
-    The residual is |LHS - RHS| (absolute, both sides O(1)-normalized).
+    chi(E^N F^N - K^N - K^{-N}) for the character chi = (a, b, m); both
+    sides equal -(m + 1/m).  The residual is |LHS - RHS| (absolute, both
+    sides O(1)-normalized).  Scalars, or equal-shape arrays for a residual
+    per entry.
     """
-    a, b, m = chi.as_tuple()
-    if abs(cmath.exp(TWO_PI_I * mu) - m) > 1e-9 * max(1.0, abs(m)):
-        raise RootMismatchError(f"omega**(N mu) = {cmath.exp(TWO_PI_I * mu)} != m = {m}")
-    tN = cmath.exp(TWO_PI_I * mu) * cmath.exp(1j * cmath.pi)  # omega**(N(mu+1/2)) = -m
+    mN = np.exp(TWO_PI_I * mu)
+    if np.any(abs(mN - m) > 1e-9 * np.maximum(1.0, abs(m))):
+        raise RootMismatchError(f"omega**(N mu) = {mN} != m = {m}")
+    tN = mN * np.exp(1j * np.pi)  # omega**(N(mu+1/2)) = -m
     lhs = tN + 1.0 / tN
     rhs = b * (a - m) * (a - 1.0 / m) / (a * b) - a - 1.0 / a
     return abs(lhs - rhs)
-
-
-def _sigma(t: tuple, i: int):
-    """Braid generator i (0 or 1) on a triple of characters; None if inadmissible."""
-    o = braid(t[i], t[i + 1], +1)
-    if not o.admissible:
-        return None
-    return t[:i] + (o.chi2p, o.chi1p) + t[i + 2:]
 
 
 # --------------------------------------------------------------- weylrep

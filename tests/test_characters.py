@@ -1,15 +1,18 @@
 """Central characters, the SL2* coordinates, and the braiding map."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
 
-from holorm.characters import (WeylChar, braid, char_product, is_pinched,
-                               psi, to_z0_char)
-from holorm.qdilog import TWO_PI_I
-from holorm.sampling import random_char
-from holorm.selftest import RootMismatchError, _central_scalars, casimir_relation
+from holorm.characters import (SL2StarElement, WeylChar, braid, braid_coords,
+                               char_product, is_pinched, psi, psi_coords,
+                               to_z0_char, z0_coords)
+from holorm.qdilog import TWO_PI_I, RootConfig
+from holorm.sampling import random_char, random_char_coords
+from holorm.selftest import (RootMismatchError, _central_scalars, casimir_relation,
+                             check_characters)
 
 from conftest import mrel, rel
 
@@ -138,11 +141,108 @@ def test_casimir_relation(rng):
     for _ in range(100):
         chi = random_char(rng)
         mu = cmath.log(chi.m) / TWO_PI_I + int(rng.integers(-2, 3))
-        assert casimir_relation(chi, mu) < 1e-10
+        assert casimir_relation(*chi.as_tuple(), mu) < 1e-10
     # sigma-hat with mu = -1/2: both sides equal 2
     chi = KASHAEV1
     m = cmath.exp(TWO_PI_I * (-0.5))
     assert rel(-m - 1 / m, 2.0) < 1e-14
-    assert casimir_relation(chi, -0.5) < 1e-14
+    assert casimir_relation(*chi.as_tuple(), -0.5) < 1e-14
     with pytest.raises(RootMismatchError):
-        casimir_relation(chi, 0.2)
+        casimir_relation(*chi.as_tuple(), 0.2)
+
+
+# numpy's complex products round differently from CPython's, so array and
+# scalar routes agree to rounding (a few eps), not bit for bit
+ARRAY_VS_SCALAR = 1e-13
+
+
+def _crafted_pairs(sign):
+    """Pairs on both sides of the window.  (a1, 1, 1), (0.5, 1, 1) has
+    A = 2 - a1, and (0.5, 1, 1), (-1 + d, b2, 1) with b2 = 2 after tau has
+    den = d.  A = 1.5e-9 passes the first window, but a1/A leaves it."""
+    b2 = 2.0 if sign == +1 else 0.5
+    pairs = [(WeylChar(a1, 1, 1), WeylChar(0.5, 1, 1))
+             for a1 in (2.0, 2.0 - 5e-10, 2.0 - 1.5e-9, 2.0 - 4e-9, 1.5)]
+    pairs += [(WeylChar(0.5, 1, 1), WeylChar(-1.0 + d, b2, 1))
+              for d in (0.0, 5e-10, 4e-9, 0.5)]
+    return pairs
+
+
+@pytest.mark.parametrize("sign", (+1, -1))
+def test_braid_coords_on_arrays_matches_braid(rng, sign):
+    pairs = [(random_char(rng), random_char(rng)) for _ in range(1000)]
+    pairs += _crafted_pairs(sign)
+    cols = [np.array([getattr(p[i], k) for p in pairs], dtype=complex)
+            for i in (0, 1) for k in "abm"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # masked entries divide silently
+        (o2, o1), ok = braid_coords(*cols, sign)
+    outs = [braid(c1, c2, sign) for c1, c2 in pairs]
+    assert list(ok) == [o.admissible for o in outs]
+    assert [o.admissible for o in outs[1000:]] == [False, False, False, True, True,
+                                                   False, False, True, True]
+    for j, o in enumerate(outs):
+        if o.admissible:
+            for x, y in zip(o2 + o1, o.chi2p.as_tuple() + o.chi1p.as_tuple()):
+                assert rel(x[j], y) <= ARRAY_VS_SCALAR
+
+
+@pytest.mark.parametrize("sign", (+1, -1))
+def test_braid_coords_scalar_path_exits_before_dividing(sign):
+    for c1, c2 in _crafted_pairs(sign):
+        out, ok = braid_coords(*c1.as_tuple(), *c2.as_tuple(), sign)
+        assert ok is braid(c1, c2, sign).admissible
+        if not ok:
+            assert out is None
+    with pytest.raises(ValueError):
+        braid_coords(1, 1, 1, 1, 1, 1, 0)
+
+
+@pytest.mark.parametrize("sign", (+1, -1))
+def test_braid_coords_meridians_pass_through_exactly(rng, sign):
+    c1, c2 = random_char(rng), random_char(rng)
+    (o2, o1), ok = braid_coords(*c1.as_tuple(), *c2.as_tuple(), sign)
+    assert ok and o2[2] == c2.m and o1[2] == c1.m
+    a, b, m = random_char_coords(rng, (50, 2))
+    (o2, o1), ok = braid_coords(a[:, 0], b[:, 0], m[:, 0], a[:, 1], b[:, 1], m[:, 1], sign)
+    assert ok.all()
+    assert np.array_equal(o2[2], m[:, 1]) and np.array_equal(o1[2], m[:, 0])
+
+
+def test_coordinate_forms_on_arrays_match_the_character_forms(rng):
+    a, b, m = random_char_coords(rng, (2, 20))
+    chars = [[WeylChar(a[i, j], b[i, j], m[i, j]) for j in range(20)] for i in (0, 1)]
+    P = psi_coords(a, b, m)
+    prod = char_product(z0_coords(a[0], b[0], m[0]), z0_coords(a[1], b[1], m[1]))
+    assert P.shape == (2, 20, 2, 2) and prod.lower.shape == (20, 2, 2)
+    for j in range(20):
+        assert mrel(P[0, j], psi(chars[0][j])) <= ARRAY_VS_SCALAR
+        one = char_product(to_z0_char(chars[0][j]), to_z0_char(chars[1][j]))
+        assert mrel(prod.lower[j], one.lower) <= ARRAY_VS_SCALAR
+        assert mrel(prod.upper[j], one.upper) <= ARRAY_VS_SCALAR
+    el = z0_coords(a, b, m)
+    bad = el.lower.copy()
+    bad[1, 3, 0, 1] = 1.0  # one element of the stack is not lower triangular
+    with pytest.raises(ValueError):
+        SL2StarElement(bad, el.upper)
+
+
+def test_random_char_coords_draw_as_random_char():
+    a, b, m = random_char_coords(np.random.default_rng(8), (30, 2))
+    rng = np.random.default_rng(8)
+    for i in range(30):
+        for j in range(2):
+            chi = random_char(rng)
+            for x, y in zip((a[i, j], b[i, j], m[i, j]), chi.as_tuple()):
+                assert rel(x, y) <= 1e-15
+
+
+@pytest.mark.parametrize("trials", (40, 100))
+def test_check_characters_draws_84_uniforms_per_trial(trials):
+    """Each trial draws 2 characters, and 4 triples for the braid relation:
+    14 characters of 6 uniforms, so later suites see an unshifted stream."""
+    rng, ref = np.random.default_rng(trials), np.random.default_rng(trials)
+    check_characters(RootConfig(3), rng, trials)
+    for _ in range(84 * trials):
+        ref.uniform()
+    assert rng.bit_generator.state == ref.bit_generator.state
