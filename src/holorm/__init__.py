@@ -10,15 +10,14 @@ characters and their braiding (characters), cyclic Weyl-algebra modules
 from .qdilog import (Flattening, RootConfig, SingularArgumentError,
                      ConstraintViolationError, cyc_dilog, d_const,
                      fusion_f, li2, lifted_dilog, s_norm)
-from .characters import (BraidOutcome, LogWeylChar, SL2StarElement, WeylChar,
-                         braid, braid_coords, char_product, is_pinched, psi,
-                         psi_coords, to_z0_char, z0_coords)
+from .characters import (BraidOutcome, LogWeylChar, WeylChar, braid,
+                         braid_coords, is_pinched)
 from .weylrep import (Basis, GenMatrices, commutant_dim, rep_matrices,
                       rw_images, rw_images_negative)
 from .rmatrix import (CrossingData, PinchedCrossingError, RTensor,
                       braiding_op, crossing_from_logs, det_braiding, det_lu,
                       factorized_ops, kashaev_rmat, logdet_braiding, rmat,
-                      rmat_pinched, transform_rules)
+                      rmat_pinched)
 from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
                         LogColoring, build_diagram, extend_log_coloring,
                         jfunc_eval, log_longitudes, pin_bottom, propagate_chi)

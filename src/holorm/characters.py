@@ -1,11 +1,12 @@
 """Central characters of the cyclic Weyl algebra and their braiding.
 
 A character is the triple (a, b, m) of values on the central N-th powers
-(x^N, y^N, z^N).  Characters correspond to elements of the dual group SL2*
-(pairs of triangular matrices) and map to SL2 holonomy matrices via the
-birational map psi.  The braiding B acts on pairs of characters; it is only
+(x^N, y^N, z^N).  The braiding B acts on pairs of characters; it is only
 partially defined, and the places where it degenerates (inadmissible pairs,
-pinched pairs) drive all the special-casing downstream.
+pinched pairs) drive all the special-casing downstream.  braid_coords is
+the one braiding kernel, on coordinates; braid applies it to a WeylChar
+pair.  The dual group SL2* and the holonomy map psi, which only the identity
+battery reads, live in selftest.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .qdilog import SINGULAR, TWO_PI_I
 
 @dataclass(frozen=True)
 class WeylChar:
-    """Central character: a = chi(x^N), b = chi(y^N), m = chi(z^N), all nonzero."""
+    """Central character: a = chi(x^N), b = chi(y^N), m = chi(z^N), all
+    finite and nonzero."""
 
     a: complex
     b: complex
@@ -28,8 +30,10 @@ class WeylChar:
 
     def __post_init__(self):
         for name in ("a", "b", "m"):
-            if abs(getattr(self, name)) < 1e-12:
-                raise ValueError(f"character coordinate {name} must be nonzero")
+            v = getattr(self, name)
+            if not (cmath.isfinite(v) and abs(v) >= 1e-12):
+                raise ValueError(f"character coordinate {name} must be finite "
+                                 "and nonzero")
 
     def as_tuple(self) -> tuple:
         return (self.a, self.b, self.m)
@@ -52,95 +56,6 @@ class LogWeylChar:
         return WeylChar(cmath.exp(TWO_PI_I * self.alpha),
                         cmath.exp(TWO_PI_I * self.beta),
                         cmath.exp(TWO_PI_I * self.mu))
-
-
-@dataclass(frozen=True)
-class SL2StarElement:
-    """Dual-group element: a pair (lower, upper) of triangular 2x2 matrices,
-    or a stack of them (shape (..., 2, 2)).
-
-    lower = [[kappa, 0], [phi, 1]], upper = [[1, eps], [0, kappa]], kappa != 0.
-    Group coordinates of a character chi: kappa = chi(K^N) = a,
-    eps = chi(E^N) = b(a-m), phi = kappa*chi(F^N) = b^{-1}(a - 1/m).
-    The properties kappa, eps and phi are arrays over the stack (0-d for
-    one element).
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=complex)
-        up = np.asarray(self.upper, dtype=complex)
-        if lo.shape[-2:] != (2, 2) or up.shape != lo.shape:
-            raise ValueError("SL2* components must be 2x2")
-        tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo).max(axis=(-2, -1)),
-                                                np.abs(up).max(axis=(-2, -1))))
-        if np.any((abs(lo[..., 0, 1]) > tol) | (abs(lo[..., 1, 1] - 1.0) > tol)
-                  | (abs(up[..., 1, 0]) > tol) | (abs(up[..., 0, 0] - 1.0) > tol)
-                  | (abs(lo[..., 0, 0] - up[..., 1, 1]) > tol)):
-            raise ValueError("matrices do not have the SL2* triangular shape")
-        if np.any(abs(lo[..., 0, 0]) < 1e-12):
-            raise ValueError("kappa must be nonzero")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-
-    @property
-    def kappa(self) -> np.ndarray:
-        return self.lower[..., 0, 0]
-
-    @property
-    def eps(self) -> np.ndarray:
-        return self.upper[..., 0, 1]
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.lower[..., 1, 0]
-
-    def holonomy(self) -> np.ndarray:
-        """psi of this element: lower @ inverse(upper)."""
-        return self.lower @ np.linalg.inv(self.upper)
-
-
-def _mat2(p, q, r, s) -> np.ndarray:
-    """[[p, q], [r, s]] as a complex matrix; entries that are equal-shape
-    arrays give a stack of matrices of that shape."""
-    M = np.empty(np.broadcast(p, q, r, s).shape + (2, 2), dtype=complex)
-    M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1] = p, q, r, s
-    return M
-
-
-def psi_coords(a, b, m) -> np.ndarray:
-    """Holonomy matrix of the character (a, b, m); determinant 1.
-
-    [[a, -b(a-m)], [b^{-1}(a - 1/m), m + 1/m - a]].  The coordinates are
-    scalars, or equal-shape arrays for a stack of matrices.
-    """
-    return _mat2(a, -b * (a - m), (a - 1.0 / m) / b, m + 1.0 / m - a)
-
-
-def psi(chi: WeylChar) -> np.ndarray:
-    """Holonomy matrix of a character (psi_coords of its coordinates)."""
-    return psi_coords(*chi.as_tuple())
-
-
-def z0_coords(a, b, m) -> SL2StarElement:
-    """SL2* element of the character (a, b, m); psi = lower @ upper^{-1} by
-    construction.  Equal-shape coordinate arrays give a stack of elements."""
-    eps = b * (a - m)
-    phi = (a - 1.0 / m) / b
-    return SL2StarElement(_mat2(a, 0.0, phi, 1.0), _mat2(1.0, eps, 0.0, a))
-
-
-def to_z0_char(chi: WeylChar) -> SL2StarElement:
-    """SL2* element of a character (z0_coords of its coordinates)."""
-    return z0_coords(*chi.as_tuple())
-
-
-def char_product(c1: SL2StarElement, c2: SL2StarElement) -> SL2StarElement:
-    """Group product (componentwise matrix product); realizes the coproduct
-    pairing.  Stacks multiply element by element."""
-    return SL2StarElement(c1.lower @ c2.lower, c1.upper @ c2.upper)
 
 
 @dataclass(frozen=True)

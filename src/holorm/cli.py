@@ -145,12 +145,12 @@ def _crossing_from_spec(cfg: RootConfig, spec: dict) -> CrossingData:
     kappa = None if kappa in (None, "auto") else _cx(kappa)
     alphas = {k: _cx(segs[k]["alpha"]) for k in ("1", "2", "2p", "1p")
               if "alpha" in segs[k]}
-    if any(abs(mo - mu) > MERIDIAN_TOL for mo, mu in zip(mus_out, mus)):
+    if not all(abs(mo - mu) <= MERIDIAN_TOL for mo, mu in zip(mus_out, mus)):  # NaN fails too
         raise ConstraintViolationError("meridian logs must be preserved")
     c = crossing_from_logs(cfg, sign, betas, mus, regions, kappa)
     # an explicit alpha must be the region difference the crossing derived
     for k, lc in (("1", c.lc1), ("2", c.lc2), ("2p", c.lc2p), ("1p", c.lc1p)):
-        if k in alphas and abs(alphas[k] - lc.alpha) > ALPHA_TOL:
+        if k in alphas and not abs(alphas[k] - lc.alpha) <= ALPHA_TOL:  # NaN fails too
             raise ConstraintViolationError(f"segment alpha {alphas[k]} "
                                            f"does not match region difference {lc.alpha}")
     return c

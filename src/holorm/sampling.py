@@ -14,7 +14,7 @@ import numpy as np
 from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
                         LogColoring, build_diagram, crossing_data,
                         extend_log_coloring, log_longitudes, pin_bottom)
-from .characters import LogWeylChar, WeylChar
+from .characters import LogWeylChar
 from .qdilog import TWO_PI_I, Flattening, RootConfig
 from .rmatrix import CrossingData
 
@@ -42,16 +42,12 @@ def random_logchar(rng: np.random.Generator) -> LogWeylChar:
     return LogWeylChar(*(random_value(rng, *CHAR_LOG_BOX) for _ in range(3)))
 
 
-def random_char(rng: np.random.Generator) -> WeylChar:
-    return random_logchar(rng).char()
-
-
 def random_char_coords(rng: np.random.Generator, shape: tuple) -> tuple:
     """Coordinate arrays (a, b, m) of a `shape` array of random characters.
 
     Draws the same numbers from the stream, in the same order, as
-    prod(shape) random_char calls in C order, so either route leaves the
-    generator in the same state.
+    prod(shape) random_logchar(rng).char() calls in C order, so either route
+    leaves the generator in the same state.
     """
     re, im = CHAR_LOG_BOX
     logs = rng.uniform([-re, -im], [re, im], size=(*shape, 3, 2)).view(complex)[..., 0]

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 
 from holorm import selftest
-from holorm.characters import LogWeylChar, char_product, to_z0_char
+from holorm.characters import LogWeylChar
 from holorm.qdilog import RootConfig
 from holorm.sampling import random_logchar
 from holorm.weylrep import Basis, commutant_dim, matrix_power, rep_matrices
@@ -237,7 +237,8 @@ def test_criterion_12_representation_probes():
             K12 = np.kron(g1.K, g2.K)
             E12 = np.kron(g1.E, g2.K) + np.kron(eyeN, g2.E)
             F12 = np.kron(g1.F, eyeN) + np.kron(np.linalg.inv(g1.K), g2.F)
-            prod = char_product(to_z0_char(lc.char()), to_z0_char(lc2.char()))
+            prod = selftest.char_product(selftest.z0_coords(*lc.char().as_tuple()),
+                                         selftest.z0_coords(*lc2.char().as_tuple()))
             eye2 = np.eye(N * N)
             for M, s in zip((K12, E12, F12), selftest._central_scalars(prod)):
                 P = matrix_power(M, N)

@@ -6,13 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from holorm.characters import (SL2StarElement, WeylChar, braid, braid_coords,
-                               char_product, is_pinched, psi, psi_coords,
-                               to_z0_char, z0_coords)
+from holorm.characters import WeylChar, braid, braid_coords, is_pinched
 from holorm.qdilog import TWO_PI_I, RootConfig
-from holorm.sampling import random_char, random_char_coords
-from holorm.selftest import (RootMismatchError, _central_scalars, casimir_relation,
-                             check_characters)
+from holorm.sampling import random_char_coords, random_logchar
+from holorm.selftest import (RootMismatchError, SL2StarElement, _central_scalars,
+                             casimir_relation, char_product, check_characters,
+                             psi_coords, z0_coords)
 
 from conftest import mrel, rel
 
@@ -26,33 +25,33 @@ def test_weylchar_validation():
 
 
 def test_psi_sigma_hat_is_minus_identity():
-    assert mrel(psi(KASHAEV1), -np.eye(2)) < 1e-14
+    assert mrel(psi_coords(*KASHAEV1.as_tuple()), -np.eye(2)) < 1e-14
 
 
 def test_psi_structure(rng):
     for _ in range(50):
-        chi = random_char(rng)
-        M = psi(chi)
+        chi = random_logchar(rng).char()
+        M = psi_coords(*chi.as_tuple())
         assert rel(np.trace(M), chi.m + 1 / chi.m) < 1e-12
         assert abs(np.linalg.det(M) - 1) < 1e-12
     chi = WeylChar(0.7 + 0.1j, 2.0, 0.7 + 0.1j)  # a = m
-    assert abs(psi(chi)[0, 1]) < 1e-14
+    assert abs(psi_coords(*chi.as_tuple())[0, 1]) < 1e-14
 
 
 def test_to_z0_char():
-    ident = to_z0_char(WeylChar(1.0, 0.63 - 0.2j, 1.0))
+    ident = z0_coords(1.0, 0.63 - 0.2j, 1.0)
     assert mrel(ident.lower, np.eye(2)) < 1e-14
     assert mrel(ident.upper, np.eye(2)) < 1e-14
-    el = to_z0_char(KASHAEV1)
+    el = z0_coords(*KASHAEV1.as_tuple())
     assert mrel(el.lower, np.diag([-1.0, 1.0])) < 1e-14
     assert mrel(el.upper, np.diag([1.0, -1.0])) < 1e-14
 
 
 def test_to_z0_char_holonomy_consistency(rng):
     for _ in range(50):
-        chi = random_char(rng)
-        el = to_z0_char(chi)
-        assert mrel(el.holonomy(), psi(chi)) < 1e-11
+        chi = random_logchar(rng).char()
+        el = z0_coords(*chi.as_tuple())
+        assert mrel(el.holonomy(), psi_coords(*chi.as_tuple())) < 1e-11
         # character values on the central powers
         kn, en, fn = _central_scalars(el)
         assert rel(kn, chi.a) < 1e-14
@@ -61,11 +60,11 @@ def test_to_z0_char_holonomy_consistency(rng):
 
 
 def test_char_product_unit_laws(rng):
-    e = to_z0_char(WeylChar(1.0, 1.0, 1.0))
-    c = to_z0_char(random_char(rng))
+    e = z0_coords(1.0, 1.0, 1.0)
+    c = z0_coords(*random_logchar(rng).char().as_tuple())
     assert mrel(char_product(e, c).lower, c.lower) < 1e-14
     assert mrel(char_product(c, e).upper, c.upper) < 1e-14
-    c2 = to_z0_char(random_char(rng))
+    c2 = z0_coords(*random_logchar(rng).char().as_tuple())
     assert rel(char_product(c, c2).kappa, c.kappa * c2.kappa) < 1e-13
 
 
@@ -85,7 +84,7 @@ def test_braid_inadmissible_pair():
 def test_braid_inverse_pair(rng):
     for sign in (+1, -1):
         for _ in range(500):
-            c1, c2 = random_char(rng), random_char(rng)
+            c1, c2 = random_logchar(rng).char(), random_logchar(rng).char()
             out = braid(c1, c2, sign)
             if not out.admissible:
                 continue
@@ -108,7 +107,7 @@ def test_braid_relation(rng):
 
     checked = 0
     for _ in range(2000):
-        triple = tuple(random_char(rng) for _ in range(3))
+        triple = tuple(random_logchar(rng).char() for _ in range(3))
         lhs = rhs = triple
         for step in (bx, xb, bx):
             lhs = step(lhs) if lhs is not None else None
@@ -124,12 +123,13 @@ def test_braid_relation(rng):
 
 def test_product_preservation_and_a_balance(rng):
     for _ in range(200):
-        c1, c2 = random_char(rng), random_char(rng)
+        c1, c2 = random_logchar(rng).char(), random_logchar(rng).char()
         out = braid(c1, c2, +1)
         if not out.admissible:
             continue
-        p_in = char_product(to_z0_char(c1), to_z0_char(c2))
-        p_out = char_product(to_z0_char(out.chi2p), to_z0_char(out.chi1p))
+        p_in = char_product(z0_coords(*c1.as_tuple()), z0_coords(*c2.as_tuple()))
+        p_out = char_product(z0_coords(*out.chi2p.as_tuple()),
+                             z0_coords(*out.chi1p.as_tuple()))
         s = max(1.0, np.abs(p_in.lower).max(), np.abs(p_in.upper).max())
         assert np.abs(p_in.lower - p_out.lower).max() <= 1e-10 * s
         assert np.abs(p_in.upper - p_out.upper).max() <= 1e-10 * s
@@ -139,7 +139,7 @@ def test_product_preservation_and_a_balance(rng):
 
 def test_casimir_relation(rng):
     for _ in range(100):
-        chi = random_char(rng)
+        chi = random_logchar(rng).char()
         mu = cmath.log(chi.m) / TWO_PI_I + int(rng.integers(-2, 3))
         assert casimir_relation(*chi.as_tuple(), mu) < 1e-10
     # sigma-hat with mu = -1/2: both sides equal 2
@@ -170,7 +170,8 @@ def _crafted_pairs(sign):
 
 @pytest.mark.parametrize("sign", (+1, -1))
 def test_braid_coords_on_arrays_matches_braid(rng, sign):
-    pairs = [(random_char(rng), random_char(rng)) for _ in range(1000)]
+    pairs = [(random_logchar(rng).char(), random_logchar(rng).char())
+             for _ in range(1000)]
     pairs += _crafted_pairs(sign)
     cols = [np.array([getattr(p[i], k) for p in pairs], dtype=complex)
             for i in (0, 1) for k in "abm"]
@@ -200,7 +201,7 @@ def test_braid_coords_scalar_path_exits_before_dividing(sign):
 
 @pytest.mark.parametrize("sign", (+1, -1))
 def test_braid_coords_meridians_pass_through_exactly(rng, sign):
-    c1, c2 = random_char(rng), random_char(rng)
+    c1, c2 = random_logchar(rng).char(), random_logchar(rng).char()
     (o2, o1), ok = braid_coords(*c1.as_tuple(), *c2.as_tuple(), sign)
     assert ok and o2[2] == c2.m and o1[2] == c1.m
     a, b, m = random_char_coords(rng, (50, 2))
@@ -216,8 +217,9 @@ def test_coordinate_forms_on_arrays_match_the_character_forms(rng):
     prod = char_product(z0_coords(a[0], b[0], m[0]), z0_coords(a[1], b[1], m[1]))
     assert P.shape == (2, 20, 2, 2) and prod.lower.shape == (20, 2, 2)
     for j in range(20):
-        assert mrel(P[0, j], psi(chars[0][j])) <= ARRAY_VS_SCALAR
-        one = char_product(to_z0_char(chars[0][j]), to_z0_char(chars[1][j]))
+        assert mrel(P[0, j], psi_coords(*chars[0][j].as_tuple())) <= ARRAY_VS_SCALAR
+        one = char_product(z0_coords(*chars[0][j].as_tuple()),
+                           z0_coords(*chars[1][j].as_tuple()))
         assert mrel(prod.lower[j], one.lower) <= ARRAY_VS_SCALAR
         assert mrel(prod.upper[j], one.upper) <= ARRAY_VS_SCALAR
     el = z0_coords(a, b, m)
@@ -232,7 +234,7 @@ def test_random_char_coords_draw_as_random_char():
     rng = np.random.default_rng(8)
     for i in range(30):
         for j in range(2):
-            chi = random_char(rng)
+            chi = random_logchar(rng).char()
             for x, y in zip((a[i, j], b[i, j], m[i, j]), chi.as_tuple()):
                 assert rel(x, y) <= 1e-15
 

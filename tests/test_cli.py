@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import json
+import math
 import pathlib
 import re
 import shlex
@@ -317,16 +318,25 @@ def _edited(spec, *path_and_value):
     (["color"], lambda: _edited(BRAID_SPEC, "width", 10 ** 30)),
     (["braid"], lambda: _edited(BRAID_SPEC, "width", 10 ** 30)),
     (["selftest", "--seed", "-1"], None),
+    (["color"], lambda: _edited(BRAID_SPEC, "top_colors", 0, "a", [math.nan, 0])),
+    (["color"], lambda: _edited(BRAID_SPEC, "top_colors", 1, "b", [0, math.inf])),
+    (["rmat"], lambda: _edited(_filled_crossing_spec, "kappa", [math.nan, 0])),
+    (["rmat"], lambda: _edited(_filled_crossing_spec, "segments", "1p", "mu",
+                               [math.nan, 0])),
+    (["rmat"], lambda: _edited(_filled_crossing_spec, "segments", "2", "alpha",
+                               [math.nan, 0])),
 ], ids=["rmat-list", "braid-list", "color-list", "rmat-number-segment",
         "scale-inf", "scale-minus-inf", "scale-nan", "scale-negative",
         "sign-fraction", "sign-bool", "width-fraction", "letter-fraction",
         "rmat-log-overflow", "braid-log-overflow", "color-huge-width",
-        "braid-huge-width", "seed-negative"])
+        "braid-huge-width", "seed-negative", "color-nan", "color-inf",
+        "rmat-nan-kappa", "rmat-nan-mu-out", "rmat-nan-alpha"])
 def test_malformed_input_exits_2(argv, spec, tmp_path, capsys):
     # wrong JSON types, integer fields that are not integers (truncating
     # them would evaluate another crossing or braid), logs whose exponential
-    # overflows, a width too large for any diagram, a non-finite or
-    # negative trial multiplier and a negative seed are malformed input
+    # overflows, a width too large for any diagram, non-finite numbers (a
+    # NaN passes every "<" and ">" guard), a non-finite or negative trial
+    # multiplier and a negative seed are malformed input
     if spec is not None:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec() if callable(spec) else spec))

@@ -5,7 +5,9 @@ weylrep (the cyclic modules), sampling (random test data) and selftest (the
 identity battery and its reference oracles) serve the checks; qdilog,
 characters, rmatrix and braidgrpd compute R-matrices and state sums without
 them.  numpy is the one declared runtime dependency.  Every import statement
-counts, at module level or inside a function.
+counts, at module level or inside a function.  Every public function and
+class of the runtime modules is read by runtime code, or named with its
+reason in UNREAD_BY_RUNTIME.
 """
 
 import ast
@@ -52,3 +54,42 @@ def test_module_imports_only_numpy_and_the_standard_library(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
     assert found - {"holorm"} <= set(sys.stdlib_module_names) | {"numpy"}
+
+
+# Public functions and classes of the runtime modules that no runtime code
+# (the four modules and cli.py) reads, with the reason each one stays.
+UNREAD_BY_RUNTIME = {
+    "cyc_dilog": "the paper's cyclic dilogarithm; test_qdilog checks it against mpmath",
+    "s_norm": "the paper's S-normalization; the Fourier rows and test_qdilog read it",
+    "fusion_f": "the paper's fusion function; the fusion rows and test_qdilog read it",
+    "factorized_ops": "the four-factor theorem; the factorization rows and perfbench read it",
+    "det_braiding": "the closed-form determinant as a number; perfbench reads it",
+    "apply": "the matrix-free state sum; the braid-level rows read it, and so "
+             "will the closure of braids into knot invariants",
+    "pin_bottom": "closes a coloring onto its top; the braid-level rows read "
+                  "it, and so will the closure of braids into knot invariants",
+}
+
+
+def _names_read(tree) -> set:
+    """The names and attributes a module's code reads; a top-level
+    definition's reads of its own name do not count."""
+    read = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id != own:
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != own:
+                read.add(node.attr)
+    return read
+
+
+def test_every_public_runtime_name_is_read_by_runtime_code():
+    # check-only code belongs in selftest, next to the rows that read it
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in RUNTIME + ("cli",)}
+    read = set().union(*map(_names_read, trees.values()))
+    public = {stmt.name for m in RUNTIME for stmt in trees[m].body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_")}
+    assert public - read == set(UNREAD_BY_RUNTIME)

@@ -12,7 +12,7 @@ from holorm.qdilog import RootConfig, TWO_PI_I, lambda_table
 from holorm.rmatrix import (CrossingData, PinchedCrossingError, _index_grids,
                             _region_terms, braiding_op, crossing_from_logs,
                             det_braiding, det_lu, factorized_ops, kashaev_rmat,
-                            logdet_braiding, rmat, rmat_pinched, transform_rules)
+                            logdet_braiding, rmat, rmat_pinched)
 from holorm.braidgrpd import (BraidWord, build_diagram, crossing_data,
                               extend_log_coloring)
 from holorm.sampling import (kashaev_crossing, letter_crossing, random_crossing,
@@ -22,7 +22,8 @@ from holorm.selftest import (IDENTITIES, _det_deviation, _det_factor_deviation,
                              _pinched_limit, _random_pinched_params,
                              colored_jones_closed_form, kashaev_closed_form,
                              nilpotent_closed_form, r2_backward_error,
-                             weight_basis_closed_form, weight_basis_rmat)
+                             transform_rules, weight_basis_closed_form,
+                             weight_basis_rmat)
 
 from conftest import mrel, rel
 
@@ -230,10 +231,9 @@ def test_det_sign_flip_inverts_constant(rng):
 def test_transform_rules_zero_shift(rng):
     cfg = RootConfig(3)
     c = random_crossing(cfg, rng, +1)
-    relzero = transform_rules(c)
-    assert relzero.phase == 1.0
-    assert relzero.index_shift == (0, 0, 0, 0)
-    assert mrel(relzero.predict(rmat(c)), rmat(c).entries) == 0.0
+    shifted, pred = transform_rules(c, rmat(c))
+    assert shifted == c
+    assert np.array_equal(pred, rmat(c).entries)
 
 
 def test_transform_rules_gamma_n(rng):
@@ -241,11 +241,11 @@ def test_transform_rules_gamma_n(rng):
     N = 3
     c = random_crossing(cfg, rng, +1)
     R = rmat(c)
-    tr = transform_rules(c, gamma_shifts={"N": 1})
+    crossing, _ = transform_rules(c, R, gamma_shifts={"N": 1})
     # entries scale by omega**(zeta_N^0 / 2) * omega**(n2' - n1)
     z0 = c.zeta0()
     w = cfg.omega_pow
-    shifted = rmat(tr.crossing).entries.reshape(N, N, N, N)
+    shifted = rmat(crossing).entries.reshape(N, N, N, N)
     base = R.entries.reshape(N, N, N, N)
     for idx in np.ndindex(N, N, N, N):
         n1, n2, n1p, n2p = idx
@@ -258,12 +258,16 @@ def test_transform_rules_beta1(rng):
     N = 3
     c = random_crossing(cfg, rng, +1)
     R = rmat(c)
-    tr = transform_rules(c, beta_shifts=(1, 0, 0, 0))
-    shifted = rmat(tr.crossing).entries.reshape(N, N, N, N)
+    crossing, _ = transform_rules(c, R, beta_shifts=(1, 0, 0, 0))
+    # beta_1 enters d_N = n2' - n1 (numerator) and d_W = n2 - n1
+    # (denominator): a common phase omega**((zeta1_W - zeta1_N) / 2), kappa = 0
+    z1 = c.zeta1(kappa=0)
+    phase = cfg.omega_pow((z1["W"] - z1["N"]) / 2)
+    shifted = rmat(crossing).entries.reshape(N, N, N, N)
     base = R.entries.reshape(N, N, N, N)
     for idx in np.ndindex(N, N, N, N):
         n1, n2, n1p, n2p = idx
-        assert rel(shifted[idx], tr.phase * base[(n1 + 1) % N, n2, n1p, n2p]) < 1e-10
+        assert rel(shifted[idx], phase * base[(n1 + 1) % N, n2, n1p, n2p]) < 1e-10
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
@@ -274,10 +278,13 @@ def test_transform_rules_random_shifts(sign, rng):
             c = random_crossing(cfg, rng, sign)
             ks = {r: int(rng.integers(-2, 3)) for r in "NWSE"}
             ls = tuple(int(rng.integers(-2, 3)) for _ in range(4))
-            tr = transform_rules(c, gamma_shifts=ks, beta_shifts=ls)
-            assert mrel(rmat(tr.crossing).entries, tr.predict(rmat(c))) < 1e-10
+            shifted, pred = transform_rules(c, rmat(c), gamma_shifts=ks,
+                                            beta_shifts=ls)
+            assert mrel(rmat(shifted).entries, pred) < 1e-10
     with pytest.raises(ValueError):
-        transform_rules(c, beta_shifts=(0.5, 0, 0, 0))
+        transform_rules(c, rmat(c), beta_shifts=(0.5, 0, 0, 0))
+    with pytest.raises(ValueError):
+        transform_rules(c, rmat(c), gamma_shifts={"N": 0.5})
 
 
 def test_pinched_theta_zero_entry():
@@ -364,7 +371,7 @@ def test_pinched_nonstandard_reduction(rng):
     prm = _random_pinched_params(rng)
     base = standard_pinched_crossing(cfg, *prm)
     shifts = (0, 1, -1, 2)
-    shifted = transform_rules(base, beta_shifts=shifts).crossing
+    shifted, _ = transform_rules(base, rmat_pinched(base), beta_shifts=shifts)
     ints = shifted.integral_zeta0()
     assert set(ints) == set("NWSE") and any(ints.values())
     got = rmat_pinched(shifted).entries
@@ -383,10 +390,10 @@ def test_gamma_shift_rule_at_pinched_crossings(N, rng):
             c = standard_pinched_crossing(cfg, *_random_pinched_params(rng), sign=sign)
             ks = {r: int(rng.integers(-2, 3)) for r in "NWSE"}
             ls = tuple(int(l) for l in rng.integers(-3, 4, size=4))
-            for shifted in (transform_rules(c, gamma_shifts=ks),
-                            transform_rules(c, beta_shifts=ls)):
-                assert mrel(rmat_pinched(shifted.crossing).entries,
-                            shifted.predict(rmat_pinched(c))) < 1e-10
+            R = rmat_pinched(c)
+            for shifted, pred in (transform_rules(c, R, gamma_shifts=ks),
+                                  transform_rules(c, R, beta_shifts=ls)):
+                assert mrel(rmat_pinched(shifted).entries, pred) < 1e-10
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
@@ -466,8 +473,9 @@ def test_crossing_from_logs_derives_every_alpha(rng):
         betas = (c.lc1.beta, c.lc2.beta, c.lc1p.beta, c.lc2p.beta)
         gammas = (c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e)
         assert crossing_from_logs(cfg, sign, betas, (c.lc1.mu, c.lc2.mu), gammas) == c
-        for built in (c, transform_rules(c, gamma_shifts={"N": 1, "E": -2}).crossing,
-                      transform_rules(c, beta_shifts=(1, 0, -1, 2)).crossing,
+        R = rmat(c)
+        for built in (c, transform_rules(c, R, gamma_shifts={"N": 1, "E": -2})[0],
+                      transform_rules(c, R, beta_shifts=(1, 0, -1, 2))[0],
                       standard_pinched_crossing(cfg, *_random_pinched_params(rng),
                                                 sign=sign)):
             assert alphas_are_region_differences(built)

@@ -5,10 +5,10 @@ import cmath
 import numpy as np
 import pytest
 
-from holorm.characters import LogWeylChar, braid, char_product, to_z0_char
+from holorm.characters import LogWeylChar, braid
 from holorm.qdilog import RootConfig, TWO_PI_I
 from holorm.sampling import random_crossing, random_logchar
-from holorm.selftest import _central_scalars
+from holorm.selftest import _central_scalars, char_product, z0_coords
 from holorm.weylrep import (Basis, GenMatrices, commutant_dim, fourier_matrix,
                             matrix_power, pi_tensor, rep_matrices, rw_images,
                             rw_images_negative)
@@ -60,10 +60,10 @@ def test_fourier_basis_change(rng):
 def test_central_scalars(rng):
     cfg = RootConfig(5)
     lc = random_logchar(rng)
-    sc = _central_scalars(to_z0_char(lc.char()))
+    sc = _central_scalars(z0_coords(*lc.char().as_tuple()))
     assert abs(sc[0] - lc.char().a) < 1e-13
     lc_am = LogWeylChar(0.21 + 0.05j, 0.4, 0.21 + 0.05j)  # a = m
-    assert abs(_central_scalars(to_z0_char(lc_am.char()))[1]) < 1e-13
+    assert abs(_central_scalars(z0_coords(*lc_am.char().as_tuple()))[1]) < 1e-13
     for basis in (Basis.WEIGHT, Basis.FOURIER):
         g = rep_matrices(cfg, lc, basis)
         for M, s in zip((g.K, g.E, g.F), sc):
@@ -81,7 +81,8 @@ def test_tensor_grading(rng):
         K12 = np.kron(g1.K, g2.K)
         E12 = np.kron(g1.E, g2.K) + np.kron(eye, g2.E)
         F12 = np.kron(g1.F, eye) + np.kron(np.linalg.inv(g1.K), g2.F)
-        prod = char_product(to_z0_char(lc1.char()), to_z0_char(lc2.char()))
+        prod = char_product(z0_coords(*lc1.char().as_tuple()),
+                            z0_coords(*lc2.char().as_tuple()))
         eye2 = np.eye(N * N)
         for M, s in zip((K12, E12, F12), _central_scalars(prod)):
             assert mrel(matrix_power(M, N), s * eye2) < 1e-8
