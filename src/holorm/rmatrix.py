@@ -349,14 +349,20 @@ def rmat_pinched(c: CrossingData) -> RTensor:
     return RTensor(c.cfg, _assemble(c, pinched=True))
 
 
+def kashaev_crossing(cfg: RootConfig) -> CrossingData:
+    """The alpha = mu = -1/2 pinched crossing underlying the Kashaev matrix:
+    all zeta0 zero, at beta_1 = 0 and gamma_N = 0.1."""
+    return crossing_from_logs(cfg, +1, (0.0, -0.5, -0.5, 0.0), (-0.5, -0.5),
+                              (0.1, -0.4, -0.9, -0.4))
+
+
 def kashaev_rmat(cfg: RootConfig) -> RTensor:
     """The canonical cyclic R-matrix underlying the Kashaev invariant.
 
-    omega**(1/2) times rmat_pinched at the alpha = mu = -1/2 crossing; the
-    half-power keeps the usual normalization in the literature.
+    omega**(1/2) times rmat_pinched at kashaev_crossing; the half-power
+    keeps the usual normalization in the literature.
     """
-    c = crossing_from_logs(cfg, +1, (0.0, -0.5, -0.5, 0.0), (-0.5, -0.5),
-                           (0.1, -0.4, -0.9, -0.4))
+    c = kashaev_crossing(cfg)
     return RTensor(cfg, cfg.omega_pow(0.5) * rmat_pinched(c).entries)
 
 

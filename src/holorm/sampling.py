@@ -16,7 +16,7 @@ from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
                         extend_log_coloring, log_longitudes, pin_bottom)
 from .characters import LogWeylChar
 from .qdilog import TWO_PI_I, Flattening, RootConfig
-from .rmatrix import CrossingData
+from .rmatrix import CrossingData, kashaev_crossing  # noqa: F401 (perfbench reads it here)
 
 
 def random_flattening(cfg: RootConfig, rng: np.random.Generator) -> Flattening:
@@ -55,22 +55,20 @@ def random_char_coords(rng: np.random.Generator, shape: tuple) -> tuple:
 
 
 def letter_crossing(cfg: RootConfig, sign: int, lc1: LogWeylChar, lc2: LogWeylChar,
-                    gamma_n: complex, beta1p: complex = None, beta2p: complex = None,
-                    alpha2p: complex = None) -> CrossingData:
+                    gamma_n: complex, alpha2p: complex = None) -> CrossingData:
     """The crossing of the one-letter word (sign,) with input logs lc1, lc2
     and region N log gamma_n.
 
-    extend_log_coloring picks the output logs; beta1p, beta2p and the E
-    region's gamma_n + alpha2p override its choice when given.
+    extend_log_coloring picks the output logs; the E region's
+    gamma_n + alpha2p overrides its choice when given.
     """
     d = build_diagram(BraidWord(2, (sign,)))
     c = d.crossings[0]
-    betas = {s: b for s, b in ((c.seg1p, beta1p), (c.seg2p, beta2p)) if b is not None}
     gammas = {} if alpha2p is None else {c.reg_e: gamma_n + alpha2p}
     gamma_w = gamma_n + lc1.alpha
     lc = extend_log_coloring(d, [lc1.beta, lc2.beta],
                              [gamma_n, gamma_w, gamma_w + lc2.alpha],
-                             [lc1.mu, lc2.mu], betas, gammas)
+                             [lc1.mu, lc2.mu], gamma_overrides=gammas)
     return crossing_data(cfg, d, lc, c)
 
 
@@ -99,11 +97,6 @@ def standard_pinched_crossing(cfg: RootConfig, al1: complex, al2: complex,
                            LogWeylChar(al2, mu1, mu2), 0.1, alpha2p=alpha2p)
 
 
-def kashaev_crossing(cfg: RootConfig) -> CrossingData:
-    """The alpha = mu = -1/2 pinched crossing underlying the Kashaev matrix."""
-    return standard_pinched_crossing(cfg, -0.5, -0.5, -0.5, -0.5, alpha2p=-0.5)
-
-
 def random_coloring(cfg: RootConfig, d: DiagramGraph, rng: np.random.Generator,
                     tries: int = 300) -> LogColoring:
     for _ in range(tries):
@@ -121,10 +114,9 @@ def matched_pair_colorings(cfg: RootConfig, rng: np.random.Generator,
                            word_a: tuple, word_b: tuple, width: int) -> tuple:
     """Colorings of two words with identical boundary data and log-longitudes.
 
-    The second word is colored with the first word's boundary values imposed
-    on its bottom segments and regions, and one internal beta is shifted by
-    an integer to equalize the log-longitudes (always possible when the two
-    words are related by braid moves).
+    The second word is the pinned_coloring of the first word's boundary
+    data and log-longitudes (always reachable when the two words are
+    related by braid moves).
     """
     da, db = build_diagram(BraidWord(width, word_a)), build_diagram(BraidWord(width, word_b))
     for _ in range(300):
@@ -132,41 +124,39 @@ def matched_pair_colorings(cfg: RootConfig, rng: np.random.Generator,
             lca = random_coloring(cfg, da, rng, tries=50)
         except RuntimeError:
             continue
-        top_b, top_g = lca.top(da)
-        pins = pin_bottom(db, *lca.bottom(da))
-        try:
-            lcb = extend_log_coloring(db, top_b, top_g, lca.mu, *pins)
-        except InadmissibleColoringError:
-            continue
-        lama = log_longitudes(da, lca)
-        if max(abs(x - y) for x, y in zip(lama, log_longitudes(db, lcb))) > 1e-9:
-            lcb = _tune_longitudes(db, lcb, pins, lama)
-        if lcb is None:
-            continue
-        if max(abs(x - y) for x, y in zip(lama, log_longitudes(db, lcb))) > 1e-9:
-            continue
-        return (da, lca), (db, lcb)
+        lcb = pinned_coloring(db, lca.top(da), lca.bottom(da), lca.mu,
+                              log_longitudes(da, lca))
+        if lcb is not None:
+            return (da, lca), (db, lcb)
     raise RuntimeError("no matched pair of colorings found")
 
 
-def _tune_longitudes(d, lc, pins, target):
-    """Shift internal betas of lc by integers to steer its longitudes to `target`.
+def pinned_coloring(d: DiagramGraph, top: tuple, bottom: tuple, mus: list,
+                    longitudes: list) -> LogColoring | None:
+    """The log-coloring of d from top data `top` and meridian logs mus that
+    ends on `bottom` (both (betas, gammas), as LogColoring.top gives them)
+    with log-longitudes `longitudes`.
 
-    pins are the (beta, gamma) overrides lc was built with; returns None
-    when no integer shift gets there.
+    Internal betas are shifted by integers until the longitudes match; each
+    shift is found by re-coloring with that beta bumped by 1, so pinched
+    crossings are handled too.  None means the pinned coloring is
+    inadmissible or no integer shift reaches `longitudes`.
     """
-    top_b, top_g = lc.top(d)
-    overrides, g_over = dict(pins[0]), pins[1]
+    overrides, g_over = pin_bottom(d, *bottom)
+    try:
+        lc = extend_log_coloring(d, *top, mus, overrides, g_over)
+    except InadmissibleColoringError:
+        return None
+    # the re-colorings below cannot fail: their characters are the ones that
+    # just passed, and overrides only choose logarithms
     for s in d.internal_segments():
-        remaining = [t - l for t, l in zip(target, log_longitudes(d, lc))]
+        lam = log_longitudes(d, lc)
+        remaining = [t - x for t, x in zip(longitudes, lam)]
         if max(abs(x) for x in remaining) <= 1e-9:
-            break
-        try:
-            probe = extend_log_coloring(d, top_b, top_g, lc.mu,
-                                        {**overrides, s: lc.beta[s] + 1}, g_over)
-        except InadmissibleColoringError:
-            return None
-        eff = [x - y for x, y in zip(log_longitudes(d, probe), log_longitudes(d, lc))]
+            return lc
+        probe = extend_log_coloring(d, *top, mus, {**overrides, s: lc.beta[s] + 1},
+                                    g_over)
+        eff = [x - y for x, y in zip(log_longitudes(d, probe), lam)]
         j = int(np.argmax([abs(e) for e in eff]))
         if abs(eff[j]) < 0.4:
             continue
@@ -174,8 +164,6 @@ def _tune_longitudes(d, lc, pins, target):
         if abs(shift - round(shift.real)) > 1e-9:
             return None
         overrides[s] = lc.beta[s] + round(shift.real)
-        try:
-            lc = extend_log_coloring(d, top_b, top_g, lc.mu, overrides, g_over)
-        except InadmissibleColoringError:
-            return None
-    return lc
+        lc = extend_log_coloring(d, *top, mus, overrides, g_over)
+    lam = log_longitudes(d, lc)
+    return lc if max(abs(t - x) for t, x in zip(longitudes, lam)) <= 1e-9 else None

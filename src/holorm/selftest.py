@@ -28,17 +28,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sampling
-from .braidgrpd import (BraidWord, DiagramGraph, InadmissibleColoringError,
-                        LogColoring, apply, build_diagram, crossing_data,
-                        extend_log_coloring, log_longitudes, on_slots,
-                        pin_bottom)
+from .braidgrpd import (BraidWord, DiagramGraph, LogColoring, apply,
+                        build_diagram, crossing_data, extend_log_coloring,
+                        log_longitudes, on_slots, pin_bottom)
 from .characters import LogWeylChar, braid, braid_coords
 from .qdilog import (ConstraintViolationError, RootConfig, TWO_PI_I, cyc_dilog,
                      d_const, fusion_f, lambda_table, lifted_dilog, s_norm)
 from .rmatrix import (REGIONS, CrossingData, FactorOps, PinchedCrossingError,
                       RTensor, _index_grids, _region_terms, braiding_op,
-                      crossing_from_logs, factorized_ops, kashaev_rmat,
-                      logdet_braiding, rmat, rmat_pinched)
+                      crossing_from_logs, factorized_ops, kashaev_crossing,
+                      kashaev_rmat, logdet_braiding, rmat, rmat_pinched)
 from .weylrep import (Basis, commutant_dim, fourier_matrix, matrix_power,
                       pi_tensor, rep_matrices, rw_images, rw_images_negative)
 
@@ -589,7 +588,7 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
     cpin = sampling.standard_pinched_crossing(cfg, *prm)
     out.note("weight-basis closed form",
              _mrel(weight_basis_rmat(cpin).entries, weight_basis_closed_form(cpin)))
-    cj = sampling.kashaev_crossing(cfg)
+    cj = kashaev_crossing(cfg)
     out.note("colored-Jones form",
              _mrel(weight_basis_rmat(cj).entries, colored_jones_closed_form(cfg)))
     al1 = prm[2]  # reuse mu1 as the nilpotent alpha1 = mu1
@@ -616,14 +615,17 @@ def _pinched_limit(cfg: RootConfig, cpin: CrossingData) -> np.ndarray:
         return lg + round((ref - lg).real)
 
     def perturbed(t):
-        lc2t = replace(cpin.lc2, beta=cpin.lc2.beta + t)
-        outt = braid(cpin.lc1.char(), lc2t.char(), cpin.sign)
+        lc1, lc2t = cpin.lc1, replace(cpin.lc2, beta=cpin.lc2.beta + t)
+        outt = braid(lc1.char(), lc2t.char(), cpin.sign)
         if not outt.admissible or outt.pinched:
             raise RuntimeError("perturbation left the admissible range")
-        return rmat(sampling.letter_crossing(
-            cfg, cpin.sign, cpin.lc1, lc2t, cpin.gamma_n,
-            near(outt.chi1p.b, cpin.lc1p.beta), near(outt.chi2p.b, cpin.lc2p.beta),
-            near(outt.chi2p.a, cpin.lc2p.alpha))).entries
+        g_n = cpin.gamma_n
+        g_w = g_n + lc1.alpha
+        betas = (lc1.beta, lc2t.beta, near(outt.chi1p.b, cpin.lc1p.beta),
+                 near(outt.chi2p.b, cpin.lc2p.beta))
+        gammas = (g_n, g_w, g_w + lc2t.alpha, g_n + near(outt.chi2p.a, cpin.lc2p.alpha))
+        return rmat(crossing_from_logs(cfg, cpin.sign, betas, (lc1.mu, lc2t.mu),
+                                       gammas)).entries
 
     ts = [1e-2 / 2 ** k for k in range(7)]
     tab = [perturbed(t) for t in ts]
@@ -824,17 +826,10 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
             lc = sampling.random_coloring(cfg, loop, rng)
         except RuntimeError:
             continue
-        # impose boundary match bottom = top, then zero the longitudes
+        # close the braid: bottom = top and zero log-longitudes
         top = lc.top(loop)
-        pins = pin_bottom(loop, *top)
-        try:
-            lc = extend_log_coloring(loop, *top, lc.mu, *pins)
-        except InadmissibleColoringError:
-            continue
-        lc = sampling._tune_longitudes(loop, lc, pins, [0.0, 0.0, 0.0])
+        lc = sampling.pinned_coloring(loop, top, top, lc.mu, [0.0, 0.0, 0.0])
         if lc is None:
-            continue
-        if max(abs(x) for x in log_longitudes(loop, lc)) > 1e-9:
             continue
         prod = np.exp(sum(logdet_braiding(crossing_data(cfg, loop, lc, c))
                           for c in loop.crossings))

@@ -10,6 +10,7 @@ were first stated with.  Each test prints one PASS/FAIL line per identity
 import functools
 
 import numpy as np
+import pytest
 
 from holorm import selftest
 from holorm.characters import LogWeylChar
@@ -104,6 +105,14 @@ def _check_criterion(num) -> dict:
 def test_every_registered_identity_belongs_to_a_criterion():
     names = [n for names in CRITERIA.values() for n in names]
     assert sorted(names) == sorted(selftest.IDENTITIES)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_notes_only_registered_identities(suite):
+    # run_all reports registered names only, so a note under any other name
+    # would vanish from every report
+    out = _suite(suite, 3)
+    assert set(out) == set(out.samples) == set(_names(suite))
 
 
 def test_unevaluated_identity_fails(monkeypatch):

@@ -15,8 +15,8 @@ from holorm.braidgrpd import (BraidWord, InadmissibleColoringError, LogColoring,
 from holorm.characters import WeylChar
 from holorm.qdilog import RootConfig, TWO_PI_I
 from holorm.rmatrix import braiding_op, kashaev_rmat, logdet_braiding
-from holorm.sampling import (matched_pair_colorings, random_coloring,
-                             _tune_longitudes)
+from holorm.sampling import (matched_pair_colorings, pinned_coloring,
+                             random_coloring)
 from holorm.selftest import (IDENTITIES, _sum_dev, braid_relation_deviation,
                              check_braidgrpd, edge_gluing_defects)
 
@@ -69,6 +69,8 @@ def test_propagate_chi_identity_and_failure(rng):
     with pytest.raises(InadmissibleColoringError) as exc:
         propagate_chi(d, [WeylChar(2, 1, 1), WeylChar(0.5, 1, 1)])
     assert exc.value.crossing == 0
+    with pytest.raises(ValueError, match="need 2 top characters, got 3"):
+        propagate_chi(d, tops)
 
 
 def test_propagate_chi_kashaev_triple():
@@ -231,6 +233,8 @@ ORACLE_WORDS = [
     (4, 4, (2, -2)),
     (4, 4, (2,)),
     (2, 5, (-1,)),
+    # the second crossing lands left of the reached slots 3..4, past a gap
+    (4, 3, (3, 1)),
 ]
 
 
@@ -405,19 +409,61 @@ def test_det_cocycle_r3_double(rng):
         except RuntimeError:
             continue
         top = lc.top(loop)
-        pins = pin_bottom(loop, *top)
-        try:
-            lc = extend_log_coloring(loop, *top, lc.mu, *pins)
-        except InadmissibleColoringError:
+        lc = pinned_coloring(loop, top, top, lc.mu, [0.0, 0.0, 0.0])
+        if lc is None:
             continue
-        lc = _tune_longitudes(loop, lc, pins, [0.0, 0.0, 0.0])
-        if lc is None or max(abs(x) for x in log_longitudes(loop, lc)) > 1e-9:
-            continue
+        assert lc.bottom(loop) == top
+        assert max(abs(x) for x in log_longitudes(loop, lc)) <= 1e-9
         prod = np.exp(sum(logdet_braiding(crossing_data(cfg, loop, lc, c))
                           for c in loop.crossings))
         assert min(abs(prod - 1), abs(prod + 1)) < 1e-6
         done += 1
     assert done >= 1
+
+
+def _integer_shift_target(d, lc0):
+    """Log-longitudes that lc0's boundary data reach only with a non-zero
+    integer shift of an internal beta: those of lc0 re-colored with the
+    first internal beta that moves a longitude shifted by 2."""
+    top, pins = lc0.top(d), pin_bottom(d, *lc0.bottom(d))
+    lam0 = log_longitudes(d, lc0)
+    for s in d.internal_segments():
+        lc = extend_log_coloring(d, *top, lc0.mu, {**pins[0], s: lc0.beta[s] + 2},
+                                 pins[1])
+        lam = log_longitudes(d, lc)
+        if max(abs(x - y) for x, y in zip(lam, lam0)) > 0.5:
+            return lam
+    pytest.fail("no internal beta shift moved a log-longitude")
+
+
+def test_pinned_coloring(rng):
+    d = build_diagram(BraidWord(3, (1, 2, 1)))
+    lc0 = random_coloring(RootConfig(3), d, rng)
+    top, bottom = lc0.top(d), lc0.bottom(d)
+    # the target needs a non-zero integer shift: reached, on that bottom
+    target = _integer_shift_target(d, lc0)
+    lc = pinned_coloring(d, top, bottom, lc0.mu, target)
+    assert lc is not None
+    assert lc.top(d) == top and lc.bottom(d) == bottom
+    assert max(abs(x - y) for x, y in zip(log_longitudes(d, lc), target)) <= 1e-9
+    assert any(abs(lc.beta[s] - lc0.beta[s]) > 0.5 for s in d.internal_segments())
+    # no integer shift moves the longitudes by 0.3
+    off = [x + 0.3 for x in target]
+    assert pinned_coloring(d, top, bottom, lc0.mu, off) is None
+    # top logs of the A = 0 pair of test_propagate_chi_identity_and_failure
+    d1 = build_diagram(BraidWord(2, (1,)))
+    al = cmath.log(2) / TWO_PI_I
+    bad = ([0.0, 0.0], [0.0, al, 0.0])
+    assert pinned_coloring(d1, bad, bad, [0.0, 0.0], [0.0, 0.0]) is None
+
+
+def test_matched_pair_colorings_share_boundary_and_longitudes(rng):
+    cfg = RootConfig(3)
+    (da, lca), (db, lcb) = matched_pair_colorings(cfg, rng, (1, 2, 1), (2, 1, 2), 3)
+    assert lca.top(da) == lcb.top(db) and lca.bottom(da) == lcb.bottom(db)
+    assert lca.mu == lcb.mu
+    assert max(abs(x - y) for x, y in zip(log_longitudes(da, lca),
+                                          log_longitudes(db, lcb))) <= 1e-9
 
 
 def test_braid_rows_are_matrix_free():

@@ -281,6 +281,21 @@ def test_rmat_builds_each_flattening_once(tmp_path, capsys, monkeypatch):
     assert len(made) == 4
 
 
+def test_rmat_reads_every_complex_form(tmp_path, capsys):
+    # a plain number and an "a+bj" string are the same complex as [re, im]
+    spec = json.loads(re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[0])
+    assert spec["regions"]["N"] == [0.05, 0.0]
+    assert spec["segments"]["1"]["beta"] == [0.11, 0.02]
+    forms = _edited(_edited(spec, "regions", "N", 0.05),
+                    "segments", "1", "beta", "0.11 + 0.02j")
+    outs = []
+    for s in (spec, forms):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(s))
+        outs.append(run(capsys, "rmat", "--N", "3", "--input", str(path)))
+    assert outs[0][0] == 0 and outs[1] == outs[0]
+
+
 def test_rmat_malformed_spec(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -325,12 +340,14 @@ def _edited(spec, *path_and_value):
                                [math.nan, 0])),
     (["rmat"], lambda: _edited(_filled_crossing_spec, "segments", "2", "alpha",
                                [math.nan, 0])),
+    (["braid"], lambda: _edited(BRAID_SPEC, "log", "gamma",
+                                BRAID_SPEC["log"]["gamma"][:3])),
 ], ids=["rmat-list", "braid-list", "color-list", "rmat-number-segment",
         "scale-inf", "scale-minus-inf", "scale-nan", "scale-negative",
         "sign-fraction", "sign-bool", "width-fraction", "letter-fraction",
         "rmat-log-overflow", "braid-log-overflow", "color-huge-width",
         "braid-huge-width", "seed-negative", "color-nan", "color-inf",
-        "rmat-nan-kappa", "rmat-nan-mu-out", "rmat-nan-alpha"])
+        "rmat-nan-kappa", "rmat-nan-mu-out", "rmat-nan-alpha", "braid-short-gamma"])
 def test_malformed_input_exits_2(argv, spec, tmp_path, capsys):
     # wrong JSON types, integer fields that are not integers (truncating
     # them would evaluate another crossing or braid), logs whose exponential

@@ -164,6 +164,14 @@ def test_lifted_dilog_singular():
     assert abs(cmath.exp(TWO_PI_I * f.zeta1) * (1 - cmath.exp(TWO_PI_I * f.zeta0)) - 1) < 1e-12
     with pytest.raises(SingularArgumentError):
         Flattening.from_zeta0(2.0)
+    # flattenings that exist but where L is undefined: e^(2 pi i zeta0)
+    # within 1e-12 of 0, or of 1 (from_zeta0 refuses that one, the
+    # constructor takes it with its exact partner)
+    z0 = 1e-14
+    near_one = Flattening(z0, -cmath.log(1 - cmath.exp(TWO_PI_I * z0)) / TWO_PI_I)
+    for f in (Flattening.from_zeta0(5j), near_one):
+        with pytest.raises(SingularArgumentError, match="lifted dilogarithm undefined"):
+            lifted_dilog(f)
 
 
 def test_d_const_values():

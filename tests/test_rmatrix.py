@@ -11,13 +11,14 @@ from holorm.characters import LogWeylChar
 from holorm.qdilog import RootConfig, TWO_PI_I, lambda_table
 from holorm.rmatrix import (CrossingData, PinchedCrossingError, _index_grids,
                             _region_terms, braiding_op, crossing_from_logs,
-                            det_braiding, det_lu, factorized_ops, kashaev_rmat,
-                            logdet_braiding, rmat, rmat_pinched)
+                            det_braiding, det_lu, factorized_ops,
+                            kashaev_crossing, kashaev_rmat, logdet_braiding,
+                            rmat, rmat_pinched)
 from holorm.braidgrpd import (BraidWord, build_diagram, crossing_data,
                               extend_log_coloring)
-from holorm.sampling import (kashaev_crossing, letter_crossing, random_crossing,
+from holorm.sampling import (letter_crossing, random_crossing,
                              standard_pinched_crossing)
-from holorm import selftest
+from holorm import sampling, selftest
 from holorm.selftest import (IDENTITIES, _det_deviation, _det_factor_deviation,
                              _pinched_limit, _random_pinched_params,
                              colored_jones_closed_form, kashaev_closed_form,
@@ -70,6 +71,50 @@ def test_rmat_rejects_pinched():
     for f in (rmat, factorized_ops, logdet_braiding):
         with pytest.raises(PinchedCrossingError, match=r"zeta0_N = 0.0 is integral"):
             f(kashaev_crossing(cfg))
+
+
+def _inadmissible_fields(c):
+    # the pair of test_braid_inadmissible_pair, a = 2 and a = 1/2 with
+    # b = m = 1, whose A factor vanishes; the region logs match its alphas
+    al = cmath.log(2) / TWO_PI_I
+    zero = LogWeylChar(0.0, 0.0, 0.0)
+    return dict(lc1=LogWeylChar(al, 0.0, 0.0), lc2=LogWeylChar(-al, 0.0, 0.0),
+                lc1p=zero, lc2p=zero, gamma_n=0.0, gamma_w=al, gamma_s=0.0,
+                gamma_e=0.0)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda c: dict(sign=0), "crossing sign must be"),
+    (lambda c: dict(lc1p=dataclasses.replace(c.lc1p, mu=c.lc1p.mu + 1e-6)),
+     "meridian logs must be preserved"),
+    (lambda c: dict(lc2=dataclasses.replace(c.lc2, alpha=c.lc2.alpha + 1e-6)),
+     "does not match region difference"),
+    (_inadmissible_fields, "character pair is inadmissible"),
+    (lambda c: dict(lc2p=dataclasses.replace(c.lc2p, beta=c.lc2p.beta + 0.01)),
+     "not the braiding"),
+], ids=["sign-0", "meridian-out", "alpha", "inadmissible", "not-braided"])
+def test_crossing_data_validation(edit, match):
+    # the positional constructor, as the inverse crossings and perfbench
+    # build crossings, runs every check of __post_init__
+    c = random_crossing(RootConfig(3), np.random.default_rng(5), +1)
+    fields = {f.name: getattr(c, f.name) for f in dataclasses.fields(c)}
+    with pytest.raises(ValueError, match=match):
+        CrossingData(*{**fields, **edit(c)}.values())
+
+
+def test_resolved_kappa_is_undefined_at_a_pinched_crossing():
+    with pytest.raises(PinchedCrossingError, match="kappa is undefined"):
+        kashaev_crossing(RootConfig(3)).resolved_kappa()
+
+
+def test_kashaev_crossing_is_the_standard_pinched_one():
+    # the one set of Kashaev logs is what letter_crossing picks at
+    # alpha = mu = -1/2, and sampling re-exports it
+    for N in (2, 3, 7):
+        cfg = RootConfig(N)
+        assert kashaev_crossing(cfg) == standard_pinched_crossing(
+            cfg, -0.5, -0.5, -0.5, -0.5, alpha2p=-0.5)
+    assert sampling.kashaev_crossing is kashaev_crossing
 
 
 @pytest.mark.parametrize("N", [2, 3, 5])
