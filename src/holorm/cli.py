@@ -175,9 +175,9 @@ def cmd_rmat(args) -> int:
         out["zeta0"] = {r: _jx(v) for r, v in c.zeta0().items()}
     else:
         t = rmat(c)
-        zs = c.flattenings
-        out["zeta0"] = {r: _jx(f.zeta0) for r, f in zs.items()}
-        out["zeta1"] = {r: _jx(f.zeta1) for r, f in zs.items()}
+        zs = c.flattening_batch
+        out["zeta0"] = dict(zip(REGIONS, map(_jx, zs.zeta0)))
+        out["zeta1"] = dict(zip(REGIONS, map(_jx, zs.zeta1)))
         out["kappa"] = _jx(c.resolved_kappa())
         B = t.braiding()
         logdet = logdet_braiding(c)

@@ -7,16 +7,24 @@ dilogarithm Lambda(zeta0, zeta1 | n) attached to a flattening (a coherent
 pair of logarithms) and its series in n, the classical lifted dilogarithm
 L, and the constants D(zeta) and S(zeta0, zeta1).
 
+Every kernel takes complex scalars or broadcastable arrays (a Flattening may
+hold arrays) and evaluates all entries in one array pass: an index j or k of
+a product or sum runs along a trailing axis, and a scalar call returns a
+Python complex.  A batch gives each entry the bits the scalar call gives.
+
 Branch convention: every logarithm is the principal one, Im log in (-pi, pi].
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 TWO_PI_I = 2j * math.pi
 PI_SQ_OVER_6 = math.pi ** 2 / 6.0
@@ -51,8 +59,10 @@ class RootConfig:
     def xi(self) -> complex:
         return cmath.exp(TWO_PI_I / (2 * self.N))
 
-    def omega_pow(self, x: complex) -> complex:
-        """omega**x = exp(2 pi i x / N) for arbitrary complex x."""
+    def omega_pow(self, x):
+        """omega**x = exp(2 pi i x / N) for complex x, entrywise for an array x."""
+        if isinstance(x, np.ndarray):
+            return np.exp(TWO_PI_I * x / self.N)
         return cmath.exp(TWO_PI_I * x / self.N)
 
 
@@ -60,9 +70,11 @@ class RootConfig:
 class Flattening:
     """A coherent pair of logarithms: exp(2 pi i zeta1) * (1 - exp(2 pi i zeta0)) = 1.
 
-    Equivalently exp(2 pi i zeta0) + exp(-2 pi i zeta1) = 1.  The constraint is
-    checked on construction; no branch repair is attempted (which logarithm of
-    1/(1 - e^{2 pi i zeta0}) the caller means is part of the data).
+    Equivalently exp(2 pi i zeta0) + exp(-2 pi i zeta1) = 1.  The fields are
+    complex numbers, or broadcastable arrays for a batch of flattenings.  The
+    constraint is checked on construction, at every entry; no branch repair
+    is attempted (which logarithm of 1/(1 - e^{2 pi i zeta0}) the caller
+    means is part of the data).
     """
 
     zeta0: complex
@@ -70,210 +82,319 @@ class Flattening:
     tol: float = 1e-10
 
     def __post_init__(self):
-        err = abs(cmath.exp(TWO_PI_I * self.zeta1)
-                  * (1.0 - cmath.exp(TWO_PI_I * self.zeta0)) - 1.0)
-        if not err <= self.tol:
+        err = np.abs(np.exp(TWO_PI_I * self.zeta1)
+                     * (1.0 - np.exp(TWO_PI_I * self.zeta0)) - 1.0)
+        ok = err <= self.tol  # NaN fails too
+        if not ok.all():
+            i = np.unravel_index(np.argmin(ok), ok.shape)
+            z0, z1 = (np.broadcast_to(x, ok.shape)[i] for x in (self.zeta0, self.zeta1))
             raise ConstraintViolationError(
-                f"flattening constraint violated by {err:.3e} "
-                f"for (zeta0, zeta1) = ({self.zeta0}, {self.zeta1})")
+                f"flattening constraint violated by {err[i]:.3e} "
+                f"for (zeta0, zeta1) = ({z0}, {z1})")
 
     @classmethod
-    def from_zeta0(cls, zeta0: complex, branch: int = 0) -> "Flattening":
+    def from_zeta0(cls, zeta0, branch=0) -> "Flattening":
         """Principal-branch partner zeta1 = -Log(1 - e^{2 pi i zeta0})/(2 pi i) + branch."""
-        w = 1.0 - cmath.exp(TWO_PI_I * zeta0)
-        if abs(w) < 1e-12:
+        w = 1.0 - np.exp(TWO_PI_I * np.asarray(zeta0, dtype=complex))
+        if (np.abs(w) < 1e-12).any():
             raise SingularArgumentError("zeta0 is an integer; no flattening exists")
-        return cls(zeta0, -cmath.log(w) / TWO_PI_I + branch)
+        zeta1 = -np.log(w) / TWO_PI_I + branch
+        return cls(zeta0, complex(zeta1) if zeta1.ndim == 0 else zeta1)
 
     def dual(self) -> "Flattening":
         """The mirror flattening (-zeta1, -zeta0); valid whenever self is."""
         return Flattening(-self.zeta1, -self.zeta0, tol=self.tol)
 
-    def shifted(self, k0: int = 0, k1: int = 0) -> "Flattening":
+    def shifted(self, k0=0, k1=0) -> "Flattening":
         """Integer translate (zeta0 + k0, zeta1 + k1); still a flattening."""
         return Flattening(self.zeta0 + k0, self.zeta1 + k1, tol=self.tol)
 
 
-def _off_pole(fac: complex, msg: str, arg, j: int = 0) -> complex:
-    """fac, or SingularArgumentError(msg.format(arg, j=j)) if it counts as a zero.
-    Fixed arity: with *args, the calls made d_const at N = 9 about 30% slower."""
-    if abs(fac) < SINGULAR:
-        raise SingularArgumentError(msg.format(arg, j=j))
-    return fac
+def _entry(arg, idx: tuple, shape: tuple):
+    """Entry idx of a kernel argument broadcast to shape, with one axis of
+    length 1 (a RootConfig passes through)."""
+    if isinstance(arg, RootConfig):
+        return arg
+    if isinstance(arg, Flattening):
+        return Flattening(*(_entry(x, idx, shape) for x in (arg.zeta0, arg.zeta1)), arg.tol)
+    return np.broadcast_to(arg, shape)[idx].reshape(1)
 
 
-def _factors(cfg: RootConfig, x: complex, count: int, msg: str):
-    """1 - omega**(x+j) for j = 1..count, each through _off_pole(., msg, x, j)."""
-    for j in range(1, count + 1):
-        yield _off_pole(1.0 - cfg.omega_pow(x + j), msg, x, j)
+def _shape(arg) -> tuple:
+    if isinstance(arg, Flattening):
+        return np.broadcast_shapes(np.shape(arg.zeta0), np.shape(arg.zeta1))
+    return () if isinstance(arg, RootConfig) else np.shape(arg)
 
 
-def cyc_dilog(cfg: RootConfig, zeta: complex, k: int) -> complex:
+def _has_axes(arg) -> bool:
+    if isinstance(arg, np.ndarray):
+        return arg.ndim > 0
+    if isinstance(arg, Flattening):
+        return _has_axes(arg.zeta0) or _has_axes(arg.zeta1)
+    return False  # a number (numpy scalars too) or the RootConfig
+
+
+def _kernel(body):
+    """The kernel whose array pass is body.
+
+    The body sees its arguments with at least one axis: on 0-d arrays numpy
+    returns scalars, whose arithmetic rounds differently from its array
+    loops, so a scalar call would not give the bits of the same entry in a
+    batch.  A call on scalars returns a Python complex (or the array along
+    the kernel's trailing axis).  When a call over several entries fails,
+    the entries are evaluated one by one in C order, and the first failing
+    one raises: the error that a loop of scalar calls meets first.
+    """
+    @functools.wraps(body)
+    def kernel(*args):
+        if not any(map(_has_axes, args)):
+            v = body(*(_entry(a, (), ()) for a in args))[0]
+            return complex(v) if v.ndim == 0 else v
+        try:
+            return body(*args)
+        except (SingularArgumentError, ConstraintViolationError):
+            shape = np.broadcast_shapes(*map(_shape, args))
+            for idx in np.ndindex(shape):
+                body(*(_entry(a, idx, shape) for a in args))
+            raise
+    return kernel
+
+
+def _off_pole(*seqs) -> None:
+    """The one pole test: SingularArgumentError at the first factor with
+    |fac| < SINGULAR.
+
+    Each seq is (fac, msg, arg) with fac[..., j - 1] = 1 - omega**(x + j)
+    for the entries x of arg, j along the trailing axis.  Factors are met as
+    nested scalar loops meet them: entry by entry in C order, then by j,
+    then in seqs order; the message is msg.format(x, j=j).
+    """
+    if all(np.abs(fac).min() >= SINGULAR for fac, _, _ in seqs):
+        return
+    bad = np.stack(np.broadcast_arrays(*(np.abs(fac) < SINGULAR for fac, _, _ in seqs)),
+                   axis=-1)
+    if not bad.any():  # the minimum was NaN
+        return
+    *i, j, s = np.unravel_index(np.argmax(bad), bad.shape)
+    _, msg, arg = seqs[s]
+    raise SingularArgumentError(msg.format(np.broadcast_to(arg, bad.shape[:-2])[tuple(i)],
+                                           j=j + 1))
+
+
+def _seqsum(x: np.ndarray) -> np.ndarray:
+    """Sum over the trailing axis in index order, as a scalar loop adds, so
+    the bits of an entry do not depend on the batch around it."""
+    return x.cumsum(axis=-1)[..., -1]
+
+
+def _cdim(x) -> np.ndarray:
+    return np.asarray(x, dtype=complex)
+
+
+def _factors(cfg: RootConfig, zeta: np.ndarray, first: int, last: int) -> np.ndarray:
+    """1 - omega**(zeta + j) for j = first..last along a trailing axis."""
+    return 1.0 - cfg.omega_pow(zeta[..., None] + np.arange(first, last + 1))
+
+
+@_kernel
+def cyc_dilog(cfg: RootConfig, zeta, k):
     """Cyclic dilogarithm <zeta|k>, the reciprocal shifted q-factorial at omega.
 
     <zeta|0> = 1 and <zeta|k> = <zeta|k-1> / (1 - omega**(zeta+k)), so
     <zeta|k> = 1/[(1-omega**(zeta+1))...(1-omega**(zeta+k))] for k > 0 and
     <zeta|-k> = (1-omega**zeta)(1-omega**(zeta-1))...(1-omega**(zeta-k+1)).
+    zeta is complex and k an integer, or broadcastable arrays: one
+    cumulative product over j up to max |k| serves both signs, its factor j
+    being 1 where j > |k|.
     """
-    if k > 0:
-        out = 1.0 + 0.0j
-        for fac in _factors(cfg, zeta, k,
-                            "<zeta|k> pole: 1 - omega**(zeta+{j}) ~ 0 at zeta={}"):
-            out /= fac
-        return out
-    out = 1.0 + 0.0j
-    for j in range(0, -k):
-        out *= 1.0 - cfg.omega_pow(zeta - j)
-    return out
+    zeta, k = np.broadcast_arrays(_cdim(zeta), np.asarray(k))
+    z, kk = zeta[..., None], k[..., None]
+    j = np.arange(max(1, int(np.abs(k).max())) + 1)
+    fac = np.where((0 < j) & (j <= np.abs(kk)),
+                   1.0 - cfg.omega_pow(np.where(kk > 0, z + j, z + 1 - j)), 1.0)
+    # only the factors of k > 0, the divisors, can be poles
+    _off_pole((np.where(kk > 0, fac, 1.0)[..., 1:],
+               "<zeta|k> pole: 1 - omega**(zeta+{j}) ~ 0 at zeta={}", zeta))
+    prod = fac.cumprod(axis=-1)[..., -1]
+    return np.divide(1.0, prod, out=prod, where=k > 0)
+
+
+# li2 sums u**1..u**26 of its expansion: |u| <= pi/3 where it is used, and
+# the coefficient of u**n is about 2 (2 pi)**-n / n, so the first term left
+# out is below 1e-20.
+LI2_U_TERMS = 26
 
 
 @lru_cache(maxsize=None)
-def _li2_u_coeffs() -> tuple:
-    """The 90 coefficients B_n/(n+1)! of the expansion of Li2 in u = -log(1-z)."""
+def _li2_u_coeffs() -> np.ndarray:
+    """The coefficients B_n/(n+1)! of u**(n+1), n < LI2_U_TERMS, in the
+    expansion of Li2 in u = -log(1-z).  Odd Bernoulli numbers past B_1
+    vanish: those terms add exact zeros."""
     # B_0 = 1, B_m = -1/(m+1) sum_{k<m} C(m+1, k) B_k, which gives B_1 = -1/2.
     bern = [Fraction(1)]
-    for m in range(1, 90):
+    for m in range(1, LI2_U_TERMS):
         bern.append(-sum(math.comb(m + 1, k) * b for k, b in enumerate(bern)) / (m + 1))
-    return tuple(float(b / math.factorial(n + 1)) for n, b in enumerate(bern))
+    coeffs = np.array([float(b / math.factorial(n + 1)) for n, b in enumerate(bern)])
+    coeffs.flags.writeable = False
+    return coeffs
 
 
-def li2(z: complex) -> complex:
+@_kernel
+def li2(z):
     """Complex dilogarithm Li_2(z), principal branch (cut along [1, inf)).
 
-    Power series for small |z|, the reflection z -> 1-z near z = 1, the
-    inversion z -> 1/z outside the unit disc, and otherwise the expansion in
-    u = -log(1-z) (convergent for |u| < 2 pi).  Absolute error ~ 1e-14.
-    On the cut (1, inf) the value is the limit from below, the one principal
+    Entry by entry: the inversion z -> 1/z outside the unit disc, then the
+    reflection w -> 1 - w where Re w > 1/2, then the expansion in
+    u = -log(1 - v) on the v so reached (|v| <= 1, Re v <= 1/2, where
+    |u| <= pi/3).  Absolute error ~ 1e-15; exact at z = 0 and z = 1.  On the
+    cut (1, inf) the value is the limit from below, the one principal
     Log(1 - z) gives, whatever the sign of the zero imaginary part.
     """
-    z = complex(z)
-    if z.imag == 0 and z.real > 1:
-        z = complex(z.real, -0.0)
-    if z == 0:
-        return 0.0 + 0.0j
-    if z == 1:
-        return complex(PI_SQ_OVER_6)
-    if abs(z) > 1.0:
-        return -li2(1.0 / z) - PI_SQ_OVER_6 - 0.5 * cmath.log(-z) ** 2
-    if abs(1.0 - z) <= 0.4:
-        w = 1.0 - z
-        return PI_SQ_OVER_6 - cmath.log(z) * cmath.log(w) - _li2_series(w)
-    if abs(z) <= 0.5:
-        return _li2_series(z)
-    u = -cmath.log(1.0 - z)
-    out = 0.0 + 0.0j
-    up = 1.0 + 0.0j
-    for c in _li2_u_coeffs():
-        up *= u
-        if c == 0.0:
-            continue  # odd Bernoulli numbers vanish; keep summing
-        term = c * up
-        out += term
-        if abs(term) < 1e-18 * (1.0 + abs(out)):
-            break
-    return out
+    z = _cdim(z)
+    inv = np.abs(z) > 1.0
+    w = np.divide(1.0, z, out=z.copy(), where=inv)
+    refl = w.real > 0.5
+    v = np.where(refl, 1.0 - w, w)
+    u = -np.log(1.0 - v)  # -log(w) where refl
+    out = _seqsum(u[..., None].repeat(LI2_U_TERMS, axis=-1).cumprod(axis=-1)
+                  * _li2_u_coeffs())
+    # reflection: Li2(w) = pi^2/6 - log(w) log(1 - w) - Li2(1 - w); v = 0 at z = 1
+    out = np.where(refl, PI_SQ_OVER_6 + u * np.log(v + (v == 0)) - out, out)
+    # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
+    log_mz = np.log(np.where(inv, -z, 1.0))
+    if not z.imag.all():  # on the cut, log(-z) as from z - 0i
+        np.copyto(log_mz.imag, np.pi, where=(z.imag == 0) & (z.real > 1))
+    return np.where(inv, -out - PI_SQ_OVER_6 - 0.5 * log_mz ** 2, out)
 
 
-def _li2_series(z: complex) -> complex:
-    out = 0.0 + 0.0j
-    zp = 1.0 + 0.0j
-    for k in range(1, 300):
-        zp *= z
-        term = zp / (k * k)
-        out += term
-        if abs(term) < 1e-18 * (1.0 + abs(out)):
-            break
-    return out
+def _lifted(tz: np.ndarray, zeta1, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """lifted_dilog's guard and formula, given tz = 2 pi i zeta0, z = e^tz
+    and w = 1 - z."""
+    if min(np.abs(z).min(), np.abs(w).min()) < 1e-12:
+        bad = (np.abs(z) < 1e-12) | (np.abs(w) < 1e-12)
+        raise SingularArgumentError(
+            f"lifted dilogarithm undefined at e^(2 pi i zeta0) = {z.flat[np.argmax(bad)]}")
+    return li2(z) + tz * (0.5 * TWO_PI_I * zeta1 + np.log(w))
 
 
-def lifted_dilog(f: Flattening) -> complex:
+@_kernel
+def lifted_dilog(f: Flattening):
     """Lifted dilogarithm L(zeta0, zeta1) of a flattening.
 
     L = Li2(e^{2 pi i zeta0}) + (2 pi i)^2/2 zeta0 zeta1
         + 2 pi i zeta0 Log(1 - e^{2 pi i zeta0}),  principal Log.
     """
-    z = cmath.exp(TWO_PI_I * f.zeta0)
-    if abs(z) < 1e-12 or abs(1.0 - z) < 1e-12:
-        raise SingularArgumentError(
-            f"lifted dilogarithm undefined at e^(2 pi i zeta0) = {z}")
-    return (li2(z) + 0.5 * TWO_PI_I ** 2 * f.zeta0 * f.zeta1
-            + TWO_PI_I * f.zeta0 * cmath.log(1.0 - z))
+    tz = TWO_PI_I * _cdim(f.zeta0)
+    z = np.exp(tz)
+    return _lifted(tz, f.zeta1, z, 1.0 - z)
 
 
-def d_const(cfg: RootConfig, zeta: complex = 0.0) -> complex:
+_D_POLE = "D(zeta) singular: 1 - omega**(zeta+{j}) ~ 0 at zeta={}"
+
+
+def _d(cfg: RootConfig, fac: np.ndarray) -> np.ndarray:
+    """D(zeta) from its factors fac = 1 - omega**(zeta + k), k = 1..N-1,
+    once the caller has passed them through _off_pole."""
+    return np.exp(_seqsum(np.arange(1, cfg.N) * np.log(fac)) / cfg.N)
+
+
+@_kernel
+def d_const(cfg: RootConfig, zeta):
     """D(zeta) = exp((1/N) sum_{k=1}^{N-1} k Log(1 - omega**(zeta+k)))."""
-    total = 0.0 + 0.0j
-    facs = _factors(cfg, zeta, cfg.N - 1,
-                    "D(zeta) singular: 1 - omega**(zeta+{j}) ~ 0 at zeta={}")
-    for k, fac in enumerate(facs, start=1):
-        total += k * cmath.log(fac)
-    return cmath.exp(total / cfg.N)
+    zeta = _cdim(zeta)
+    fac = _factors(cfg, zeta, 1, cfg.N - 1)
+    _off_pole((fac, _D_POLE, zeta))
+    return _d(cfg, fac)
 
 
-def lambda0(cfg: RootConfig, f: Flattening) -> complex:
-    """Closed-form value Lambda(zeta0, zeta1 | 0).
+def _series(cfg: RootConfig, start, fac: np.ndarray, zeta1) -> np.ndarray:
+    """lambda_series from its factors fac = 1 - omega**(zeta0 + j), j = 1..N-1."""
+    minus_j = np.arange(-1, -cfg.N, -1)
+    vals = (start[..., None] * cfg.omega_pow(minus_j * zeta1[..., None])
+            / fac.cumprod(axis=-1))
+    return np.concatenate([start[..., None], vals], axis=-1)
+
+
+@_kernel
+def lambda_series(cfg: RootConfig, start, zeta0, zeta1):
+    """[start * omega**(-k zeta1) / prod_{j=1..k} (1 - omega**(zeta0+j)), k < N]
+    along a trailing axis, every power formed by omega_pow: lambda_table's
+    series from start Lambda(.|0), and the pinched table omega**(-k zeta1)
+    / (omega; omega)_k from start 1 at zeta0 = 0.  No factor needs a guard:
+    at zeta0 = 0 none vanishes, and else they are D(zeta0)'s, which
+    lambda_table passes through _off_pole first.
+    """
+    start, zeta0, zeta1 = np.broadcast_arrays(_cdim(start), _cdim(zeta0), _cdim(zeta1))
+    return _series(cfg, start, _factors(cfg, zeta0, 1, cfg.N - 1), zeta1)
+
+
+@_kernel
+def lambda_table(cfg: RootConfig, f: Flattening):
+    """[Lambda(.|0), ..., Lambda(.|N-1)] along a trailing axis: lambda_series
+    from the closed form
 
     Lambda(.|0) = exp(-L/(2 pi i N)) * (1 - omega**(N zeta0))/(1 - omega**zeta0)
-                  / D(zeta0).
+                  / D(zeta0),
+
+    one set of factors 1 - omega**(zeta0 + j), j = 0..N-1, for its
+    denominator, D(zeta0) and the series.  The guards run in the scalar
+    order: this denominator and 1 - omega**(N zeta0), L, then D.
     """
-    msg = "Lambda singular at zeta0 = {} (integer within tolerance)"
-    num = _off_pole(1.0 - cmath.exp(TWO_PI_I * f.zeta0), msg, f.zeta0)
-    den = _off_pole(1.0 - cfg.omega_pow(f.zeta0), msg, f.zeta0)
-    ell = lifted_dilog(f)
-    return cmath.exp(-ell / (TWO_PI_I * cfg.N)) * num / den / d_const(cfg, f.zeta0)
+    zeta0 = _cdim(f.zeta0)
+    tz = TWO_PI_I * zeta0
+    z = np.exp(tz)
+    # 1 - z, then 1 - omega**(zeta0 + j) for j = 0..N-1
+    fac = 1.0 - np.concatenate(
+        [z[..., None], cfg.omega_pow(zeta0[..., None] + np.arange(cfg.N))], axis=-1)
+    pole = np.abs(fac).min() < SINGULAR  # one test for both pole guards
+    if pole:
+        _off_pole((fac[..., :2], "Lambda singular at zeta0 = {} (integer within tolerance)",
+                   zeta0))
+    ell = _lifted(tz, f.zeta1, z, fac[..., 0])
+    if pole:
+        _off_pole((fac[..., 2:], _D_POLE, zeta0))
+    lam0 = np.exp(ell / -(TWO_PI_I * cfg.N)) * fac[..., 0] / fac[..., 1] / _d(cfg, fac[..., 2:])
+    return _series(cfg, lam0, fac[..., 2:], _cdim(f.zeta1))
 
 
-def lambda_series(cfg: RootConfig, start: complex, zeta0: complex,
-                  zeta1: complex) -> list:
-    """[start * omega**(-k zeta1) / prod_{j=1..k} (1 - omega**(zeta0+j)), k < N],
-    every power formed by omega_pow: lambda_table from start Lambda(.|0), and
-    the pinched table omega**(-k zeta1) / (omega; omega)_k from start 1 at
-    zeta0 = 0.  No factor needs a guard: at zeta0 = 0 none vanishes, and else
-    they are D(zeta0)'s, which lambda0 passes through _off_pole, bit for bit.
-    """
-    vals = [start]
-    den = 1.0
-    for j in range(1, cfg.N):
-        den *= 1.0 - cfg.omega_pow(zeta0 + j)
-        vals.append(start * cfg.omega_pow(-j * zeta1) / den)
-    return vals
+@_kernel
+def lambda0(cfg: RootConfig, f: Flattening):
+    """Lambda(zeta0, zeta1 | 0), the first entry of lambda_table."""
+    return lambda_table(cfg, f)[..., 0]
 
 
-def lambda_table(cfg: RootConfig, f: Flattening) -> list:
-    """[Lambda(.|0), ..., Lambda(.|N-1)]: lambda_series from lambda0."""
-    return lambda_series(cfg, lambda0(cfg, f), f.zeta0, f.zeta1)
-
-
-def s_norm(cfg: RootConfig, f: Flattening) -> complex:
+@_kernel
+def s_norm(cfg: RootConfig, f: Flattening):
     """Normalization constant S(zeta0, zeta1).
 
     S = omega**((N-1) zeta0) / Lambda(zeta0, zeta1 | 0)
         * sum_{k=0}^{N-1} Lambda(-zeta1, -zeta0 | k)**(-1).
     """
-    dual = f.dual()
-    total = sum(1.0 / v for v in lambda_table(cfg, dual))
-    return cfg.omega_pow((cfg.N - 1) * f.zeta0) / lambda0(cfg, f) * total
+    total = _seqsum(1.0 / lambda_table(cfg, f.dual()))
+    return cfg.omega_pow((cfg.N - 1) * _cdim(f.zeta0)) / lambda0(cfg, f) * total
 
 
-def fusion_f(cfg: RootConfig, alpha: complex, beta: complex, gamma: complex) -> complex:
+@_kernel
+def fusion_f(cfg: RootConfig, alpha, beta, gamma):
     """Fusion sum f(alpha, beta, gamma) = sum_k <alpha|k>/<beta|k> omega**(k gamma).
 
     Requires (1 - omega**(N alpha))/(1 - omega**(N beta)) = omega**(N gamma);
     N-periodic in each argument.
     """
-    lhs = (1.0 - cmath.exp(TWO_PI_I * alpha)) / (1.0 - cmath.exp(TWO_PI_I * beta))
-    rhs = cmath.exp(TWO_PI_I * gamma)
-    if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
+    alpha, beta, gamma = np.broadcast_arrays(_cdim(alpha), _cdim(beta), _cdim(gamma))
+    with np.errstate(divide="ignore", invalid="ignore"):  # beta integral: lhs inf
+        lhs = (1.0 - np.exp(TWO_PI_I * alpha)) / (1.0 - np.exp(TWO_PI_I * beta))
+    rhs = np.exp(TWO_PI_I * gamma)
+    bad = np.abs(lhs - rhs) > 1e-8 * np.maximum(1.0, np.abs(rhs))
+    if bad.any():
+        i = np.argmax(bad)
         raise ConstraintViolationError(
-            f"fusion constraint violated: (1-w^Na)/(1-w^Nb) = {lhs}, w^Ng = {rhs}")
-    # zip draws alpha's k-th factor, then beta's, so alpha's pole is met first
-    steps = zip(_factors(cfg, alpha, cfg.N - 1,
-                         "fusion sum pole: 1 - omega**(alpha+{j}) ~ 0 at alpha={}"),
-                _factors(cfg, beta, cfg.N - 1,
-                         "fusion sum pole: 1 - omega**(beta+{j}) ~ 0 at beta={}"))
-    total = num = den = 1.0 + 0.0j  # the k = 0 term
-    for k, (a, b) in enumerate(steps, start=1):
-        num /= a
-        den /= b
-        total += num / den * cfg.omega_pow(k * gamma)
-    return total
+            f"fusion constraint violated: (1-w^Na)/(1-w^Nb) = {lhs.flat[i]}, "
+            f"w^Ng = {rhs.flat[i]}")
+    fa, fb = _factors(cfg, alpha, 1, cfg.N - 1), _factors(cfg, beta, 1, cfg.N - 1)
+    # at equal k alpha's factor is met before beta's
+    _off_pole((fa, "fusion sum pole: 1 - omega**(alpha+{j}) ~ 0 at alpha={}", alpha),
+              (fb, "fusion sum pole: 1 - omega**(beta+{j}) ~ 0 at beta={}", beta))
+    ratio = (fb / fa).cumprod(axis=-1)  # <alpha|k> / <beta|k>
+    k = np.arange(1, cfg.N)
+    return 1.0 + _seqsum(ratio * cfg.omega_pow(k * gamma[..., None]))

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .characters import LogWeylChar, braid, is_pinched
+from .characters import LogWeylChar, braid
 from .qdilog import (Flattening, RootConfig, ConstraintViolationError,
                      TWO_PI_I, d_const, lambda_series, lambda_table,
                      lifted_dilog)
@@ -93,6 +93,7 @@ class CrossingData:
                 and out.chi2p.isclose(self.lc2p.char(), rel=1e-7)):
             raise ConstraintViolationError(
                 "output characters are not the braiding of the input characters")
+        object.__setattr__(self, "_pinched", out.pinched)  # read by the pinched property
         if self.kappa is not None and not self.pinched:
             err = abs(cmath.exp(TWO_PI_I * self.kappa) - self._big_k())
             if not err <= 1e-7 * max(1.0, abs(self._big_k())):  # NaN fails too
@@ -106,7 +107,8 @@ class CrossingData:
 
     @property
     def pinched(self) -> bool:
-        return is_pinched(self.lc1.char(), self.lc2.char())
+        """is_pinched of the input characters, as the validating braid found it."""
+        return self._pinched
 
     def resolved_kappa(self) -> complex:
         if self.kappa is not None:
@@ -149,17 +151,26 @@ class CrossingData:
         return {r: n for r, n in ints.items() if abs(z0[r] - n) <= 1e-7}
 
     @cached_property
-    def flattenings(self) -> dict:
-        """{region: Flattening} of a non-pinched crossing; errors out at
-        pinched data.  Built on first use and cached on the (frozen)
-        crossing, so rmat, logdet_braiding and the CLI share them."""
+    def flattening_batch(self) -> Flattening:
+        """The four region flattenings of a non-pinched crossing, in REGIONS
+        order, as one batch; errors out at pinched data.  Built on first use
+        and cached on the (frozen) crossing, so rmat, logdet_braiding and
+        the CLI share it."""
         z0 = self.zeta0()
         if self.pinched:
             r = next(iter(self.integral_zeta0()))
             raise PinchedCrossingError(
                 f"crossing is pinched (zeta0_{r} = {z0[r]} is integral)")
         z1 = self.zeta1()
-        return {r: Flattening(z0[r], z1[r], tol=1e-7) for r in REGIONS}
+        return Flattening(np.array([z0[r] for r in REGIONS]),
+                          np.array([z1[r] for r in REGIONS]), tol=1e-7)
+
+    @cached_property
+    def flattenings(self) -> dict:
+        """{region: Flattening}: the entries of flattening_batch."""
+        f = self.flattening_batch
+        return {r: Flattening(complex(z0), complex(z1), tol=f.tol)
+                for r, z0, z1 in zip(REGIONS, f.zeta0, f.zeta1)}
 
 
 def crossing_from_logs(cfg: RootConfig, sign: int, betas, mus, gammas,
@@ -201,7 +212,8 @@ class RTensor:
 
 
 def _lambda_tables(c: CrossingData) -> dict:
-    return {r: np.array(lambda_table(c.cfg, f)) for r, f in c.flattenings.items()}
+    """{region: Lambda table}, all four from one lambda_table pass."""
+    return dict(zip(REGIONS, lambda_table(c.cfg, c.flattening_batch)))
 
 
 def _index_grids(N: int) -> tuple:
@@ -222,12 +234,30 @@ def _region_terms(sign: int, n1, n2, n1p, n2p) -> dict:
             "S": (n1p - n2, -1, -1), "N": (n1 - n2p, -1, -1)}
 
 
-def _region_ratio(terms: dict, k: dict, tables: dict, num=1):
+@lru_cache(maxsize=64)
+def _region_layout(N: int, sign: int, shifts: tuple) -> tuple:
+    """The part of _assemble that no log of the crossing enters.
+
+    Returns {region: (k_r mod N, offset_r, p_r)} in table order, with
+    k_r = d_r + offset_r + n_r for the integers shifts = (n_r) in REGIONS
+    order (zeros at a generic crossing), the factor omega**d_W, and the
+    support sum_r p_r floor(k_r / N) == 1 of a pinched crossing.  The index
+    arrays are N x N grids broadcast over the four indices.
+    """
+    terms = _region_terms(sign, *_index_grids(N))
+    n = dict(zip(REGIONS, shifts))
+    k = {r: d + off + n[r] for r, (d, off, _) in terms.items()}
+    layout = {r: (k[r] % N, off, p) for r, (_, off, p) in terms.items()}
+    support = sum(p * (k[r] // N) for r, (_, _, p) in terms.items()) == 1
+    return layout, np.power(RootConfig(N).omega, terms["W"][0]), support
+
+
+def _region_ratio(layout: dict, tables: dict, num):
     """num * prod_r tables[r][k_r mod N]^p_r, formed as one quotient of the
     numerator and denominator products in table order."""
     den = 1
-    for r, (_, _, p) in terms.items():
-        val = tables[r][k[r] % len(tables[r])]
+    for r, (k, _, p) in layout.items():
+        val = tables[r][k]
         if p > 0:
             num = num * val
         else:
@@ -247,21 +277,23 @@ def _assemble(c: CrossingData, pinched: bool) -> np.ndarray:
     floor(k_r / N) != 1 is zero.
     """
     N = c.cfg.N
-    terms = _region_terms(c.sign, *_index_grids(N))
     if pinched:
         z0, z1 = _integral_zeta0(c), c.zeta1(kappa=0)
-        tables = {r: np.array(lambda_series(c.cfg, 1.0, 0.0, z1[r])) for r in REGIONS}
+        tables = dict(zip(REGIONS, lambda_series(
+            c.cfg, 1.0, 0.0, np.array([z1[r] for r in REGIONS]))))
     else:
         tables = _lambda_tables(c)  # raises PinchedCrossingError before zeta1 would
-        z0, z1 = c.zeta0(), c.zeta1()
-    k = {r: d + off + (z0[r] if pinched else 0) for r, (d, off, _) in terms.items()}
-    expo = (N - 1) * sum(p * z[r] for r, (_, off, p) in terms.items() if off for z in (z0, z1))
+        z0, z1 = (dict(zip(REGIONS, z.tolist())) for z in (c.flattening_batch.zeta0,
+                                                            c.flattening_batch.zeta1))
+    layout, w_dw, support = _region_layout(
+        N, c.sign, tuple(z0[r] for r in REGIONS) if pinched else (0, 0, 0, 0))
+    expo = (N - 1) * sum(p * z[r] for r, (_, off, p) in layout.items() if off
+                         for z in (z0, z1))
     if pinched:
-        expo += sum(p * z0[r] * z1[r] for r, (_, _, p) in terms.items()) / 2.0
-    pref = c.cfg.omega_pow(expo) / N
-    R = _region_ratio(terms, k, tables, pref * np.power(c.cfg.omega, terms["W"][0]))
+        expo += sum(p * z0[r] * z1[r] for r, (_, _, p) in layout.items()) / 2.0
+    R = _region_ratio(layout, tables, c.cfg.omega_pow(expo) / N * w_dw)
     if pinched:
-        R = np.where(sum(p * (k[r] // N) for r, (_, _, p) in terms.items()) == 1, R, 0.0)
+        R = np.where(support, R, 0.0)
     return R.reshape(N * N, N * N)
 
 
@@ -377,7 +409,7 @@ def logdet_braiding(c: CrossingData) -> complex:
     """
     N = c.cfg.N
     e = c.sign
-    ell = {r: lifted_dilog(f) for r, f in c.flattenings.items()}
+    ell = dict(zip(REGIONS, lifted_dilog(c.flattening_batch)))
     i_c = ell["N"] + ell["S"] - ell["W"] - ell["E"]
     lam1, lam2 = c.log_longitudes()
     return (-e * N * i_c / TWO_PI_I

@@ -42,16 +42,22 @@ def random_logchar(rng: np.random.Generator) -> LogWeylChar:
     return LogWeylChar(*(random_value(rng, *CHAR_LOG_BOX) for _ in range(3)))
 
 
-def random_char_coords(rng: np.random.Generator, shape: tuple) -> tuple:
-    """Coordinate arrays (a, b, m) of a `shape` array of random characters.
+def random_char_logs(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """A shape + (3,) array of random character logs (alpha, beta, mu).
 
     Draws the same numbers from the stream, in the same order, as
-    prod(shape) random_logchar(rng).char() calls in C order, so either route
+    prod(shape) random_logchar(rng) calls in C order, so either route
     leaves the generator in the same state.
     """
     re, im = CHAR_LOG_BOX
-    logs = rng.uniform([-re, -im], [re, im], size=(*shape, 3, 2)).view(complex)[..., 0]
-    return tuple(np.moveaxis(np.exp(TWO_PI_I * logs), -1, 0))
+    return rng.uniform([-re, -im], [re, im], size=(*shape, 3, 2)).view(complex)[..., 0]
+
+
+def random_char_coords(rng: np.random.Generator, shape: tuple) -> tuple:
+    """Coordinate arrays (a, b, m) of a `shape` array of random characters:
+    random_char_logs exponentiated, so the same draws as prod(shape)
+    random_logchar(rng).char() calls."""
+    return tuple(np.moveaxis(np.exp(TWO_PI_I * random_char_logs(rng, shape)), -1, 0))
 
 
 def letter_crossing(cfg: RootConfig, sign: int, lc1: LogWeylChar, lc2: LogWeylChar,

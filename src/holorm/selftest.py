@@ -32,8 +32,8 @@ from .braidgrpd import (BraidWord, DiagramGraph, LogColoring, apply,
                         build_diagram, crossing_data, extend_log_coloring,
                         log_longitudes, on_slots, pin_bottom)
 from .characters import LogWeylChar, braid, braid_coords
-from .qdilog import (ConstraintViolationError, RootConfig, TWO_PI_I, cyc_dilog,
-                     d_const, fusion_f, lambda_table, lifted_dilog, s_norm)
+from .qdilog import (ConstraintViolationError, Flattening, RootConfig, TWO_PI_I,
+                     cyc_dilog, d_const, fusion_f, lambda_table, lifted_dilog, s_norm)
 from .rmatrix import (REGIONS, CrossingData, FactorOps, PinchedCrossingError,
                       RTensor, _index_grids, _region_terms, braiding_op,
                       crossing_from_logs, factorized_ops, kashaev_crossing,
@@ -42,23 +42,23 @@ from .weylrep import (Basis, commutant_dim, fourier_matrix, matrix_power,
                       pi_tensor, rep_matrices, rw_images, rw_images_negative)
 
 
-def _rel(a, b) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+def _rel(a, b):
+    """|a - b| / max(|a|, |b|), entrywise over arrays."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
 
 
-def _mrel(A, B) -> float:
+def _mrel(A, B):
+    """max |A - B| / max(|A|, |B|) over the last two axes: a float for two
+    matrices, an array over a stack of them."""
     A, B = np.asarray(A), np.asarray(B)
-    return float(np.abs(A - B).max() / max(1e-300, np.abs(A).max(), np.abs(B).max()))
+    ax = (-2, -1)
+    return np.abs(A - B).max(axis=ax) / np.maximum(
+        1e-300, np.maximum(np.abs(A).max(axis=ax), np.abs(B).max(axis=ax)))
 
 
-def _omega_arr(N: int, x):
-    """omega**x elementwise over an array x."""
-    return np.exp(TWO_PI_I * x / N)
-
-
-def _qfactorials(N: int, count: int, s: int) -> np.ndarray:
+def _qfactorials(cfg: RootConfig, count: int, s: int) -> np.ndarray:
     """[(q; q)_k for k < count] at q = omega**s, the oracles' own route."""
-    return np.cumprod(np.concatenate(([1.0], 1.0 - _omega_arr(N, s * np.arange(1, count)))))
+    return np.cumprod(np.concatenate(([1.0], 1.0 - cfg.omega_pow(s * np.arange(1, count)))))
 
 
 def _sum_dev(A, B) -> float:
@@ -157,105 +157,118 @@ def r2_backward_error(c: CrossingData) -> float:
 # ---------------------------------------------------------------- qdilog
 
 def check_qdilog(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
+    """Every trial at once.  The loop only draws, as the scalar suite drew:
+    a flattening (random_flattening rejects samples), nn, and the fusion
+    arguments' uniforms.  Each identity is then one array expression over
+    the trials (axis 0) and its own indices (trailing axes)."""
     N = cfg.N
     w = cfg.omega_pow
-    poch = _qfactorials(N, 2 * N, +1)  # the fusion integer form reads up to 2N - 2
+    poch = _qfactorials(cfg, 2 * N, +1)  # the fusion integer form reads up to 2N - 2
     out = _Worst()
+    draws = []
     for _ in range(trials):
         f = sampling.random_flattening(cfg, rng)
-        z0, z1 = f.zeta0, f.zeta1
-        lam = lambda_table(cfg, f)
-        dual = f.dual()
-        lamd = lambda_table(cfg, dual)
-        # the series table the R-matrix reads vs the cyclic-dilogarithm
-        # product Lambda(.|0) omega**(-n zeta1) <zeta0|n>, once per entry
-        for n in range(N):
-            out.note("lambda recurrence",
-                     _rel(lam[n], lam[0] * w(-n * z1) * cyc_dilog(cfg, z0, n)))
-        # that product is N-periodic in n
-        for n in range(-N, N + 1):
-            route = lam[0] * w(-n * z1) * cyc_dilog(cfg, z0, n)
-            routeN = lam[0] * w(-(n + N) * z1) * cyc_dilog(cfg, z0, n + N)
-            out.note("lambda periodicity", _rel(route, routeN))
-        # shifts
-        for k in (-2, -1, 1, 2):
-            out.note("lambda shift (zeta0)",
-                     _rel(lambda_table(cfg, f.shifted(k0=k))[1],
-                          w(k * z1 / 2) * lam[(1 + k) % N]))
-            out.note("lambda shift (zeta1)",
-                     _rel(lambda_table(cfg, f.shifted(k1=k))[2 % N],
-                          w(-k * z0 / 2 - 2 * k) * lam[2 % N]))
-        # product over a period
-        out.note("lambda product",
-                 _rel(np.prod(lam),
-                      w(-N * (N - 1) * z1 / 2) * cmath.exp(-lifted_dilog(f) / TWO_PI_I)))
-        # inverse sum
-        for (k, l) in ((0, 0), (1, 0), (2, 1), (0, 3 % N)):
-            tot = sum(w(n) * lam[(n + k) % N] / lam[(n + l - 1) % N] for n in range(N))
-            expect = (N * w(-k) * w((N - 1) * (z0 + z1)) if (l - k) % N == 0 else 0.0)
-            out.note("lambda inverse sum", abs(tot - expect) / max(1.0, abs(expect)))
-        # Fourier pair and its composition
-        S = s_norm(cfg, f)
-        for n in range(N):
-            lhs = sum(lam[k] * w(n * k) for k in range(N))
-            out.note("Fourier transform",
-                     _rel(lhs, w((N - 1) * z0) * N / S / lamd[(n - 1) % N]))
-            lhs2 = sum(w(-n * k) / lam[k] for k in range(N))
-            out.note("Fourier inverse",
-                     _rel(lhs2, S * w((N - 1) * z1) * w(n) * lamd[n]))
-        # composing the closed-form transform with the inverse DFT returns
-        # the Lambda table (N * identity after normalization)
-        G = [w((N - 1) * z0) * N / S / lamd[(n - 1) % N] for n in range(N)]
-        back = [sum(G[n] * w(-n * m) for n in range(N)) / N for m in range(N)]
-        out.note("Fourier roundtrip", max(_rel(back[m], lam[m]) for m in range(N)))
-        # S identities
-        out.note("S symmetry", _rel(S, s_norm(cfg, dual)))
-        for n in (-1, 1, 2):
-            out.note("S shift (zeta0)", _rel(s_norm(cfg, f.shifted(k0=n)), S))
-            out.note("S shift (zeta1)", _rel(s_norm(cfg, f.shifted(k1=n)), S))
-        out.note("S Nth power",
-                 _rel(S ** N, d_const(cfg, 0.0) ** N
-                      * cmath.exp((lifted_dilog(f) + lifted_dilog(dual)) / TWO_PI_I)))
-        # factorization of unity
-        prodB = np.prod([1 - w(z0 + k) for k in range(N)])
-        out.note("unity factorization", _rel(prodB, 1 - cmath.exp(TWO_PI_I * z0)))
-        # q-series transformation
         nn = int(rng.integers(0, N))
-        lhsq = sum(w(k * (z1 - nn)) / cyc_dilog(cfg, z0, k) for k in range(N))
-        rhsq = w(nn) * w((N - 1) * (z0 + z1)) * sum(
-            w(-k * z0) / cyc_dilog(cfg, -z1 + nn, k) for k in range(N))
-        out.note("q-series transform", _rel(lhsq, rhsq))
-        # fusion identities
-        alpha = z0 + 1j * rng.uniform(0.1, 0.9)
-        beta = z0 - 0.3 + 0.2j * rng.uniform(-1, 1)
-        g = (1 - cmath.exp(TWO_PI_I * alpha)) / (1 - cmath.exp(TWO_PI_I * beta))
-        gamma = cmath.log(g) / TWO_PI_I
-        base = fusion_f(cfg, alpha, beta, gamma)
-        for (k, l, m) in ((1, 0, 0), (0, 1, -1), (2, -1, 1)):
-            lhsf = fusion_f(cfg, alpha + k, beta + l, gamma + m)
-            rhsf = base * (cyc_dilog(cfg, alpha - beta - 1, k - l)
-                           * cyc_dilog(cfg, beta, l) * cyc_dilog(cfg, -gamma, -m)) / (
-                w(l * (gamma + m)) * w(m * (beta + 1)) * cyc_dilog(cfg, alpha, k)
-                * cyc_dilog(cfg, alpha - beta - gamma - 1, k - l - m))
-            out.note("fusion shift identity",
-                     abs(lhsf - rhsf) / max(1.0, abs(base)))
-        for (k, l, m) in ((1, 0, 0), (2, 1, -1), (0, 2, 1)):
-            lhsf = fusion_f(cfg, alpha + k, alpha + l - 1, m)
-            mb_m, mb_kl = (-m) % N, (k - l) % N
-            rhsf = (N * (1 - w(alpha + l)) / (1 - cmath.exp(TWO_PI_I * alpha))
-                    * w(mb_m * (alpha + l)) / cyc_dilog(cfg, alpha + l, mb_kl)
-                    * poch[mb_kl + mb_m] / (poch[mb_kl] * poch[mb_m]))
-            out.note("fusion integer form", abs(lhsf - rhsf) / max(1.0, abs(lhsf)))
-        # fusion Nth power (beta plays -zeta1, gamma plays -zeta0)
-        b, g2 = -z1, -z0
-        lhsP = sum(w(k * g2) / cyc_dilog(cfg, b, k) for k in range(N)) ** N
-        d0 = d_const(cfg, 0.0)
-        rhsP = (d0 ** N * w(N * (N - 1) * g2)
-                * (1 - cmath.exp(-TWO_PI_I * g2)) ** N
-                * (1 - cmath.exp(TWO_PI_I * b)) ** N
-                / (1 - w(-g2)) ** N / (1 - w(b)) ** N
-                / d_const(cfg, -g2) ** N / d_const(cfg, b) ** N)
-        out.note("fusion Nth power", _rel(lhsP, rhsP))
+        draws.append((f.zeta0, f.zeta1, nn, rng.uniform(0.1, 0.9), rng.uniform(-1, 1)))
+    z0, z1, nn, ua, ub = (np.array(d) for d in zip(*draws))
+    z0, z1 = z0.astype(complex), z1.astype(complex)
+    c0, c1 = z0[:, None], z1[:, None]  # trial columns
+    n = np.arange(N)
+    # each trial's flattening and its dual, as one batch
+    pair = Flattening(np.stack([z0, -z1], -1), np.stack([z1, -z0], -1))
+    lam, lamd = np.moveaxis(lambda_table(cfg, pair), 1, 0)
+    ell, elld = lifted_dilog(pair).T
+    # the series table the R-matrix reads vs the cyclic-dilogarithm product
+    # Lambda(.|0) omega**(-n zeta1) <zeta0|n>, for n in [-N, 2N]
+    cyc = cyc_dilog(cfg, c0, np.arange(-N, 2 * N + 1))
+
+    def route(k):
+        return lam[:, :1] * w(-k * c1) * cyc[:, k + N]
+
+    out.note("lambda recurrence", _rel(lam, route(n)))
+    # that product is N-periodic in n
+    per = np.arange(-N, N + 1)
+    out.note("lambda periodicity", _rel(route(per), route(per + N)))
+    # shifts
+    ks = np.array([-2, -1, 1, 2])
+    out.note("lambda shift (zeta0)",
+             _rel(lambda_table(cfg, Flattening(c0 + ks, c1))[..., 1],
+                  w(ks * c1 / 2) * lam[:, (1 + ks) % N]))
+    out.note("lambda shift (zeta1)",
+             _rel(lambda_table(cfg, Flattening(c0, c1 + ks))[..., 2 % N],
+                  w(-ks * c0 / 2 - 2 * ks) * lam[:, [2 % N]]))
+    # product over a period
+    out.note("lambda product",
+             _rel(np.prod(lam, axis=-1), w(-N * (N - 1) * z1 / 2) * np.exp(-ell / TWO_PI_I)))
+    # inverse sum, at (k, l) = (0, 0), (1, 0), (2, 1), (0, 3 mod N)
+    k, l = np.array([0, 1, 2, 0]), np.array([0, 0, 1, 3 % N])
+    tot = (w(n) * lam[:, (n + k[:, None]) % N] / lam[:, (n + l[:, None] - 1) % N]).sum(-1)
+    expect = np.where((l - k) % N == 0, N * w(-k) * w((N - 1) * (c0 + c1)), 0.0)
+    out.note("lambda inverse sum", np.abs(tot - expect) / np.maximum(1.0, np.abs(expect)))
+    # Fourier pair and its composition; S of each trial's flattening, its
+    # dual, and the flattening shifted by (-1, 1, 2) in zeta0, then in zeta1
+    sh = np.array([-1, 1, 2])
+    S_all = s_norm(cfg, Flattening(np.concatenate([pair.zeta0, c0 + sh, c0 + 0 * sh], -1),
+                                   np.concatenate([pair.zeta1, c1 + 0 * sh, c1 + sh], -1)))
+    S = S_all[:, :1]
+    nk = n[:, None] * n  # [n, k]
+    G = w((N - 1) * c0) * N / S / lamd[:, (n - 1) % N]
+    out.note("Fourier transform", _rel((lam[:, None, :] * w(nk)).sum(-1), G))
+    out.note("Fourier inverse", _rel((w(-nk) / lam[:, None, :]).sum(-1),
+                                     S * w((N - 1) * c1) * w(n) * lamd))
+    # composing the closed-form transform with the inverse DFT returns
+    # the Lambda table (N * identity after normalization)
+    back = (G[:, None, :] * w(-nk)).sum(-1) / N  # [m, n]
+    out.note("Fourier roundtrip", _rel(back, lam).max(axis=-1))
+    # S identities
+    out.note("S symmetry", _rel(S_all[:, 0], S_all[:, 1]))
+    out.note("S shift (zeta0)", _rel(S_all[:, 2:5], S))
+    out.note("S shift (zeta1)", _rel(S_all[:, 5:], S))
+    d0 = d_const(cfg, 0.0)
+    out.note("S Nth power",
+             _rel(S_all[:, 0] ** N, d0 ** N * np.exp((ell + elld) / TWO_PI_I)))
+    # factorization of unity
+    out.note("unity factorization",
+             _rel(np.prod(1 - w(c0 + n), axis=-1), 1 - np.exp(TWO_PI_I * z0)))
+    # q-series transform; the fusion Nth power below reads <-zeta1|k>
+    cyc_q, cyc_p = np.moveaxis(cyc_dilog(cfg, np.stack([-c1 + nn[:, None], -c1], 1), n), 1, 0)
+    lhsq = (w(n * (c1 - nn[:, None])) / cyc[:, N:2 * N]).sum(-1)
+    rhsq = w(nn) * w((N - 1) * (z0 + z1)) * (w(-n * c0) / cyc_q).sum(-1)
+    out.note("q-series transform", _rel(lhsq, rhsq))
+    # fusion identities: base and (k, l, m) = (1, 0, 0), (0, 1, -1), (2, -1, 1)
+    alpha = z0 + 1j * ua
+    beta = z0 - 0.3 + 0.2j * ub
+    g = (1 - np.exp(TWO_PI_I * alpha)) / (1 - np.exp(TWO_PI_I * beta))
+    gamma = np.log(g) / TWO_PI_I
+    a, b, c = alpha[:, None], beta[:, None], gamma[:, None]
+    k, l, m = np.array([[0, 1, 0, 2], [0, 0, 1, -1], [0, 0, -1, 1]])
+    fus = fusion_f(cfg, a + k, b + l, c + m)
+    base, k, l, m = fus[:, :1], k[1:], l[1:], m[1:]
+    # <x|j> for (x, j) = (alpha-beta-1, k-l), (beta, l), (-gamma, -m),
+    # (alpha, k), (alpha-beta-gamma-1, k-l-m)
+    cd = cyc_dilog(cfg, np.stack([a - b - 1, b, -c, a, a - b - c - 1], 1),
+                   np.stack([k - l, l, -m, k, k - l - m]))
+    rhsf = base * (cd[:, 0] * cd[:, 1] * cd[:, 2]) / (
+        w(l * (c + m)) * w(m * (b + 1)) * cd[:, 3] * cd[:, 4])
+    out.note("fusion shift identity", np.abs(fus[:, 1:] - rhsf) / np.maximum(1.0, np.abs(base)))
+    # integral gamma, at (k, l, m) = (1, 0, 0), (2, 1, -1), (0, 2, 1)
+    k, l, m = np.array([[1, 2, 0], [0, 1, 2], [0, -1, 1]])
+    lhsf = fusion_f(cfg, a + k, a + l - 1, m)
+    mb_m, mb_kl = (-m) % N, (k - l) % N
+    rhsf = (N * (1 - w(a + l)) / (1 - np.exp(TWO_PI_I * a))
+            * w(mb_m * (a + l)) / cyc_dilog(cfg, a + l, mb_kl)
+            * poch[mb_kl + mb_m] / (poch[mb_kl] * poch[mb_m]))
+    out.note("fusion integer form", np.abs(lhsf - rhsf) / np.maximum(1.0, np.abs(lhsf)))
+    # fusion Nth power (beta plays -zeta1, gamma plays -zeta0)
+    bP, gP = -z1, -z0
+    lhsP = (w(n * gP[:, None]) / cyc_p).sum(-1) ** N
+    dP = d_const(cfg, np.stack([-gP, bP], -1))
+    rhsP = (d0 ** N * w(N * (N - 1) * gP)
+            * (1 - np.exp(-TWO_PI_I * gP)) ** N
+            * (1 - np.exp(TWO_PI_I * bP)) ** N
+            / (1 - w(-gP)) ** N / (1 - w(bP)) ** N
+            / dP[:, 0] ** N / dP[:, 1] ** N)
+    out.note("fusion Nth power", _rel(lhsP, rhsP))
     return out
 
 
@@ -405,54 +418,59 @@ def _central_scalars(el: SL2StarElement) -> tuple:
     return el.kappa, el.eps, el.phi / el.kappa
 
 
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.kron of the last two axes, matrix by matrix over stacks of equal
+    (or broadcastable) shape."""
+    (m, n), (p, q) = A.shape[-2:], B.shape[-2:]
+    prod = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (m * p, n * q))
+
+
 def check_weylrep(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
+    """Every trial at once: stacks of module matrices from rep_matrices, drawn
+    as the scalar samplers draw them (a pair of characters per trial, then
+    the commutant probes)."""
     N = cfg.N
     xi = cfg.xi
     out = _Worst()
     eyeN = np.eye(N)
-    for _ in range(trials):
-        lc = sampling.random_logchar(rng)
-        scalars = _central_scalars(z0_coords(*lc.char().as_tuple()))
-        for basis in (Basis.WEIGHT, Basis.FOURIER):
-            g = rep_matrices(cfg, lc, basis)
-            out.note("Weyl relation", _mrel(g.x @ g.y, cfg.omega * g.y @ g.x))
-            out.note("KE = xi^2 EK", _mrel(g.K @ g.E, xi ** 2 * g.E @ g.K))
-            out.note("KF = xi^-2 FK", _mrel(g.K @ g.F, g.F @ g.K / xi ** 2))
-            out.note("[E,F] relation",
-                     _mrel(g.E @ g.F - g.F @ g.E,
-                           (xi - 1 / xi) * (g.K - np.linalg.inv(g.K))))
-            cas = cfg.omega_pow(lc.mu + 0.5) + cfg.omega_pow(-(lc.mu + 0.5))
-            out.note("Casimir scalar", _mrel(g.Omega, cas * eyeN))
-            for M, sc in zip((g.K, g.E, g.F), scalars):
-                out.note("central scalars", _mrel(matrix_power(M, N), sc * eyeN))
-        # tensor grading
-        lc2 = sampling.random_logchar(rng)
-        g1 = rep_matrices(cfg, lc, Basis.FOURIER)
-        g2 = rep_matrices(cfg, lc2, Basis.FOURIER)
-        K12 = np.kron(g1.K, g2.K)
-        E12 = np.kron(g1.E, g2.K) + np.kron(eyeN, g2.E)
-        F12 = np.kron(g1.F, eyeN) + np.kron(np.linalg.inv(g1.K), g2.F)
-        prod = char_product(z0_coords(*lc.char().as_tuple()),
-                            z0_coords(*lc2.char().as_tuple()))
-        eye2 = np.eye(N * N)
-        out.note("tensor grading", max(
-            _mrel(matrix_power(M, N), sc * eye2)
-            for M, sc in zip((K12, E12, F12), _central_scalars(prod))))
-    # commutant probes across the scalar/parabolic/reducible cases
-    for _ in range(max(4, trials // 2)):
-        lc = sampling.random_logchar(rng)
-        out.note("commutant generic",
-                 abs(commutant_dim(rep_matrices(cfg, lc, Basis.FOURIER)) - 1))
-    out.note("commutant scalar case",
-             abs(commutant_dim(rep_matrices(cfg, LogWeylChar(-0.5, 0.0, -0.5),
-                                            Basis.FOURIER)) - 1))
-    out.note("commutant parabolic case",
-             abs(commutant_dim(rep_matrices(cfg, LogWeylChar(0.31, 0.11, 0.5),
-                                            Basis.FOURIER)) - 1))
+    logs = sampling.random_char_logs(rng, (trials, 2))  # (lc, lc2) per trial
+    probes = sampling.random_char_logs(rng, (max(4, trials // 2),))
+    lc, lc2 = (LogWeylChar(*np.moveaxis(logs[:, i], -1, 0)) for i in (0, 1))
+    el1, el2 = (z0_coords(*np.moveaxis(np.exp(TWO_PI_I * logs[:, i]), -1, 0))
+                for i in (0, 1))
+    cas = cfg.omega_pow(lc.mu + 0.5) + cfg.omega_pow(-(lc.mu + 0.5))
+    for basis in (Basis.WEIGHT, Basis.FOURIER):
+        g = rep_matrices(cfg, lc, basis)
+        out.note("Weyl relation", _mrel(g.x @ g.y, cfg.omega * g.y @ g.x))
+        out.note("KE = xi^2 EK", _mrel(g.K @ g.E, xi ** 2 * g.E @ g.K))
+        out.note("KF = xi^-2 FK", _mrel(g.K @ g.F, g.F @ g.K / xi ** 2))
+        out.note("[E,F] relation",
+                 _mrel(g.E @ g.F - g.F @ g.E,
+                       (xi - 1 / xi) * (g.K - np.linalg.inv(g.K))))
+        out.note("Casimir scalar", _mrel(g.Omega, cas[:, None, None] * eyeN))
+        out.note("central scalars", [_mrel(matrix_power(M, N), sc[:, None, None] * eyeN)
+                                     for M, sc in zip((g.K, g.E, g.F), _central_scalars(el1))])
+    # tensor grading; g holds the FOURIER matrices of lc
+    g2 = rep_matrices(cfg, lc2, Basis.FOURIER)
+    K12 = _kron(g.K, g2.K)
+    E12 = _kron(g.E, g2.K) + _kron(eyeN, g2.E)
+    F12 = _kron(g.F, eyeN) + _kron(np.linalg.inv(g.K), g2.F)
+    eye2 = np.eye(N * N)
+    out.note("tensor grading", np.max(
+        [_mrel(matrix_power(M, N), sc[:, None, None] * eye2)
+         for M, sc in zip((K12, E12, F12), _central_scalars(char_product(el1, el2)))],
+        axis=0))
+    # commutant probes across the scalar/parabolic/reducible cases, one stack
+    cases = np.array([(-0.5, 0.0, -0.5), (0.31, 0.11, 0.5), (0.5, 0.37, 0.5)])
+    dims = commutant_dim(rep_matrices(
+        cfg, LogWeylChar(*np.concatenate([probes, cases]).T), Basis.FOURIER))
+    scalar, parabolic, reducible = np.abs(dims[len(probes):] - 1)
+    out.note("commutant generic", np.abs(dims[:len(probes)] - 1))
+    out.note("commutant scalar case", scalar)
+    out.note("commutant parabolic case", parabolic)
     if N >= 3:
-        out.note("commutant reducible case",
-                 abs(commutant_dim(rep_matrices(cfg, LogWeylChar(0.5, 0.37, 0.5),
-                                                Basis.FOURIER)) - 1))
+        out.note("commutant reducible case", reducible)
     return out
 
 
@@ -547,20 +565,20 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
         mu1, mu2 = c.lc1.mu, c.lc2.mu
         out.note("recurrence i", np.abs(
             R4 - np.roll(R4, 1, axis=3) * w(-al2p - mu2)
-            * (1 - _omega_arr(N, z0["E"] + n2p - n1p))
-            / (1 - _omega_arr(N, z0["N"] + n2p - n1))) / scale)
+            * (1 - w(z0["E"] + n2p - n1p))
+            / (1 - w(z0["N"] + n2p - n1))) / scale)
         out.note("recurrence ii", np.abs(
             R4 - np.roll(R4, 1, axis=2) * w(-al1p + mu1)
-            * (1 - _omega_arr(N, z0["S"] + n2 - n1p + 1))
-            / (1 - _omega_arr(N, z0["E"] + n2p - n1p + 1))) / scale)
+            * (1 - w(z0["S"] + n2 - n1p + 1))
+            / (1 - w(z0["E"] + n2p - n1p + 1))) / scale)
         out.note("recurrence iii", np.abs(
             R4 - np.roll(R4, 1, axis=1) * w(al2 + mu2 + 1)
-            * (1 - _omega_arr(N, z0["W"] - 1 + n2 - n1))
-            / (1 - _omega_arr(N, z0["S"] + n2 - n1p))) / scale)
+            * (1 - w(z0["W"] - 1 + n2 - n1))
+            / (1 - w(z0["S"] + n2 - n1p))) / scale)
         out.note("recurrence iv", np.abs(
             R4 - np.roll(R4, 1, axis=0) * w(al1 - mu1 - 1)
-            * (1 - _omega_arr(N, z0["N"] + n2p - n1 + 1))
-            / (1 - _omega_arr(N, z0["W"] + n2 - n1))) / scale)
+            * (1 - w(z0["N"] + n2p - n1 + 1))
+            / (1 - w(z0["W"] + n2 - n1))) / scale)
     # R2 contraction as a normwise backward error
     for _ in range(trials):
         out.note("R2 contraction",
@@ -649,8 +667,8 @@ def kashaev_closed_form(cfg: RootConfig) -> np.ndarray:
     [n2'-n1] + [n2-n1'] < N.
     """
     N = cfg.N
-    poch_w = _qfactorials(N, N, +1)
-    poch_wb = _qfactorials(N, N, -1)
+    poch_w = _qfactorials(cfg, N, +1)
+    poch_wb = _qfactorials(cfg, N, -1)
     n1, n2, n1p, n2p = _index_grids(N)
     theta = (((n1 - n2) % N + (n1p - n2p - 1) % N < N)
              & ((n2p - n1) % N + (n2 - n1p) % N < N))
@@ -688,10 +706,10 @@ def weight_basis_closed_form(c: CrossingData) -> np.ndarray:
     mu1, mu2 = c.lc1.mu, c.lc2.mu
     al2, al1p, al2p = c.lc2.alpha, c.lc1p.alpha, c.lc2p.alpha
     const = a1 * (m2 * a2 - 1.0) / (m1 + a1 * (m2 * a2 - 1.0)) / N
-    val = np.array([const / (1.0 - w(-al2p - mu2 + n2p))
-                    * fusion_f(c.cfg, -al2p - mu2 + n2p, -al2 - mu2 + n2 - 1,
-                               al1p - mu1 - n1p)
-                    for n2, n1p, n2p in np.ndindex(N, N, N)]).reshape(N, N, N)
+    n = np.arange(N)
+    n2, n1p, n2p = n[:, None, None], n[None, :, None], n[None, None, :]  # val[n2, n1', n2']
+    val = (const / (1.0 - w(-al2p - mu2 + n2p))
+           * fusion_f(c.cfg, -al2p - mu2 + n2p, -al2 - mu2 + n2 - 1, al1p - mu1 - n1p))
     n1, n2, n1p, n2p = _index_grids(N)
     R = np.where((n1 + n2 - n1p - n2p) % N == 0, val[n2, n1p, n2p], 0.0)
     return R.reshape(N * N, N * N)
@@ -712,13 +730,15 @@ def nilpotent_closed_form(c: CrossingData) -> np.ndarray:
         raise ConstraintViolationError("needs alpha_1 = mu_1 = alpha_1'")
     N = c.cfg.N
     nu2 = c.lc2.alpha + c.lc2.mu
-    poch = _qfactorials(N, 2 * N, +1)
-    cd = np.array([[cyc_dilog(c.cfg, -nu2 + n, k) for k in range(N)] for n in range(N)])
-    wn = _omega_arr(N, -nu2 + np.arange(N))
+    poch = _qfactorials(c.cfg, 2 * N, +1)
+    n = np.arange(N)
+    cd = cyc_dilog(c.cfg, -nu2 + n[:, None], n)  # [n, k]
+    w = c.cfg.omega_pow
+    wn = w(-nu2 + n)
     n1, n2, n1p, n2p = _index_grids(N)
     k = (n2p - n2) % N
     R = np.where(((n1 + n2 - n1p - n2p) % N == 0) & (k + n1p < N),
-                 (1.0 - wn[n2]) / (1.0 - wn[n2p]) * _omega_arr(N, n1p * (-nu2 + n2))
+                 (1.0 - wn[n2]) / (1.0 - wn[n2p]) * w(n1p * (-nu2 + n2))
                  / cd[n2, k] * poch[k + n1p] / (poch[k] * poch[n1p]), 0.0)
     return R.reshape(N * N, N * N)
 
@@ -732,10 +752,10 @@ def colored_jones_closed_form(cfg: RootConfig) -> np.ndarray:
     framed N-th colored Jones braiding kernel.
     """
     N = cfg.N
-    poch = _qfactorials(N, N, +1)
+    poch = _qfactorials(cfg, N, +1)
     n1, n2, n1p, n2p = _index_grids(N)
     R = np.where((n1 + n2 == n1p + n2p) & (n2p >= n2),
-                 _omega_arr(N, n1p * (1 + n2)) * poch[n2p] * poch[n1]
+                 cfg.omega_pow(n1p * (1 + n2)) * poch[n2p] * poch[n1]
                  / (poch[n2] * poch[(n2p - n2) % N] * poch[n1p]), 0.0)
     return R.reshape(N * N, N * N)
 

@@ -38,12 +38,11 @@ class GenMatrices:
     Omega: np.ndarray
 
 
-def _shift_down(cfg: RootConfig, scale: complex) -> np.ndarray:
-    """Matrix sending basis vector n to scale * (basis vector n-1 mod N)."""
-    N = cfg.N
-    M = np.zeros((N, N), dtype=complex)
-    for n in range(N):
-        M[(n - 1) % N, n] = scale
+def _placed(vals: np.ndarray, rows: np.ndarray, N: int) -> np.ndarray:
+    """Stack of N x N matrices with vals[..., n] (or vals[..., 0] for all n)
+    at (rows[n], n), zero elsewhere."""
+    M = np.zeros(vals.shape[:-1] + (N, N), dtype=complex)
+    M[..., rows, np.arange(N)] = vals
     return M
 
 
@@ -52,16 +51,21 @@ def rep_matrices(cfg: RootConfig, lc: LogWeylChar, basis: Basis = Basis.FOURIER)
 
     WEIGHT:  x v_n = omega**(alpha-n) v_n,  y v_n = omega**beta v_{n-1}.
     FOURIER: x w_n = omega**alpha w_{n-1},  y w_n = omega**(beta+n) w_n.
+    The logs are complex numbers, or equal-shape arrays for a stack of
+    modules: then every matrix is a stack of that shape.
     """
     N = cfg.N
-    w = cfg.omega_pow
+    n = np.arange(N)
+    alpha, beta, mu = (np.asarray(v, dtype=complex)[..., None]
+                       for v in (lc.alpha, lc.beta, lc.mu))
+    down = (n - 1) % N  # the shift sends basis vector n to n - 1 mod N
     if basis == Basis.WEIGHT:
-        x = np.diag([w(lc.alpha - n) for n in range(N)]).astype(complex)
-        y = _shift_down(cfg, w(lc.beta))
+        x = _placed(cfg.omega_pow(alpha - n), n, N)
+        y = _placed(cfg.omega_pow(beta), down, N)
     else:
-        x = _shift_down(cfg, w(lc.alpha))
-        y = np.diag([w(lc.beta + n) for n in range(N)]).astype(complex)
-    z = w(lc.mu) * np.eye(N, dtype=complex)
+        x = _placed(cfg.omega_pow(alpha), down, N)
+        y = _placed(cfg.omega_pow(beta + n), n, N)
+    z = cfg.omega_pow(mu)[..., None] * np.eye(N, dtype=complex)
     xi = cfg.xi
     K = x
     E = xi * y @ (z - x)
@@ -78,8 +82,9 @@ def fourier_matrix(cfg: RootConfig) -> np.ndarray:
 
 
 def matrix_power(M: np.ndarray, n: int) -> np.ndarray:
-    """Repeated multiplication (exactness over speed for small N)."""
-    out = np.eye(M.shape[0], dtype=complex)
+    """Repeated multiplication (exactness over speed for small N), of one
+    matrix or of each matrix of a stack."""
+    out = np.eye(M.shape[-1], dtype=complex)
     for _ in range(n):
         out = out @ M
     return out
@@ -171,18 +176,23 @@ def rw_images_negative(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
     }
 
 
-def commutant_dim(mats: GenMatrices) -> int:
+def commutant_dim(mats: GenMatrices):
     """Dimension of {A : [A, K] = [A, E] = [A, F] = 0} via the stacked nullspace.
 
-    Singular values below 1e-8 times the largest one count as zero.
+    Singular values below 1e-8 times the largest one count as zero.  For a
+    stack of modules it returns an integer array over the stack, from one
+    SVD call on the stacked (..., 3 N^2, N^2) matrices.
     """
-    N = mats.K.shape[0]
-    eye = np.eye(N, dtype=complex)
-    rows = []
-    for M in (mats.K, mats.E, mats.F):
-        rows.append(np.kron(M, eye) - np.kron(eye, M.T))
-    stack = np.vstack(rows)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    smax = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > 1e-8 * smax))
-    return N * N - rank
+    N = mats.K.shape[-1]
+    n = np.arange(N)
+    stack = np.zeros(mats.K.shape[:-2] + (3, N, N, N, N), dtype=complex)
+    for i, M in enumerate((mats.K, mats.E, mats.F)):
+        # kron(M, I) - kron(I, M^T), written in place: entry ((a, b), (c, d))
+        # is M[a, c] [b = d] - [a = c] M[d, b]
+        block = stack[..., i, :, :, :, :]
+        block[..., :, n, :, n] = M
+        block[..., n, :, n, :] -= np.swapaxes(M, -1, -2)
+    svals = np.linalg.svd(stack.reshape(stack.shape[:-5] + (3 * N * N, N * N)),
+                          compute_uv=False)
+    dims = N * N - np.sum(svals > 1e-8 * svals[..., :1], axis=-1)
+    return int(dims) if dims.ndim == 0 else dims

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holorm import selftest
-from holorm.qdilog import (ConstraintViolationError, Flattening, RootConfig,
+from holorm.qdilog import (LI2_U_TERMS, ConstraintViolationError, Flattening, RootConfig,
                            SingularArgumentError, TWO_PI_I, _li2_u_coeffs,
                            cyc_dilog, d_const, fusion_f,
                            lambda0, lambda_series, lambda_table,
@@ -152,7 +152,7 @@ def test_lifted_dilog_jumps_by_4pi2k_across_re_zeta0_k(k, y, eps, N):
 
 def test_li2_u_coeffs_are_bernoulli_over_factorial():
     coeffs = _li2_u_coeffs()
-    assert len(coeffs) == 90
+    assert len(coeffs) == LI2_U_TERMS == 26
     for k, c in enumerate(coeffs):
         assert c == float(Fraction(*mp.bernfrac(k)) / math.factorial(k + 1))
 
@@ -231,12 +231,13 @@ def test_lambda_shift_rules(rng):
 def test_lambda_rows_check_the_table_the_rmatrix_reads(monkeypatch):
     # every Lambda the battery's rows read comes from lambda_table, the
     # series rmat reads: one entry off by 1e-6 fails each row that reads it
-    # at an index, not only the recurrence and the period product
+    # at an index, not only the recurrence and the period product.  The
+    # suite reads its tables in batches: entry 1 of every table is perturbed
     real = selftest.lambda_table
 
     def perturbed(cfg, f):
         table = real(cfg, f)
-        table[1] *= 1 + 1e-6
+        table[..., 1] *= 1 + 1e-6
         return table
 
     monkeypatch.setattr(selftest, "lambda_table", perturbed)
@@ -336,3 +337,173 @@ def test_fusion_integer_gamma_closed_form(rng):
                * w(mb_m * (alpha + l)) / cyc_dilog(cfg, alpha + l, mb_kl)
                * poch[mb_kl + mb_m] / (poch[mb_kl] * poch[mb_m]))
         assert abs(lhs - rhs) / max(1.0, abs(lhs)) < 1e-10
+
+
+# ---------------------------------------------------------------- array kernels
+
+def _flattening_batch(rng, shape):
+    """Seeded flattenings as one batch: zeta0 at least 0.05 off the integers
+    in its real part, |Im zeta0| < 0.25, branch in -2..2."""
+    z0 = (rng.uniform(0.05, 0.95, shape) + rng.integers(-1, 2, shape)
+          + 1j * rng.uniform(-0.25, 0.25, shape))
+    return Flattening.from_zeta0(z0, branch=rng.integers(-2, 3, shape))
+
+
+def _per_entry(kernel, shape, *args):
+    """kernel called on each entry of its broadcast arguments (scalars and
+    Flattenings of scalars), stacked back into shape."""
+    def entry(a, i):
+        if isinstance(a, RootConfig):
+            return a
+        if isinstance(a, Flattening):
+            return Flattening(*(complex(np.broadcast_to(x, shape)[i])
+                                for x in (a.zeta0, a.zeta1)), a.tol)
+        return np.broadcast_to(a, shape)[i].item()
+    vals = [kernel(*(entry(a, i) for a in args)) for i in np.ndindex(shape)]
+    return np.array(vals).reshape(shape + np.shape(vals[0]))
+
+
+def _kernel_cases(N, rng):
+    cfg = RootConfig(N)
+    f = _flattening_batch(rng, (3, 4))
+    zeta = rng.uniform(-1, 1, (3, 4)) + 1j * rng.uniform(-0.3, 0.3, (3, 4))
+    alpha = zeta + 1j * rng.uniform(0.1, 0.9, (3, 4))
+    beta = zeta - 0.3 + 0.2j * rng.uniform(-1, 1, (3, 4))
+    gamma = np.log((1 - np.exp(TWO_PI_I * alpha)) / (1 - np.exp(TWO_PI_I * beta))) / TWO_PI_I
+    # every branch of li2, its cut from both sides, and the exact points
+    z = np.concatenate([rng.uniform(-3, 3, 14) + 1j * rng.uniform(-3, 3, 14),
+                        [0.0, 1.0, complex(1.5, 0.0), complex(1.5, -0.0),
+                         complex(4.0, 0.0), -2.0]]).reshape(4, 5)
+    return {
+        "li2": (li2, z),
+        "lifted_dilog": (lifted_dilog, f),
+        "d_const": (d_const, cfg, zeta),
+        "lambda0": (lambda0, cfg, f),
+        "lambda_series": (lambda_series, cfg, rng.normal(size=(3, 1)) + 1j, zeta, f.zeta1),
+        "lambda_table": (lambda_table, cfg, f),
+        "s_norm": (s_norm, cfg, f),
+        "cyc_dilog, k in -N..2N": (cyc_dilog, cfg, zeta[:, :1, None], np.arange(-N, 2 * N + 1)),
+        "cyc_dilog, k per entry": (cyc_dilog, cfg, zeta, rng.integers(-2 * N, 2 * N, (3, 4))),
+        "fusion_f": (fusion_f, cfg, alpha, beta, gamma),
+        "fusion_f, integral gamma": (fusion_f, cfg, alpha, alpha - 1, rng.integers(-2, 3, (3, 4))),
+    }
+
+
+@pytest.mark.parametrize("N", [2, 5])
+@pytest.mark.parametrize("case", list(_kernel_cases(2, np.random.default_rng(0))))
+def test_stacked_call_equals_per_entry_calls_bit_for_bit(N, case):
+    # one array pass gives each entry the bits the scalar call gives: its
+    # sums run in index order, whatever the batch around the entry
+    kernel, *args = _kernel_cases(N, np.random.default_rng([N, 11]))[case]
+    stacked = kernel(*args)
+    shape = np.broadcast_shapes(*(np.shape(a.zeta0) if isinstance(a, Flattening)
+                                  else np.shape(a) for a in args
+                                  if not isinstance(a, RootConfig)))
+    one_by_one = _per_entry(kernel, shape, *args)
+    assert stacked.shape == one_by_one.shape
+    assert np.array_equal(stacked, one_by_one)
+
+
+def test_scalar_calls_return_python_complex():
+    cfg = RootConfig(3)
+    f = Flattening.from_zeta0(0.3 - 0.1j, branch=1)
+    for v in (li2(0.6 + 0.5j), lifted_dilog(f), d_const(cfg, 0.2), lambda0(cfg, f),
+              s_norm(cfg, f), cyc_dilog(cfg, 0.2, 2), fusion_f(cfg, 0.27, 0.27, 3)):
+        assert type(v) is complex
+    assert lambda_table(cfg, f).shape == (3,)
+
+
+def _li2_branch_points(rng, count):
+    """count points in each branch li2 picks: |z| <= 1 with Re z <= 1/2 (the
+    u-expansion alone), with Re z > 1/2 (reflection), and outside the unit
+    disc with Re(1/z) <= 1/2 (inversion) and > 1/2 (both)."""
+    w = np.sqrt(rng.uniform(0.01, 1, 8 * count)) * np.exp(2j * np.pi * rng.uniform(size=8 * count))
+    plain, refl = w[w.real <= 0.5][:count], w[w.real > 0.5][:count]
+    return {"plain": plain, "reflection": refl, "inversion": 1 / plain[np.abs(plain) < 0.99],
+            "inversion and reflection": 1 / refl[np.abs(refl) < 0.99]}
+
+
+def test_li2_on_arrays_against_mpmath(rng):
+    for branch, z in _li2_branch_points(rng, 300).items():
+        ref = np.array([complex(mp.polylog(2, x)) for x in z])
+        assert np.all(np.abs(li2(z) - ref) <= 1e-14 * np.abs(ref)), branch
+    # the cut from either signed zero takes the value from below, and 0, 1 are exact
+    cut = np.array([1.0 + 1e-9, 1.2, 2.0, 3.7, 1e6])
+    ref = np.array([complex(mp.polylog(2, x)) for x in cut])
+    for zero in (0.0, -0.0):
+        z = np.array([complex(x, zero) for x in cut])
+        assert np.all(np.abs(li2(z) - ref) <= 1e-14 * np.abs(ref))
+    assert np.array_equal(li2(np.array([0.0, 1.0])), [0.0, math.pi ** 2 / 6])
+
+
+def _raised(call) -> str:
+    with pytest.raises(SingularArgumentError) as err:
+        call()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("kernel", ["cyc_dilog", "d_const", "lambda_table"])
+def test_array_with_a_pole_raises_the_scalar_message_of_its_first_pole(kernel):
+    cfg = RootConfig(3)
+    # entries 1 and 3 sit on poles (the first within SINGULAR, the second
+    # exactly), entries 0 and 2 do not
+    zeta = np.array([0.3 + 0.1j, -1.0 + 4e-10, 0.2, -1.0])
+    calls = {"cyc_dilog": lambda z: cyc_dilog(cfg, z, 1),
+             "d_const": lambda z: d_const(cfg, z),
+             "lambda_table": lambda z: lambda_table(
+                 cfg, Flattening(z, -np.log(1 - np.exp(TWO_PI_I * z)) / TWO_PI_I, tol=1.0))}
+    call = calls[kernel]
+    msg = _raised(lambda: call(zeta))
+    assert msg == _raised(lambda: call(zeta[1]))
+    assert msg != _raised(lambda: call(zeta[3]))
+    assert msg == _raised(lambda: call(zeta[1:].reshape(3, 1)))
+
+
+def test_fusion_pole_order_in_an_array():
+    # scalar loops test alpha's factor j, then beta's factor j, then j + 1:
+    # entry 0 meets beta's pole at j = 1 before alpha's at j = 2, entry 1
+    # meets alpha's and beta's poles at j = 1 and reports alpha's
+    cfg = RootConfig(3)
+    alpha = np.array([0.3 + 0.2j, -2.0, -1.0])
+    beta = np.array([0.1, -1.0 + 1e-10, -1.0 - 1e-10])
+    gamma = np.log((1 - np.exp(TWO_PI_I * alpha)) / (1 - np.exp(TWO_PI_I * beta))) / TWO_PI_I
+    first = _raised(lambda: fusion_f(cfg, alpha[1], beta[1], gamma[1]))
+    assert "beta" in first
+    assert _raised(lambda: fusion_f(cfg, alpha, beta, gamma)) == first
+    both = _raised(lambda: fusion_f(cfg, alpha[2:], beta[2:], gamma[2:]))
+    assert "alpha" in both
+    assert both == _raised(lambda: fusion_f(cfg, alpha[2], beta[2], gamma[2]))
+
+
+# ------------------------------------------------------------ the batched suite
+
+QDILOG_SAMPLES = {  # per trial, at order N
+    "lambda recurrence": lambda N: N, "lambda periodicity": lambda N: 2 * N + 1,
+    "lambda shift (zeta0)": lambda N: 4, "lambda shift (zeta1)": lambda N: 4,
+    "lambda product": lambda N: 1, "lambda inverse sum": lambda N: 4,
+    "Fourier transform": lambda N: N, "Fourier inverse": lambda N: N,
+    "Fourier roundtrip": lambda N: 1, "S symmetry": lambda N: 1,
+    "S shift (zeta0)": lambda N: 3, "S shift (zeta1)": lambda N: 3,
+    "S Nth power": lambda N: 1, "unity factorization": lambda N: 1,
+    "q-series transform": lambda N: 1, "fusion shift identity": lambda N: 3,
+    "fusion integer form": lambda N: 3, "fusion Nth power": lambda N: 1,
+}
+
+
+@pytest.mark.parametrize("trials", [3, 7])
+@pytest.mark.parametrize("N", [2, 3, 7])
+def test_check_qdilog_draws_as_the_scalar_suite_drew(N, trials):
+    """The suite's loop only draws: per trial a flattening, nn and two
+    uniforms, in that order, so later suites see the stream a trial-by-trial
+    suite leaves; and it notes each registered identity as often."""
+    cfg = RootConfig(N)
+    rng, ref = np.random.default_rng(trials), np.random.default_rng(trials)
+    out = selftest.check_qdilog(cfg, rng, trials)
+    for _ in range(trials):
+        random_flattening(cfg, ref)
+        ref.integers(0, N)
+        ref.uniform(0.1, 0.9)
+        ref.uniform(-1, 1)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert out.samples == {k: n(N) * trials for k, n in QDILOG_SAMPLES.items()}
+    assert all(v <= selftest.IDENTITIES[k].tol for k, v in out.items())

@@ -7,7 +7,8 @@ import pytest
 
 from holorm.characters import LogWeylChar, braid
 from holorm.qdilog import RootConfig, TWO_PI_I
-from holorm.sampling import random_crossing, random_logchar
+from holorm import selftest
+from holorm.sampling import random_char_logs, random_crossing, random_logchar
 from holorm.selftest import _central_scalars, char_product, z0_coords
 from holorm.weylrep import (Basis, GenMatrices, commutant_dim, fourier_matrix,
                             matrix_power, pi_tensor, rep_matrices, rw_images,
@@ -143,3 +144,54 @@ def test_commutant_dim(rng):
     # parabolic case
     assert commutant_dim(rep_matrices(cfg, LogWeylChar(0.31, 0.11, 0.5),
                                       Basis.FOURIER)) == 1
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_stacked_modules_equal_the_single_ones(basis, rng):
+    # rep_matrices, matrix_power and commutant_dim on a stack give each
+    # module what the call on that module alone gives
+    cfg = RootConfig(4)
+    logs = random_char_logs(rng, (2, 3))
+    g = rep_matrices(cfg, LogWeylChar(*np.moveaxis(logs, -1, 0)), basis)
+    dims = commutant_dim(g)
+    assert g.E.shape == (2, 3, 4, 4) and dims.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        one = rep_matrices(cfg, LogWeylChar(*logs[i]), basis)
+        for field in ("x", "y", "z", "K", "E", "F", "Omega"):
+            assert np.array_equal(getattr(g, field)[i], getattr(one, field))
+        assert np.array_equal(matrix_power(g.E, 4)[i], matrix_power(one.E, 4))
+        assert dims[i] == commutant_dim(one) == 1
+    assert np.array_equal(selftest._kron(g.K, g.E)[1, 2], np.kron(g.K[1, 2], g.E[1, 2]))
+
+
+def test_random_char_logs_draw_as_random_logchar(rng):
+    ref = np.random.default_rng(5)
+    logs = random_char_logs(np.random.default_rng(5), (3, 2))
+    assert logs.shape == (3, 2, 3)
+    for i in np.ndindex(3, 2):
+        lc = random_logchar(ref)
+        assert tuple(logs[i]) == (lc.alpha, lc.beta, lc.mu)
+
+
+@pytest.mark.parametrize("trials", [3, 7])
+@pytest.mark.parametrize("N", [2, 3, 7])
+def test_check_weylrep_draws_as_the_scalar_suite_drew(N, trials):
+    """One draw of shape (trials, 2, 3, 2) and one of (max(4, trials // 2),
+    3, 2) leave the stream where two characters per trial and then the
+    commutant probes, drawn one by one, leave it; each registered identity
+    is noted as often as the trial-by-trial suite noted it."""
+    rng, ref = np.random.default_rng(trials), np.random.default_rng(trials)
+    out = selftest.check_weylrep(RootConfig(N), rng, trials)
+    for _ in range(2 * trials + max(4, trials // 2)):
+        random_logchar(ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    per_trial = {"Weyl relation": 2, "KE = xi^2 EK": 2, "KF = xi^-2 FK": 2,
+                 "[E,F] relation": 2, "Casimir scalar": 2, "central scalars": 6,
+                 "tensor grading": 1}
+    expect = {k: n * trials for k, n in per_trial.items()}
+    expect.update({"commutant generic": max(4, trials // 2),
+                   "commutant scalar case": 1, "commutant parabolic case": 1})
+    if N >= 3:
+        expect["commutant reducible case"] = 1
+    assert out.samples == expect
+    assert all(v <= selftest.IDENTITIES[k].tol for k, v in out.items())
