@@ -311,31 +311,60 @@ def apply(cfg: RootConfig, d: DiagramGraph, lc: LogColoring,
     return V
 
 
+def _light_cone_order(positions) -> list:
+    """Indices of the crossings at generator positions `positions` (word
+    order) in the order jfunc_eval contracts them.
+
+    A crossing may go before earlier crossings only if it shares no slot
+    with any of them (|pos - pos'| >= 2): braidings on disjoint slots
+    commute, so the product is the word's.  Among the crossings that may go
+    next, the first one inside the slots lo..hi reached so far goes, else
+    the first left in word order.
+    """
+    left = list(range(len(positions)))
+    order, lo, hi = [], 1, 0
+    while left:
+        k, taken = left[0], set()   # taken: slots of the crossings passed
+        for i in left:
+            p = positions[i]
+            if lo <= p < hi and not taken & {p, p + 1}:
+                k = i
+                break
+            taken |= {p, p + 1}
+        left.remove(k)
+        order.append(k)
+        p = positions[k]
+        lo, hi = (p, p + 1) if hi < lo else (min(lo, p), max(hi, p + 1))
+    return order
+
+
 def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
     """State-sum matrix of the log-colored diagram (operator[out, in]).
 
     Top crossing acts first; pinched crossings are routed to the closed
     pinched braiding automatically.  Rows are row-major over the slots.  The
     running operator `op` is dense on the slots lo..hi reached so far and the
-    identity acts on the others:
+    identity acts on the others.  Crossings are contracted in the light-cone
+    order of _light_cone_order, which depends only on the generator
+    positions: a crossing that shares no slot with the earlier ones it
+    passes, and lies inside lo..hi, goes before any crossing that widens
+    lo..hi.  With h the slots of lo..hi before the crossing:
     - the first braiding is `op`, at no cost;
     - a crossing inside lo..hi multiplies the middle axis of the view
-      (N^(pos-lo), N^2, everything else): N^(2h+2) multiply-adds for the h
-      slots of lo..hi;
+      (N^(pos-lo), N^2, everything else): N^(2h+2) multiply-adds;
     - a crossing that reaches one new slot sums over the one index it
-      shares with `op`: N^(2h+1) multiply-adds for the h slots of lo..hi
-      after it, written block by block into one preallocated output (no
-      transposed intermediate, no copy);
+      shares with `op`, in one broadcast matmul: N^(2h+3) multiply-adds;
     - the identity is put in by kron only on slots skipped between
       crossings (then the crossing reaches one new slot) and on the outer
-      slots at the end.
+      slots at the end: N^(2h) entries written for the h slots after it.
     The result is one N^(2w) output.  The empty word gives the identity,
     the only case that builds np.eye(N^w).  apply on np.eye(N^w) gives the
     same matrix, but pays N^(2w+2) per crossing from the first one on.
     """
     N, w = cfg.N, d.width
     op = None
-    for c in d.crossings:
+    for i in _light_cone_order([c.pos for c in d.crossings]):
+        c = d.crossings[i]
         b = braiding_op(crossing_data(cfg, d, lc, c)).as_operator()
         p = c.pos
         if op is None:
@@ -349,17 +378,11 @@ def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
         b3 = b.reshape(N * N, N, N)      # [out pair, in slot p, in slot p+1]
         if p == hi:
             # out[a, k, m, j] = sum_i op[a, i, m] b3[k, i, j]
-            rows = op.reshape(N ** (h - 1), N, N ** h).transpose(0, 2, 1)
-            out = np.empty((N ** (h - 1), N * N, N ** h, N), dtype=complex)
-            for a in range(N ** (h - 1)):
-                np.matmul(rows[a], b3, out=out[a])
+            out = op.reshape(N ** (h - 1), 1, N, N ** h).transpose(0, 1, 3, 2) @ b3
             op, hi = out.reshape(N ** (h + 1), N ** (h + 1)), hi + 1
         elif p + 1 == lo:
             # out[k, a, j, m] = sum_i b3[k, j, i] op[i, a, m]
-            rows = op.reshape(N, N ** (h - 1), N ** h)
-            out = np.empty((N * N, N ** (h - 1), N, N ** h), dtype=complex)
-            for a in range(N ** (h - 1)):
-                np.matmul(b3, rows[:, a], out=out[:, a])
+            out = b3[:, None] @ op.reshape(N, N ** (h - 1), N ** h).transpose(1, 0, 2)
             op, lo = out.reshape(N ** (h + 1), N ** (h + 1)), lo - 1
         else:
             op = on_slots(b, op, N, p - lo).reshape(N ** h, N ** h)

@@ -8,7 +8,9 @@ identical output.
 
 Failures: a spec or option that cannot be read as the command's input
 (MalformedInput) exits 2; a library error raised while evaluating
-well-formed input (DOMAIN_ERRORS) exits 1.
+well-formed input (DOMAIN_ERRORS), or an allocation that fails
+(MemoryError, such as a dense state sum too large for the machine),
+exits 1.
 """
 
 from __future__ import annotations
@@ -309,6 +311,8 @@ def main(argv=None) -> int:
         extra = ({"crossing": exc.crossing}
                  if isinstance(exc, InadmissibleColoringError) else {})
         return _fail(str(exc), 1, **extra)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}", 1)
 
 
 if __name__ == "__main__":

@@ -154,8 +154,8 @@ class CrossingData:
     def flattening_batch(self) -> Flattening:
         """The four region flattenings of a non-pinched crossing, in REGIONS
         order, as one batch; errors out at pinched data.  Built on first use
-        and cached on the (frozen) crossing, so rmat, logdet_braiding and
-        the CLI share it."""
+        and cached on the (frozen) crossing, so rmat, factorized_ops,
+        logdet_braiding and the CLI share it."""
         z0 = self.zeta0()
         if self.pinched:
             r = next(iter(self.integral_zeta0()))
@@ -166,11 +166,23 @@ class CrossingData:
                           np.array([z1[r] for r in REGIONS]), tol=1e-7)
 
     @cached_property
-    def flattenings(self) -> dict:
-        """{region: Flattening}: the entries of flattening_batch."""
-        f = self.flattening_batch
-        return {r: Flattening(complex(z0), complex(z1), tol=f.tol)
-                for r, z0, z1 in zip(REGIONS, f.zeta0, f.zeta1)}
+    def lambda_tables(self) -> np.ndarray:
+        """The four region Lambda tables of flattening_batch, in REGIONS
+        order (shape (4, N)), from one lambda_table pass; cached and read
+        only, so rmat and factorized_ops share it."""
+        return _read_only(lambda_table(self.cfg, self.flattening_batch))
+
+    @cached_property
+    def lifted_dilogs(self) -> np.ndarray:
+        """The four lifted dilogarithms L(zeta_r) of flattening_batch, in
+        REGIONS order; cached and read only, so every logdet_braiding call
+        on the crossing shares it."""
+        return _read_only(lifted_dilog(self.flattening_batch))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def crossing_from_logs(cfg: RootConfig, sign: int, betas, mus, gammas,
@@ -209,11 +221,6 @@ class RTensor:
         N = self.cfg.N
         ent = self.entries.reshape(N, N, N, N).transpose(0, 1, 3, 2).reshape(N * N, N * N)
         return RTensor(self.cfg, ent)
-
-
-def _lambda_tables(c: CrossingData) -> dict:
-    """{region: Lambda table}, all four from one lambda_table pass."""
-    return dict(zip(REGIONS, lambda_table(c.cfg, c.flattening_batch)))
 
 
 def _index_grids(N: int) -> tuple:
@@ -282,7 +289,7 @@ def _assemble(c: CrossingData, pinched: bool) -> np.ndarray:
         tables = dict(zip(REGIONS, lambda_series(
             c.cfg, 1.0, 0.0, np.array([z1[r] for r in REGIONS]))))
     else:
-        tables = _lambda_tables(c)  # raises PinchedCrossingError before zeta1 would
+        tables = dict(zip(REGIONS, c.lambda_tables))  # raises PinchedCrossingError
         z0, z1 = (dict(zip(REGIONS, z.tolist())) for z in (c.flattening_batch.zeta0,
                                                             c.flattening_batch.zeta1))
     layout, w_dw, support = _region_layout(
@@ -340,11 +347,11 @@ def factorized_ops(c: CrossingData) -> FactorOps:
     non-pinched crossing."""
     N = c.cfg.N
     w = c.cfg.omega_pow
-    lam = _lambda_tables(c)
-    z0, z1 = c.zeta0(), c.zeta1()
+    lamN, lamW, lamS, lamE = c.lambda_tables
+    f = c.flattening_batch
+    z0, z1 = (dict(zip(REGIONS, z.tolist())) for z in (f.zeta0, f.zeta1))
     n = np.arange(N)
     d_in = (n[:, None] - n[None, :])        # n1 - n2
-    lamN, lamW, lamS, lamE = (lam[r] for r in REGIONS)
     if c.sign == +1:
         zw = (w(-(N - 1) * (z0["W"] + z1["W"]))
               * np.power(c.cfg.omega, -d_in) / lamW[(-d_in - 1) % N]).reshape(-1)
@@ -409,7 +416,7 @@ def logdet_braiding(c: CrossingData) -> complex:
     """
     N = c.cfg.N
     e = c.sign
-    ell = dict(zip(REGIONS, lifted_dilog(c.flattening_batch)))
+    ell = dict(zip(REGIONS, c.lifted_dilogs))
     i_c = ell["N"] + ell["S"] - ell["W"] - ell["E"]
     lam1, lam2 = c.log_longitudes()
     return (-e * N * i_c / TWO_PI_I

@@ -1,15 +1,16 @@
 """Braid diagrams, coloring propagation, the state sum, and moves."""
 
 import cmath
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from holorm import rmatrix
+from holorm import braidgrpd, rmatrix
 from holorm import selftest
 from holorm.braidgrpd import (BraidWord, InadmissibleColoringError, LogColoring,
-                              apply, build_diagram, crossing_data,
+                              _light_cone_order, apply, build_diagram, crossing_data,
                               extend_log_coloring, jfunc_eval, log_longitudes,
                               pin_bottom, propagate_chi, top_characters)
 from holorm.characters import WeylChar
@@ -235,6 +236,10 @@ ORACLE_WORDS = [
     (2, 5, (-1,)),
     # the second crossing lands left of the reached slots 3..4, past a gap
     (4, 3, (3, 1)),
+    # far-commuting letters that the light-cone order moves ahead
+    (5, 3, (1, 2, -3, 4, -1, 2)),
+    (6, 2, (1, 3, 5, 2, -4)),
+    (4, 4, (1, -2, 3, 1, -2)),
 ]
 
 
@@ -271,11 +276,15 @@ def _pinch_second_crossing(d):
     ((2,), 0),
     ((-1, 2, -3), 1),
     ((-3, 2, -1), 1),
-], ids=["first-then-both-sides", "first-and-only", "extends-right", "extends-left"])
+    # sigma1 sigma2 bring the pinched pair to slots 1, 2, where the light-cone
+    # order contracts crossing 3 before crossing 2
+    ((1, 2, -3, 1), 3),
+], ids=["first-then-both-sides", "first-and-only", "extends-right", "extends-left",
+        "moved-ahead"])
 def test_jfunc_pinched_crossing_matches_dense_oracle(word, pinched, monkeypatch):
     cfg = RootConfig(3)
     d = build_diagram(BraidWord(4, word))
-    logs = PINCHED_LOGS if pinched == 0 else _pinch_second_crossing(d)
+    logs = _pinch_second_crossing(d) if pinched == 1 else PINCHED_LOGS
     lc = extend_log_coloring(d, *logs)
     assert lc.pinched_crossings == [pinched]
     calls = []
@@ -288,6 +297,83 @@ def test_jfunc_pinched_crossing_matches_dense_oracle(word, pinched, monkeypatch)
     apply(cfg, d, lc, np.ones((3 ** 4, 1)))
     assert len(calls) == 1
     _assert_apply_matches_jfunc(cfg, d, lc, np.random.default_rng(5))
+
+
+def _position_words(max_width=6, max_len=6):
+    """(width, generator positions) of every word of width <= max_width and
+    length 1..max_len; signs do not enter the contraction order."""
+    for w in range(2, max_width + 1):
+        for n in range(1, max_len + 1):
+            yield from ((w, pos) for pos in itertools.product(range(1, w), repeat=n))
+
+
+def _modeled_cost(positions, order, N, w):
+    """Multiply-adds of jfunc_eval contracting the crossings in `order`, by
+    the terms of its docstring: N^(2h+2) inside the h reached slots, N^(2h+3)
+    to reach one new slot, N^(2h) per kron onto h slots, nothing for the
+    first braiding."""
+    cost, lo, hi = 0, 1, 0
+    for k in order:
+        p = positions[k]
+        if hi < lo:
+            lo, hi = p, p + 1
+            continue
+        if p > hi or p + 1 < lo:
+            lo, hi = min(lo, p + 1), max(hi, p)
+            cost += N ** (2 * (hi - lo + 1))
+        h = hi - lo + 1
+        if p == hi or p + 1 == lo:
+            cost += N ** (2 * h + 3)
+            lo, hi = min(lo, p), max(hi, p + 1)
+        else:
+            cost += N ** (2 * h + 2)
+    cost += (lo > 1) * N ** (2 * hi) + (hi < w) * N ** (2 * w)
+    return cost
+
+
+def test_light_cone_order_keeps_crossings_that_share_a_slot_in_word_order():
+    for _, pos in _position_words():
+        at = {k: t for t, k in enumerate(_light_cone_order(pos))}
+        assert sorted(at) == list(range(len(pos)))
+        for i, j in itertools.combinations(range(len(pos)), 2):
+            if abs(pos[i] - pos[j]) < 2:
+                assert at[i] < at[j], pos
+        if all(abs(p - q) < 2 for p, q in itertools.combinations(pos, 2)):
+            assert list(at) == list(range(len(pos))), pos
+    # the far-commuting sigma1 goes inside the reached slots 1..3 before
+    # sigma3 widens them
+    assert _light_cone_order((1, 2, 3, 1)) == [0, 1, 3, 2]
+
+
+def test_light_cone_order_never_costs_more_than_word_order():
+    cheaper = 0
+    for w, pos in _position_words():
+        for N in (2, 5):
+            word = _modeled_cost(pos, range(len(pos)), N, w)
+            cone = _modeled_cost(pos, _light_cone_order(pos), N, w)
+            assert cone <= word, (w, pos, N)
+            cheaper += cone < word
+    assert cheaper > 0
+    # the statesum benchmark's (width, N, crossings) = (5, 4, 6) word
+    pos = (1, 2, 3, 4, 1, 2)
+    assert _modeled_cost(pos, _light_cone_order(pos), 4, 5) == 5_586_944
+    assert _modeled_cost(pos, range(6), 4, 5) == 38_027_264
+
+
+@pytest.mark.parametrize("width, N, word", [
+    (3, 5, (1, -2, -1, 2)), (3, 4, (2, 1, 2, -1, -2)), (4, 3, (2, 3, -2, 3, -3)),
+    (2, 5, (1, -1, 1)), (4, 3, (3, -2, 3))])
+def test_jfunc_without_far_commuting_letters_keeps_word_order_bits(
+        width, N, word, rng, monkeypatch):
+    # no two letters commute far apart, so nothing may move: the state sum
+    # is the word-order contraction bit for bit
+    assert all(abs(abs(x) - abs(y)) < 2 for x, y in itertools.combinations(word, 2))
+    cfg = RootConfig(N)
+    d = build_diagram(BraidWord(width, word))
+    lc = random_coloring(cfg, d, rng)
+    J = jfunc_eval(cfg, d, lc)
+    monkeypatch.setattr(braidgrpd, "_light_cone_order", lambda pos: range(len(pos)))
+    assert np.array_equal(J, jfunc_eval(cfg, d, lc))
 
 
 @pytest.mark.parametrize("width, N, word", ORACLE_WORDS)

@@ -503,6 +503,22 @@ def test_braid_matrix_free_and_determinism(tmp_path, capsys, monkeypatch):
     assert "log_longitudes" in rep
 
 
+def test_braid_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # a dense state sum that cannot be allocated is a JSON failure, not a
+    # traceback; numpy's message is passed on (nothing is allocated here)
+    msg = "Unable to allocate 1.00 TiB for an array with shape (262144, 262144)"
+
+    def no_memory(*args):
+        raise MemoryError(msg)
+
+    monkeypatch.setattr(cli, "jfunc_eval", no_memory)
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(BRAID_SPEC))
+    code, out = run(capsys, "braid", "--N", "2", "--input", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": f"out of memory: {msg}"}
+
+
 def test_color_command(tmp_path, capsys):
     spec = json.loads(json.dumps(BRAID_SPEC))
     path = tmp_path / "braid.json"

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from holorm.characters import LogWeylChar
-from holorm.qdilog import RootConfig, TWO_PI_I, lambda_table
-from holorm.rmatrix import (CrossingData, PinchedCrossingError, _index_grids,
+from holorm.qdilog import Flattening, RootConfig, TWO_PI_I, lambda_table
+from holorm.rmatrix import (REGIONS, CrossingData, PinchedCrossingError, _index_grids,
                             _region_terms, braiding_op, crossing_from_logs,
                             det_braiding, det_lu, factorized_ops,
                             kashaev_crossing, kashaev_rmat, logdet_braiding,
@@ -18,7 +18,7 @@ from holorm.braidgrpd import (BraidWord, build_diagram, crossing_data,
                               extend_log_coloring)
 from holorm.sampling import (letter_crossing, random_crossing,
                              standard_pinched_crossing)
-from holorm import sampling, selftest
+from holorm import rmatrix, sampling, selftest
 from holorm.selftest import (IDENTITIES, _det_deviation, _det_factor_deviation,
                              _pinched_limit, _random_pinched_params,
                              colored_jones_closed_form, kashaev_closed_form,
@@ -37,7 +37,7 @@ def test_crossing_zetas_standard_pinched():
     assert all(abs(z0[r]) < 1e-12 for r in "NWSE")
     assert c.integral_zeta0() == {"N": 0, "W": 0, "S": 0, "E": 0}
     with pytest.raises(PinchedCrossingError):
-        c.flattenings
+        c.flattening_batch
 
 
 def test_crossing_zetas_balance(rng):
@@ -45,11 +45,11 @@ def test_crossing_zetas_balance(rng):
     for sign in (+1, -1):
         c = random_crossing(cfg, rng, sign)
         assert c.integral_zeta0() == {}
-        zs = c.flattenings
-        assert abs(zs["N"].zeta0 + zs["S"].zeta0 - zs["W"].zeta0 - zs["E"].zeta0) < 1e-12
-        for f in zs.values():
-            assert abs(cmath.exp(TWO_PI_I * f.zeta1)
-                       * (1 - cmath.exp(TWO_PI_I * f.zeta0)) - 1) < 1e-9
+        f = c.flattening_batch
+        z0 = dict(zip(REGIONS, f.zeta0))
+        assert abs(z0["N"] + z0["S"] - z0["W"] - z0["E"]) < 1e-12
+        assert np.abs(np.exp(TWO_PI_I * f.zeta1)
+                      * (1 - np.exp(TWO_PI_I * f.zeta0)) - 1).max() < 1e-9
 
 
 def test_kappa_shift_leaves_rmatrix_fixed(rng):
@@ -65,7 +65,7 @@ def test_kappa_shift_leaves_rmatrix_fixed(rng):
 
 
 def test_rmat_rejects_pinched():
-    # the one pinched check is CrossingData.flattenings: it names the
+    # the one pinched check is CrossingData.flattening_batch: it names the
     # integral zeta0 before anything asks for the undefined kappa
     cfg = RootConfig(2)
     for f in (rmat, factorized_ops, logdet_braiding):
@@ -175,11 +175,28 @@ def test_factorization_matches_braiding(sign, rng):
                 assert mrel(M, np.roll(np.roll(M, shift, axis=0), shift, axis=1)) < 1e-12
 
 
+def test_crossing_evaluates_its_tables_and_dilogarithms_once(rng, monkeypatch):
+    # rmat, factorized_ops and logdet_braiding read the crossing's cached
+    # Lambda tables and lifted dilogarithms, one pass of each
+    calls = []
+    for name in ("lambda_table", "lifted_dilog"):
+        real = getattr(rmatrix, name)
+        monkeypatch.setattr(rmatrix, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    c = random_crossing(RootConfig(5), rng, -1)
+    rmat(c), factorized_ops(c), logdet_braiding(c), logdet_braiding(c)
+    assert sorted(calls) == ["lambda_table", "lifted_dilog"]
+    for cached in (c.lambda_tables, c.lifted_dilogs):
+        with pytest.raises(ValueError):
+            cached[0] = 0
+
+
 def test_factor_ze_diagonal_entries(rng):
     cfg = RootConfig(3)
     c = random_crossing(cfg, rng, +1)
     f = factorized_ops(c)
-    lam_e = lambda_table(cfg, c.flattenings["E"])
+    fb = c.flattening_batch  # E is the last of REGIONS
+    lam_e = lambda_table(cfg, Flattening(complex(fb.zeta0[3]), complex(fb.zeta1[3])))
     for n1 in range(3):
         for n2 in range(3):
             assert rel(f.ze_diag[3 * n1 + n2], 1.0 / lam_e[(n1 - n2) % 3]) < 1e-12
@@ -264,7 +281,7 @@ def test_det_sign_flip_inverts_constant(rng):
     # strip the longitude and dilogarithm parts by dividing them out
     from holorm.qdilog import lifted_dilog
     for c, expo in ((cpos, +1), (cneg, -1)):
-        ell = {r: lifted_dilog(f) for r, f in c.flattenings.items()}
+        ell = dict(zip(REGIONS, lifted_dilog(c.flattening_batch)))
         i_c = ell["N"] + ell["S"] - ell["W"] - ell["E"]
         lam1, lam2 = c.log_longitudes()
         rest = (cmath.exp(-c.sign * 3 * i_c / TWO_PI_I)
