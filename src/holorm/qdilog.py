@@ -10,7 +10,10 @@ L, and the constants D(zeta) and S(zeta0, zeta1).
 Every kernel takes complex scalars or broadcastable arrays (a Flattening may
 hold arrays) and evaluates all entries in one array pass: an index j or k of
 a product or sum runs along a trailing axis, and a scalar call returns a
-Python complex.  A batch gives each entry the bits the scalar call gives.
+Python complex.  A batch gives each entry the bits the scalar call gives.  A
+guarded kernel tests its guards once, in the order its scalar body meets
+them, and a failing batch raises at its first failing (entry, guard) in C
+order: the error a loop of scalar calls meets first.
 
 Branch convention: every logarithm is the principal one, Im log in (-pi, pi].
 """
@@ -28,7 +31,7 @@ import numpy as np
 
 TWO_PI_I = 2j * math.pi
 PI_SQ_OVER_6 = math.pi ** 2 / 6.0
-# Below this, a factor |1 - omega**x| counts as a zero (tested in _off_pole only);
+# Below this, a factor |1 - omega**x| counts as a zero (tested in _pole only);
 # characters reads it as the relative pinched threshold and admissibility window.
 SINGULAR = 1e-9
 
@@ -66,15 +69,46 @@ class RootConfig:
         return cmath.exp(TWO_PI_I * x / self.N)
 
 
+def _raise_first(*guards) -> None:
+    """The one fault scan.  Each guard is (bad, fault): bad[..., t] says that
+    test t of an entry fails, the tests along a trailing axis in the order
+    the entry meets them, and fault(at, t) is the exception, at(x) the entry
+    of x.  Given the guards in the order the scalar body meets them, it
+    raises at the first failing (entry, guard, t) in C order."""
+    if not any(b.any() for b, _ in guards):
+        return
+    bad = np.concatenate([b for b, _ in guards], axis=-1)
+    *i, t = np.unravel_index(np.argmax(bad), bad.shape)
+    for b, fault in guards:
+        if t < b.shape[-1]:
+            raise fault(lambda x: np.broadcast_to(x, bad.shape[:-1])[tuple(i)], t)
+        t -= b.shape[-1]
+
+
+def _pole(*seqs) -> tuple:
+    """The pole guard: a factor with |fac| < SINGULAR fails.  Each seq is
+    (fac, msg, arg), fac[..., j - 1] = 1 - omega**(x + j) for the entries x
+    of arg; factors are met by j, then in seqs order, and the message is
+    msg.format(x, j=j)."""
+    bad = [np.abs(fac) < SINGULAR for fac, _, _ in seqs]
+    if len(seqs) > 1:
+        bad = [np.stack(bad, axis=-1).reshape(bad[0].shape[:-1] + (-1,))]
+
+    def fault(at, t):
+        _, msg, arg = seqs[t % len(seqs)]
+        return SingularArgumentError(msg.format(at(arg), j=t // len(seqs) + 1))
+    return bad[0], fault
+
+
 @dataclass(frozen=True)
 class Flattening:
     """A coherent pair of logarithms: exp(2 pi i zeta1) * (1 - exp(2 pi i zeta0)) = 1.
 
     Equivalently exp(2 pi i zeta0) + exp(-2 pi i zeta1) = 1.  The fields are
     complex numbers, or broadcastable arrays for a batch of flattenings.  The
-    constraint is checked on construction, at every entry; no branch repair
-    is attempted (which logarithm of 1/(1 - e^{2 pi i zeta0}) the caller
-    means is part of the data).
+    constraint is checked on construction, and the first failing entry (C
+    order) raises; no branch repair is attempted (which logarithm of
+    1/(1 - e^{2 pi i zeta0}) the caller means is part of the data).
     """
 
     zeta0: complex
@@ -84,20 +118,17 @@ class Flattening:
     def __post_init__(self):
         err = np.abs(np.exp(TWO_PI_I * self.zeta1)
                      * (1.0 - np.exp(TWO_PI_I * self.zeta0)) - 1.0)
-        ok = err <= self.tol  # NaN fails too
-        if not ok.all():
-            i = np.unravel_index(np.argmin(ok), ok.shape)
-            z0, z1 = (np.broadcast_to(x, ok.shape)[i] for x in (self.zeta0, self.zeta1))
-            raise ConstraintViolationError(
-                f"flattening constraint violated by {err[i]:.3e} "
-                f"for (zeta0, zeta1) = ({z0}, {z1})")
+        _raise_first((~(err <= self.tol)[..., None],  # NaN fails too
+                      lambda at, _: ConstraintViolationError(
+                          f"flattening constraint violated by {at(err):.3e} "
+                          f"for (zeta0, zeta1) = ({at(self.zeta0)}, {at(self.zeta1)})")))
 
     @classmethod
     def from_zeta0(cls, zeta0, branch=0) -> "Flattening":
         """Principal-branch partner zeta1 = -Log(1 - e^{2 pi i zeta0})/(2 pi i) + branch."""
         w = 1.0 - np.exp(TWO_PI_I * np.asarray(zeta0, dtype=complex))
-        if (np.abs(w) < 1e-12).any():
-            raise SingularArgumentError("zeta0 is an integer; no flattening exists")
+        _raise_first(((np.abs(w) < 1e-12)[..., None], lambda at, _: SingularArgumentError(
+            f"zeta0 = {at(zeta0)} is an integer; no flattening exists")))
         zeta1 = -np.log(w) / TWO_PI_I + branch
         return cls(zeta0, complex(zeta1) if zeta1.ndim == 0 else zeta1)
 
@@ -110,20 +141,13 @@ class Flattening:
         return Flattening(self.zeta0 + k0, self.zeta1 + k1, tol=self.tol)
 
 
-def _entry(arg, idx: tuple, shape: tuple):
-    """Entry idx of a kernel argument broadcast to shape, with one axis of
-    length 1 (a RootConfig passes through)."""
+def _promote(arg):
+    """A scalar argument with one axis of length 1 (a RootConfig passes through)."""
     if isinstance(arg, RootConfig):
         return arg
     if isinstance(arg, Flattening):
-        return Flattening(*(_entry(x, idx, shape) for x in (arg.zeta0, arg.zeta1)), arg.tol)
-    return np.broadcast_to(arg, shape)[idx].reshape(1)
-
-
-def _shape(arg) -> tuple:
-    if isinstance(arg, Flattening):
-        return np.broadcast_shapes(np.shape(arg.zeta0), np.shape(arg.zeta1))
-    return () if isinstance(arg, RootConfig) else np.shape(arg)
+        return Flattening(_promote(arg.zeta0), _promote(arg.zeta1), arg.tol)
+    return np.reshape(arg, 1)
 
 
 def _has_axes(arg) -> bool:
@@ -141,44 +165,16 @@ def _kernel(body):
     returns scalars, whose arithmetic rounds differently from its array
     loops, so a scalar call would not give the bits of the same entry in a
     batch.  A call on scalars returns a Python complex (or the array along
-    the kernel's trailing axis).  When a call over several entries fails,
-    the entries are evaluated one by one in C order, and the first failing
-    one raises: the error that a loop of scalar calls meets first.
+    the kernel's trailing axis).  The body passes all its guards to one
+    _raise_first call before it evaluates what they guard.
     """
     @functools.wraps(body)
     def kernel(*args):
-        if not any(map(_has_axes, args)):
-            v = body(*(_entry(a, (), ()) for a in args))[0]
-            return complex(v) if v.ndim == 0 else v
-        try:
+        if any(map(_has_axes, args)):
             return body(*args)
-        except (SingularArgumentError, ConstraintViolationError):
-            shape = np.broadcast_shapes(*map(_shape, args))
-            for idx in np.ndindex(shape):
-                body(*(_entry(a, idx, shape) for a in args))
-            raise
+        v = body(*map(_promote, args))[0]
+        return complex(v) if v.ndim == 0 else v
     return kernel
-
-
-def _off_pole(*seqs) -> None:
-    """The one pole test: SingularArgumentError at the first factor with
-    |fac| < SINGULAR.
-
-    Each seq is (fac, msg, arg) with fac[..., j - 1] = 1 - omega**(x + j)
-    for the entries x of arg, j along the trailing axis.  Factors are met as
-    nested scalar loops meet them: entry by entry in C order, then by j,
-    then in seqs order; the message is msg.format(x, j=j).
-    """
-    if all(np.abs(fac).min() >= SINGULAR for fac, _, _ in seqs):
-        return
-    bad = np.stack(np.broadcast_arrays(*(np.abs(fac) < SINGULAR for fac, _, _ in seqs)),
-                   axis=-1)
-    if not bad.any():  # the minimum was NaN
-        return
-    *i, j, s = np.unravel_index(np.argmax(bad), bad.shape)
-    _, msg, arg = seqs[s]
-    raise SingularArgumentError(msg.format(np.broadcast_to(arg, bad.shape[:-2])[tuple(i)],
-                                           j=j + 1))
 
 
 def _seqsum(x: np.ndarray) -> np.ndarray:
@@ -205,7 +201,8 @@ def cyc_dilog(cfg: RootConfig, zeta, k):
     <zeta|-k> = (1-omega**zeta)(1-omega**(zeta-1))...(1-omega**(zeta-k+1)).
     zeta is complex and k an integer, or broadcastable arrays: one
     cumulative product over j up to max |k| serves both signs, its factor j
-    being 1 where j > |k|.
+    being 1 where j > |k|.  Guard: the divisors 1 - omega**(zeta+j), j = 1..k,
+    are off the poles.
     """
     zeta, k = np.broadcast_arrays(_cdim(zeta), np.asarray(k))
     z, kk = zeta[..., None], k[..., None]
@@ -213,8 +210,8 @@ def cyc_dilog(cfg: RootConfig, zeta, k):
     fac = np.where((0 < j) & (j <= np.abs(kk)),
                    1.0 - cfg.omega_pow(np.where(kk > 0, z + j, z + 1 - j)), 1.0)
     # only the factors of k > 0, the divisors, can be poles
-    _off_pole((np.where(kk > 0, fac, 1.0)[..., 1:],
-               "<zeta|k> pole: 1 - omega**(zeta+{j}) ~ 0 at zeta={}", zeta))
+    _raise_first(_pole((np.where(kk > 0, fac, 1.0)[..., 1:],
+                        "<zeta|k> pole: 1 - omega**(zeta+{j}) ~ 0 at zeta={}", zeta)))
     prod = fac.cumprod(axis=-1)[..., -1]
     return np.divide(1.0, prod, out=prod, where=k > 0)
 
@@ -267,13 +264,15 @@ def li2(z):
     return np.where(inv, -out - PI_SQ_OVER_6 - 0.5 * log_mz ** 2, out)
 
 
+def _lifted_guard(z: np.ndarray, w: np.ndarray) -> tuple:
+    """lifted_dilog's guard, given z = e^(2 pi i zeta0) and w = 1 - z."""
+    bad = (np.abs(z) < 1e-12) | (np.abs(w) < 1e-12)
+    return bad[..., None], lambda at, _: SingularArgumentError(
+        f"lifted dilogarithm undefined at e^(2 pi i zeta0) = {at(z)}")
+
+
 def _lifted(tz: np.ndarray, zeta1, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """lifted_dilog's guard and formula, given tz = 2 pi i zeta0, z = e^tz
-    and w = 1 - z."""
-    if min(np.abs(z).min(), np.abs(w).min()) < 1e-12:
-        bad = (np.abs(z) < 1e-12) | (np.abs(w) < 1e-12)
-        raise SingularArgumentError(
-            f"lifted dilogarithm undefined at e^(2 pi i zeta0) = {z.flat[np.argmax(bad)]}")
+    """lifted_dilog's formula, given tz = 2 pi i zeta0, z = e^tz and w = 1 - z."""
     return li2(z) + tz * (0.5 * TWO_PI_I * zeta1 + np.log(w))
 
 
@@ -283,10 +282,13 @@ def lifted_dilog(f: Flattening):
 
     L = Li2(e^{2 pi i zeta0}) + (2 pi i)^2/2 zeta0 zeta1
         + 2 pi i zeta0 Log(1 - e^{2 pi i zeta0}),  principal Log.
+    Guard: e^(2 pi i zeta0) and 1 - e^(2 pi i zeta0) are at least 1e-12 off 0.
     """
     tz = TWO_PI_I * _cdim(f.zeta0)
     z = np.exp(tz)
-    return _lifted(tz, f.zeta1, z, 1.0 - z)
+    w = 1.0 - z
+    _raise_first(_lifted_guard(z, w))
+    return _lifted(tz, f.zeta1, z, w)
 
 
 _D_POLE = "D(zeta) singular: 1 - omega**(zeta+{j}) ~ 0 at zeta={}"
@@ -294,16 +296,17 @@ _D_POLE = "D(zeta) singular: 1 - omega**(zeta+{j}) ~ 0 at zeta={}"
 
 def _d(cfg: RootConfig, fac: np.ndarray) -> np.ndarray:
     """D(zeta) from its factors fac = 1 - omega**(zeta + k), k = 1..N-1,
-    once the caller has passed them through _off_pole."""
+    once the caller has passed them through _pole."""
     return np.exp(_seqsum(np.arange(1, cfg.N) * np.log(fac)) / cfg.N)
 
 
 @_kernel
 def d_const(cfg: RootConfig, zeta):
-    """D(zeta) = exp((1/N) sum_{k=1}^{N-1} k Log(1 - omega**(zeta+k)))."""
+    """D(zeta) = exp((1/N) sum_{k=1}^{N-1} k Log(1 - omega**(zeta+k))).
+    Guard: the factors 1 - omega**(zeta+k) are off the poles."""
     zeta = _cdim(zeta)
     fac = _factors(cfg, zeta, 1, cfg.N - 1)
-    _off_pole((fac, _D_POLE, zeta))
+    _raise_first(_pole((fac, _D_POLE, zeta)))
     return _d(cfg, fac)
 
 
@@ -322,7 +325,7 @@ def lambda_series(cfg: RootConfig, start, zeta0, zeta1):
     series from start Lambda(.|0), and the pinched table omega**(-k zeta1)
     / (omega; omega)_k from start 1 at zeta0 = 0.  No factor needs a guard:
     at zeta0 = 0 none vanishes, and else they are D(zeta0)'s, which
-    lambda_table passes through _off_pole first.
+    lambda_table passes through _pole first.
     """
     start, zeta0, zeta1 = np.broadcast_arrays(_cdim(start), _cdim(zeta0), _cdim(zeta1))
     return _series(cfg, start, _factors(cfg, zeta0, 1, cfg.N - 1), zeta1)
@@ -337,8 +340,8 @@ def lambda_table(cfg: RootConfig, f: Flattening):
                   / D(zeta0),
 
     one set of factors 1 - omega**(zeta0 + j), j = 0..N-1, for its
-    denominator, D(zeta0) and the series.  The guards run in the scalar
-    order: this denominator and 1 - omega**(N zeta0), L, then D.
+    denominator, D(zeta0) and the series.  Guards, in the scalar order: poles
+    of 1 - omega**(N zeta0) and this denominator, L's guard, D(zeta0)'s poles.
     """
     zeta0 = _cdim(f.zeta0)
     tz = TWO_PI_I * zeta0
@@ -346,21 +349,13 @@ def lambda_table(cfg: RootConfig, f: Flattening):
     # 1 - z, then 1 - omega**(zeta0 + j) for j = 0..N-1
     fac = 1.0 - np.concatenate(
         [z[..., None], cfg.omega_pow(zeta0[..., None] + np.arange(cfg.N))], axis=-1)
-    pole = np.abs(fac).min() < SINGULAR  # one test for both pole guards
-    if pole:
-        _off_pole((fac[..., :2], "Lambda singular at zeta0 = {} (integer within tolerance)",
-                   zeta0))
+    _raise_first(_pole((fac[..., :2], "Lambda singular at zeta0 = {} (integer within tolerance)",
+                        zeta0)),
+                 _lifted_guard(z, fac[..., 0]),
+                 _pole((fac[..., 2:], _D_POLE, zeta0)))
     ell = _lifted(tz, f.zeta1, z, fac[..., 0])
-    if pole:
-        _off_pole((fac[..., 2:], _D_POLE, zeta0))
     lam0 = np.exp(ell / -(TWO_PI_I * cfg.N)) * fac[..., 0] / fac[..., 1] / _d(cfg, fac[..., 2:])
     return _series(cfg, lam0, fac[..., 2:], _cdim(f.zeta1))
-
-
-@_kernel
-def lambda0(cfg: RootConfig, f: Flattening):
-    """Lambda(zeta0, zeta1 | 0), the first entry of lambda_table."""
-    return lambda_table(cfg, f)[..., 0]
 
 
 @_kernel
@@ -369,32 +364,35 @@ def s_norm(cfg: RootConfig, f: Flattening):
 
     S = omega**((N-1) zeta0) / Lambda(zeta0, zeta1 | 0)
         * sum_{k=0}^{N-1} Lambda(-zeta1, -zeta0 | k)**(-1).
+    The dual's tables and f's are one lambda_table pass (guards included),
+    the dual first at each entry, as the formula meets them.
     """
-    total = _seqsum(1.0 / lambda_table(cfg, f.dual()))
-    return cfg.omega_pow((cfg.N - 1) * _cdim(f.zeta0)) / lambda0(cfg, f) * total
+    zeta0, zeta1 = np.broadcast_arrays(_cdim(f.zeta0), _cdim(f.zeta1))
+    dual, table = np.moveaxis(lambda_table(cfg, Flattening(
+        np.stack([-zeta1, zeta0], -1), np.stack([-zeta0, zeta1], -1), f.tol)), -2, 0)
+    return cfg.omega_pow((cfg.N - 1) * zeta0) / table[..., 0] * _seqsum(1.0 / dual)
 
 
 @_kernel
 def fusion_f(cfg: RootConfig, alpha, beta, gamma):
     """Fusion sum f(alpha, beta, gamma) = sum_k <alpha|k>/<beta|k> omega**(k gamma).
 
-    Requires (1 - omega**(N alpha))/(1 - omega**(N beta)) = omega**(N gamma);
-    N-periodic in each argument.
+    N-periodic in each argument.  Guards, in the scalar order: the constraint
+    (1 - omega**(N alpha))/(1 - omega**(N beta)) = omega**(N gamma); the
+    factors 1 - omega**(alpha+k) and 1 - omega**(beta+k), k = 1..N-1, are
+    off the poles, alpha's before beta's at equal k.
     """
     alpha, beta, gamma = np.broadcast_arrays(_cdim(alpha), _cdim(beta), _cdim(gamma))
     with np.errstate(divide="ignore", invalid="ignore"):  # beta integral: lhs inf
         lhs = (1.0 - np.exp(TWO_PI_I * alpha)) / (1.0 - np.exp(TWO_PI_I * beta))
     rhs = np.exp(TWO_PI_I * gamma)
-    bad = np.abs(lhs - rhs) > 1e-8 * np.maximum(1.0, np.abs(rhs))
-    if bad.any():
-        i = np.argmax(bad)
-        raise ConstraintViolationError(
-            f"fusion constraint violated: (1-w^Na)/(1-w^Nb) = {lhs.flat[i]}, "
-            f"w^Ng = {rhs.flat[i]}")
     fa, fb = _factors(cfg, alpha, 1, cfg.N - 1), _factors(cfg, beta, 1, cfg.N - 1)
-    # at equal k alpha's factor is met before beta's
-    _off_pole((fa, "fusion sum pole: 1 - omega**(alpha+{j}) ~ 0 at alpha={}", alpha),
-              (fb, "fusion sum pole: 1 - omega**(beta+{j}) ~ 0 at beta={}", beta))
+    _raise_first(((np.abs(lhs - rhs) > 1e-8 * np.maximum(1.0, np.abs(rhs)))[..., None],
+                  lambda at, _: ConstraintViolationError(
+                      f"fusion constraint violated: (1-w^Na)/(1-w^Nb) = {at(lhs)}, "
+                      f"w^Ng = {at(rhs)}")),
+                 _pole((fa, "fusion sum pole: 1 - omega**(alpha+{j}) ~ 0 at alpha={}", alpha),
+                       (fb, "fusion sum pole: 1 - omega**(beta+{j}) ~ 0 at beta={}", beta)))
     ratio = (fb / fa).cumprod(axis=-1)  # <alpha|k> / <beta|k>
     k = np.arange(1, cfg.N)
     return 1.0 + _seqsum(ratio * cfg.omega_pow(k * gamma[..., None]))

@@ -13,7 +13,7 @@ from holorm import selftest
 from holorm.qdilog import (LI2_U_TERMS, ConstraintViolationError, Flattening, RootConfig,
                            SingularArgumentError, TWO_PI_I, _li2_u_coeffs,
                            cyc_dilog, d_const, fusion_f,
-                           lambda0, lambda_series, lambda_table,
+                           lambda_series, lambda_table,
                            li2, lifted_dilog, s_norm)
 from holorm.sampling import random_flattening
 
@@ -128,7 +128,7 @@ def test_lifted_dilog_and_lambda0_continuous_across_the_cut(y, eps, N):
     # whichever signed zero Re zeta0 carries on the cut itself
     cfg = RootConfig(N)
     ref = Flattening.from_zeta0(complex(-eps, -y)).zeta1
-    vals = [(lifted_dilog(f), lambda0(cfg, f))
+    vals = [(lifted_dilog(f), lambda_table(cfg, f)[..., 0])
             for f in (_flattening_near(complex(x, -y), ref)
                       for x in (-eps, -0.0, 0.0, eps))]
     for ell, lam in vals[1:]:
@@ -147,7 +147,7 @@ def test_lifted_dilog_jumps_by_4pi2k_across_re_zeta0_k(k, y, eps, N):
     ref = Flattening.from_zeta0(complex(k - eps, -y)).zeta1
     below, above = (_flattening_near(complex(k + x, -y), ref) for x in (-eps, eps))
     assert abs(lifted_dilog(above) - lifted_dilog(below) - 4 * math.pi ** 2 * k) < 1e-6
-    assert rel(lambda0(cfg, above), lambda0(cfg, below)) < 1e-6
+    assert rel(lambda_table(cfg, above)[..., 0], lambda_table(cfg, below)[..., 0]) < 1e-6
 
 
 def test_li2_u_coeffs_are_bernoulli_over_factorial():
@@ -205,7 +205,7 @@ def test_lambda_recurrence_and_periodicity(N, rng):
     w = cfg.omega_pow
     for _ in range(10):
         f = random_flattening(cfg, rng)
-        lam0 = lambda0(cfg, f)
+        lam0 = lambda_table(cfg, f)[..., 0]
         table = lambda_table(cfg, f)  # the series rmat reads
         for n in range(-N, N + 1):
             m = n % N
@@ -252,10 +252,10 @@ def test_lambda_singular_at_integer():
     cfg = RootConfig(3)
     f = Flattening(1e-13, -12.0, tol=1.0)  # constraint meaningless this close
     with pytest.raises(SingularArgumentError):
-        lambda0(cfg, f)
+        lambda_table(cfg, f)[..., 0]
     # zeta0 + 1 = 3e-10 = 0 mod 3: |1 - e^(2 pi i zeta0)| = 1.9e-9 is no
     # pole, but the factor 1 - omega**(zeta0+1) of Lambda(.|1) is; D(zeta0),
-    # inside lambda0, is the guard that meets it
+    # inside Lambda(.|0), is the guard that meets it
     with pytest.raises(SingularArgumentError, match=r"D\(zeta\) singular"):
         lambda_table(cfg, Flattening.from_zeta0(-1.0 + 3e-10))
 
@@ -378,7 +378,7 @@ def _kernel_cases(N, rng):
         "li2": (li2, z),
         "lifted_dilog": (lifted_dilog, f),
         "d_const": (d_const, cfg, zeta),
-        "lambda0": (lambda0, cfg, f),
+        "lambda0": (lambda c, f: lambda_table(c, f)[..., 0], cfg, f),
         "lambda_series": (lambda_series, cfg, rng.normal(size=(3, 1)) + 1j, zeta, f.zeta1),
         "lambda_table": (lambda_table, cfg, f),
         "s_norm": (s_norm, cfg, f),
@@ -407,7 +407,7 @@ def test_stacked_call_equals_per_entry_calls_bit_for_bit(N, case):
 def test_scalar_calls_return_python_complex():
     cfg = RootConfig(3)
     f = Flattening.from_zeta0(0.3 - 0.1j, branch=1)
-    for v in (li2(0.6 + 0.5j), lifted_dilog(f), d_const(cfg, 0.2), lambda0(cfg, f),
+    for v in (li2(0.6 + 0.5j), lifted_dilog(f), d_const(cfg, 0.2),
               s_norm(cfg, f), cyc_dilog(cfg, 0.2, 2), fusion_f(cfg, 0.27, 0.27, 3)):
         assert type(v) is complex
     assert lambda_table(cfg, f).shape == (3,)
@@ -473,6 +473,58 @@ def test_fusion_pole_order_in_an_array():
     both = _raised(lambda: fusion_f(cfg, alpha[2:], beta[2:], gamma[2:]))
     assert "alpha" in both
     assert both == _raised(lambda: fusion_f(cfg, alpha[2], beta[2], gamma[2]))
+
+
+# A batch fails at its first failing entry in C order, and there at the first
+# guard the scalar body meets, even where a later entry fails an earlier guard.
+
+def test_fusion_pole_at_entry_0_comes_before_a_constraint_violation_at_entry_1():
+    cfg = RootConfig(3)
+    # entry 0 meets the constraint and sits on alpha's pole at j = 2; entry 1
+    # violates the constraint, which a scalar call tests before the poles
+    alpha, beta, gamma = (np.array(x) for x in ([-2.0, 0.3], [0.3, 0.7 + 0.2j], [5j, 0.11]))
+    first = _raised(lambda: fusion_f(cfg, alpha[0], beta[0], gamma[0]))
+    assert first == "fusion sum pole: 1 - omega**(alpha+2) ~ 0 at alpha=(-2+0j)"
+    with pytest.raises(ConstraintViolationError):
+        fusion_f(cfg, alpha[1], beta[1], gamma[1])
+    assert _raised(lambda: fusion_f(cfg, alpha, beta, gamma)) == first
+
+
+def test_lambda_table_lifted_guard_at_entry_0_comes_before_a_pole_at_entry_1():
+    cfg = RootConfig(3)
+    # e^(2 pi i zeta0) is 2e-14 at entry 0; entry 1 sits on the pole
+    # 1 - omega**zeta0 that a scalar call tests before L
+    lifted = Flattening.from_zeta0(5j)
+    pole = Flattening(-3.0 + 4e-10, -np.log(1 - np.exp(TWO_PI_I * 4e-10)) / TWO_PI_I, tol=1.0)
+    first = _raised(lambda: lambda_table(cfg, lifted))
+    assert first.startswith("lifted dilogarithm undefined")
+    assert _raised(lambda: lambda_table(cfg, pole)).startswith("Lambda singular")
+    batch = Flattening(np.array([lifted.zeta0, pole.zeta0]),
+                       np.array([lifted.zeta1, pole.zeta1]), tol=1.0)
+    assert _raised(lambda: lambda_table(cfg, batch)) == first
+
+
+def test_s_norm_primal_fault_at_entry_0_comes_before_a_dual_fault_at_entry_1():
+    cfg = RootConfig(3)
+    # D(zeta0) has a pole at each primal zeta0 below, whose dual flattening
+    # is regular: entry 0 fails only in its primal table, entry 1 (a dual)
+    # only in its dual table, which a scalar call evaluates first
+    primal = Flattening.from_zeta0(-1.0 + 3e-10)
+    dual = Flattening.from_zeta0(-2.0 + 3e-10).dual()
+    for regular in (primal.dual(), dual):  # entry 0's dual, entry 1's primal
+        lambda_table(cfg, regular)
+    first = _raised(lambda: s_norm(cfg, primal))
+    assert first.startswith("D(zeta) singular")
+    assert first != _raised(lambda: s_norm(cfg, dual))
+    batch = Flattening(np.array([primal.zeta0, dual.zeta0]),
+                       np.array([primal.zeta1, dual.zeta1]))
+    assert _raised(lambda: s_norm(cfg, batch)) == first
+
+
+def test_from_zeta0_names_the_first_integral_entry():
+    msg = _raised(lambda: Flattening.from_zeta0(np.array([[0.3, 2.0], [-1.0, 0.2]])))
+    assert msg == _raised(lambda: Flattening.from_zeta0(2.0))
+    assert msg == "zeta0 = 2.0 is an integer; no flattening exists"
 
 
 # ------------------------------------------------------------ the batched suite
