@@ -18,7 +18,7 @@ overrides that make a log-coloring end on it (bottom = top closes a braid).
 
 jfunc_eval composes the braidings of the crossings into the state sum;
 apply applies them, crossing by crossing, to a block of vectors without
-forming it.
+forming it.  Both build the braidings of a word in one pass.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .characters import LogWeylChar, braid
 from .qdilog import RootConfig, TWO_PI_I
-from .rmatrix import CrossingData, braiding_op, crossing_from_logs
+from .rmatrix import CrossingData, braiding_op, build_crossings, crossing_from_logs
 
 
 class InadmissibleColoringError(ValueError):
@@ -273,6 +273,15 @@ def crossing_data(cfg: RootConfig, d: DiagramGraph, lc: LogColoring,
         (g[c.reg_n], g[c.reg_w], g[c.reg_s], g[c.reg_e]))
 
 
+def word_crossings(cfg: RootConfig, *colored: tuple) -> list:
+    """For each (diagram, log-coloring) pair of colored, the CrossingData of
+    its crossings in word order; the R-matrices of all of them are one
+    build_crossings pass."""
+    cds = [[crossing_data(cfg, d, lc, c) for c in d.crossings] for d, lc in colored]
+    build_crossings([c for word in cds for c in word])
+    return cds
+
+
 def log_longitudes(d: DiagramGraph, lc: LogColoring) -> list:
     """lambda per component: half-sum of signed betas over half-segments."""
     lam = [0.0 + 0.0j] * d.width
@@ -294,19 +303,24 @@ def on_slots(b: np.ndarray, X: np.ndarray, N: int, before: int) -> np.ndarray:
 
 
 def apply(cfg: RootConfig, d: DiagramGraph, lc: LogColoring,
-          V: np.ndarray) -> np.ndarray:
+          V: np.ndarray, crossings: list = None) -> np.ndarray:
     """The state sum of the log-colored diagram applied to V, whose N^w rows
     are row-major over the slots, without forming the state sum.
 
     Top crossing first, each braiding acts on slots pos and pos+1 of the
     columns (pinched crossings are routed to the closed pinched braiding):
-    N^(w+2) multiply-adds per crossing and column.  The empty word returns V.
+    N^(w+2) multiply-adds per crossing and column.  The braidings are built
+    in one pass (word_crossings); a caller that built several words in one
+    word_crossings pass passes this word's crossings as `crossings`.  The
+    empty word returns V.
     """
     N, w = cfg.N, d.width
     if V.shape[0] != N ** w:
         raise ValueError(f"V has {V.shape[0]} rows; width {w} at N = {N} needs {N ** w}")
-    for c in d.crossings:
-        b = braiding_op(crossing_data(cfg, d, lc, c)).as_operator()
+    if crossings is None:
+        crossings, = word_crossings(cfg, (d, lc))
+    for c, cd in zip(d.crossings, crossings):
+        b = braiding_op(cd).as_operator()
         V = on_slots(b, V, N, c.pos - 1).reshape(V.shape)
     return V
 
@@ -342,7 +356,8 @@ def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
     """State-sum matrix of the log-colored diagram (operator[out, in]).
 
     Top crossing acts first; pinched crossings are routed to the closed
-    pinched braiding automatically.  Rows are row-major over the slots.  The
+    pinched braiding automatically, and every braiding of the word is built
+    in one pass (word_crossings).  Rows are row-major over the slots.  The
     running operator `op` is dense on the slots lo..hi reached so far and the
     identity acts on the others.  Crossings are contracted in the light-cone
     order of _light_cone_order, which depends only on the generator
@@ -362,10 +377,11 @@ def jfunc_eval(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> np.ndarray:
     same matrix, but pays N^(2w+2) per crossing from the first one on.
     """
     N, w = cfg.N, d.width
+    cds, = word_crossings(cfg, (d, lc))
     op = None
     for i in _light_cone_order([c.pos for c in d.crossings]):
         c = d.crossings[i]
-        b = braiding_op(crossing_data(cfg, d, lc, c)).as_operator()
+        b = braiding_op(cds[i]).as_operator()
         p = c.pos
         if op is None:
             op, lo, hi = b, p, p + 1

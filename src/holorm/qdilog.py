@@ -132,6 +132,16 @@ class Flattening:
         zeta1 = -np.log(w) / TWO_PI_I + branch
         return cls(zeta0, complex(zeta1) if zeta1.ndim == 0 else zeta1)
 
+    @classmethod
+    def checked(cls, zeta0, zeta1, tol: float = 1e-10) -> "Flattening":
+        """The Flattening of fields that already passed the constraint (a
+        promoted, stacked or sliced copy of checked ones, or the dual half
+        of one), built without evaluating the constraint again."""
+        f = object.__new__(cls)
+        for name, value in (("zeta0", zeta0), ("zeta1", zeta1), ("tol", tol)):
+            object.__setattr__(f, name, value)
+        return f
+
     def dual(self) -> "Flattening":
         """The mirror flattening (-zeta1, -zeta0); valid whenever self is."""
         return Flattening(-self.zeta1, -self.zeta0, tol=self.tol)
@@ -142,11 +152,12 @@ class Flattening:
 
 
 def _promote(arg):
-    """A scalar argument with one axis of length 1 (a RootConfig passes through)."""
+    """A scalar argument with one axis of length 1 (a RootConfig passes
+    through; a Flattening is not checked a second time)."""
     if isinstance(arg, RootConfig):
         return arg
     if isinstance(arg, Flattening):
-        return Flattening(_promote(arg.zeta0), _promote(arg.zeta1), arg.tol)
+        return Flattening.checked(_promote(arg.zeta0), _promote(arg.zeta1), arg.tol)
     return np.reshape(arg, 1)
 
 
@@ -365,10 +376,11 @@ def s_norm(cfg: RootConfig, f: Flattening):
     S = omega**((N-1) zeta0) / Lambda(zeta0, zeta1 | 0)
         * sum_{k=0}^{N-1} Lambda(-zeta1, -zeta0 | k)**(-1).
     The dual's tables and f's are one lambda_table pass (guards included),
-    the dual first at each entry, as the formula meets them.
+    the dual first at each entry, as the formula meets them; the dual of a
+    checked flattening is one, so the constraint is not evaluated again.
     """
     zeta0, zeta1 = np.broadcast_arrays(_cdim(f.zeta0), _cdim(f.zeta1))
-    dual, table = np.moveaxis(lambda_table(cfg, Flattening(
+    dual, table = np.moveaxis(lambda_table(cfg, Flattening.checked(
         np.stack([-zeta1, zeta0], -1), np.stack([-zeta0, zeta1], -1), f.tol)), -2, 0)
     return cfg.omega_pow((cfg.N - 1) * zeta0) / table[..., 0] * _seqsum(1.0 / dual)
 

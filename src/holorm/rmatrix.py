@@ -156,12 +156,9 @@ class CrossingData:
         order, as one batch; errors out at pinched data.  Built on first use
         and cached on the (frozen) crossing, so rmat, factorized_ops,
         logdet_braiding and the CLI share it."""
-        z0 = self.zeta0()
         if self.pinched:
-            r = next(iter(self.integral_zeta0()))
-            raise PinchedCrossingError(
-                f"crossing is pinched (zeta0_{r} = {z0[r]} is integral)")
-        z1 = self.zeta1()
+            raise _pinched_error(self)
+        z0, z1 = self.zeta0(), self.zeta1()
         return Flattening(np.array([z0[r] for r in REGIONS]),
                           np.array([z1[r] for r in REGIONS]), tol=1e-7)
 
@@ -178,6 +175,20 @@ class CrossingData:
         REGIONS order; cached and read only, so every logdet_braiding call
         on the crossing shares it."""
         return _read_only(lifted_dilog(self.flattening_batch))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The (N^2, N^2) entries of the crossing's R-matrix, the generic
+        form or, at a pinched crossing, the pinched one: build on this
+        crossing alone, cached and read only."""
+        build_crossings([self])
+        return self.entries  # build cached it
+
+
+def _pinched_error(c: CrossingData) -> PinchedCrossingError:
+    r = next(iter(c.integral_zeta0()))
+    return PinchedCrossingError(
+        f"crossing is pinched (zeta0_{r} = {c.zeta0()[r]} is integral)")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -260,20 +271,24 @@ def _region_layout(N: int, sign: int, shifts: tuple) -> tuple:
 
 
 def _region_ratio(layout: dict, tables: dict, num):
-    """num * prod_r tables[r][k_r mod N]^p_r, formed as one quotient of the
-    numerator and denominator products in table order."""
+    """num * prod_r tables[r][:, k_r mod N]^p_r, formed as one quotient of
+    the numerator and denominator products in table order, in place of the
+    numerator; tables[r] has one row per crossing."""
     den = 1
     for r, (k, _, p) in layout.items():
-        val = tables[r][k]
+        val = tables[r][:, k]
         if p > 0:
             num = num * val
         else:
             den = den * val
-    return num / den
+    return np.divide(num, den, out=num)
 
 
-def _assemble(c: CrossingData, pinched: bool) -> np.ndarray:
-    """Entries of the R-matrix over the region table, for both signs.
+def _assemble(cfg: RootConfig, sign: int, shifts: tuple, tables: np.ndarray,
+              zetas: list) -> np.ndarray:
+    """Entries (B, N^2, N^2) of B crossings of one sign and one tuple of
+    integral zeta0 shifts (None: generic), from their region tables (B, 4,
+    N) and their (zeta0, zeta1) dicts, in one broadcast pass.
 
     Generic crossings read the Lambda tables at k_r = d_r + offset_r.  At a
     pinched crossing zeta0_r is an integer n_r and the divergent part kappa
@@ -283,31 +298,120 @@ def _assemble(c: CrossingData, pinched: bool) -> np.ndarray:
     omega**(sum_r p_r n_r zeta1_r / 2), and every entry with sum_r p_r
     floor(k_r / N) != 1 is zero.
     """
-    N = c.cfg.N
-    if pinched:
-        z0, z1 = _integral_zeta0(c), c.zeta1(kappa=0)
-        tables = dict(zip(REGIONS, lambda_series(
-            c.cfg, 1.0, 0.0, np.array([z1[r] for r in REGIONS]))))
-    else:
-        tables = dict(zip(REGIONS, c.lambda_tables))  # raises PinchedCrossingError
-        z0, z1 = (dict(zip(REGIONS, z.tolist())) for z in (c.flattening_batch.zeta0,
-                                                            c.flattening_batch.zeta1))
-    layout, w_dw, support = _region_layout(
-        N, c.sign, tuple(z0[r] for r in REGIONS) if pinched else (0, 0, 0, 0))
-    expo = (N - 1) * sum(p * z[r] for r, (_, off, p) in layout.items() if off
-                         for z in (z0, z1))
-    if pinched:
-        expo += sum(p * z0[r] * z1[r] for r, (_, _, p) in layout.items()) / 2.0
-    R = _region_ratio(layout, tables, c.cfg.omega_pow(expo) / N * w_dw)
-    if pinched:
-        R = np.where(support, R, 0.0)
-    return R.reshape(N * N, N * N)
+    N = cfg.N
+    layout, w_dw, support = _region_layout(N, sign, shifts or (0, 0, 0, 0))
+    pref = []
+    for z0, z1 in zetas:
+        expo = (N - 1) * sum(p * z[r] for r, (_, off, p) in layout.items() if off
+                             for z in (z0, z1))
+        if shifts:
+            expo += sum(p * z0[r] * z1[r] for r, (_, _, p) in layout.items()) / 2.0
+        pref.append(cfg.omega_pow(expo) / N)
+    R = _region_ratio(layout, dict(zip(REGIONS, np.moveaxis(tables, 1, 0))),
+                      np.array(pref)[:, None, None, None, None] * w_dw)
+    if shifts:
+        np.copyto(R, 0.0, where=~support)
+    return R.reshape(-1, N * N, N * N)
+
+
+# complex entries of the largest array a batched pass makes (128 KiB): up
+# to that size glibc's malloc serves numpy from its heap, while a larger
+# temporary is mapped afresh and page-faulted on every pass; a pass of 7
+# crossings at N = 9 took 890 us, against 64 us for one crossing.
+BATCH_ENTRIES = 1 << 13
+
+
+def _batches(items: list, N: int) -> list:
+    """items cut into runs of at most BATCH_ENTRIES // N^4 (at least one):
+    passes whose stacks of N^2 x N^2 arrays keep within BATCH_ENTRIES."""
+    step = max(1, BATCH_ENTRIES // N ** 4)
+    return [items[i:i + step] for i in range(0, len(items), step)]
+
+
+def build_crossings(crossings, entries: bool = True, dilogs: bool = False) -> None:
+    """Evaluate crossings of one N in one pass, and cache the results on
+    each crossing: its R-matrix entries (CrossingData.entries, what rmat,
+    rmat_pinched and braiding_op read) when entries, and the lifted
+    dilogarithms of a generic crossing (CrossingData.lifted_dilogs, what
+    logdet_braiding reads) when dilogs.
+
+    The region flattenings of the generic crossings are stacked into one
+    Flattening, checked once, with one lambda_table call (filling their
+    cached lambda_tables) and one lifted_dilog call; the pinched tables are
+    one lambda_series call; each (sign, integral zeta0 shifts) group is one
+    broadcast pass of _assemble per run of _batches.  Every entry has the
+    bits the crossing alone gets.  A crossing whose results are cached is
+    not evaluated again.  A batch that fails raises the error of its first
+    failing crossing: it is then evaluated crossing by crossing up to that
+    one.
+    """
+    if len({c.cfg for c in crossings}) > 1:
+        raise ValueError("build_crossings takes crossings of one N")
+    todo = [c for c in crossings
+            if entries and "entries" not in vars(c)
+            or dilogs and not c.pinched and "lifted_dilogs" not in vars(c)]
+    try:
+        _build(todo, entries, dilogs)
+    except ValueError:
+        if len(todo) > 1:
+            for c in todo:
+                _build([c], entries, dilogs)
+        raise
+
+
+def _build(cs: list, entries: bool, dilogs: bool) -> None:
+    if not cs:
+        return
+    cfg = cs[0].cfg
+    generic = [c for c in cs if not c.pinched]
+    if generic:
+        # the four region flattenings of each crossing, one after the other
+        z0, z1 = ([c.zeta0() for c in generic], [c.zeta1() for c in generic])
+        f = Flattening(np.array([z[r] for z in z0 for r in REGIONS]),
+                       np.array([z[r] for z in z1 for r in REGIONS]), tol=1e-7)
+        tables = _read_only(lambda_table(cfg, f).reshape(-1, 4, cfg.N)) if entries else None
+        ells = _read_only(lifted_dilog(f).reshape(-1, 4)) if dilogs else None
+        for i, c in enumerate(generic):
+            cache = vars(c)
+            rows = slice(4 * i, 4 * i + 4)
+            cache.setdefault("flattening_batch",
+                             Flattening.checked(f.zeta0[rows], f.zeta1[rows], f.tol))
+            if entries:
+                cache.setdefault("lambda_tables", tables[i])
+            if dilogs:
+                cache.setdefault("lifted_dilogs", ells[i])
+    groups = {}  # (sign, integral zeta0 or None) -> [(crossing, (zeta0, zeta1))]
+    for c in cs:
+        if not entries or "entries" in vars(c):
+            continue
+        if c.pinched:
+            z0 = _integral_zeta0(c)
+            key, z = (c.sign, tuple(z0[r] for r in REGIONS)), (z0, c.zeta1(kappa=0))
+        else:
+            f = c.flattening_batch
+            key = (c.sign, None)
+            z = tuple(dict(zip(REGIONS, v.tolist())) for v in (f.zeta0, f.zeta1))
+        groups.setdefault(key, []).append((c, z))
+    pinched = [m for (_, shifts), ms in groups.items() if shifts for m in ms]
+    if pinched:  # their tables: lambda_series at kappa = 0, one call
+        series = lambda_series(cfg, 1.0, 0.0, np.array(
+            [[z1[r] for r in REGIONS] for _, (_, z1) in pinched]))
+        series = {id(c): t for (c, _), t in zip(pinched, series)}
+    for (sign, shifts), members in groups.items():
+        for part in _batches(members, cfg.N):
+            tables = np.array([series[id(c)] if shifts else c.lambda_tables
+                               for c, _ in part])
+            R = _read_only(_assemble(cfg, sign, shifts, tables, [z for _, z in part]))
+            for (c, _), ent in zip(part, R):
+                vars(c)["entries"] = ent
 
 
 def rmat(c: CrossingData) -> RTensor:
     """The R-matrix of a non-pinched crossing (positive or negative form).
     A pinched one raises PinchedCrossingError; rmat_pinched evaluates it."""
-    return RTensor(c.cfg, _assemble(c, pinched=False))
+    if c.pinched:
+        raise _pinched_error(c)
+    return RTensor(c.cfg, c.entries)
 
 
 def braiding_op(c: CrossingData) -> RTensor:
@@ -385,7 +489,7 @@ def rmat_pinched(c: CrossingData) -> RTensor:
     alike."""
     if not c.pinched:
         raise PinchedCrossingError("crossing is not pinched")
-    return RTensor(c.cfg, _assemble(c, pinched=True))
+    return RTensor(c.cfg, c.entries)
 
 
 def kashaev_crossing(cfg: RootConfig) -> CrossingData:

@@ -30,15 +30,16 @@ import numpy as np
 from . import sampling
 from .braidgrpd import (BraidWord, DiagramGraph, LogColoring, apply,
                         build_diagram, crossing_data, extend_log_coloring,
-                        log_longitudes, on_slots, pin_bottom)
+                        log_longitudes, on_slots, pin_bottom, word_crossings)
 from .characters import LogWeylChar, braid, braid_coords
 from .qdilog import (ConstraintViolationError, Flattening, RootConfig, TWO_PI_I,
                      cyc_dilog, d_const, fusion_f, lambda_table, lifted_dilog, s_norm)
 from .rmatrix import (REGIONS, CrossingData, FactorOps, PinchedCrossingError,
-                      RTensor, _index_grids, _region_terms, braiding_op,
-                      crossing_from_logs, factorized_ops, kashaev_crossing,
-                      kashaev_rmat, logdet_braiding, rmat, rmat_pinched)
-from .weylrep import (Basis, commutant_dim, fourier_matrix, matrix_power,
+                      RTensor, _batches, _index_grids, _region_terms, braiding_op,
+                      build_crossings, crossing_from_logs, factorized_ops,
+                      kashaev_crossing, kashaev_rmat, logdet_braiding, rmat,
+                      rmat_pinched)
+from .weylrep import (Basis, _kron, commutant_dim, fourier_matrix, matrix_power,
                       pi_tensor, rep_matrices, rw_images, rw_images_negative)
 
 
@@ -93,15 +94,26 @@ def braid_relation_deviation(cfg: RootConfig, B) -> float:
     return _sum_dev(word(0, 1, 0), word(1, 0, 1))
 
 
-def _det_deviation(c: CrossingData, B) -> float:
-    """|det_closed / det_LU - 1| for the braiding B of c, in units of the
-    error LU may make, 1e-10 + n eps cond_1(B) for the n x n operator.  It is
-    formed from logarithms, so it stays finite where the determinants
+def _norms(X: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack, with the bits
+    np.linalg.norm gives the matrix alone (its axis form sums differently)."""
+    return np.array([np.linalg.norm(x) for x in X])
+
+
+def _det_deviation(cs: list, Bs: list) -> np.ndarray:
+    """|det_closed / det_LU - 1| for each crossing c of cs and its braiding
+    B in Bs, in units of the error LU may make, 1e-10 + n eps cond_1(B) for
+    the n x n operator; LU and cond_1 run on stacks (runs of _batches).  It
+    is formed from logarithms, so it stays finite where the determinants
     overflow."""
-    op = B.as_operator()
-    s, logabs = np.linalg.slogdet(op)
-    bound = 1e-10 + len(op) * np.finfo(float).eps * np.linalg.cond(op, 1)
-    return float(abs(np.exp(logdet_braiding(c) - logabs) / s - 1.0) / bound)
+    dev = []
+    for run in _batches(list(zip(cs, Bs)), cs[0].cfg.N):
+        ops = np.array([B.as_operator() for _, B in run])
+        s, logabs = np.linalg.slogdet(ops)
+        bound = 1e-10 + ops.shape[-1] * np.finfo(float).eps * np.linalg.cond(ops, 1)
+        dev += [abs(np.exp(logdet_braiding(c) - la) / si - 1.0) / b
+                for (c, _), si, la, b in zip(run, s, logabs, bound)]
+    return np.array(dev)
 
 
 def _det_factor_deviation(c: CrossingData, f: FactorOps) -> float:
@@ -139,19 +151,24 @@ class _Worst(dict):
         self.samples[key] = self.samples.get(key, 0) + vals.size
 
 
-def r2_backward_error(c: CrossingData) -> float:
-    """Normwise backward error ||B'B - I|| / (||B'|| ||B||) of Reidemeister II.
+def r2_backward_error(*cs: CrossingData) -> np.ndarray:
+    """Normwise backward error ||B'B - I|| / (||B'|| ||B||) of Reidemeister
+    II, one per crossing of cs.
 
-    B is the braiding of the positive crossing c and B' that of the negative
-    crossing undoing it.  Unlike the entrywise residual, this stays near
-    machine precision however badly conditioned B is.
+    B is the braiding of a positive crossing c and B' that of the negative
+    crossing undoing it; the crossings and their partners are one
+    build_crossings pass, and the products stacked matmuls (runs of
+    _batches).  Unlike the entrywise residual, this stays near machine
+    precision however badly conditioned B is.
     """
-    B = braiding_op(c).as_operator()
-    Binv = braiding_op(CrossingData(c.cfg, -1, c.lc2p, c.lc1p, c.lc2, c.lc1,
-                                    c.gamma_n, c.gamma_e, c.gamma_s,
-                                    c.gamma_w)).as_operator()
-    return float(np.linalg.norm(Binv @ B - np.eye(len(B)))
-                 / (np.linalg.norm(Binv) * np.linalg.norm(B)))
+    partners = [CrossingData(c.cfg, -1, c.lc2p, c.lc1p, c.lc2, c.lc1,
+                             c.gamma_n, c.gamma_e, c.gamma_s, c.gamma_w) for c in cs]
+    build_crossings(list(cs) + partners)
+    dev = []
+    for run in _batches(list(zip(cs, partners)), cs[0].cfg.N):
+        B, Binv = (np.array([braiding_op(c).as_operator() for c in x]) for x in zip(*run))
+        dev += list(_norms(Binv @ B - np.eye(B.shape[-1])) / (_norms(Binv) * _norms(B)))
+    return np.array(dev)
 
 
 # ---------------------------------------------------------------- qdilog
@@ -418,14 +435,6 @@ def _central_scalars(el: SL2StarElement) -> tuple:
     return el.kappa, el.eps, el.phi / el.kappa
 
 
-def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """np.kron of the last two axes, matrix by matrix over stacks of equal
-    (or broadcastable) shape."""
-    (m, n), (p, q) = A.shape[-2:], B.shape[-2:]
-    prod = A[..., :, None, :, None] * B[..., None, :, None, :]
-    return prod.reshape(prod.shape[:-4] + (m * p, n * q))
-
-
 def check_weylrep(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
     """Every trial at once: stacks of module matrices from rep_matrices, drawn
     as the scalar samplers draw them (a pair of characters per trial, then
@@ -517,46 +526,91 @@ def transform_rules(c: CrossingData, R: RTensor, gamma_shifts: dict = None,
     return shifted, pred.reshape(N * N, N * N)
 
 
+def _stacked(lcs: list) -> LogWeylChar:
+    """One LogWeylChar whose logs are arrays over the log-characters lcs."""
+    return LogWeylChar(*(np.array([getattr(lc, f) for lc in lcs])
+                         for f in ("alpha", "beta", "mu")))
+
+
+def _intertwining_rows(cfg: RootConfig, cs: list, out: _Worst) -> None:
+    """The intertwining row of the built crossings cs: per sign, the images
+    of the generators on stacks of the crossings' modules (runs of
+    _batches), and a normwise backward error, like R2 contraction (R is
+    badly conditioned at large N)."""
+    for sign, images in ((+1, rw_images), (-1, rw_images_negative)):
+        for at in _batches([c for c in cs if c.sign == sign], cfg.N):
+            lc1, lc2, lc1p, lc2p = (_stacked([getattr(c, k) for c in at])
+                                    for k in ("lc1", "lc2", "lc1p", "lc2p"))
+            piu = pi_tensor(cfg, lc1, lc2)
+            imgs = images(cfg, lc1, lc2, lc1p, lc2p)
+            act = np.array([rmat(c).as_operator() for c in at])
+            act_norm = _norms(act)
+            for key in ("x1", "x2", "y1inv", "y2", "z1", "z2"):
+                pi, rho = piu[key], imgs[key]
+                out.note("intertwining", _norms(act @ pi - rho @ act) / (
+                    act_norm * (_norms(pi) + _norms(rho))))
+
+
+def _generic_rows(cfg: RootConfig, rng: np.random.Generator, trials: int,
+                  out: _Worst) -> None:
+    """The rows of trials generic crossings of each sign, each drawn with
+    its gamma and beta shifts.  Each set of variants is one build_crossings
+    pass, and goes once its rows are noted: at N = 32 a crossing holds
+    16 MB."""
+    cs, shifts = [], []
+    for sign in (+1, -1):
+        for _ in range(trials):
+            cs.append(sampling.random_crossing(cfg, rng, sign))
+            shifts.append(({r: int(rng.integers(-2, 3)) for r in "NWSE"},
+                           tuple(int(rng.integers(-2, 3)) for _ in range(4))))
+    _kappa_row(cs, out)
+    _intertwining_rows(cfg, cs, out)
+    build_crossings(cs, entries=False, dilogs=True)
+    Bs = [braiding_op(c) for c in cs]
+    fops = [factorized_ops(c) for c in cs]
+    out.note("factorization", [_mrel(B.entries, f.braiding_matrix()) for B, f in zip(Bs, fops)])
+    out.note("determinant closed vs LU", _det_deviation(cs, Bs))
+    out.note("determinant closed vs factors",
+             [_det_factor_deviation(c, f) for c, f in zip(cs, fops)])
+    _shift_rows(cs, shifts, out)
+
+
+def _kappa_row(cs: list, out: _Worst) -> None:
+    """kappa independence: the crossings cs and their variants at kappa - 3
+    and kappa + 2 are one build_crossings pass."""
+    kappas = [replace(c, kappa=c.resolved_kappa() + p) for c in cs for p in (-3, 2)]
+    build_crossings(cs + kappas)
+    out.note("kappa independence", [_mrel(k.entries, c.entries)
+                                     for k, c in zip(kappas, (c for c in cs for _ in "12"))])
+
+
+def _shift_rows(cs: list, shifts: list, out: _Worst) -> None:
+    """The gamma and beta shift rules of the built crossings cs, each with
+    its (gamma, beta) shifts: the shifted crossings are one build_crossings
+    pass."""
+    rules = [transform_rules(c, rmat(c), gamma_shifts=k) for c, (k, _) in zip(cs, shifts)]
+    rules += [transform_rules(c, rmat(c), beta_shifts=l) for c, (_, l) in zip(cs, shifts)]
+    build_crossings([shifted for shifted, _ in rules])
+    dev = [_mrel(shifted.entries, pred) for shifted, pred in rules]
+    out.note("gamma shift rule", dev[:len(cs)])
+    out.note("beta shift rule", dev[len(cs):])
+
+
 def check_rmatrix(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
+    """Each trial set at once.  The loops only draw, as the scalar suite
+    drew; a set's crossings, with the variants its identities compare, are
+    then one build_crossings pass, and the identities read them, as stacks
+    (axis 0 over the crossings) where a kernel takes them."""
     N = cfg.N
     w = cfg.omega_pow
     out = _Worst()
-    for sign in (+1, -1):
-        for _ in range(trials):
-            c = sampling.random_crossing(cfg, rng, sign)
-            R = rmat(c)
-            act = R.as_operator()
-            piu = pi_tensor(cfg, c.lc1, c.lc2)
-            if sign == +1:
-                imgs = rw_images(cfg, c.lc1, c.lc2, c.lc1p, c.lc2p)
-            else:
-                imgs = rw_images_negative(cfg, c.lc1, c.lc2, c.lc1p, c.lc2p)
-            # normwise backward error, like R2 contraction: R is badly
-            # conditioned at large N
-            for key in ("x1", "x2", "y1inv", "y2", "z1", "z2"):
-                pi, rho = piu[key], imgs[key]
-                out.note("intertwining", np.linalg.norm(act @ pi - rho @ act) / (
-                    np.linalg.norm(act) * (np.linalg.norm(pi) + np.linalg.norm(rho))))
-            B = R.braiding()
-            fops = factorized_ops(c)
-            out.note("factorization", _mrel(B.entries, fops.braiding_matrix()))
-            kap = c.resolved_kappa()
-            for p in (-3, 2):
-                out.note("kappa independence",
-                         _mrel(rmat(replace(c, kappa=kap + p)).entries, R.entries))
-            out.note("determinant closed vs LU", _det_deviation(c, B))
-            out.note("determinant closed vs factors", _det_factor_deviation(c, fops))
-            ks = {r: int(rng.integers(-2, 3)) for r in "NWSE"}
-            shifted, pred = transform_rules(c, R, gamma_shifts=ks)
-            out.note("gamma shift rule", _mrel(rmat(shifted).entries, pred))
-            ls = tuple(int(rng.integers(-2, 3)) for _ in range(4))
-            shifted, pred = transform_rules(c, R, beta_shifts=ls)
-            out.note("beta shift rule", _mrel(rmat(shifted).entries, pred))
+    _generic_rows(cfg, rng, trials, out)
     # recurrences at a positive crossing, at every entry: np.roll(R4, 1,
     # axis) holds the entry whose index on that axis is one lower
     n1, n2, n1p, n2p = _index_grids(N)
-    for _ in range(max(2, trials // 2)):
-        c = sampling.random_crossing(cfg, rng, +1)
+    rec = [sampling.random_crossing(cfg, rng, +1) for _ in range(max(2, trials // 2))]
+    build_crossings(rec)
+    for c in rec:
         R4 = rmat(c).entries.reshape(N, N, N, N)
         z0 = c.zeta0()
         scale = np.abs(R4).max()
@@ -580,20 +634,19 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
             * (1 - w(z0["N"] + n2p - n1 + 1))
             / (1 - w(z0["W"] + n2 - n1))) / scale)
     # R2 contraction as a normwise backward error
-    for _ in range(trials):
-        out.note("R2 contraction",
-                 r2_backward_error(sampling.random_crossing(cfg, rng, +1)))
+    out.note("R2 contraction", r2_backward_error(
+        *[sampling.random_crossing(cfg, rng, +1) for _ in range(trials)]))
     # pinched limit (absolute deviation) and closed pinched forms
+    cpins = []
     for _ in range(max(2, trials // 3)):
         prm = _random_pinched_params(rng)
         for sign in (+1, -1):
             try:
-                cpin = sampling.standard_pinched_crossing(cfg, *prm, sign=sign)
+                cpins.append(sampling.standard_pinched_crossing(cfg, *prm, sign=sign))
             except ValueError:
                 continue
-            lim = _pinched_limit(cfg, cpin)
-            out.note("pinched limit (abs)",
-                     float(np.abs(lim - rmat_pinched(cpin).entries).max()))
+    out.note("pinched limit (abs)", [
+        np.abs(_pinched_limit(cfg, c) - rmat_pinched(c).entries).max() for c in cpins])
     out.note("pinched R2 contraction", r2_backward_error(
         sampling.standard_pinched_crossing(cfg, *_random_pinched_params(rng))))
     # Kashaev: the region table at alpha = mu = -1/2 is the canonical matrix
@@ -604,14 +657,15 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
     # weight basis: conjugation vs closed form vs specializations
     prm = _random_pinched_params(rng)
     cpin = sampling.standard_pinched_crossing(cfg, *prm)
-    out.note("weight-basis closed form",
-             _mrel(weight_basis_rmat(cpin).entries, weight_basis_closed_form(cpin)))
     cj = kashaev_crossing(cfg)
-    out.note("colored-Jones form",
-             _mrel(weight_basis_rmat(cj).entries, colored_jones_closed_form(cfg)))
     al1 = prm[2]  # reuse mu1 as the nilpotent alpha1 = mu1
     cnil = sampling.standard_pinched_crossing(cfg, al1, prm[1], al1, prm[3],
                                               alpha2p=prm[1])
+    build_crossings([cpin, cj, cnil])
+    out.note("weight-basis closed form",
+             _mrel(weight_basis_rmat(cpin).entries, weight_basis_closed_form(cpin)))
+    out.note("colored-Jones form",
+             _mrel(weight_basis_rmat(cj).entries, colored_jones_closed_form(cfg)))
     out.note("nilpotent form",
              _mrel(weight_basis_rmat(cnil).entries, nilpotent_closed_form(cnil)))
     return out
@@ -626,7 +680,8 @@ def _random_pinched_params(rng) -> tuple:
 
 def _pinched_limit(cfg: RootConfig, cpin: CrossingData) -> np.ndarray:
     """Richardson-extrapolated limit of the generic formula toward a pinched
-    point, from seven perturbations beta_2 + 1e-2 / 2**k."""
+    point, from seven perturbations beta_2 + 1e-2 / 2**k; the pinched
+    crossing and its perturbations are one build_crossings pass."""
     def near(x, ref):
         """The logarithm of x (over 2 pi i) on the branch closest to ref."""
         lg = cmath.log(x) / TWO_PI_I
@@ -642,14 +697,18 @@ def _pinched_limit(cfg: RootConfig, cpin: CrossingData) -> np.ndarray:
         betas = (lc1.beta, lc2t.beta, near(outt.chi1p.b, cpin.lc1p.beta),
                  near(outt.chi2p.b, cpin.lc2p.beta))
         gammas = (g_n, g_w, g_w + lc2t.alpha, g_n + near(outt.chi2p.a, cpin.lc2p.alpha))
-        return rmat(crossing_from_logs(cfg, cpin.sign, betas, (lc1.mu, lc2t.mu),
-                                       gammas)).entries
+        return crossing_from_logs(cfg, cpin.sign, betas, (lc1.mu, lc2t.mu), gammas)
 
     ts = [1e-2 / 2 ** k for k in range(7)]
-    tab = [perturbed(t) for t in ts]
-    for j in range(1, len(tab)):
-        for i in range(len(tab) - 1, j - 1, -1):
-            tab[i] = tab[i] + (tab[i] - tab[i - 1]) * ts[i] / (ts[i - j] - ts[i])
+    nodes = [perturbed(t) for t in ts]
+    build_crossings([cpin] + nodes)
+    tab = np.array([rmat(c).entries for c in nodes])
+    t = np.array(ts)[:, None, None]
+    for j in range(1, len(ts)):  # column j of the table, rows j.. at once
+        d = tab[j:] - tab[j - 1:-1]
+        d *= t[j:]
+        d /= t[:-j] - t[j:]
+        tab[j:] += d
     return tab[-1]
 
 
@@ -779,27 +838,36 @@ def edge_gluing_defects(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> li
     return [abs(sums.get(r, 0.0)) for r in d.internal_regions()]
 
 
+def _in_pairs(seq: list):
+    """(seq[0], seq[1]), (seq[2], seq[3]), ..."""
+    return zip(seq[::2], seq[1::2])
+
+
 def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
+    """Each trial set at once.  The loops only draw, as the scalar suite
+    drew; the crossings of a set's colored words are then one
+    build_crossings pass (word_crossings), which apply reads."""
     N = cfg.N
     out = _Worst()
     V2, V3 = _probes(N, 2), _probes(N, 3)
     # R2 move at the diagram level (bottom boundary must equal the top one)
     d2 = build_diagram(BraidWord(2, (1, -1)))
+    lcs = []
     for _ in range(trials):
         lc = sampling.random_coloring(cfg, d2, rng)
         top = lc.top(d2)
-        lc = extend_log_coloring(d2, *top, lc.mu, *pin_bottom(d2, *top))
-        out.note("R2 move", _sum_dev(apply(cfg, d2, lc, V2), V2))
+        lcs.append(extend_log_coloring(d2, *top, lc.mu, *pin_bottom(d2, *top)))
+    for lc, cds in zip(lcs, word_crossings(cfg, *[(d2, lc) for lc in lcs])):
+        out.note("R2 move", _sum_dev(apply(cfg, d2, lc, V2, cds), V2))
     # composition functoriality: the word factors through its crossings.
     # (I x B1)(B0 x I) V is summed over the one slot the braidings share.
     d_ab = build_diagram(BraidWord(3, (1, 2)))
-    for _ in range(trials):
-        lc = sampling.random_coloring(cfg, d_ab, rng)
-        b0, b1 = (braiding_op(crossing_data(cfg, d_ab, lc, c)).as_operator()
-                  .reshape(N, N, N, N) for c in d_ab.crossings)
+    lcs = [sampling.random_coloring(cfg, d_ab, rng) for _ in range(trials)]
+    for lc, cds in zip(lcs, word_crossings(cfg, *[(d_ab, lc) for lc in lcs])):
+        b0, b1 = (braiding_op(cd).as_operator().reshape(N, N, N, N) for cd in cds)
         b0V = np.einsum("ayij,ijkm->aykm", b0, V3.reshape(N, N, N, -1))
         m10V = np.einsum("bcyk,aykm->abcm", b1, b0V).reshape(N ** 3, -1)
-        out.note("composition functoriality", _sum_dev(apply(cfg, d_ab, lc, V3), m10V))
+        out.note("composition functoriality", _sum_dev(apply(cfg, d_ab, lc, V3, cds), m10V))
     # edge gluing (absolute defect)
     for word in ((1, -1), (1, 1), (1, 2, 1), (2, 1, -2, 1)):
         width = max(abs(x) for x in word) + 1
@@ -810,6 +878,7 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
             out.note("edge gluing (abs)", max(defs))
     # log-parameter dependence
     dd = build_diagram(BraidWord(3, (1, 2, 1)))
+    pairs = []
     for _ in range(trials):
         lc0 = sampling.random_coloring(cfg, dd, rng)
         b_over = {s: lc0.beta[s] + int(rng.integers(-2, 3))
@@ -817,30 +886,34 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
         g_over = {r: lc0.gamma[r] + int(rng.integers(-2, 3))
                   for r in dd.internal_regions()}
         pin_b, pin_g = pin_bottom(dd, *lc0.bottom(dd))
-        lc1 = extend_log_coloring(dd, *lc0.top(dd), lc0.mu,
-                                  {**b_over, **pin_b}, {**g_over, **pin_g})
+        pairs.append((lc0, extend_log_coloring(dd, *lc0.top(dd), lc0.mu,
+                                               {**b_over, **pin_b}, {**g_over, **pin_g})))
+    for (lc0, lc1), (cds0, cds1) in zip(pairs, _in_pairs(
+            word_crossings(cfg, *[(dd, lc) for pair in pairs for lc in pair]))):
         lam0, lam1 = log_longitudes(dd, lc0), log_longitudes(dd, lc1)
         phase = cmath.exp(-TWO_PI_I / N * sum(
             (l1 - l0) * m for l1, l0, m in zip(lam1, lam0, lc0.mu)))
         out.note("log-decoration dependence",
-                 _sum_dev(apply(cfg, dd, lc1, V3), phase * apply(cfg, dd, lc0, V3)))
+                 _sum_dev(apply(cfg, dd, lc1, V3, cds1), phase * apply(cfg, dd, lc0, V3, cds0)))
     # R3 move: each pair shares its boundary data and log-longitudes
-    good = 0
+    pairs = []
     for _ in range(trials * 6):
-        if good >= trials:
+        if len(pairs) >= trials:
             break
         try:
-            before, after = sampling.matched_pair_colorings(
-                cfg, rng, (1, 2, 1), (2, 1, 2), 3)
+            pairs.append(sampling.matched_pair_colorings(
+                cfg, rng, (1, 2, 1), (2, 1, 2), 3))
         except RuntimeError:
             continue
-        good += 1
-        out.note("R3 move", _sum_dev(apply(cfg, *before, V3), apply(cfg, *after, V3)))
+    for (before, after), (cds0, cds1) in zip(pairs, _in_pairs(
+            word_crossings(cfg, *[side for pair in pairs for side in pair]))):
+        out.note("R3 move", _sum_dev(apply(cfg, *before, V3, cds0),
+                                     apply(cfg, *after, V3, cds1)))
     # determinant cocycle over the double diagram
     loop = build_diagram(BraidWord(3, (1, 2, 1, -1, -2, -1)))
-    done = 0
+    closed = []
     for _ in range(trials * 4):
-        if done >= max(2, trials // 2):
+        if len(closed) >= max(2, trials // 2):
             break
         try:
             lc = sampling.random_coloring(cfg, loop, rng)
@@ -849,11 +922,12 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
         # close the braid: bottom = top and zero log-longitudes
         top = lc.top(loop)
         lc = sampling.pinned_coloring(loop, top, top, lc.mu, [0.0, 0.0, 0.0])
-        if lc is None:
-            continue
-        prod = np.exp(sum(logdet_braiding(crossing_data(cfg, loop, lc, c))
-                          for c in loop.crossings))
-        done += 1
+        if lc is not None:
+            closed.append(lc)
+    cds = [[crossing_data(cfg, loop, lc, c) for c in loop.crossings] for lc in closed]
+    build_crossings([c for word in cds for c in word], entries=False, dilogs=True)
+    for word in cds:
+        prod = np.exp(sum(logdet_braiding(c) for c in word))
         out.note("determinant cocycle", min(abs(prod - 1.0), abs(prod + 1.0)))
     return out
 

@@ -46,14 +46,9 @@ def _placed(vals: np.ndarray, rows: np.ndarray, N: int) -> np.ndarray:
     return M
 
 
-def rep_matrices(cfg: RootConfig, lc: LogWeylChar, basis: Basis = Basis.FOURIER) -> GenMatrices:
-    """Generator matrices of V(alpha, beta, mu) in the requested basis.
-
-    WEIGHT:  x v_n = omega**(alpha-n) v_n,  y v_n = omega**beta v_{n-1}.
-    FOURIER: x w_n = omega**alpha w_{n-1},  y w_n = omega**(beta+n) w_n.
-    The logs are complex numbers, or equal-shape arrays for a stack of
-    modules: then every matrix is a stack of that shape.
-    """
+def _weyl_xyz(cfg: RootConfig, lc: LogWeylChar, basis: Basis) -> tuple:
+    """The matrices (x, y, z) of V(alpha, beta, mu), as rep_matrices
+    documents them."""
     N = cfg.N
     n = np.arange(N)
     alpha, beta, mu = (np.asarray(v, dtype=complex)[..., None]
@@ -65,7 +60,19 @@ def rep_matrices(cfg: RootConfig, lc: LogWeylChar, basis: Basis = Basis.FOURIER)
     else:
         x = _placed(cfg.omega_pow(alpha), down, N)
         y = _placed(cfg.omega_pow(beta + n), n, N)
-    z = cfg.omega_pow(mu)[..., None] * np.eye(N, dtype=complex)
+    return x, y, cfg.omega_pow(mu)[..., None] * np.eye(N, dtype=complex)
+
+
+def rep_matrices(cfg: RootConfig, lc: LogWeylChar, basis: Basis = Basis.FOURIER) -> GenMatrices:
+    """Generator matrices of V(alpha, beta, mu) in the requested basis.
+
+    WEIGHT:  x v_n = omega**(alpha-n) v_n,  y v_n = omega**beta v_{n-1}.
+    FOURIER: x w_n = omega**alpha w_{n-1},  y w_n = omega**(beta+n) w_n.
+    The logs are complex numbers, or equal-shape arrays for a stack of
+    modules: then every matrix is a stack of that shape.
+    """
+    N = cfg.N
+    x, y, z = _weyl_xyz(cfg, lc, basis)
     xi = cfg.xi
     K = x
     E = xi * y @ (z - x)
@@ -90,41 +97,70 @@ def matrix_power(M: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _pi2(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar) -> dict:
-    """Tensor-product matrices of the elementary generators on V(lc1) (x) V(lc2)."""
-    N = cfg.N
-    eye = np.eye(N, dtype=complex)
-    g1 = rep_matrices(cfg, lc1)
-    g2 = rep_matrices(cfg, lc2)
-    return {
-        "x1": np.kron(g1.x, eye), "x2": np.kron(eye, g2.x),
-        "y1": np.kron(g1.y, eye), "y2": np.kron(eye, g2.y),
-        "z1": np.kron(g1.z, eye), "z2": np.kron(eye, g2.z),
-    }
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.kron of the last two axes, matrix by matrix over stacks of equal
+    (or broadcastable) shape."""
+    (m, n), (p, q) = A.shape[-2:], B.shape[-2:]
+    prod = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (m * p, n * q))
+
+
+def _pi2(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, inverted: tuple) -> tuple:
+    """Tensor-product matrices {x1, x2, y1, y2, z1, z2} of the elementary
+    generators on V(lc1) (x) V(lc2), and the inverses of those named in
+    inverted: the kron of the inverted N x N factor with the identity,
+    never an inverse of the N^2 x N^2 product.  Logs that are arrays give
+    stacks."""
+    eye = np.eye(cfg.N, dtype=complex)
+    factors = {}
+    for i, lc in (("1", lc1), ("2", lc2)):
+        factors.update(zip((k + i for k in "xyz"), _weyl_xyz(cfg, lc, Basis.FOURIER)))
+
+    def placed(key, M):
+        return _kron(M, eye) if key.endswith("1") else _kron(eye, M)
+    return ({k: placed(k, M) for k, M in factors.items()},
+            {k: placed(k, np.linalg.inv(factors[k])) for k in inverted})
 
 
 def pi_tensor(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar) -> dict:
-    """Generator matrices {x1, x2, y1inv, y2, z1, z2} of the unprimed tensor action."""
-    m = _pi2(cfg, lc1, lc2)
-    return {"x1": m["x1"], "x2": m["x2"],
-            "y1inv": np.linalg.inv(m["y1"]), "y2": m["y2"],
+    """Generator matrices {x1, x2, y1inv, y2, z1, z2} of the unprimed tensor
+    action (stacks, for logs that are arrays)."""
+    m, inv = _pi2(cfg, lc1, lc2, ("y1",))
+    return {"x1": m["x1"], "x2": m["x2"], "y1inv": inv["y1"], "y2": m["y2"],
             "z1": m["z1"], "z2": m["z2"]}
 
 
 COND_MAX = 1e12  # condition number beyond which a braiding element g counts as singular
 
 
-def _primed_generators(cfg: RootConfig, lc1p: LogWeylChar, lc2p: LogWeylChar) -> tuple:
-    """(x1, x2, y1, y2, z1, z2) and their inverses in the output representation."""
-    m = _pi2(cfg, lc1p, lc2p)
-    gens = tuple(m[k] for k in ("x1", "x2", "y1", "y2", "z1", "z2"))
-    return gens, tuple(np.linalg.inv(M) for M in gens)
+def _primed_generators(cfg: RootConfig, lc1p: LogWeylChar, lc2p: LogWeylChar,
+                       inverted: tuple) -> tuple:
+    """(x1, x2, y1, y2, z1, z2) in the output representation, and the
+    inverses of those named in inverted, in that order."""
+    gens, invs = _pi2(cfg, lc1p, lc2p, inverted)
+    return (tuple(gens[k] for k in ("x1", "x2", "y1", "y2", "z1", "z2")),
+            tuple(invs[k] for k in inverted))
 
 
 def _checked_inv(g: np.ndarray, what: str) -> np.ndarray:
-    if np.linalg.cond(g) > COND_MAX:
+    """inv(g) (of each matrix of a stack), unless cond_2(g) > COND_MAX.
+
+    The singular values are only computed where the bound cond_2(g) <=
+    sqrt(|g|_1 |g|_inf |g^-1|_1 |g^-1|_inf) does not already put every
+    matrix below COND_MAX / 2 (the half absorbs the rounding of the
+    computed inverse), so the decision is the one cond_2 makes."""
+    try:
+        gi = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        gi = None
+    if gi is not None:
+        bound = np.sqrt(np.prod([np.linalg.norm(m, p, axis=(-2, -1))
+                                 for m in (g, gi) for p in (1, np.inf)], axis=0))
+        if np.all(bound <= COND_MAX / 2):
+            return gi
+    if gi is None or np.any(np.linalg.cond(g) > COND_MAX):
         raise ValueError(f"{what} is numerically singular")
-    return np.linalg.inv(g)
+    return gi
 
 
 def rw_images(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
@@ -134,10 +170,11 @@ def rw_images(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
     Each generator u of the doubled Weyl algebra is sent to an explicit
     rational expression; this returns that expression evaluated in the
     representation attached to the *output* log-characters (lc1p, lc2p).
+    Logs that are arrays give a stack of images per generator.
     """
-    (x1, x2, y1, y2, z1, z2), (x1i, x2i, y1i, y2i, _, z2i) = _primed_generators(
-        cfg, lc1p, lc2p)
-    eye = np.eye(x1.shape[0], dtype=complex)
+    (x1, x2, y1, y2, z1, z2), (x1i, x2i, y1i, y2i, z2i) = _primed_generators(
+        cfg, lc1p, lc2p, ("x1", "x2", "y1", "y2", "z2"))
+    eye = np.eye(x1.shape[-1], dtype=complex)
     g = eye - x1i @ y1 @ (z1 - x1) @ y2i @ (x2 - z2i)
     gi = _checked_inv(g, "braiding element g")
     return {
@@ -159,11 +196,11 @@ def rw_images_negative(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
         y1 -> y2 + (y1 - z2 y2) x2^{-1},
         y2^{-1} -> (z2/z1) y1^{-1} + (y2^{-1} - z2 y1^{-1}) x1,
     with g = 1 - y2 (z2 - x2) y1^{-1} (1 - (z1 x1)^{-1}), evaluated in the
-    output representation.
+    output representation (stacks, for logs that are arrays).
     """
-    (x1, x2, y1, y2, z1, z2), (x1i, x2i, y1i, y2i, z1i, _) = _primed_generators(
-        cfg, lc1p, lc2p)
-    eye = np.eye(x1.shape[0], dtype=complex)
+    (x1, x2, y1, y2, z1, z2), (x1i, x2i, y1i, y2i, z1i) = _primed_generators(
+        cfg, lc1p, lc2p, ("x1", "x2", "y1", "y2", "z1"))
+    eye = np.eye(x1.shape[-1], dtype=complex)
     g = eye - y2 @ (z2 - x2) @ y1i @ (eye - z1i @ x1i)
     gi = _checked_inv(g, "negative braiding element")
     y1_img = y2 + (y1 - z2 @ y2) @ x2i

@@ -593,3 +593,24 @@ def test_log_decoration_row_fails_without_the_phase(monkeypatch):
     monkeypatch.setattr(selftest, "log_longitudes", lambda d, lc: [0j] * d.width)
     assert check_braidgrpd(cfg, np.random.default_rng(4), 4)[
         "log-decoration dependence"] > tol
+
+
+def test_a_word_is_built_in_one_pass(rng, monkeypatch):
+    # jfunc_eval and apply build the braidings of all five crossings with
+    # one lambda_table call, and apply reads crossings built elsewhere
+    cfg = RootConfig(3)
+    d = build_diagram(BraidWord(4, (1, -2, 3, 2, -1)))
+    lc = random_coloring(cfg, d, rng)
+    assert not lc.pinched_crossings
+    calls = []
+    real = rmatrix.lambda_table
+    monkeypatch.setattr(rmatrix, "lambda_table", lambda *a: calls.append(a) or real(*a))
+    V = np.random.default_rng(1).standard_normal((3 ** 4, 2))
+    for run in (lambda: jfunc_eval(cfg, d, lc), lambda: apply(cfg, d, lc, V)):
+        calls.clear()
+        run()
+        assert len(calls) == 1 and np.shape(calls[0][1].zeta0) == (5 * 4,)
+    cds, = braidgrpd.word_crossings(cfg, (d, lc))
+    calls.clear()
+    assert np.array_equal(apply(cfg, d, lc, V, cds), apply(cfg, d, lc, V))
+    assert len(calls) == 1

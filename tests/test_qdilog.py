@@ -559,3 +559,17 @@ def test_check_qdilog_draws_as_the_scalar_suite_drew(N, trials):
     assert rng.bit_generator.state == ref.bit_generator.state
     assert out.samples == {k: n(N) * trials for k, n in QDILOG_SAMPLES.items()}
     assert all(v <= selftest.IDENTITIES[k].tol for k, v in out.items())
+
+
+def test_a_scalar_call_checks_its_flattening_once(monkeypatch):
+    # the Flattening a caller builds is checked on construction; promoting
+    # it to one axis, and s_norm's stack of it with its dual, are not
+    checks = []
+    real = Flattening.__post_init__
+    monkeypatch.setattr(Flattening, "__post_init__", lambda f: checks.append(f) or real(f))
+    cfg = RootConfig(5)
+    for kernel in (lambda f: lambda_table(cfg, f), lifted_dilog, lambda f: s_norm(cfg, f)):
+        checks.clear()
+        f = Flattening(0.3 - 0.1j, -cmath.log(1 - cmath.exp(TWO_PI_I * (0.3 - 0.1j))) / TWO_PI_I)
+        kernel(f)
+        assert len(checks) == 1

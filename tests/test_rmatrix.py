@@ -237,7 +237,7 @@ def test_logdet_beyond_the_double_range(N, seed, sign):
 def test_det_selftest_row_is_finite_past_the_double_range():
     # the crossing of test_cli::test_rmat_determinant_overflow_is_a_json_error
     c = random_crossing(RootConfig(26), np.random.default_rng(10), +1)
-    assert np.isfinite(_det_deviation(c, braiding_op(c)))
+    assert np.isfinite(_det_deviation([c], [braiding_op(c)])[0])
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
@@ -249,13 +249,13 @@ def test_det_selftest_row_holds_at_n32(sign, monkeypatch):
     B, f = braiding_op(c), factorized_ops(c)
     lu_tol = IDENTITIES["determinant closed vs LU"].tol
     factor_tol = IDENTITIES["determinant closed vs factors"].tol
-    assert _det_deviation(c, B) <= lu_tol
+    assert _det_deviation([c], [B])[0] <= lu_tol
     assert _det_factor_deviation(c, f) <= factor_tol
     # a closed determinant off by a factor 2 is within LU's bound at this N,
     # but not within the factor row's
     monkeypatch.setattr(selftest, "logdet_braiding",
                         lambda c: logdet_braiding(c) + np.log(2.0))
-    assert _det_deviation(c, B) <= lu_tol
+    assert _det_deviation([c], [B])[0] <= lu_tol
     assert _det_factor_deviation(c, f) > factor_tol
 
 
@@ -264,10 +264,10 @@ def test_det_selftest_row_rejects_a_wrong_determinant(rng, monkeypatch):
     # determinant off by 1e-8, which 1e-7 let pass, fails the row
     c = random_crossing(RootConfig(3), rng, +1)
     B = braiding_op(c)
-    assert _det_deviation(c, B) <= IDENTITIES["determinant closed vs LU"].tol
+    assert _det_deviation([c], [B])[0] <= IDENTITIES["determinant closed vs LU"].tol
     monkeypatch.setattr(selftest, "logdet_braiding",
                         lambda c: logdet_braiding(c) + 1e-8)
-    assert _det_deviation(c, B) > IDENTITIES["determinant closed vs LU"].tol
+    assert _det_deviation([c], [B])[0] > IDENTITIES["determinant closed vs LU"].tol
 
 
 def test_det_sign_flip_inverts_constant(rng):
@@ -567,3 +567,72 @@ def test_letter_crossing_takes_the_standard_branch_at_pinched_pairs(sign, rng):
         lc = extend_log_coloring(d, [lc1.beta, lc2.beta],
                                  [gamma_n, gamma_w, gamma_w + al2], [mu1, mu2])
         assert c == crossing_data(cfg, d, lc, d.crossings[0])
+
+
+def _mixed_crossings(cfg, rng):
+    """Generic crossings of both signs, standard pinched ones of both signs,
+    a pinched one with nonzero integral zeta0 and kashaev_crossing."""
+    cs = [random_crossing(cfg, rng, sign) for sign in (+1, -1, -1, +1)]
+    prm = _random_pinched_params(rng)
+    cs += [standard_pinched_crossing(cfg, *prm, sign=sign) for sign in (+1, -1)]
+    base = cs[-2]
+    cs.append(transform_rules(base, rmat_pinched(base), beta_shifts=(0, 1, -1, 2))[0])
+    assert any(cs[-1].integral_zeta0().values())
+    return cs + [kashaev_crossing(cfg)]
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+def test_a_mixed_batch_equals_the_crossings_built_one_by_one(N, rng):
+    cfg = RootConfig(N)
+    cs = _mixed_crossings(cfg, rng)
+    alone = [braiding_op(dataclasses.replace(c)).entries for c in cs]
+    rmatrix.build_crossings(cs, dilogs=True)
+    for c, one in zip(cs, alone):
+        assert np.array_equal(braiding_op(c).entries, one)
+        if not c.pinched:
+            fresh = dataclasses.replace(c)
+            assert np.array_equal(c.lambda_tables, fresh.lambda_tables)
+            assert np.array_equal(c.lifted_dilogs, fresh.lifted_dilogs)
+            assert logdet_braiding(c) == logdet_braiding(fresh)
+    with pytest.raises(ValueError):
+        c.entries[0, 0] = 0
+
+
+def test_a_built_crossing_is_not_evaluated_again(rng, monkeypatch):
+    cfg = RootConfig(4)
+    cs = _mixed_crossings(cfg, rng)
+    calls = []
+    for name in ("lambda_table", "lambda_series", "lifted_dilog"):
+        real = getattr(rmatrix, name)
+        monkeypatch.setattr(rmatrix, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    rmatrix.build_crossings(cs)
+    assert sorted(calls) == ["lambda_series", "lambda_table"]
+    rmatrix.build_crossings(cs), [rmat_pinched(c) if c.pinched else rmat(c) for c in cs]
+    rmatrix.build_crossings(cs, entries=False, dilogs=True)
+    assert sorted(calls) == ["lambda_series", "lambda_table", "lifted_dilog"]
+    with pytest.raises(ValueError, match="one N"):
+        rmatrix.build_crossings([random_crossing(RootConfig(3), rng), cs[0]])
+
+
+def test_a_failing_batch_raises_the_error_of_its_first_failing_crossing():
+    # the near-pinched crossings of test_cli: at t = 3e-9 a dilogarithm
+    # pole, at t = 1e-9 the flattening constraint.  Stacked, the later
+    # crossing's constraint is checked before the earlier one's poles.
+    cfg = RootConfig(12)
+    cp = standard_pinched_crossing(cfg, 0.21 + 0.01j, -0.23 + 0.02j,
+                                   0.12 - 0.01j, 0.37 + 0.01j)
+
+    def near(t):
+        return letter_crossing(cfg, +1, cp.lc1,
+                               dataclasses.replace(cp.lc2, beta=cp.lc2.beta + t), cp.gamma_n)
+
+    good = random_crossing(cfg, np.random.default_rng(2), +1)
+    for first, second in ((3e-9, 1e-9), (1e-9, 3e-9)):
+        with pytest.raises(ValueError) as alone:
+            rmat(near(first))
+        with pytest.raises(ValueError) as batch:
+            rmatrix.build_crossings([good, cp, near(first), near(second)])
+        assert type(batch.value) is type(alone.value)
+        assert str(batch.value) == str(alone.value)
+    assert str(alone.value).startswith("flattening constraint violated")

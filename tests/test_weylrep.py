@@ -195,3 +195,36 @@ def test_check_weylrep_draws_as_the_scalar_suite_drew(N, trials):
         expect["commutant reducible case"] = 1
     assert out.samples == expect
     assert all(v <= selftest.IDENTITIES[k].tol for k, v in out.items())
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_stacked_images_equal_the_single_ones(sign, rng):
+    # pi_tensor and the braiding images on a stack of crossings give each
+    # crossing the bits of the call on that crossing alone; the inverses
+    # come from the N x N factors, and equal the formed products' inverses
+    cfg = RootConfig(4)
+    images = rw_images if sign > 0 else rw_images_negative
+    cs = [random_crossing(cfg, rng, sign) for _ in range(3)]
+    segs = [selftest._stacked([getattr(c, k) for c in cs]) for k in ("lc1", "lc2", "lc1p", "lc2p")]
+    piu, imgs = pi_tensor(cfg, *segs[:2]), images(cfg, *segs)
+    for i, c in enumerate(cs):
+        one_pi = pi_tensor(cfg, c.lc1, c.lc2)
+        one_img = images(cfg, c.lc1, c.lc2, c.lc1p, c.lc2p)
+        for key in ("x1", "x2", "y1inv", "y2", "z1", "z2"):
+            assert np.array_equal(piu[key][i], one_pi[key])
+            assert np.array_equal(imgs[key][i], one_img[key])
+        y1 = np.kron(rep_matrices(cfg, c.lc1).y, np.eye(4))
+        assert np.array_equal(one_pi["y1inv"], np.linalg.inv(y1))
+
+
+def test_checked_inverse_decides_as_the_condition_number_does():
+    # the norm bound settles well-conditioned matrices without an SVD;
+    # between COND_MAX / 2 and COND_MAX, and past it, cond_2 decides
+    from holorm.weylrep import COND_MAX, _checked_inv
+    for cond in (1.0, 0.6 * COND_MAX, 0.99 * COND_MAX):
+        g = np.diag([1.0, 1.0, 1.0 / cond]).astype(complex)
+        assert np.array_equal(_checked_inv(g, "g"), np.linalg.inv(g))
+    for bad in (np.diag([1.0, 1.0, 1.0 / (1.01 * COND_MAX)]), np.zeros((2, 2)),
+                np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-14])])):
+        with pytest.raises(ValueError, match="g is numerically singular"):
+            _checked_inv(bad.astype(complex), "g")
