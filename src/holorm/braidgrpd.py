@@ -303,25 +303,31 @@ def on_slots(b: np.ndarray, X: np.ndarray, N: int, before: int) -> np.ndarray:
 
 
 def apply(cfg: RootConfig, d: DiagramGraph, lc: LogColoring,
-          V: np.ndarray, crossings: list = None) -> np.ndarray:
+          V: np.ndarray) -> np.ndarray:
     """The state sum of the log-colored diagram applied to V, whose N^w rows
     are row-major over the slots, without forming the state sum.
 
     Top crossing first, each braiding acts on slots pos and pos+1 of the
     columns (pinched crossings are routed to the closed pinched braiding):
     N^(w+2) multiply-adds per crossing and column.  The braidings are built
-    in one pass (word_crossings); a caller that built several words in one
-    word_crossings pass passes this word's crossings as `crossings`.  The
-    empty word returns V.
+    in one pass (word_crossings).  The empty word returns V.
     """
     N, w = cfg.N, d.width
     if V.shape[0] != N ** w:
         raise ValueError(f"V has {V.shape[0]} rows; width {w} at N = {N} needs {N ** w}")
-    if crossings is None:
-        crossings, = word_crossings(cfg, (d, lc))
+    crossings, = word_crossings(cfg, (d, lc))
+    return _apply_crossings(cfg, d, crossings, V)
+
+
+def _apply_crossings(cfg: RootConfig, d: DiagramGraph, crossings: list,
+                     V: np.ndarray) -> np.ndarray:
+    """apply, given the CrossingData of d's crossings in word order (one
+    word of a word_crossings pass over several words)."""
+    if len(crossings) != len(d.crossings):
+        raise ValueError(f"{len(crossings)} crossings given for a word of {len(d.crossings)}")
     for c, cd in zip(d.crossings, crossings):
         b = braiding_op(cd).as_operator()
-        V = on_slots(b, V, N, c.pos - 1).reshape(V.shape)
+        V = on_slots(b, V, cfg.N, c.pos - 1).reshape(V.shape)
     return V
 
 

@@ -74,14 +74,18 @@ def _raise_first(*guards) -> None:
     test t of an entry fails, the tests along a trailing axis in the order
     the entry meets them, and fault(at, t) is the exception, at(x) the entry
     of x.  Given the guards in the order the scalar body meets them, it
-    raises at the first failing (entry, guard, t) in C order."""
+    raises at the first failing (entry, guard, t) in C order; the
+    exception's `entry` is the index of that entry, for a caller that
+    stacked the entries of several objects."""
     if not any(b.any() for b, _ in guards):
         return
     bad = np.concatenate([b for b, _ in guards], axis=-1)
     *i, t = np.unravel_index(np.argmax(bad), bad.shape)
     for b, fault in guards:
         if t < b.shape[-1]:
-            raise fault(lambda x: np.broadcast_to(x, bad.shape[:-1])[tuple(i)], t)
+            exc = fault(lambda x: np.broadcast_to(x, bad.shape[:-1])[tuple(i)], t)
+            exc.entry = tuple(i)
+            raise exc
         t -= b.shape[-1]
 
 
@@ -133,10 +137,10 @@ class Flattening:
         return cls(zeta0, complex(zeta1) if zeta1.ndim == 0 else zeta1)
 
     @classmethod
-    def checked(cls, zeta0, zeta1, tol: float = 1e-10) -> "Flattening":
+    def _checked(cls, zeta0, zeta1, tol: float = 1e-10) -> "Flattening":
         """The Flattening of fields that already passed the constraint (a
-        promoted, stacked or sliced copy of checked ones, or the dual half
-        of one), built without evaluating the constraint again."""
+        promoted, stacked or sliced copy of checked ones), built without
+        evaluating the constraint again."""
         f = object.__new__(cls)
         for name, value in (("zeta0", zeta0), ("zeta1", zeta1), ("tol", tol)):
             object.__setattr__(f, name, value)
@@ -157,7 +161,7 @@ def _promote(arg):
     if isinstance(arg, RootConfig):
         return arg
     if isinstance(arg, Flattening):
-        return Flattening.checked(_promote(arg.zeta0), _promote(arg.zeta1), arg.tol)
+        return Flattening._checked(_promote(arg.zeta0), _promote(arg.zeta1), arg.tol)
     return np.reshape(arg, 1)
 
 
@@ -376,12 +380,14 @@ def s_norm(cfg: RootConfig, f: Flattening):
     S = omega**((N-1) zeta0) / Lambda(zeta0, zeta1 | 0)
         * sum_{k=0}^{N-1} Lambda(-zeta1, -zeta0 | k)**(-1).
     The dual's tables and f's are one lambda_table pass (guards included),
-    the dual first at each entry, as the formula meets them; the dual of a
-    checked flattening is one, so the constraint is not evaluated again.
+    the dual first at each entry, as the formula meets them.  The dual is
+    checked against the constraint; f, checked on construction, is not
+    checked again.
     """
     zeta0, zeta1 = np.broadcast_arrays(_cdim(f.zeta0), _cdim(f.zeta1))
-    dual, table = np.moveaxis(lambda_table(cfg, Flattening.checked(
-        np.stack([-zeta1, zeta0], -1), np.stack([-zeta0, zeta1], -1), f.tol)), -2, 0)
+    dual = Flattening(-zeta1, -zeta0, f.tol)
+    dual, table = np.moveaxis(lambda_table(cfg, Flattening._checked(
+        np.stack([dual.zeta0, zeta0], -1), np.stack([dual.zeta1, zeta1], -1), f.tol)), -2, 0)
     return cfg.omega_pow((cfg.N - 1) * zeta0) / table[..., 0] * _seqsum(1.0 / dual)
 
 

@@ -273,10 +273,11 @@ def _region_layout(N: int, sign: int, shifts: tuple) -> tuple:
 def _region_ratio(layout: dict, tables: dict, num):
     """num * prod_r tables[r][:, k_r mod N]^p_r, formed as one quotient of
     the numerator and denominator products in table order, in place of the
-    numerator; tables[r] has one row per crossing."""
+    numerator; tables[r] has one row per crossing (take reads it several
+    times faster than indexing does, at a few crossings)."""
     den = 1
     for r, (k, _, p) in layout.items():
-        val = tables[r][:, k]
+        val = tables[r].take(k, axis=1)
         if p > 0:
             num = num * val
         else:
@@ -307,7 +308,7 @@ def _assemble(cfg: RootConfig, sign: int, shifts: tuple, tables: np.ndarray,
         if shifts:
             expo += sum(p * z0[r] * z1[r] for r, (_, _, p) in layout.items()) / 2.0
         pref.append(cfg.omega_pow(expo) / N)
-    R = _region_ratio(layout, dict(zip(REGIONS, np.moveaxis(tables, 1, 0))),
+    R = _region_ratio(layout, {r: tables[:, j] for j, r in enumerate(REGIONS)},
                       np.array(pref)[:, None, None, None, None] * w_dw)
     if shifts:
         np.copyto(R, 0.0, where=~support)
@@ -328,82 +329,86 @@ def _batches(items: list, N: int) -> list:
     return [items[i:i + step] for i in range(0, len(items), step)]
 
 
-def build_crossings(crossings, entries: bool = True, dilogs: bool = False) -> None:
-    """Evaluate crossings of one N in one pass, and cache the results on
-    each crossing: its R-matrix entries (CrossingData.entries, what rmat,
-    rmat_pinched and braiding_op read) when entries, and the lifted
-    dilogarithms of a generic crossing (CrossingData.lifted_dilogs, what
-    logdet_braiding reads) when dilogs.
+def build_crossings(crossings) -> None:
+    """Evaluate the R-matrices of crossings of one N in one pass, and cache
+    each on its crossing (CrossingData.entries, what rmat, rmat_pinched and
+    braiding_op read).
 
-    The region flattenings of the generic crossings are stacked into one
-    Flattening, checked once, with one lambda_table call (filling their
-    cached lambda_tables) and one lifted_dilog call; the pinched tables are
-    one lambda_series call; each (sign, integral zeta0 shifts) group is one
-    broadcast pass of _assemble per run of _batches.  Every entry has the
-    bits the crossing alone gets.  A crossing whose results are cached is
-    not evaluated again.  A batch that fails raises the error of its first
-    failing crossing: it is then evaluated crossing by crossing up to that
-    one.
+    The region flattenings of the generic crossings whose Lambda tables are
+    not cached are stacked into one Flattening, checked once, with one
+    lambda_table call (filling their cached flattening_batch and
+    lambda_tables); the pinched tables are one lambda_series call; each
+    (sign, integral zeta0 shifts) group is one broadcast pass of _assemble
+    per run of _batches.  Every entry has the bits the crossing alone gets,
+    and a crossing whose entries are cached is not evaluated again.
+
+    A batch that fails raises the error of its first failing crossing, the
+    one a crossing-by-crossing loop meets first, and evaluates nothing
+    twice: each stage (the zeta logs, the flattening constraint, the
+    guards of lambda_table) goes on only with the crossings ahead of the
+    first one that failed an earlier stage.
     """
     if len({c.cfg for c in crossings}) > 1:
         raise ValueError("build_crossings takes crossings of one N")
-    todo = [c for c in crossings
-            if entries and "entries" not in vars(c)
-            or dilogs and not c.pinched and "lifted_dilogs" not in vars(c)]
-    try:
-        _build(todo, entries, dilogs)
-    except ValueError:
-        if len(todo) > 1:
-            for c in todo:
-                _build([c], entries, dilogs)
-        raise
-
-
-def _build(cs: list, entries: bool, dilogs: bool) -> None:
-    if not cs:
-        return
-    cfg = cs[0].cfg
-    generic = [c for c in cs if not c.pinched]
-    if generic:
-        # the four region flattenings of each crossing, one after the other
-        z0, z1 = ([c.zeta0() for c in generic], [c.zeta1() for c in generic])
-        f = Flattening(np.array([z[r] for z in z0 for r in REGIONS]),
-                       np.array([z[r] for z in z1 for r in REGIONS]), tol=1e-7)
-        tables = _read_only(lambda_table(cfg, f).reshape(-1, 4, cfg.N)) if entries else None
-        ells = _read_only(lifted_dilog(f).reshape(-1, 4)) if dilogs else None
-        for i, c in enumerate(generic):
-            cache = vars(c)
-            rows = slice(4 * i, 4 * i + 4)
-            cache.setdefault("flattening_batch",
-                             Flattening.checked(f.zeta0[rows], f.zeta1[rows], f.tol))
-            if entries:
-                cache.setdefault("lambda_tables", tables[i])
-            if dilogs:
-                cache.setdefault("lifted_dilogs", ells[i])
-    groups = {}  # (sign, integral zeta0 or None) -> [(crossing, (zeta0, zeta1))]
-    for c in cs:
-        if not entries or "entries" in vars(c):
+    todo, zetas, fault = [], [], None
+    for c in crossings:
+        if "entries" in vars(c):
             continue
-        if c.pinched:
-            z0 = _integral_zeta0(c)
-            key, z = (c.sign, tuple(z0[r] for r in REGIONS)), (z0, c.zeta1(kappa=0))
-        else:
+        try:
+            zetas.append((_integral_zeta0(c), c.zeta1(kappa=0)) if c.pinched
+                         else (c.zeta0(), c.zeta1()))
+        except (ArithmeticError, ValueError) as e:
+            fault = e
+            break
+        todo.append(c)
+    if not todo:
+        if fault is not None:
+            raise fault
+        return
+    cfg = todo[0].cfg
+    # the generic crossings whose Lambda tables are not cached yet
+    fresh = [i for i, c in enumerate(todo) if not c.pinched and "lambda_tables" not in vars(c)]
+    if fresh:
+        # the four region flattenings of each crossing, one after the other
+        z0, z1 = (np.array([zetas[i][k][r] for i in fresh for r in REGIONS])
+                  for k in (0, 1))
+        try:
+            f = Flattening(z0, z1, tol=1e-7)
+        except ConstraintViolationError as e:  # build the crossings ahead of the failing one
+            fault, (entry,) = e, e.entry
+            cut = fresh[entry // 4]
+            del todo[cut:], zetas[cut:], fresh[entry // 4:]
+            f = Flattening._checked(z0[:4 * len(fresh)], z1[:4 * len(fresh)], 1e-7)
+    if fresh:
+        lam = _read_only(lambda_table(cfg, f).reshape(-1, 4, cfg.N))
+        for j, i in enumerate(fresh):
+            cache = vars(todo[i])
+            cache.setdefault("flattening_batch", Flattening._checked(
+                z0[4 * j:4 * j + 4], z1[4 * j:4 * j + 4], 1e-7))
+            cache["lambda_tables"] = lam[j]
+    tables = [None] * len(todo)
+    for i, c in enumerate(todo):
+        if not c.pinched:
             f = c.flattening_batch
-            key = (c.sign, None)
-            z = tuple(dict(zip(REGIONS, v.tolist())) for v in (f.zeta0, f.zeta1))
-        groups.setdefault(key, []).append((c, z))
-    pinched = [m for (_, shifts), ms in groups.items() if shifts for m in ms]
+            tables[i] = c.lambda_tables
+            zetas[i] = tuple(dict(zip(REGIONS, v.tolist())) for v in (f.zeta0, f.zeta1))
+    pinched = [i for i, c in enumerate(todo) if c.pinched]
     if pinched:  # their tables: lambda_series at kappa = 0, one call
         series = lambda_series(cfg, 1.0, 0.0, np.array(
-            [[z1[r] for r in REGIONS] for _, (_, z1) in pinched]))
-        series = {id(c): t for (c, _), t in zip(pinched, series)}
+            [[zetas[i][1][r] for r in REGIONS] for i in pinched]))
+        for j, i in enumerate(pinched):
+            tables[i] = series[j]
+    groups = {}  # (sign, integral zeta0 or None) -> [(crossing, tables, zetas)]
+    for c, t, z in zip(todo, tables, zetas):
+        shifts = tuple(z[0][r] for r in REGIONS) if c.pinched else None
+        groups.setdefault((c.sign, shifts), []).append((c, t, z))
     for (sign, shifts), members in groups.items():
         for part in _batches(members, cfg.N):
-            tables = np.array([series[id(c)] if shifts else c.lambda_tables
-                               for c, _ in part])
-            R = _read_only(_assemble(cfg, sign, shifts, tables, [z for _, z in part]))
-            for (c, _), ent in zip(part, R):
+            cs, ts, zs = zip(*part)
+            for c, ent in zip(cs, _read_only(_assemble(cfg, sign, shifts, np.array(ts), zs))):
                 vars(c)["entries"] = ent
+    if fault is not None:
+        raise fault
 
 
 def rmat(c: CrossingData) -> RTensor:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sampling
-from .braidgrpd import (BraidWord, DiagramGraph, LogColoring, apply,
+from .braidgrpd import (BraidWord, DiagramGraph, LogColoring, _apply_crossings,
                         build_diagram, crossing_data, extend_log_coloring,
                         log_longitudes, on_slots, pin_bottom, word_crossings)
 from .characters import LogWeylChar, braid, braid_coords
@@ -565,7 +565,6 @@ def _generic_rows(cfg: RootConfig, rng: np.random.Generator, trials: int,
                            tuple(int(rng.integers(-2, 3)) for _ in range(4))))
     _kappa_row(cs, out)
     _intertwining_rows(cfg, cs, out)
-    build_crossings(cs, entries=False, dilogs=True)
     Bs = [braiding_op(c) for c in cs]
     fops = [factorized_ops(c) for c in cs]
     out.note("factorization", [_mrel(B.entries, f.braiding_matrix()) for B, f in zip(Bs, fops)])
@@ -846,7 +845,7 @@ def _in_pairs(seq: list):
 def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
     """Each trial set at once.  The loops only draw, as the scalar suite
     drew; the crossings of a set's colored words are then one
-    build_crossings pass (word_crossings), which apply reads."""
+    build_crossings pass (word_crossings), which _apply_crossings reads."""
     N = cfg.N
     out = _Worst()
     V2, V3 = _probes(N, 2), _probes(N, 3)
@@ -858,7 +857,7 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
         top = lc.top(d2)
         lcs.append(extend_log_coloring(d2, *top, lc.mu, *pin_bottom(d2, *top)))
     for lc, cds in zip(lcs, word_crossings(cfg, *[(d2, lc) for lc in lcs])):
-        out.note("R2 move", _sum_dev(apply(cfg, d2, lc, V2, cds), V2))
+        out.note("R2 move", _sum_dev(_apply_crossings(cfg, d2, cds, V2), V2))
     # composition functoriality: the word factors through its crossings.
     # (I x B1)(B0 x I) V is summed over the one slot the braidings share.
     d_ab = build_diagram(BraidWord(3, (1, 2)))
@@ -867,7 +866,7 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
         b0, b1 = (braiding_op(cd).as_operator().reshape(N, N, N, N) for cd in cds)
         b0V = np.einsum("ayij,ijkm->aykm", b0, V3.reshape(N, N, N, -1))
         m10V = np.einsum("bcyk,aykm->abcm", b1, b0V).reshape(N ** 3, -1)
-        out.note("composition functoriality", _sum_dev(apply(cfg, d_ab, lc, V3, cds), m10V))
+        out.note("composition functoriality", _sum_dev(_apply_crossings(cfg, d_ab, cds, V3), m10V))
     # edge gluing (absolute defect)
     for word in ((1, -1), (1, 1), (1, 2, 1), (2, 1, -2, 1)):
         width = max(abs(x) for x in word) + 1
@@ -894,7 +893,7 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
         phase = cmath.exp(-TWO_PI_I / N * sum(
             (l1 - l0) * m for l1, l0, m in zip(lam1, lam0, lc0.mu)))
         out.note("log-decoration dependence",
-                 _sum_dev(apply(cfg, dd, lc1, V3, cds1), phase * apply(cfg, dd, lc0, V3, cds0)))
+                 _sum_dev(_apply_crossings(cfg, dd, cds1, V3), phase * _apply_crossings(cfg, dd, cds0, V3)))
     # R3 move: each pair shares its boundary data and log-longitudes
     pairs = []
     for _ in range(trials * 6):
@@ -907,8 +906,8 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
             continue
     for (before, after), (cds0, cds1) in zip(pairs, _in_pairs(
             word_crossings(cfg, *[side for pair in pairs for side in pair]))):
-        out.note("R3 move", _sum_dev(apply(cfg, *before, V3, cds0),
-                                     apply(cfg, *after, V3, cds1)))
+        out.note("R3 move", _sum_dev(_apply_crossings(cfg, before[0], cds0, V3),
+                                     _apply_crossings(cfg, after[0], cds1, V3)))
     # determinant cocycle over the double diagram
     loop = build_diagram(BraidWord(3, (1, 2, 1, -1, -2, -1)))
     closed = []
@@ -924,10 +923,9 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
         lc = sampling.pinned_coloring(loop, top, top, lc.mu, [0.0, 0.0, 0.0])
         if lc is not None:
             closed.append(lc)
-    cds = [[crossing_data(cfg, loop, lc, c) for c in loop.crossings] for lc in closed]
-    build_crossings([c for word in cds for c in word], entries=False, dilogs=True)
-    for word in cds:
-        prod = np.exp(sum(logdet_braiding(c) for c in word))
+    for lc in closed:
+        prod = np.exp(sum(logdet_braiding(crossing_data(cfg, loop, lc, c))
+                          for c in loop.crossings))
         out.note("determinant cocycle", min(abs(prod - 1.0), abs(prod + 1.0)))
     return out
 

@@ -143,21 +143,10 @@ def _primed_generators(cfg: RootConfig, lc1p: LogWeylChar, lc2p: LogWeylChar,
 
 
 def _checked_inv(g: np.ndarray, what: str) -> np.ndarray:
-    """inv(g) (of each matrix of a stack), unless cond_2(g) > COND_MAX.
-
-    The singular values are only computed where the bound cond_2(g) <=
-    sqrt(|g|_1 |g|_inf |g^-1|_1 |g^-1|_inf) does not already put every
-    matrix below COND_MAX / 2 (the half absorbs the rounding of the
-    computed inverse), so the decision is the one cond_2 makes."""
-    try:
-        gi = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        gi = None
-    if gi is not None:
-        bound = np.sqrt(np.prod([np.linalg.norm(m, p, axis=(-2, -1))
-                                 for m in (g, gi) for p in (1, np.inf)], axis=0))
-        if np.all(bound <= COND_MAX / 2):
-            return gi
+    """inv(g), of each matrix of a stack, unless some cond_2(g) > COND_MAX."""
+    if np.any(np.linalg.cond(g) > COND_MAX):
+        raise ValueError(f"{what} is numerically singular")
+    return np.linalg.inv(g)
     if gi is None or np.any(np.linalg.cond(g) > COND_MAX):
         raise ValueError(f"{what} is numerically singular")
     return gi

@@ -597,7 +597,8 @@ def test_log_decoration_row_fails_without_the_phase(monkeypatch):
 
 def test_a_word_is_built_in_one_pass(rng, monkeypatch):
     # jfunc_eval and apply build the braidings of all five crossings with
-    # one lambda_table call, and apply reads crossings built elsewhere
+    # one lambda_table call, and _apply_crossings reads crossings built
+    # elsewhere, a whole word of them
     cfg = RootConfig(3)
     d = build_diagram(BraidWord(4, (1, -2, 3, 2, -1)))
     lc = random_coloring(cfg, d, rng)
@@ -612,5 +613,7 @@ def test_a_word_is_built_in_one_pass(rng, monkeypatch):
         assert len(calls) == 1 and np.shape(calls[0][1].zeta0) == (5 * 4,)
     cds, = braidgrpd.word_crossings(cfg, (d, lc))
     calls.clear()
-    assert np.array_equal(apply(cfg, d, lc, V, cds), apply(cfg, d, lc, V))
+    assert np.array_equal(braidgrpd._apply_crossings(cfg, d, cds, V), apply(cfg, d, lc, V))
     assert len(calls) == 1
+    with pytest.raises(ValueError, match="4 crossings given for a word of 5"):
+        braidgrpd._apply_crossings(cfg, d, cds[:4], V)

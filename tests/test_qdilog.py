@@ -563,13 +563,27 @@ def test_check_qdilog_draws_as_the_scalar_suite_drew(N, trials):
 
 def test_a_scalar_call_checks_its_flattening_once(monkeypatch):
     # the Flattening a caller builds is checked on construction; promoting
-    # it to one axis, and s_norm's stack of it with its dual, are not
+    # it to one axis is not checked again, and s_norm checks only its dual
     checks = []
     real = Flattening.__post_init__
     monkeypatch.setattr(Flattening, "__post_init__", lambda f: checks.append(f) or real(f))
     cfg = RootConfig(5)
-    for kernel in (lambda f: lambda_table(cfg, f), lifted_dilog, lambda f: s_norm(cfg, f)):
+    for kernel, dual in ((lambda f: lambda_table(cfg, f), False), (lifted_dilog, False),
+                         (lambda f: s_norm(cfg, f), True)):
         checks.clear()
         f = Flattening(0.3 - 0.1j, -cmath.log(1 - cmath.exp(TWO_PI_I * (0.3 - 0.1j))) / TWO_PI_I)
         kernel(f)
-        assert len(checks) == 1
+        assert checks[0] is f
+        assert [(c.zeta0, c.zeta1) for c in checks[1:]] == ([(-f.zeta1, -f.zeta0)] if dual else [])
+
+
+def test_s_norm_checks_the_dual_of_its_flattening():
+    # a flattening within tol whose dual is not: s_norm refuses it, as the
+    # dual's constraint is the one its sum reads
+    zeta0 = 0.3 + 1.0j
+    zeta1 = -cmath.log(1 - cmath.exp(TWO_PI_I * zeta0)) / TWO_PI_I + 5e-12
+    f = Flattening(zeta0, zeta1)
+    with pytest.raises(ConstraintViolationError):
+        Flattening(-zeta1, -zeta0)
+    with pytest.raises(ConstraintViolationError):
+        s_norm(RootConfig(5), f)

@@ -586,7 +586,7 @@ def test_a_mixed_batch_equals_the_crossings_built_one_by_one(N, rng):
     cfg = RootConfig(N)
     cs = _mixed_crossings(cfg, rng)
     alone = [braiding_op(dataclasses.replace(c)).entries for c in cs]
-    rmatrix.build_crossings(cs, dilogs=True)
+    rmatrix.build_crossings(cs)
     for c, one in zip(cs, alone):
         assert np.array_equal(braiding_op(c).entries, one)
         if not c.pinched:
@@ -609,8 +609,13 @@ def test_a_built_crossing_is_not_evaluated_again(rng, monkeypatch):
     rmatrix.build_crossings(cs)
     assert sorted(calls) == ["lambda_series", "lambda_table"]
     rmatrix.build_crossings(cs), [rmat_pinched(c) if c.pinched else rmat(c) for c in cs]
-    rmatrix.build_crossings(cs, entries=False, dilogs=True)
-    assert sorted(calls) == ["lambda_series", "lambda_table", "lifted_dilog"]
+    assert sorted(calls) == ["lambda_series", "lambda_table"]
+    # a crossing whose Lambda tables are cached reads them
+    c = random_crossing(cfg, rng, -1)
+    factorized_ops(c)
+    calls.clear()
+    rmat(c)
+    assert calls == []
     with pytest.raises(ValueError, match="one N"):
         rmatrix.build_crossings([random_crossing(RootConfig(3), rng), cs[0]])
 
@@ -627,12 +632,25 @@ def test_a_failing_batch_raises_the_error_of_its_first_failing_crossing():
         return letter_crossing(cfg, +1, cp.lc1,
                                dataclasses.replace(cp.lc2, beta=cp.lc2.beta + t), cp.gamma_n)
 
-    good = random_crossing(cfg, np.random.default_rng(2), +1)
+    rng = np.random.default_rng(2)
     for first, second in ((3e-9, 1e-9), (1e-9, 3e-9)):
         with pytest.raises(ValueError) as alone:
             rmat(near(first))
-        with pytest.raises(ValueError) as batch:
-            rmatrix.build_crossings([good, cp, near(first), near(second)])
-        assert type(batch.value) is type(alone.value)
-        assert str(batch.value) == str(alone.value)
+        good = random_crossing(cfg, rng, +1)
+        batch = [good, dataclasses.replace(cp), near(first), near(second)]
+        calls = []
+        real = rmatrix.lambda_table
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rmatrix, "lambda_table", lambda *a: calls.append(a) or real(*a))
+            with pytest.raises(ValueError) as raised:
+                rmatrix.build_crossings(batch)
+        assert type(raised.value) is type(alone.value)
+        assert str(raised.value) == str(alone.value)
+        # one scan: nothing is evaluated a second time, and the crossings
+        # past the failing one are not evaluated at all
+        assert len(calls) == 1
+    # the constraint fails first at near(1e-9): lambda_table ran on good
+    # alone, and the crossings ahead of the failing one are built
     assert str(alone.value).startswith("flattening constraint violated")
+    assert np.shape(calls[0][1].zeta0) == (4,)
+    assert all("entries" in vars(c) for c in batch[:2])
