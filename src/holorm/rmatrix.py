@@ -153,21 +153,23 @@ class CrossingData:
     @cached_property
     def flattening_batch(self) -> Flattening:
         """The four region flattenings of a non-pinched crossing, in REGIONS
-        order, as one batch; errors out at pinched data.  Built on first use
-        and cached on the (frozen) crossing, so rmat, factorized_ops,
-        logdet_braiding and the CLI share it."""
+        order, as one batch, checked once; errors out at pinched data.
+        build_crossings is its one writer (on this crossing alone, unless a
+        batch filled it), so rmat, factorized_ops, logdet_braiding and the
+        CLI share it."""
         if self.pinched:
             raise _pinched_error(self)
-        z0, z1 = self.zeta0(), self.zeta1()
-        return Flattening(np.array([z0[r] for r in REGIONS]),
-                          np.array([z1[r] for r in REGIONS]), tol=1e-7)
+        build_crossings([self])
+        return self.flattening_batch  # build cached it
 
     @cached_property
     def lambda_tables(self) -> np.ndarray:
         """The four region Lambda tables of flattening_batch, in REGIONS
-        order (shape (4, N)), from one lambda_table pass; cached and read
-        only, so rmat and factorized_ops share it."""
-        return _read_only(lambda_table(self.cfg, self.flattening_batch))
+        order (shape (4, N)), read only; build_crossings is their one
+        writer, with the flattening, so rmat and factorized_ops share
+        them."""
+        self.flattening_batch  # builds the crossing, tables included
+        return self.lambda_tables
 
     @cached_property
     def lifted_dilogs(self) -> np.ndarray:
@@ -179,8 +181,9 @@ class CrossingData:
     @cached_property
     def entries(self) -> np.ndarray:
         """The (N^2, N^2) entries of the crossing's R-matrix, the generic
-        form or, at a pinched crossing, the pinched one: build on this
-        crossing alone, cached and read only."""
+        form or, at a pinched crossing, the pinched one, read only;
+        build_crossings is their one writer (on this crossing alone, unless
+        a batch filled them)."""
         build_crossings([self])
         return self.entries  # build cached it
 
@@ -332,12 +335,13 @@ def _batches(items: list, N: int) -> list:
 def build_crossings(crossings) -> None:
     """Evaluate the R-matrices of crossings of one N in one pass, and cache
     each on its crossing (CrossingData.entries, what rmat, rmat_pinched and
-    braiding_op read).
+    braiding_op read).  It is the one writer of a crossing's entries and of
+    a generic crossing's flattening_batch and lambda_tables, and fills the
+    three together.
 
-    The region flattenings of the generic crossings whose Lambda tables are
-    not cached are stacked into one Flattening, checked once, with one
-    lambda_table call (filling their cached flattening_batch and
-    lambda_tables); the pinched tables are one lambda_series call; each
+    The region flattenings of the generic crossings are stacked into one
+    Flattening, checked once, with one lambda_table call; the pinched
+    tables are one lambda_series call; each
     (sign, integral zeta0 shifts) group is one broadcast pass of _assemble
     per run of _batches.  Every entry has the bits the crossing alone gets,
     and a crossing whose entries are cached is not evaluated again.
@@ -366,8 +370,7 @@ def build_crossings(crossings) -> None:
             raise fault
         return
     cfg = todo[0].cfg
-    # the generic crossings whose Lambda tables are not cached yet
-    fresh = [i for i, c in enumerate(todo) if not c.pinched and "lambda_tables" not in vars(c)]
+    fresh = [i for i, c in enumerate(todo) if not c.pinched]
     if fresh:
         # the four region flattenings of each crossing, one after the other
         z0, z1 = (np.array([zetas[i][k][r] for i in fresh for r in REGIONS])
@@ -381,17 +384,11 @@ def build_crossings(crossings) -> None:
             f = Flattening._checked(z0[:4 * len(fresh)], z1[:4 * len(fresh)], 1e-7)
     if fresh:
         lam = _read_only(lambda_table(cfg, f).reshape(-1, 4, cfg.N))
-        for j, i in enumerate(fresh):
-            cache = vars(todo[i])
-            cache.setdefault("flattening_batch", Flattening._checked(
-                z0[4 * j:4 * j + 4], z1[4 * j:4 * j + 4], 1e-7))
-            cache["lambda_tables"] = lam[j]
     tables = [None] * len(todo)
-    for i, c in enumerate(todo):
-        if not c.pinched:
-            f = c.flattening_batch
-            tables[i] = c.lambda_tables
-            zetas[i] = tuple(dict(zip(REGIONS, v.tolist())) for v in (f.zeta0, f.zeta1))
+    for j, i in enumerate(fresh):
+        vars(todo[i]).update(flattening_batch=Flattening._checked(
+            z0[4 * j:4 * j + 4], z1[4 * j:4 * j + 4], 1e-7), lambda_tables=lam[j])
+        tables[i] = lam[j]
     pinched = [i for i, c in enumerate(todo) if c.pinched]
     if pinched:  # their tables: lambda_series at kappa = 0, one call
         series = lambda_series(cfg, 1.0, 0.0, np.array(

@@ -460,16 +460,18 @@ def check_weylrep(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
         out.note("Casimir scalar", _mrel(g.Omega, cas[:, None, None] * eyeN))
         out.note("central scalars", [_mrel(matrix_power(M, N), sc[:, None, None] * eyeN)
                                      for M, sc in zip((g.K, g.E, g.F), _central_scalars(el1))])
-    # tensor grading; g holds the FOURIER matrices of lc
+    # tensor grading; g holds the FOURIER matrices of lc.  Its N^2 x N^2
+    # stacks are formed in runs of _batches, each array within 128 KiB
     g2 = rep_matrices(cfg, lc2, Basis.FOURIER)
-    K12 = _kron(g.K, g2.K)
-    E12 = _kron(g.E, g2.K) + _kron(eyeN, g2.E)
-    F12 = _kron(g.F, eyeN) + _kron(np.linalg.inv(g.K), g2.F)
+    scalars = _central_scalars(char_product(el1, el2))
     eye2 = np.eye(N * N)
-    out.note("tensor grading", np.max(
-        [_mrel(matrix_power(M, N), sc[:, None, None] * eye2)
-         for M, sc in zip((K12, E12, F12), _central_scalars(char_product(el1, el2)))],
-        axis=0))
+    for t in _batches(list(range(trials)), N):
+        K, E, F, K2, E2, F2 = (m[t] for m in (g.K, g.E, g.F, g2.K, g2.E, g2.F))
+        M12 = (_kron(K, K2), _kron(E, K2) + _kron(eyeN, E2),
+               _kron(F, eyeN) + _kron(np.linalg.inv(K), F2))
+        out.note("tensor grading", np.max(
+            [_mrel(matrix_power(M, N), sc[t, None, None] * eye2)
+             for M, sc in zip(M12, scalars)], axis=0))
     # commutant probes across the scalar/parabolic/reducible cases, one stack
     cases = np.array([(-0.5, 0.0, -0.5), (0.31, 0.11, 0.5), (0.5, 0.37, 0.5)])
     dims = commutant_dim(rep_matrices(
@@ -923,9 +925,8 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
         lc = sampling.pinned_coloring(loop, top, top, lc.mu, [0.0, 0.0, 0.0])
         if lc is not None:
             closed.append(lc)
-    for lc in closed:
-        prod = np.exp(sum(logdet_braiding(crossing_data(cfg, loop, lc, c))
-                          for c in loop.crossings))
+    for cds in word_crossings(cfg, *[(loop, lc) for lc in closed]):
+        prod = np.exp(sum(logdet_braiding(cd) for cd in cds))
         out.note("determinant cocycle", min(abs(prod - 1.0), abs(prod + 1.0)))
     return out
 

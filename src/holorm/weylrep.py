@@ -147,9 +147,6 @@ def _checked_inv(g: np.ndarray, what: str) -> np.ndarray:
     if np.any(np.linalg.cond(g) > COND_MAX):
         raise ValueError(f"{what} is numerically singular")
     return np.linalg.inv(g)
-    if gi is None or np.any(np.linalg.cond(g) > COND_MAX):
-        raise ValueError(f"{what} is numerically singular")
-    return gi
 
 
 def rw_images(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,

@@ -617,3 +617,14 @@ def test_a_word_is_built_in_one_pass(rng, monkeypatch):
     assert len(calls) == 1
     with pytest.raises(ValueError, match="4 crossings given for a word of 5"):
         braidgrpd._apply_crossings(cfg, d, cds[:4], V)
+
+
+def test_each_braid_row_builds_its_trial_set_in_one_pass(monkeypatch):
+    # R2 move, composition, log-decoration dependence, R3 move and the
+    # determinant cocycle (two closed words of six crossings): one
+    # lambda_table call per row, none per crossing
+    calls = []
+    real = rmatrix.lambda_table
+    monkeypatch.setattr(rmatrix, "lambda_table", lambda *a: calls.append(a) or real(*a))
+    check_braidgrpd(RootConfig(3), np.random.default_rng(1), 4)
+    assert [np.shape(f.zeta0) for _, f in calls] == [(32,), (32,), (96,), (96,), (2 * 6 * 4,)]

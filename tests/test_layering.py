@@ -7,7 +7,8 @@ characters, rmatrix and braidgrpd compute R-matrices and state sums without
 them.  numpy is the one declared runtime dependency.  Every import statement
 counts, at module level or inside a function.  Every public function and
 class of the runtime modules is read by runtime code, or named with its
-reason in UNREAD_BY_RUNTIME.
+reason in UNREAD_BY_RUNTIME.  No module holds a statement that cannot run
+because it follows a return, raise, continue or break in its block.
 """
 
 import ast
@@ -93,3 +94,22 @@ def test_every_public_runtime_name_is_read_by_runtime_code():
               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
               and not stmt.name.startswith("_")}
     assert public - read == set(UNREAD_BY_RUNTIME)
+
+
+def _unreachable(path) -> list:
+    """'file:line' of each statement that follows a return, raise, continue
+    or break in the same block of path's module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        for _, block in ast.iter_fields(node):
+            if not (isinstance(block, list) and block and isinstance(block[0], ast.stmt)):
+                continue
+            for before, stmt in zip(block, block[1:]):
+                if isinstance(before, (ast.Return, ast.Raise, ast.Continue, ast.Break)):
+                    found.append(f"{path.name}:{stmt.lineno}")
+                    break
+    return found
+
+
+def test_no_statement_follows_a_jump_in_its_block():
+    assert [at for path in sorted(SRC.glob("*.py")) for at in _unreachable(path)] == []

@@ -620,6 +620,25 @@ def test_a_built_crossing_is_not_evaluated_again(rng, monkeypatch):
         rmatrix.build_crossings([random_crossing(RootConfig(3), rng), cs[0]])
 
 
+@pytest.mark.parametrize("read", ["flattening_batch", "lambda_tables"])
+def test_reading_a_crossings_tables_builds_the_crossing(read, rng, monkeypatch):
+    # build_crossings is the one writer of a generic crossing's flattening,
+    # Lambda tables and entries, and fills the three together
+    calls = []
+    real = rmatrix.lambda_table
+    monkeypatch.setattr(rmatrix, "lambda_table", lambda *a: calls.append(a) or real(*a))
+    c = random_crossing(RootConfig(3), rng, -1)
+    getattr(c, read)
+    assert len(calls) == 1
+    assert {"flattening_batch", "lambda_tables", "entries"} <= vars(c).keys()
+    rmat(c), factorized_ops(c), logdet_braiding(c)
+    assert len(calls) == 1
+    cs = _mixed_crossings(RootConfig(3), rng)
+    rmatrix.build_crossings(cs)
+    assert all({"flattening_batch", "lambda_tables"} <= vars(c).keys()
+               for c in cs if not c.pinched)
+
+
 def test_a_failing_batch_raises_the_error_of_its_first_failing_crossing():
     # the near-pinched crossings of test_cli: at t = 3e-9 a dilogarithm
     # pole, at t = 1e-9 the flattening constraint.  Stacked, the later
