@@ -30,7 +30,8 @@ import numpy as np
 
 from .characters import LogWeylChar, braid
 from .qdilog import RootConfig, TWO_PI_I
-from .rmatrix import CrossingData, braiding_op, build_crossings, crossing_from_logs
+from .rmatrix import (CrossingData, _half_longitudes, braiding_op, build_crossings,
+                      crossing_from_logs)
 
 
 class InadmissibleColoringError(ValueError):
@@ -284,13 +285,11 @@ def word_crossings(cfg: RootConfig, *colored: tuple) -> list:
 
 def log_longitudes(d: DiagramGraph, lc: LogColoring) -> list:
     """lambda per component: half-sum of signed betas over half-segments."""
-    lam = [0.0 + 0.0j] * d.width
+    lam, b = [0.0 + 0.0j] * d.width, lc.beta
     for c in d.crossings:
-        e = c.sign
-        comp1 = d.seg_component[c.seg1]
-        comp2 = d.seg_component[c.seg2]
-        lam[comp1] += 0.5 * e * (lc.beta[c.seg1p] - lc.beta[c.seg1])
-        lam[comp2] += 0.5 * e * (lc.beta[c.seg2] - lc.beta[c.seg2p])
+        lam1, lam2 = _half_longitudes(c.sign, b[c.seg1], b[c.seg2], b[c.seg1p], b[c.seg2p])
+        lam[d.seg_component[c.seg1]] += lam1
+        lam[d.seg_component[c.seg2]] += lam2
     return lam
 
 

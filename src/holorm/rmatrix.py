@@ -50,6 +50,12 @@ MERIDIAN_TOL = 1e-10  # |mu_i - mu_i'|: a strand keeps its meridian log
 ALPHA_TOL = 1e-8      # |alpha - region difference| of a segment
 
 
+def _half_longitudes(sign: int, b1, b2, b1p, b2p) -> tuple:
+    """A crossing's half-longitude terms (lambda1, lambda2) of its two
+    strands, from the betas of its segments 1, 2, 1', 2'."""
+    return 0.5 * sign * (b1p - b1), 0.5 * sign * (b2 - b2p)
+
+
 @dataclass(frozen=True)
 class CrossingData:
     """Everything needed to assemble one R-matrix.
@@ -139,9 +145,8 @@ class CrossingData:
 
     def log_longitudes(self) -> tuple:
         """Per-strand half-longitude contributions (lambda1, lambda2)."""
-        e = self.sign
-        return (0.5 * e * (self.lc1p.beta - self.lc1.beta),
-                0.5 * e * (self.lc2.beta - self.lc2p.beta))
+        return _half_longitudes(self.sign, self.lc1.beta, self.lc2.beta,
+                                self.lc1p.beta, self.lc2p.beta)
 
     def integral_zeta0(self) -> dict:
         """{region: integer} for each zeta^0 within 1e-7 of an integer; the one
@@ -318,10 +323,11 @@ def _assemble(cfg: RootConfig, sign: int, shifts: tuple, tables: np.ndarray,
     return R.reshape(-1, N * N, N * N)
 
 
-# complex entries of the largest array a batched pass makes (128 KiB): up
-# to that size glibc's malloc serves numpy from its heap, while a larger
-# temporary is mapped afresh and page-faulted on every pass; a pass of 7
-# crossings at N = 9 took 890 us, against 64 us for one crossing.
+# complex entries of the largest array a batched pass makes (128 KiB), for
+# memory: a pass's temporaries grow with its batch, so one build_crossings
+# pass of 8 crossings at N = 32 peaked at 236-245 MB RSS, against 188-190
+# MB in runs.  Not for speed: 7 crossings at N = 9 (one per run) built in
+# the same time in one pass, in steady state.
 BATCH_ENTRIES = 1 << 13
 
 

@@ -94,25 +94,17 @@ def braid_relation_deviation(cfg: RootConfig, B) -> float:
     return _sum_dev(word(0, 1, 0), word(1, 0, 1))
 
 
-def _norms(X: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a stack, with the bits
-    np.linalg.norm gives the matrix alone (its axis form sums differently)."""
-    return np.array([np.linalg.norm(x) for x in X])
-
-
 def _det_deviation(cs: list, Bs: list) -> np.ndarray:
     """|det_closed / det_LU - 1| for each crossing c of cs and its braiding
     B in Bs, in units of the error LU may make, 1e-10 + n eps cond_1(B) for
-    the n x n operator; LU and cond_1 run on stacks (runs of _batches).  It
-    is formed from logarithms, so it stays finite where the determinants
-    overflow."""
+    the n x n operator.  It is formed from logarithms, so it stays finite
+    where the determinants overflow."""
     dev = []
-    for run in _batches(list(zip(cs, Bs)), cs[0].cfg.N):
-        ops = np.array([B.as_operator() for _, B in run])
-        s, logabs = np.linalg.slogdet(ops)
-        bound = 1e-10 + ops.shape[-1] * np.finfo(float).eps * np.linalg.cond(ops, 1)
-        dev += [abs(np.exp(logdet_braiding(c) - la) / si - 1.0) / b
-                for (c, _), si, la, b in zip(run, s, logabs, bound)]
+    for c, B in zip(cs, Bs):
+        op = B.as_operator()
+        s, logabs = np.linalg.slogdet(op)
+        bound = 1e-10 + len(op) * np.finfo(float).eps * np.linalg.cond(op, 1)
+        dev.append(abs(np.exp(logdet_braiding(c) - logabs) / s - 1.0) / bound)
     return np.array(dev)
 
 
@@ -157,17 +149,17 @@ def r2_backward_error(*cs: CrossingData) -> np.ndarray:
 
     B is the braiding of a positive crossing c and B' that of the negative
     crossing undoing it; the crossings and their partners are one
-    build_crossings pass, and the products stacked matmuls (runs of
-    _batches).  Unlike the entrywise residual, this stays near machine
-    precision however badly conditioned B is.
+    build_crossings pass.  Unlike the entrywise residual, this stays near
+    machine precision however badly conditioned B is.
     """
     partners = [CrossingData(c.cfg, -1, c.lc2p, c.lc1p, c.lc2, c.lc1,
                              c.gamma_n, c.gamma_e, c.gamma_s, c.gamma_w) for c in cs]
     build_crossings(list(cs) + partners)
     dev = []
-    for run in _batches(list(zip(cs, partners)), cs[0].cfg.N):
-        B, Binv = (np.array([braiding_op(c).as_operator() for c in x]) for x in zip(*run))
-        dev += list(_norms(Binv @ B - np.eye(B.shape[-1])) / (_norms(Binv) * _norms(B)))
+    for c, p in zip(cs, partners):
+        B, Binv = braiding_op(c).as_operator(), braiding_op(p).as_operator()
+        dev.append(np.linalg.norm(Binv @ B - np.eye(len(B)))
+                   / (np.linalg.norm(Binv) * np.linalg.norm(B)))
     return np.array(dev)
 
 
@@ -461,7 +453,9 @@ def check_weylrep(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
         out.note("central scalars", [_mrel(matrix_power(M, N), sc[:, None, None] * eyeN)
                                      for M, sc in zip((g.K, g.E, g.F), _central_scalars(el1))])
     # tensor grading; g holds the FOURIER matrices of lc.  Its N^2 x N^2
-    # stacks are formed in runs of _batches, each array within 128 KiB
+    # stacks are formed in runs of _batches, each array within 128 KiB, to
+    # bound peak memory: at N = 32 this suite peaked at 529 MB, 601 MB in
+    # one stack
     g2 = rep_matrices(cfg, lc2, Basis.FOURIER)
     scalars = _central_scalars(char_product(el1, el2))
     eye2 = np.eye(N * N)
@@ -528,29 +522,19 @@ def transform_rules(c: CrossingData, R: RTensor, gamma_shifts: dict = None,
     return shifted, pred.reshape(N * N, N * N)
 
 
-def _stacked(lcs: list) -> LogWeylChar:
-    """One LogWeylChar whose logs are arrays over the log-characters lcs."""
-    return LogWeylChar(*(np.array([getattr(lc, f) for lc in lcs])
-                         for f in ("alpha", "beta", "mu")))
-
-
 def _intertwining_rows(cfg: RootConfig, cs: list, out: _Worst) -> None:
-    """The intertwining row of the built crossings cs: per sign, the images
-    of the generators on stacks of the crossings' modules (runs of
-    _batches), and a normwise backward error, like R2 contraction (R is
-    badly conditioned at large N)."""
-    for sign, images in ((+1, rw_images), (-1, rw_images_negative)):
-        for at in _batches([c for c in cs if c.sign == sign], cfg.N):
-            lc1, lc2, lc1p, lc2p = (_stacked([getattr(c, k) for c in at])
-                                    for k in ("lc1", "lc2", "lc1p", "lc2p"))
-            piu = pi_tensor(cfg, lc1, lc2)
-            imgs = images(cfg, lc1, lc2, lc1p, lc2p)
-            act = np.array([rmat(c).as_operator() for c in at])
-            act_norm = _norms(act)
-            for key in ("x1", "x2", "y1inv", "y2", "z1", "z2"):
-                pi, rho = piu[key], imgs[key]
-                out.note("intertwining", _norms(act @ pi - rho @ act) / (
-                    act_norm * (_norms(pi) + _norms(rho))))
+    """The intertwining row of the built crossings cs, crossing by
+    crossing: a normwise backward error, like R2 contraction (R is badly
+    conditioned at large N)."""
+    for c in cs:
+        images = rw_images if c.sign > 0 else rw_images_negative
+        piu = pi_tensor(cfg, c.lc1, c.lc2)
+        imgs = images(cfg, c.lc1, c.lc2, c.lc1p, c.lc2p)
+        act = rmat(c).as_operator()
+        for key in ("x1", "x2", "y1inv", "y2", "z1", "z2"):
+            pi, rho = piu[key], imgs[key]
+            out.note("intertwining", np.linalg.norm(act @ pi - rho @ act) / (
+                np.linalg.norm(act) * (np.linalg.norm(pi) + np.linalg.norm(rho))))
 
 
 def _generic_rows(cfg: RootConfig, rng: np.random.Generator, trials: int,
@@ -600,8 +584,8 @@ def _shift_rows(cs: list, shifts: list, out: _Worst) -> None:
 def check_rmatrix(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
     """Each trial set at once.  The loops only draw, as the scalar suite
     drew; a set's crossings, with the variants its identities compare, are
-    then one build_crossings pass, and the identities read them, as stacks
-    (axis 0 over the crossings) where a kernel takes them."""
+    then one build_crossings pass, and the identities read the built
+    crossings one by one."""
     N = cfg.N
     w = cfg.omega_pow
     out = _Worst()
@@ -703,13 +687,10 @@ def _pinched_limit(cfg: RootConfig, cpin: CrossingData) -> np.ndarray:
     ts = [1e-2 / 2 ** k for k in range(7)]
     nodes = [perturbed(t) for t in ts]
     build_crossings([cpin] + nodes)
-    tab = np.array([rmat(c).entries for c in nodes])
-    t = np.array(ts)[:, None, None]
-    for j in range(1, len(ts)):  # column j of the table, rows j.. at once
-        d = tab[j:] - tab[j - 1:-1]
-        d *= t[j:]
-        d /= t[:-j] - t[j:]
-        tab[j:] += d
+    tab = [rmat(c).entries for c in nodes]
+    for j in range(1, len(tab)):
+        for i in range(len(tab) - 1, j - 1, -1):
+            tab[i] = tab[i] + (tab[i] - tab[i - 1]) * ts[i] / (ts[i - j] - ts[i])
     return tab[-1]
 
 

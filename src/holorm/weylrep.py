@@ -106,11 +106,11 @@ def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _pi2(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, inverted: tuple) -> tuple:
-    """Tensor-product matrices {x1, x2, y1, y2, z1, z2} of the elementary
-    generators on V(lc1) (x) V(lc2), and the inverses of those named in
-    inverted: the kron of the inverted N x N factor with the identity,
-    never an inverse of the N^2 x N^2 product.  Logs that are arrays give
-    stacks."""
+    """Tensor-product matrices {x1, y1, z1, x2, y2, z2} (in that order) of
+    the elementary generators on V(lc1) (x) V(lc2), and the inverses of
+    those named in inverted (in its order): the kron of the inverted N x N
+    factor with the identity, never an inverse of the N^2 x N^2 product.
+    Logs that are arrays give stacks."""
     eye = np.eye(cfg.N, dtype=complex)
     factors = {}
     for i, lc in (("1", lc1), ("2", lc2)):
@@ -133,15 +133,6 @@ def pi_tensor(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar) -> dict:
 COND_MAX = 1e12  # condition number beyond which a braiding element g counts as singular
 
 
-def _primed_generators(cfg: RootConfig, lc1p: LogWeylChar, lc2p: LogWeylChar,
-                       inverted: tuple) -> tuple:
-    """(x1, x2, y1, y2, z1, z2) in the output representation, and the
-    inverses of those named in inverted, in that order."""
-    gens, invs = _pi2(cfg, lc1p, lc2p, inverted)
-    return (tuple(gens[k] for k in ("x1", "x2", "y1", "y2", "z1", "z2")),
-            tuple(invs[k] for k in inverted))
-
-
 def _checked_inv(g: np.ndarray, what: str) -> np.ndarray:
     """inv(g), of each matrix of a stack, unless some cond_2(g) > COND_MAX."""
     if np.any(np.linalg.cond(g) > COND_MAX):
@@ -158,8 +149,8 @@ def rw_images(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
     representation attached to the *output* log-characters (lc1p, lc2p).
     Logs that are arrays give a stack of images per generator.
     """
-    (x1, x2, y1, y2, z1, z2), (x1i, x2i, y1i, y2i, z2i) = _primed_generators(
-        cfg, lc1p, lc2p, ("x1", "x2", "y1", "y2", "z2"))
+    (x1, y1, z1, x2, y2, z2), (x1i, x2i, y1i, y2i, z2i) = (
+        m.values() for m in _pi2(cfg, lc1p, lc2p, ("x1", "x2", "y1", "y2", "z2")))
     eye = np.eye(x1.shape[-1], dtype=complex)
     g = eye - x1i @ y1 @ (z1 - x1) @ y2i @ (x2 - z2i)
     gi = _checked_inv(g, "braiding element g")
@@ -184,8 +175,8 @@ def rw_images_negative(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
     with g = 1 - y2 (z2 - x2) y1^{-1} (1 - (z1 x1)^{-1}), evaluated in the
     output representation (stacks, for logs that are arrays).
     """
-    (x1, x2, y1, y2, z1, z2), (x1i, x2i, y1i, y2i, z1i) = _primed_generators(
-        cfg, lc1p, lc2p, ("x1", "x2", "y1", "y2", "z1"))
+    (x1, y1, z1, x2, y2, z2), (x1i, x2i, y1i, y2i, z1i) = (
+        m.values() for m in _pi2(cfg, lc1p, lc2p, ("x1", "x2", "y1", "y2", "z1")))
     eye = np.eye(x1.shape[-1], dtype=complex)
     g = eye - y2 @ (z2 - x2) @ y1i @ (eye - z1i @ x1i)
     gi = _checked_inv(g, "negative braiding element")

@@ -152,6 +152,24 @@ def test_log_longitudes_negative_example(rng):
     assert abs(lam[2] - 0.5 * (lc.beta[c.seg2p] - lc.beta[c.seg2])) < 1e-14
 
 
+@pytest.mark.parametrize("word", [BraidWord(2, (1, -1, 1)), BraidWord(3, (1, -2, 1, 2)),
+                                  BraidWord(3, (-1, -2)), BraidWord(4, (1, -3, 2, -1, 3)),
+                                  BraidWord(4, (-2, 3, -1))])
+def test_log_longitudes_sum_the_crossings_half_longitudes(word, rng):
+    # each component's log-longitude is the sum of the CrossingData
+    # half-longitude terms of the crossings its strands pass through
+    cfg = RootConfig(3)
+    d = build_diagram(word)
+    for _ in range(3):
+        lc = random_coloring(cfg, d, rng)
+        lam = [0j] * d.width
+        for c in d.crossings:
+            lam1, lam2 = crossing_data(cfg, d, lc, c).log_longitudes()
+            lam[d.seg_component[c.seg1]] += lam1
+            lam[d.seg_component[c.seg2]] += lam2
+        assert max(abs(x - y) for x, y in zip(log_longitudes(d, lc), lam)) <= 1e-14
+
+
 def test_jfunc_identity_word(rng):
     cfg = RootConfig(3)
     d = build_diagram(BraidWord(2, ()))

@@ -205,7 +205,9 @@ def test_stacked_images_equal_the_single_ones(sign, rng):
     cfg = RootConfig(4)
     images = rw_images if sign > 0 else rw_images_negative
     cs = [random_crossing(cfg, rng, sign) for _ in range(3)]
-    segs = [selftest._stacked([getattr(c, k) for c in cs]) for k in ("lc1", "lc2", "lc1p", "lc2p")]
+    segs = [LogWeylChar(*(np.array([getattr(getattr(c, k), f) for c in cs])
+                          for f in ("alpha", "beta", "mu")))
+            for k in ("lc1", "lc2", "lc1p", "lc2p")]
     piu, imgs = pi_tensor(cfg, *segs[:2]), images(cfg, *segs)
     for i, c in enumerate(cs):
         one_pi = pi_tensor(cfg, c.lc1, c.lc2)
