@@ -298,6 +298,10 @@ def lifted_dilog(f: Flattening):
     L = Li2(e^{2 pi i zeta0}) + (2 pi i)^2/2 zeta0 zeta1
         + 2 pi i zeta0 Log(1 - e^{2 pi i zeta0}),  principal Log.
     Guard: e^(2 pi i zeta0) and 1 - e^(2 pi i zeta0) are at least 1e-12 off 0.
+    Where zeta0 crosses Re zeta0 = k, an integer, from below k to above it
+    at Im zeta0 < 0, e^(2 pi i zeta0) crosses the cuts of Li2 and Log, and
+    L, with zeta1 continued across, jumps by 4 pi^2 k; at k = 0 or Im zeta0
+    > 0 it is continuous.
     """
     tz = TWO_PI_I * _cdim(f.zeta0)
     z = np.exp(tz)

@@ -279,13 +279,13 @@ def _region_layout(N: int, sign: int, shifts: tuple) -> tuple:
 
 
 def _region_ratio(layout: dict, tables: dict, num):
-    """num * prod_r tables[r][:, k_r mod N]^p_r, formed as one quotient of
-    the numerator and denominator products in table order, in place of the
-    numerator; tables[r] has one row per crossing (take reads it several
-    times faster than indexing does, at a few crossings)."""
+    """num * prod_r tables[r][k_r mod N]^p_r, formed as one quotient of the
+    numerator and denominator products in table order, in place of the
+    numerator (take reads a table several times faster than indexing
+    does)."""
     den = 1
     for r, (k, _, p) in layout.items():
-        val = tables[r].take(k, axis=1)
+        val = tables[r].take(k)
         if p > 0:
             num = num * val
         else:
@@ -294,10 +294,10 @@ def _region_ratio(layout: dict, tables: dict, num):
 
 
 def _assemble(cfg: RootConfig, sign: int, shifts: tuple, tables: np.ndarray,
-              zetas: list) -> np.ndarray:
-    """Entries (B, N^2, N^2) of B crossings of one sign and one tuple of
-    integral zeta0 shifts (None: generic), from their region tables (B, 4,
-    N) and their (zeta0, zeta1) dicts, in one broadcast pass.
+              z0: dict, z1: dict) -> np.ndarray:
+    """Entries (N^2, N^2) of one crossing of the given sign and integral
+    zeta0 shifts (None: generic), from its four region tables (4, N) and
+    its zeta0 and zeta1 dicts.
 
     Generic crossings read the Lambda tables at k_r = d_r + offset_r.  At a
     pinched crossing zeta0_r is an integer n_r and the divergent part kappa
@@ -309,33 +309,14 @@ def _assemble(cfg: RootConfig, sign: int, shifts: tuple, tables: np.ndarray,
     """
     N = cfg.N
     layout, w_dw, support = _region_layout(N, sign, shifts or (0, 0, 0, 0))
-    pref = []
-    for z0, z1 in zetas:
-        expo = (N - 1) * sum(p * z[r] for r, (_, off, p) in layout.items() if off
-                             for z in (z0, z1))
-        if shifts:
-            expo += sum(p * z0[r] * z1[r] for r, (_, _, p) in layout.items()) / 2.0
-        pref.append(cfg.omega_pow(expo) / N)
-    R = _region_ratio(layout, {r: tables[:, j] for j, r in enumerate(REGIONS)},
-                      np.array(pref)[:, None, None, None, None] * w_dw)
+    expo = (N - 1) * sum(p * z[r] for r, (_, off, p) in layout.items() if off
+                         for z in (z0, z1))
+    if shifts:
+        expo += sum(p * z0[r] * z1[r] for r, (_, _, p) in layout.items()) / 2.0
+    R = _region_ratio(layout, dict(zip(REGIONS, tables)), cfg.omega_pow(expo) / N * w_dw)
     if shifts:
         np.copyto(R, 0.0, where=~support)
-    return R.reshape(-1, N * N, N * N)
-
-
-# complex entries of the largest array a batched pass makes (128 KiB), for
-# memory: a pass's temporaries grow with its batch, so one build_crossings
-# pass of 8 crossings at N = 32 peaked at 236-245 MB RSS, against 188-190
-# MB in runs.  Not for speed: 7 crossings at N = 9 (one per run) built in
-# the same time in one pass, in steady state.
-BATCH_ENTRIES = 1 << 13
-
-
-def _batches(items: list, N: int) -> list:
-    """items cut into runs of at most BATCH_ENTRIES // N^4 (at least one):
-    passes whose stacks of N^2 x N^2 arrays keep within BATCH_ENTRIES."""
-    step = max(1, BATCH_ENTRIES // N ** 4)
-    return [items[i:i + step] for i in range(0, len(items), step)]
+    return R.reshape(N * N, N * N)
 
 
 def build_crossings(crossings) -> None:
@@ -347,10 +328,11 @@ def build_crossings(crossings) -> None:
 
     The region flattenings of the generic crossings are stacked into one
     Flattening, checked once, with one lambda_table call; the pinched
-    tables are one lambda_series call; each
-    (sign, integral zeta0 shifts) group is one broadcast pass of _assemble
-    per run of _batches.  Every entry has the bits the crossing alone gets,
-    and a crossing whose entries are cached is not evaluated again.
+    tables are one lambda_series call.  Then _assemble forms the entries
+    one crossing at a time, so a pass holds the temporaries of one
+    crossing, whatever its length.  Every entry has the bits the crossing
+    alone gets, and a crossing whose entries are cached is not evaluated
+    again.
 
     A batch that fails raises the error of its first failing crossing, the
     one a crossing-by-crossing loop meets first, and evaluates nothing
@@ -388,28 +370,20 @@ def build_crossings(crossings) -> None:
             cut = fresh[entry // 4]
             del todo[cut:], zetas[cut:], fresh[entry // 4:]
             f = Flattening._checked(z0[:4 * len(fresh)], z1[:4 * len(fresh)], 1e-7)
-    if fresh:
-        lam = _read_only(lambda_table(cfg, f).reshape(-1, 4, cfg.N))
-    tables = [None] * len(todo)
-    for j, i in enumerate(fresh):
-        vars(todo[i]).update(flattening_batch=Flattening._checked(
-            z0[4 * j:4 * j + 4], z1[4 * j:4 * j + 4], 1e-7), lambda_tables=lam[j])
-        tables[i] = lam[j]
-    pinched = [i for i, c in enumerate(todo) if c.pinched]
-    if pinched:  # their tables: lambda_series at kappa = 0, one call
-        series = lambda_series(cfg, 1.0, 0.0, np.array(
-            [[zetas[i][1][r] for r in REGIONS] for i in pinched]))
-        for j, i in enumerate(pinched):
-            tables[i] = series[j]
-    groups = {}  # (sign, integral zeta0 or None) -> [(crossing, tables, zetas)]
-    for c, t, z in zip(todo, tables, zetas):
-        shifts = tuple(z[0][r] for r in REGIONS) if c.pinched else None
-        groups.setdefault((c.sign, shifts), []).append((c, t, z))
-    for (sign, shifts), members in groups.items():
-        for part in _batches(members, cfg.N):
-            cs, ts, zs = zip(*part)
-            for c, ent in zip(cs, _read_only(_assemble(cfg, sign, shifts, np.array(ts), zs))):
-                vars(c)["entries"] = ent
+    lam = iter(_read_only(lambda_table(cfg, f).reshape(-1, 4, cfg.N)) if fresh else ())
+    # the pinched tables: lambda_series at kappa = 0, one call
+    pinched = [[z[1][r] for r in REGIONS] for c, z in zip(todo, zetas) if c.pinched]
+    series = iter(lambda_series(cfg, 1.0, 0.0, np.array(pinched)) if pinched else ())
+    i = 0  # the crossing's first flattening in z0 and z1
+    for c, (a, b) in zip(todo, zetas):
+        if c.pinched:
+            shifts, tables = tuple(a[r] for r in REGIONS), next(series)
+        else:
+            shifts, tables = None, next(lam)
+            vars(c).update(flattening_batch=Flattening._checked(
+                z0[i:i + 4], z1[i:i + 4], 1e-7), lambda_tables=tables)
+            i += 4
+        vars(c)["entries"] = _read_only(_assemble(cfg, c.sign, shifts, tables, a, b))
     if fault is not None:
         raise fault
 
@@ -525,6 +499,8 @@ def logdet_braiding(c: CrossingData) -> complex:
     with I(c) = L(zeta_N) + L(zeta_S) - L(zeta_W) - L(zeta_E) and the
     half-longitudes lambda_i of the two strands.  |det| grows like
     10^(N^2/2), past the double range from N ~ 26, while this stays finite.
+    A jump of a lifted dilogarithm by 4 pi^2 k (see lifted_dilog) moves
+    this only by 2 pi i N k, a multiple of 2 pi i.
     """
     N = c.cfg.N
     e = c.sign

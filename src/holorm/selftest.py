@@ -35,7 +35,7 @@ from .characters import LogWeylChar, braid, braid_coords
 from .qdilog import (ConstraintViolationError, Flattening, RootConfig, TWO_PI_I,
                      cyc_dilog, d_const, fusion_f, lambda_table, lifted_dilog, s_norm)
 from .rmatrix import (REGIONS, CrossingData, FactorOps, PinchedCrossingError,
-                      RTensor, _batches, _index_grids, _region_terms, braiding_op,
+                      RTensor, _index_grids, _region_terms, braiding_op,
                       build_crossings, crossing_from_logs, factorized_ops,
                       kashaev_crossing, kashaev_rmat, logdet_braiding, rmat,
                       rmat_pinched)
@@ -453,13 +453,14 @@ def check_weylrep(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
         out.note("central scalars", [_mrel(matrix_power(M, N), sc[:, None, None] * eyeN)
                                      for M, sc in zip((g.K, g.E, g.F), _central_scalars(el1))])
     # tensor grading; g holds the FOURIER matrices of lc.  Its N^2 x N^2
-    # stacks are formed in runs of _batches, each array within 128 KiB, to
-    # bound peak memory: at N = 32 this suite peaked at 529 MB, 601 MB in
+    # stacks are formed in runs of step trials, each array within 128 KiB,
+    # to bound peak memory: at N = 32 this suite peaked at 529 MB, 601 MB in
     # one stack
     g2 = rep_matrices(cfg, lc2, Basis.FOURIER)
     scalars = _central_scalars(char_product(el1, el2))
     eye2 = np.eye(N * N)
-    for t in _batches(list(range(trials)), N):
+    step = max(1, 8192 // N ** 4)
+    for t in (slice(i, i + step) for i in range(0, trials, step)):
         K, E, F, K2, E2, F2 = (m[t] for m in (g.K, g.E, g.F, g2.K, g2.E, g2.F))
         M12 = (_kron(K, K2), _kron(E, K2) + _kron(eyeN, E2),
                _kron(F, eyeN) + _kron(np.linalg.inv(K), F2))

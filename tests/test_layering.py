@@ -5,10 +5,11 @@ weylrep (the cyclic modules), sampling (random test data) and selftest (the
 identity battery and its reference oracles) serve the checks; qdilog,
 characters, rmatrix and braidgrpd compute R-matrices and state sums without
 them.  numpy is the one declared runtime dependency.  Every import statement
-counts, at module level or inside a function.  Every public function and
-class of the runtime modules is read by runtime code, or named with its
-reason in UNREAD_BY_RUNTIME.  No module holds a statement that cannot run
-because it follows a return, raise, continue or break in its block.
+counts, at module level or inside a function.  Every function, class and
+module constant of the runtime modules, public or private, is read by
+runtime code, or named with its reason in UNREAD_BY_RUNTIME.  No module
+holds a statement that cannot run because it follows a return, raise,
+continue or break in its block.
 """
 
 import ast
@@ -57,8 +58,9 @@ def test_module_imports_only_numpy_and_the_standard_library(path):
     assert found - {"holorm"} <= set(sys.stdlib_module_names) | {"numpy"}
 
 
-# Public functions and classes of the runtime modules that no runtime code
-# (the four modules and cli.py) reads, with the reason each one stays.
+# Functions, classes and module constants of the runtime modules that no
+# runtime code (the four modules and cli.py) reads, with the reason each one
+# stays.
 UNREAD_BY_RUNTIME = {
     "cyc_dilog": "the paper's cyclic dilogarithm; test_qdilog checks it against mpmath",
     "s_norm": "the paper's S-normalization; the Fourier rows and test_qdilog read it",
@@ -74,26 +76,39 @@ UNREAD_BY_RUNTIME = {
 
 def _names_read(tree) -> set:
     """The names and attributes a module's code reads; a top-level
-    definition's reads of its own name do not count."""
+    definition's reads of its own name do not count, nor does an
+    assignment to a name."""
     read = set()
     for stmt in tree.body:
         own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and node.id != own:
+            if (isinstance(node, ast.Name) and node.id != own
+                    and not isinstance(node.ctx, ast.Store)):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and node.attr != own:
                 read.add(node.attr)
     return read
 
 
+def _top_level_names(tree) -> set:
+    """The functions, classes and module constants a module defines."""
+    found = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            found.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            found.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return found
+
+
 def test_every_public_runtime_name_is_read_by_runtime_code():
-    # check-only code belongs in selftest, next to the rows that read it
+    # check-only code belongs in selftest, next to the rows that read it;
+    # that holds for private helpers and constants too
     trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in RUNTIME + ("cli",)}
     read = set().union(*map(_names_read, trees.values()))
-    public = {stmt.name for m in RUNTIME for stmt in trees[m].body
-              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-              and not stmt.name.startswith("_")}
-    assert public - read == set(UNREAD_BY_RUNTIME)
+    defined = set().union(*(_top_level_names(trees[m]) for m in RUNTIME))
+    assert defined - read == set(UNREAD_BY_RUNTIME)
 
 
 def _unreachable(path) -> list:

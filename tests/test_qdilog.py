@@ -17,7 +17,7 @@ from holorm.qdilog import (LI2_U_TERMS, ConstraintViolationError, Flattening, Ro
                            li2, lifted_dilog, s_norm)
 from holorm.sampling import random_flattening
 
-from conftest import rel
+from conftest import mrel, rel
 
 
 def test_root_config_validation():
@@ -275,6 +275,38 @@ def test_s_norm_identities(N, rng):
         rhs = d_const(cfg, 0.0) ** N * cmath.exp(
             (lifted_dilog(f) + lifted_dilog(f.dual())) / TWO_PI_I)
         assert rel(S ** N, rhs) < 1e-10
+
+
+def _across_the_cut(k, y):
+    """The flattenings at zeta0 = k - 1e-8 + iy and k + 1e-8 + iy: zeta1 is
+    principal at the first and continued to the second, not re-taken as
+    principal there."""
+    lo = Flattening.from_zeta0(complex(k - 1e-8, y))
+    hi = Flattening.from_zeta0(complex(k + 1e-8, y))
+    return lo, hi.shifted(k1=round((lo.zeta1 - hi.zeta1).real))
+
+
+# Re zeta0 = k: below the axis (y < 0), e^(2 pi i zeta0) is real and > 1,
+# on the cuts of Li2 and of Log(1 - e^(2 pi i zeta0))
+CUT_POINTS = [(k, y) for k in range(-2, 3) for y in (0.1, -0.1)]
+
+
+@pytest.mark.parametrize("N", [2, 3, 7])
+def test_lambda_table_and_s_norm_are_continuous_across_re_zeta0_integral(N):
+    # the jumps of L and of D(zeta0) cancel in Lambda (a relative change of
+    # at most 1.7e-7 over the 2e-8 step); S changes by at most 1.5e-14
+    cfg = RootConfig(N)
+    for k, y in CUT_POINTS:
+        lo, hi = _across_the_cut(k, y)
+        assert mrel(lambda_table(cfg, lo), lambda_table(cfg, hi)) < 1e-6, (k, y)
+        assert rel(s_norm(cfg, lo), s_norm(cfg, hi)) < 1e-12, (k, y)
+
+
+def test_lifted_dilog_jumps_by_4_pi_squared_k_across_re_zeta0_integral():
+    for k, y in CUT_POINTS:
+        lo, hi = _across_the_cut(k, y)
+        jump = lifted_dilog(hi) - lifted_dilog(lo)
+        assert abs(jump - (4 * math.pi ** 2 * k if y < 0 else 0.0)) < 1e-5, (k, y)
 
 
 def test_fusion_geometric_case():

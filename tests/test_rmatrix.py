@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -673,3 +674,26 @@ def test_a_failing_batch_raises_the_error_of_its_first_failing_crossing():
     assert str(alone.value).startswith("flattening constraint violated")
     assert np.shape(calls[0][1].zeta0) == (4,)
     assert all("entries" in vars(c) for c in batch[:2])
+
+
+@pytest.mark.parametrize("N", [5, 8])
+def test_a_builds_temporaries_do_not_grow_with_its_crossings(N, rng):
+    # build_crossings assembles one crossing at a time.  Beyond the cached
+    # entries, 8 crossings peaked 1.3x (N = 5) and 1.06x (N = 8) above 1
+    # crossing; (sign, zeta0)-grouped passes of up to 128 KiB arrays peaked
+    # 3.9x and 2.0x above it
+    cfg = RootConfig(N)
+    rmatrix.build_crossings([random_crossing(cfg, rng, sign) for sign in (+1, -1)])
+
+    def extra(n):
+        cs = [random_crossing(cfg, rng, (-1) ** i) for i in range(n)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rmatrix.build_crossings(cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - base - sum(c.entries.nbytes for c in cs)
+
+    assert extra(8) < 1.5 * extra(1)
