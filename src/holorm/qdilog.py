@@ -330,7 +330,7 @@ def d_const(cfg: RootConfig, zeta):
 
 
 def _series(cfg: RootConfig, start, fac: np.ndarray, zeta1) -> np.ndarray:
-    """lambda_series from its factors fac = 1 - omega**(zeta0 + j), j = 1..N-1."""
+    """start * omega**(-k zeta1) / prod_{j<=k} fac_j, k < N, along a trailing axis."""
     minus_j = np.arange(-1, -cfg.N, -1)
     vals = (start[..., None] * cfg.omega_pow(minus_j * zeta1[..., None])
             / fac.cumprod(axis=-1))
@@ -338,21 +338,19 @@ def _series(cfg: RootConfig, start, fac: np.ndarray, zeta1) -> np.ndarray:
 
 
 @_kernel
-def lambda_series(cfg: RootConfig, start, zeta0, zeta1):
-    """[start * omega**(-k zeta1) / prod_{j=1..k} (1 - omega**(zeta0+j)), k < N]
-    along a trailing axis, every power formed by omega_pow: lambda_table's
-    series from start Lambda(.|0), and the pinched table omega**(-k zeta1)
-    / (omega; omega)_k from start 1 at zeta0 = 0.  No factor needs a guard:
-    at zeta0 = 0 none vanishes, and else they are D(zeta0)'s, which
-    lambda_table passes through _pole first.
+def lambda_series(cfg: RootConfig, zeta1):
+    """The pinched table [omega**(-k zeta1) / (omega; omega)_k, k < N] along
+    a trailing axis, every power formed by omega_pow: _series started at 1
+    with zeta0 = 0, where no factor 1 - omega**j vanishes.
     """
-    start, zeta0, zeta1 = np.broadcast_arrays(_cdim(start), _cdim(zeta0), _cdim(zeta1))
-    return _series(cfg, start, _factors(cfg, zeta0, 1, cfg.N - 1), zeta1)
+    zeta1 = _cdim(zeta1)
+    fac = _factors(cfg, np.zeros_like(zeta1), 1, cfg.N - 1)
+    return _series(cfg, np.ones_like(zeta1), fac, zeta1)
 
 
 @_kernel
 def lambda_table(cfg: RootConfig, f: Flattening):
-    """[Lambda(.|0), ..., Lambda(.|N-1)] along a trailing axis: lambda_series
+    """[Lambda(.|0), ..., Lambda(.|N-1)] along a trailing axis: _series
     from the closed form
 
     Lambda(.|0) = exp(-L/(2 pi i N)) * (1 - omega**(N zeta0))/(1 - omega**zeta0)

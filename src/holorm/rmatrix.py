@@ -21,7 +21,7 @@ difference d_r, an offset and p_r = +1 (numerator) or -1 (denominator):
 Generic entries are omega**d_W / N * omega**((N-1) sum_{offset_r != 0} p_r
 (zeta0_r + zeta1_r)) * prod_r Lambda_r[d_r + offset_r]**p_r.  Every pinched
 crossing, standard or not, and the Kashaev matrix read the same table with
-kappa dropped (_assemble); both kinds of table are qdilog.lambda_series.
+kappa dropped (_assemble), from qdilog.lambda_series, not lambda_table.
 The integer-shift rule (transform_rules, in selftest) reads the same
 rows; factorized_ops writes the paper's four-factor theorem on its own, so
 the factorization identity compares two independent routes.
@@ -302,8 +302,8 @@ def _assemble(cfg: RootConfig, sign: int, shifts: tuple, tables: np.ndarray,
     Generic crossings read the Lambda tables at k_r = d_r + offset_r.  At a
     pinched crossing zeta0_r is an integer n_r and the divergent part kappa
     is dropped: zeta1 is taken at kappa = 0, Lambda_r[k] becomes
-    omega**(-k zeta1_r) / (omega; omega)_k (lambda_series from 1 at zeta0 =
-    0) read at k_r = d_r + offset_r + n_r, the prefactor gains
+    omega**(-k zeta1_r) / (omega; omega)_k (lambda_series of zeta1_r)
+    read at k_r = d_r + offset_r + n_r, the prefactor gains
     omega**(sum_r p_r n_r zeta1_r / 2), and every entry with sum_r p_r
     floor(k_r / N) != 1 is zero.
     """
@@ -373,7 +373,7 @@ def build_crossings(crossings) -> None:
     lam = iter(_read_only(lambda_table(cfg, f).reshape(-1, 4, cfg.N)) if fresh else ())
     # the pinched tables: lambda_series at kappa = 0, one call
     pinched = [[z[1][r] for r in REGIONS] for c, z in zip(todo, zetas) if c.pinched]
-    series = iter(lambda_series(cfg, 1.0, 0.0, np.array(pinched)) if pinched else ())
+    series = iter(lambda_series(cfg, np.array(pinched)) if pinched else ())
     i = 0  # the crossing's first flattening in z0 and z1
     for c, (a, b) in zip(todo, zetas):
         if c.pinched:

@@ -428,9 +428,9 @@ def _central_scalars(el: SL2StarElement) -> tuple:
 
 
 def check_weylrep(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
-    """Every trial at once: stacks of module matrices from rep_matrices, drawn
-    as the scalar samplers draw them (a pair of characters per trial, then
-    the commutant probes)."""
+    """Stacks of module matrices from rep_matrices, drawn as the scalar
+    samplers draw them (a pair of characters per trial, then the commutant
+    probes); the N^2 x N^2 tensor grading is formed one trial at a time."""
     N = cfg.N
     xi = cfg.xi
     out = _Worst()
@@ -452,21 +452,16 @@ def check_weylrep(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
         out.note("Casimir scalar", _mrel(g.Omega, cas[:, None, None] * eyeN))
         out.note("central scalars", [_mrel(matrix_power(M, N), sc[:, None, None] * eyeN)
                                      for M, sc in zip((g.K, g.E, g.F), _central_scalars(el1))])
-    # tensor grading; g holds the FOURIER matrices of lc.  Its N^2 x N^2
-    # stacks are formed in runs of step trials, each array within 128 KiB,
-    # to bound peak memory: at N = 32 this suite peaked at 529 MB, 601 MB in
-    # one stack
+    # tensor grading; g holds the FOURIER matrices of lc
     g2 = rep_matrices(cfg, lc2, Basis.FOURIER)
     scalars = _central_scalars(char_product(el1, el2))
     eye2 = np.eye(N * N)
-    step = max(1, 8192 // N ** 4)
-    for t in (slice(i, i + step) for i in range(0, trials, step)):
+    for t in range(trials):
         K, E, F, K2, E2, F2 = (m[t] for m in (g.K, g.E, g.F, g2.K, g2.E, g2.F))
         M12 = (_kron(K, K2), _kron(E, K2) + _kron(eyeN, E2),
                _kron(F, eyeN) + _kron(np.linalg.inv(K), F2))
-        out.note("tensor grading", np.max(
-            [_mrel(matrix_power(M, N), sc[t, None, None] * eye2)
-             for M, sc in zip(M12, scalars)], axis=0))
+        out.note("tensor grading", np.max([_mrel(matrix_power(M, N), sc[t] * eye2)
+                                           for M, sc in zip(M12, scalars)]))
     # commutant probes across the scalar/parabolic/reducible cases, one stack
     cases = np.array([(-0.5, 0.0, -0.5), (0.31, 0.11, 0.5), (0.5, 0.37, 0.5)])
     dims = commutant_dim(rep_matrices(

@@ -98,19 +98,17 @@ def matrix_power(M: np.ndarray, n: int) -> np.ndarray:
 
 
 def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """np.kron of the last two axes, matrix by matrix over stacks of equal
-    (or broadcastable) shape."""
-    (m, n), (p, q) = A.shape[-2:], B.shape[-2:]
-    prod = A[..., :, None, :, None] * B[..., None, :, None, :]
-    return prod.reshape(prod.shape[:-4] + (m * p, n * q))
+    """np.kron of two matrices, as one broadcast product."""
+    (m, n), (p, q) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(m * p, n * q)
 
 
 def _pi2(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, inverted: tuple) -> tuple:
     """Tensor-product matrices {x1, y1, z1, x2, y2, z2} (in that order) of
-    the elementary generators on V(lc1) (x) V(lc2), and the inverses of
-    those named in inverted (in its order): the kron of the inverted N x N
-    factor with the identity, never an inverse of the N^2 x N^2 product.
-    Logs that are arrays give stacks."""
+    the elementary generators on V(lc1) (x) V(lc2), one crossing's pair, and
+    the inverses of those named in inverted (in its order): the kron of the
+    inverted N x N factor with the identity, never an inverse of the N^2 x
+    N^2 product."""
     eye = np.eye(cfg.N, dtype=complex)
     factors = {}
     for i, lc in (("1", lc1), ("2", lc2)):
@@ -124,7 +122,7 @@ def _pi2(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar, inverted: tuple) -
 
 def pi_tensor(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar) -> dict:
     """Generator matrices {x1, x2, y1inv, y2, z1, z2} of the unprimed tensor
-    action (stacks, for logs that are arrays)."""
+    action on one crossing's input pair."""
     m, inv = _pi2(cfg, lc1, lc2, ("y1",))
     return {"x1": m["x1"], "x2": m["x2"], "y1inv": inv["y1"], "y2": m["y2"],
             "z1": m["z1"], "z2": m["z2"]}
@@ -145,9 +143,10 @@ def rw_images(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
     """Matrices of the braiding automorphism on generators, in the primed action.
 
     Each generator u of the doubled Weyl algebra is sent to an explicit
-    rational expression; this returns that expression evaluated in the
-    representation attached to the *output* log-characters (lc1p, lc2p).
-    Logs that are arrays give a stack of images per generator.
+    rational expression; this returns that expression evaluated, for one
+    crossing, in the representation attached to the *output*
+    log-characters (lc1p, lc2p).  The input logs lc1 and lc2 are not read;
+    callers, perfbench among them, pass all four by position.
     """
     (x1, y1, z1, x2, y2, z2), (x1i, x2i, y1i, y2i, z2i) = (
         m.values() for m in _pi2(cfg, lc1p, lc2p, ("x1", "x2", "y1", "y2", "z2")))
@@ -172,8 +171,8 @@ def rw_images_negative(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
         x1 -> g x1,   x2 -> x2 g^{-1},
         y1 -> y2 + (y1 - z2 y2) x2^{-1},
         y2^{-1} -> (z2/z1) y1^{-1} + (y2^{-1} - z2 y1^{-1}) x1,
-    with g = 1 - y2 (z2 - x2) y1^{-1} (1 - (z1 x1)^{-1}), evaluated in the
-    output representation (stacks, for logs that are arrays).
+    with g = 1 - y2 (z2 - x2) y1^{-1} (1 - (z1 x1)^{-1}), evaluated for one
+    crossing in the output representation (lc1, lc2 unread, as in rw_images).
     """
     (x1, y1, z1, x2, y2, z2), (x1i, x2i, y1i, y2i, z1i) = (
         m.values() for m in _pi2(cfg, lc1p, lc2p, ("x1", "x2", "y1", "y2", "z1")))

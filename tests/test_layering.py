@@ -67,8 +67,9 @@ UNREAD_BY_RUNTIME = {
     "fusion_f": "the paper's fusion function; the fusion rows and test_qdilog read it",
     "factorized_ops": "the four-factor theorem; the factorization rows and perfbench read it",
     "det_braiding": "the closed-form determinant as a number; perfbench reads it",
-    "apply": "the matrix-free state sum; the braid-level rows read it, and so "
-             "will the closure of braids into knot invariants",
+    "apply": "the matrix-free state sum; the tests read it (the braid-level "
+             "rows read the private _apply_crossings), and so will the closure "
+             "of braids into knot invariants",
     "pin_bottom": "closes a coloring onto its top; the braid-level rows read "
                   "it, and so will the closure of braids into knot invariants",
 }

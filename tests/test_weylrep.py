@@ -1,6 +1,7 @@
 """Cyclic modules, quantum-group matrices, braiding images, commutants."""
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def test_stacked_modules_equal_the_single_ones(basis, rng):
             assert np.array_equal(getattr(g, field)[i], getattr(one, field))
         assert np.array_equal(matrix_power(g.E, 4)[i], matrix_power(one.E, 4))
         assert dims[i] == commutant_dim(one) == 1
-    assert np.array_equal(selftest._kron(g.K, g.E)[1, 2], np.kron(g.K[1, 2], g.E[1, 2]))
+    assert np.array_equal(selftest._kron(g.K[1, 2], g.E[1, 2]), np.kron(g.K[1, 2], g.E[1, 2]))
 
 
 def test_random_char_logs_draw_as_random_logchar(rng):
@@ -197,26 +198,31 @@ def test_check_weylrep_draws_as_the_scalar_suite_drew(N, trials):
     assert all(v <= selftest.IDENTITIES[k].tol for k, v in out.items())
 
 
-@pytest.mark.parametrize("sign", [+1, -1])
-def test_stacked_images_equal_the_single_ones(sign, rng):
-    # pi_tensor and the braiding images on a stack of crossings give each
-    # crossing the bits of the call on that crossing alone; the inverses
-    # come from the N x N factors, and equal the formed products' inverses
+@pytest.mark.parametrize("N", [4, 5])
+def test_check_weylrep_memory_does_not_grow_with_trials(N):
+    # the N^2 x N^2 tensor grading is formed one trial at a time, so the
+    # traced peak at 8 trials stays within 1.4 times the peak at 2 (one
+    # stack of every trial's tensor matrices reads 1.7 to 1.8 times)
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            selftest.check_weylrep(RootConfig(N), np.random.default_rng(1), trials)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    selftest.check_weylrep(RootConfig(N), np.random.default_rng(1), 2)  # warm-up
+    assert peak(8) < 1.4 * peak(2)
+
+
+def test_tensor_inverse_comes_from_the_factor(rng):
+    # pi_tensor's y1inv is the kron of the inverted N x N factor with the
+    # identity, and equals the formed product's inverse
     cfg = RootConfig(4)
-    images = rw_images if sign > 0 else rw_images_negative
-    cs = [random_crossing(cfg, rng, sign) for _ in range(3)]
-    segs = [LogWeylChar(*(np.array([getattr(getattr(c, k), f) for c in cs])
-                          for f in ("alpha", "beta", "mu")))
-            for k in ("lc1", "lc2", "lc1p", "lc2p")]
-    piu, imgs = pi_tensor(cfg, *segs[:2]), images(cfg, *segs)
-    for i, c in enumerate(cs):
-        one_pi = pi_tensor(cfg, c.lc1, c.lc2)
-        one_img = images(cfg, c.lc1, c.lc2, c.lc1p, c.lc2p)
-        for key in ("x1", "x2", "y1inv", "y2", "z1", "z2"):
-            assert np.array_equal(piu[key][i], one_pi[key])
-            assert np.array_equal(imgs[key][i], one_img[key])
-        y1 = np.kron(rep_matrices(cfg, c.lc1).y, np.eye(4))
-        assert np.array_equal(one_pi["y1inv"], np.linalg.inv(y1))
+    c = random_crossing(cfg, rng, +1)
+    y1 = np.kron(rep_matrices(cfg, c.lc1).y, np.eye(4))
+    assert np.array_equal(pi_tensor(cfg, c.lc1, c.lc2)["y1inv"], np.linalg.inv(y1))
 
 
 def test_checked_inverse_decides_by_the_condition_number():
