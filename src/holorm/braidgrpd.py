@@ -24,6 +24,7 @@ forming it.  Both build the braidings of a word in one pass.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,17 +41,30 @@ class InadmissibleColoringError(ValueError):
         super().__init__(msg or f"coloring degenerates at crossing {crossing}")
 
 
+def _int(v, name: str) -> int:
+    """v as an int: a Python or numpy integer, or an integral float.  Any
+    other number (1.7, True) is rejected, not truncated."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
+                                   or isinstance(v, numbers.Real) and float(v).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class BraidWord:
-    """width >= 1 strands; letters are signed generator indices in 1..width-1."""
+    """width >= 1 strands; letters are signed generator indices in 1..width-1.
+    Both are integers: an integral float becomes its int, and any other
+    number is a ValueError."""
 
     width: int
     letters: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "width", _int(self.width, "width"))
         if self.width < 1:
             raise ValueError("width must be >= 1")
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
+        object.__setattr__(self, "letters",
+                           tuple(_int(x, "word letter") for x in self.letters))
         for x in self.letters:
             if not (1 <= abs(x) <= self.width - 1):
                 raise ValueError(f"generator {x} out of range for width {self.width}")

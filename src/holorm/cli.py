@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
+from .braidgrpd import (BraidWord, InadmissibleColoringError, _int, build_diagram,
                         extend_log_coloring, jfunc_eval, log_longitudes,
                         propagate_chi, top_characters)
 from .characters import WeylChar
@@ -56,15 +56,6 @@ def _cx(v) -> complex:
     if isinstance(v, str):
         return complex(v.replace(" ", ""))
     raise ValueError(f"cannot parse complex value from {v!r}")
-
-
-def _int(v, name: str) -> int:
-    """An integer field of a spec.  Any other number (1.7, true) is
-    malformed input, not truncated."""
-    if isinstance(v, bool) or not (isinstance(v, int)
-                                   or isinstance(v, float) and v.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    return int(v)
 
 
 def _jx(z: complex) -> list:
@@ -202,13 +193,12 @@ def cmd_rmat(args) -> int:
 def _braid_setup(spec):
     """The diagram of the spec's word and its top characters.  The width is
     checked against top_colors before the diagram's per-strand lists exist."""
-    width = _int(spec["width"], "width")
-    letters = tuple(_int(x, "word letter") for x in spec["word"])
+    word = BraidWord(spec["width"], tuple(spec["word"]))
     tops = [WeylChar(_cx(t["a"]), _cx(t["b"]), _cx(t["m"]))
             for t in spec["top_colors"]]
-    if width != len(tops):
-        raise ValueError(f"width {width} does not match the {len(tops)} top_colors")
-    return build_diagram(BraidWord(width, letters)), tops
+    if word.width != len(tops):
+        raise ValueError(f"width {word.width} does not match the {len(tops)} top_colors")
+    return build_diagram(word), tops
 
 
 def _log_setup(spec):

@@ -94,18 +94,15 @@ def braid_relation_deviation(cfg: RootConfig, B) -> float:
     return _sum_dev(word(0, 1, 0), word(1, 0, 1))
 
 
-def _det_deviation(cs: list, Bs: list) -> np.ndarray:
-    """|det_closed / det_LU - 1| for each crossing c of cs and its braiding
-    B in Bs, in units of the error LU may make, 1e-10 + n eps cond_1(B) for
-    the n x n operator.  It is formed from logarithms, so it stays finite
-    where the determinants overflow."""
-    dev = []
-    for c, B in zip(cs, Bs):
-        op = B.as_operator()
-        s, logabs = np.linalg.slogdet(op)
-        bound = 1e-10 + len(op) * np.finfo(float).eps * np.linalg.cond(op, 1)
-        dev.append(abs(np.exp(logdet_braiding(c) - logabs) / s - 1.0) / bound)
-    return np.array(dev)
+def _det_deviation(c: CrossingData, B) -> float:
+    """|det_closed / det_LU - 1| for the crossing c and its braiding B, in
+    units of the error LU may make, 1e-10 + n eps cond_1(B) for the n x n
+    operator.  It is formed from logarithms, so it stays finite where the
+    determinants overflow."""
+    op = B.as_operator()
+    s, logabs = np.linalg.slogdet(op)
+    bound = 1e-10 + len(op) * np.finfo(float).eps * np.linalg.cond(op, 1)
+    return float(abs(np.exp(logdet_braiding(c) - logabs) / s - 1.0) / bound)
 
 
 def _det_factor_deviation(c: CrossingData, f: FactorOps) -> float:
@@ -430,7 +427,8 @@ def _central_scalars(el: SL2StarElement) -> tuple:
 def check_weylrep(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
     """Stacks of module matrices from rep_matrices, drawn as the scalar
     samplers draw them (a pair of characters per trial, then the commutant
-    probes); the N^2 x N^2 tensor grading is formed one trial at a time."""
+    probes); the N^2 x N^2 tensor grading is formed one trial at a time,
+    and the commutant system one module at a time."""
     N = cfg.N
     xi = cfg.xi
     out = _Worst()
@@ -462,16 +460,15 @@ def check_weylrep(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
                _kron(F, eyeN) + _kron(np.linalg.inv(K), F2))
         out.note("tensor grading", np.max([_mrel(matrix_power(M, N), sc[t] * eye2)
                                            for M, sc in zip(M12, scalars)]))
-    # commutant probes across the scalar/parabolic/reducible cases, one stack
+    # commutant probes across the scalar/parabolic/reducible cases: one
+    # rep_matrices call, then one module's N^2 x N^2 system at a time
     cases = np.array([(-0.5, 0.0, -0.5), (0.31, 0.11, 0.5), (0.5, 0.37, 0.5)])
-    dims = commutant_dim(rep_matrices(
-        cfg, LogWeylChar(*np.concatenate([probes, cases]).T), Basis.FOURIER))
-    scalar, parabolic, reducible = np.abs(dims[len(probes):] - 1)
-    out.note("commutant generic", np.abs(dims[:len(probes)] - 1))
-    out.note("commutant scalar case", scalar)
-    out.note("commutant parabolic case", parabolic)
-    if N >= 3:
-        out.note("commutant reducible case", reducible)
+    g = rep_matrices(cfg, LogWeylChar(*np.concatenate([probes, cases]).T), Basis.FOURIER)
+    rows = (["commutant generic"] * len(probes)
+            + ["commutant scalar case", "commutant parabolic case"]
+            + ["commutant reducible case"] * (N >= 3))
+    for row, K, E, F in zip(rows, g.K, g.E, g.F):
+        out.note(row, abs(commutant_dim(K, E, F) - 1))
     return out
 
 
@@ -518,19 +515,17 @@ def transform_rules(c: CrossingData, R: RTensor, gamma_shifts: dict = None,
     return shifted, pred.reshape(N * N, N * N)
 
 
-def _intertwining_rows(cfg: RootConfig, cs: list, out: _Worst) -> None:
-    """The intertwining row of the built crossings cs, crossing by
-    crossing: a normwise backward error, like R2 contraction (R is badly
-    conditioned at large N)."""
-    for c in cs:
-        images = rw_images if c.sign > 0 else rw_images_negative
-        piu = pi_tensor(cfg, c.lc1, c.lc2)
-        imgs = images(cfg, c.lc1, c.lc2, c.lc1p, c.lc2p)
-        act = rmat(c).as_operator()
-        for key in ("x1", "x2", "y1inv", "y2", "z1", "z2"):
-            pi, rho = piu[key], imgs[key]
-            out.note("intertwining", np.linalg.norm(act @ pi - rho @ act) / (
-                np.linalg.norm(act) * (np.linalg.norm(pi) + np.linalg.norm(rho))))
+def _intertwining(cfg: RootConfig, c: CrossingData) -> list:
+    """The intertwining row of the built crossing c, one deviation per
+    generator: a normwise backward error, like R2 contraction (R is badly
+    conditioned at large N).  Its N^2 x N^2 images go when it returns."""
+    images = rw_images if c.sign > 0 else rw_images_negative
+    piu = pi_tensor(cfg, c.lc1, c.lc2)
+    imgs = images(cfg, c.lc1, c.lc2, c.lc1p, c.lc2p)
+    act = rmat(c).as_operator()
+    return [np.linalg.norm(act @ piu[k] - imgs[k] @ act)
+            / (np.linalg.norm(act) * (np.linalg.norm(piu[k]) + np.linalg.norm(imgs[k])))
+            for k in ("x1", "x2", "y1inv", "y2", "z1", "z2")]
 
 
 def _generic_rows(cfg: RootConfig, rng: np.random.Generator, trials: int,
@@ -538,7 +533,8 @@ def _generic_rows(cfg: RootConfig, rng: np.random.Generator, trials: int,
     """The rows of trials generic crossings of each sign, each drawn with
     its gamma and beta shifts.  Each set of variants is one build_crossings
     pass, and goes once its rows are noted: at N = 32 a crossing holds
-    16 MB."""
+    16 MB.  The rows of one crossing's own operators are noted one built
+    crossing at a time."""
     cs, shifts = [], []
     for sign in (+1, -1):
         for _ in range(trials):
@@ -546,13 +542,12 @@ def _generic_rows(cfg: RootConfig, rng: np.random.Generator, trials: int,
             shifts.append(({r: int(rng.integers(-2, 3)) for r in "NWSE"},
                            tuple(int(rng.integers(-2, 3)) for _ in range(4))))
     _kappa_row(cs, out)
-    _intertwining_rows(cfg, cs, out)
-    Bs = [braiding_op(c) for c in cs]
-    fops = [factorized_ops(c) for c in cs]
-    out.note("factorization", [_mrel(B.entries, f.braiding_matrix()) for B, f in zip(Bs, fops)])
-    out.note("determinant closed vs LU", _det_deviation(cs, Bs))
-    out.note("determinant closed vs factors",
-             [_det_factor_deviation(c, f) for c, f in zip(cs, fops)])
+    for c in cs:
+        out.note("intertwining", _intertwining(cfg, c))
+        B, f = braiding_op(c), factorized_ops(c)
+        out.note("factorization", _mrel(B.entries, f.braiding_matrix()))
+        out.note("determinant closed vs LU", _det_deviation(c, B))
+        out.note("determinant closed vs factors", _det_factor_deviation(c, f))
     _shift_rows(cs, shifts, out)
 
 

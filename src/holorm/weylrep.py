@@ -132,8 +132,8 @@ COND_MAX = 1e12  # condition number beyond which a braiding element g counts as 
 
 
 def _checked_inv(g: np.ndarray, what: str) -> np.ndarray:
-    """inv(g), of each matrix of a stack, unless some cond_2(g) > COND_MAX."""
-    if np.any(np.linalg.cond(g) > COND_MAX):
+    """inv(g) of one matrix, unless cond_2(g) > COND_MAX."""
+    if np.linalg.cond(g) > COND_MAX:
         raise ValueError(f"{what} is numerically singular")
     return np.linalg.inv(g)
 
@@ -189,23 +189,19 @@ def rw_images_negative(cfg: RootConfig, lc1: LogWeylChar, lc2: LogWeylChar,
     }
 
 
-def commutant_dim(mats: GenMatrices):
-    """Dimension of {A : [A, K] = [A, E] = [A, F] = 0} via the stacked nullspace.
+def commutant_dim(K: np.ndarray, E: np.ndarray, F: np.ndarray) -> int:
+    """Dimension of {A : [A, K] = [A, E] = [A, F] = 0} for one module's
+    N x N matrices, from the nullspace of the stacked (3 N^2, N^2) system.
 
-    Singular values below 1e-8 times the largest one count as zero.  For a
-    stack of modules it returns an integer array over the stack, from one
-    SVD call on the stacked (..., 3 N^2, N^2) matrices.
+    Singular values below 1e-8 times the largest one count as zero.
     """
-    N = mats.K.shape[-1]
+    N = K.shape[-1]
     n = np.arange(N)
-    stack = np.zeros(mats.K.shape[:-2] + (3, N, N, N, N), dtype=complex)
-    for i, M in enumerate((mats.K, mats.E, mats.F)):
+    stack = np.zeros((3, N, N, N, N), dtype=complex)
+    for block, M in zip(stack, (K, E, F)):
         # kron(M, I) - kron(I, M^T), written in place: entry ((a, b), (c, d))
         # is M[a, c] [b = d] - [a = c] M[d, b]
-        block = stack[..., i, :, :, :, :]
-        block[..., :, n, :, n] = M
-        block[..., n, :, n, :] -= np.swapaxes(M, -1, -2)
-    svals = np.linalg.svd(stack.reshape(stack.shape[:-5] + (3 * N * N, N * N)),
-                          compute_uv=False)
-    dims = N * N - np.sum(svals > 1e-8 * svals[..., :1], axis=-1)
-    return int(dims) if dims.ndim == 0 else dims
+        block[:, n, :, n] = M
+        block[n, :, n, :] -= M.T
+    svals = np.linalg.svd(stack.reshape(3 * N * N, N * N), compute_uv=False)
+    return int(N * N - np.sum(svals > 1e-8 * svals[0]))

@@ -231,7 +231,8 @@ def test_criterion_12_representation_probes():
                 mu = k / 2.0
                 instances.append(LogWeylChar(mu, complex(rng.uniform(-0.4, 0.4)), mu))
         for lc in instances:
-            dim = commutant_dim(rep_matrices(cfg, lc, Basis.FOURIER))
+            g = rep_matrices(cfg, lc, Basis.FOURIER)
+            dim = commutant_dim(g.K, g.E, g.F)
             worst_comm = max(worst_comm, abs(dim - 1))
     _report(12, "commutant dimension = 1", float(worst_comm), 0.0)
     # tensor grading at a tighter tolerance than the registry's 1e-8

@@ -37,6 +37,18 @@ def test_word_validation():
         BraidWord(2, (2,))
 
 
+def test_word_takes_integers_and_rejects_other_numbers():
+    # integral floats and numpy integers become ints; a fraction would
+    # otherwise be truncated into another word, and a bool is no number
+    word = BraidWord(np.int64(3), (np.int32(1), -2.0))
+    assert word == BraidWord(3, (1, -2)) and type(word.width) is int
+    assert all(type(x) is int for x in word.letters)
+    for width, letters in [(3, (1.7, -2.2)), (3.5, (1,)), (True, ()), (3, (True,)),
+                           (3, (np.bool_(True),)), (float("inf"), ()), (3, (1 + 0j,))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            BraidWord(width, letters)
+
+
 def test_build_diagram_counts():
     d = build_diagram(BraidWord(3, ()))
     assert d.n_segments == 3 and len(d.crossings) == 0 and d.n_regions == 4

@@ -238,7 +238,7 @@ def test_logdet_beyond_the_double_range(N, seed, sign):
 def test_det_selftest_row_is_finite_past_the_double_range():
     # the crossing of test_cli::test_rmat_determinant_overflow_is_a_json_error
     c = random_crossing(RootConfig(26), np.random.default_rng(10), +1)
-    assert np.isfinite(_det_deviation([c], [braiding_op(c)])[0])
+    assert np.isfinite(_det_deviation(c, braiding_op(c)))
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
@@ -250,13 +250,13 @@ def test_det_selftest_row_holds_at_n32(sign, monkeypatch):
     B, f = braiding_op(c), factorized_ops(c)
     lu_tol = IDENTITIES["determinant closed vs LU"].tol
     factor_tol = IDENTITIES["determinant closed vs factors"].tol
-    assert _det_deviation([c], [B])[0] <= lu_tol
+    assert _det_deviation(c, B) <= lu_tol
     assert _det_factor_deviation(c, f) <= factor_tol
     # a closed determinant off by a factor 2 is within LU's bound at this N,
     # but not within the factor row's
     monkeypatch.setattr(selftest, "logdet_braiding",
                         lambda c: logdet_braiding(c) + np.log(2.0))
-    assert _det_deviation([c], [B])[0] <= lu_tol
+    assert _det_deviation(c, B) <= lu_tol
     assert _det_factor_deviation(c, f) > factor_tol
 
 
@@ -265,10 +265,10 @@ def test_det_selftest_row_rejects_a_wrong_determinant(rng, monkeypatch):
     # determinant off by 1e-8, which 1e-7 let pass, fails the row
     c = random_crossing(RootConfig(3), rng, +1)
     B = braiding_op(c)
-    assert _det_deviation([c], [B])[0] <= IDENTITIES["determinant closed vs LU"].tol
+    assert _det_deviation(c, B) <= IDENTITIES["determinant closed vs LU"].tol
     monkeypatch.setattr(selftest, "logdet_braiding",
                         lambda c: logdet_braiding(c) + 1e-8)
-    assert _det_deviation([c], [B])[0] > IDENTITIES["determinant closed vs LU"].tol
+    assert _det_deviation(c, B) > IDENTITIES["determinant closed vs LU"].tol
 
 
 def test_det_sign_flip_inverts_constant(rng):
