@@ -24,13 +24,12 @@ forming it.  Both build the braidings of a word in one pass.
 from __future__ import annotations
 
 import cmath
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .characters import LogWeylChar, braid
-from .qdilog import RootConfig, TWO_PI_I
+from .qdilog import RootConfig, TWO_PI_I, _int
 from .rmatrix import (CrossingData, _half_longitudes, braiding_op, build_crossings,
                       crossing_from_logs)
 
@@ -39,15 +38,6 @@ class InadmissibleColoringError(ValueError):
     def __init__(self, crossing: int, msg: str = ""):
         self.crossing = crossing
         super().__init__(msg or f"coloring degenerates at crossing {crossing}")
-
-
-def _int(v, name: str) -> int:
-    """v as an int: a Python or numpy integer, or an integral float.  Any
-    other number (1.7, True) is rejected, not truncated."""
-    if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
-                                   or isinstance(v, numbers.Real) and float(v).is_integer()):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    return int(v)
 
 
 @dataclass(frozen=True)

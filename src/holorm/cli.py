@@ -23,12 +23,12 @@ import sys
 
 import numpy as np
 
-from .braidgrpd import (BraidWord, InadmissibleColoringError, _int, build_diagram,
+from .braidgrpd import (BraidWord, InadmissibleColoringError, build_diagram,
                         extend_log_coloring, jfunc_eval, log_longitudes,
                         propagate_chi, top_characters)
 from .characters import WeylChar
 from .qdilog import (ConstraintViolationError, RootConfig,
-                     SingularArgumentError)
+                     SingularArgumentError, _int)
 from .rmatrix import (ALPHA_TOL, MERIDIAN_TOL, REGIONS, CrossingData,
                       PinchedCrossingError, crossing_from_logs, det_lu,
                       kashaev_rmat, logdet_braiding, rmat, rmat_pinched)

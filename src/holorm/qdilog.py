@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,14 +45,25 @@ class ConstraintViolationError(ValueError):
     """Input data violate a required algebraic constraint."""
 
 
+def _int(v, name: str) -> int:
+    """v as an int: a Python or numpy integer, or an integral float.  Any
+    other number (1.7, True) is rejected, not truncated."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
+                                   or isinstance(v, numbers.Real) and float(v).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class RootConfig:
-    """Order N >= 2 root-of-unity data: omega = exp(2 pi i/N), xi = exp(pi i/N)."""
+    """Order N >= 2 root-of-unity data: omega = exp(2 pi i/N), xi = exp(pi i/N).
+    N is stored as an int (_int: numpy integers and integral floats too)."""
 
     N: int
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 2:
+        object.__setattr__(self, "N", _int(self.N, "N"))
+        if self.N < 2:
             raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
 
     @property

@@ -7,9 +7,9 @@ N; run_all turns the suites' output into one result per registered identity
 and N, and `holorm selftest` and the acceptance tests both read it.  What
 only these identities and the tests read lives here too: the closed forms
 of the pinched R-matrix (Kashaev's and the weight-basis ones), the
-integer-shift rule (transform_rules), the dual group SL2* with the holonomy
-map psi (SL2StarElement, z0_coords, char_product, psi_coords), the Casimir
-relation and the edge-gluing defects.
+integer-shift rule (shifted_crossing, transform_rules), the dual group SL2*
+with the holonomy map psi (SL2StarElement, z0_coords, char_product,
+psi_coords), the Casimir relation and the edge-gluing defects.
 Deviations are relative unless the name says otherwise, the braid-level
 ones normwise on seeded probe columns (the state sums are applied, never
 formed), intertwining's a normwise backward error, and the LU determinant
@@ -140,24 +140,20 @@ class _Worst(dict):
         self.samples[key] = self.samples.get(key, 0) + vals.size
 
 
-def r2_backward_error(*cs: CrossingData) -> np.ndarray:
+def r2_backward_error(c: CrossingData) -> float:
     """Normwise backward error ||B'B - I|| / (||B'|| ||B||) of Reidemeister
-    II, one per crossing of cs.
+    II at the positive crossing c.
 
-    B is the braiding of a positive crossing c and B' that of the negative
-    crossing undoing it; the crossings and their partners are one
-    build_crossings pass.  Unlike the entrywise residual, this stays near
-    machine precision however badly conditioned B is.
+    B is the braiding of c and B' that of the negative crossing undoing it;
+    the two are one build_crossings pass.  Unlike the entrywise residual,
+    this stays near machine precision however badly conditioned B is.
     """
-    partners = [CrossingData(c.cfg, -1, c.lc2p, c.lc1p, c.lc2, c.lc1,
-                             c.gamma_n, c.gamma_e, c.gamma_s, c.gamma_w) for c in cs]
-    build_crossings(list(cs) + partners)
-    dev = []
-    for c, p in zip(cs, partners):
-        B, Binv = braiding_op(c).as_operator(), braiding_op(p).as_operator()
-        dev.append(np.linalg.norm(Binv @ B - np.eye(len(B)))
-                   / (np.linalg.norm(Binv) * np.linalg.norm(B)))
-    return np.array(dev)
+    p = CrossingData(c.cfg, -1, c.lc2p, c.lc1p, c.lc2, c.lc1,
+                     c.gamma_n, c.gamma_e, c.gamma_s, c.gamma_w)
+    build_crossings([c, p])
+    B, Binv = braiding_op(c).as_operator(), braiding_op(p).as_operator()
+    return float(np.linalg.norm(Binv @ B - np.eye(len(B)))
+                 / (np.linalg.norm(Binv) * np.linalg.norm(B)))
 
 
 # ---------------------------------------------------------------- qdilog
@@ -474,12 +470,33 @@ def check_weylrep(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
 
 # --------------------------------------------------------------- rmatrix
 
-def transform_rules(c: CrossingData, R: RTensor, gamma_shifts: dict = None,
-                    beta_shifts: tuple = (0, 0, 0, 0)) -> tuple:
-    """The one integer-shift rule: beta_i -> beta_i + l_i and gamma_r ->
-    gamma_r + k_r, all integers.  Returns the shifted crossing and the
-    entries its R-matrix has by the rule, predicted from R, the R-matrix
-    of c (rmat or rmat_pinched).
+def _logs(c: CrossingData) -> tuple:
+    """The betas of c in shift order (1, 2, 1', 2') and its gammas in
+    REGIONS order."""
+    return ([c.lc1.beta, c.lc2.beta, c.lc1p.beta, c.lc2p.beta],
+            [c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e])
+
+
+def shifted_crossing(c: CrossingData, gamma_shifts: dict = None,
+                     beta_shifts: tuple = (0, 0, 0, 0)) -> CrossingData:
+    """The crossing c with beta_i -> beta_i + l_i and gamma_r -> gamma_r +
+    k_r, all integers (gamma_shifts maps regions to k_r, absent ones 0)."""
+    gamma_shifts = gamma_shifts or {}
+    for v in list(gamma_shifts.values()) + list(beta_shifts):
+        if int(v) != v:
+            raise ValueError("all shifts must be integers")
+    betas, gammas = _logs(c)
+    return crossing_from_logs(c.cfg, c.sign, [b + l for b, l in zip(betas, beta_shifts)],
+                              (c.lc1.mu, c.lc2.mu),
+                              [g + gamma_shifts.get(r, 0) for r, g in zip(REGIONS, gammas)],
+                              c.kappa)
+
+
+def transform_rules(c: CrossingData, shifted: CrossingData) -> np.ndarray:
+    """The one integer-shift rule: the entries that the R-matrix of shifted,
+    an integer shift of c (shifted_crossing), has by the rule, predicted
+    from c.entries (generic or pinched).  The shifts k_r and l_i are read
+    off the two crossings; a pair that is no integer shift is a ValueError.
 
     Over the region table the shifted crossing's R-matrix is
     R_new[n] = phase * omega**(sum_r p_r k_r d_r(n)) * R[n + l], with
@@ -489,30 +506,28 @@ def transform_rules(c: CrossingData, R: RTensor, gamma_shifts: dict = None,
     omega**(sum_r p_r k_r zeta0_r / 2) with the beta-shifted zeta0, so that
     the index-linear gamma factor applies at the unshifted entry indices.
     """
-    gamma_shifts = gamma_shifts or {}
-    for v in list(gamma_shifts.values()) + list(beta_shifts):
-        if int(v) != v:
-            raise ValueError("all shifts must be integers")
+    (b0, g0), (b1, g1) = _logs(c), _logs(shifted)
+    diff = np.subtract(b1 + g1, b0 + g0)
+    ints = np.round(diff.real)
+    if ((shifted.cfg, shifted.sign, shifted.lc1.mu, shifted.lc2.mu)
+            != (c.cfg, c.sign, c.lc1.mu, c.lc2.mu) or np.abs(diff - ints).max() > 1e-9):
+        raise ValueError("shifted is not an integer shift of c")
+    ls = [int(x) for x in ints[:4]]
+    k = {r: int(x) for r, x in zip(REGIONS, ints[4:])}
     N = c.cfg.N
-    k = {r: gamma_shifts.get(r, 0) for r in REGIONS}
-    betas = (c.lc1.beta, c.lc2.beta, c.lc1p.beta, c.lc2p.beta)
-    gammas = (c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e)
-    shifted = crossing_from_logs(c.cfg, c.sign, [b + l for b, l in zip(betas, beta_shifts)],
-                                 (c.lc1.mu, c.lc2.mu),
-                                 [g + k[r] for r, g in zip(REGIONS, gammas)], c.kappa)
     z1, z0 = c.zeta1(kappa=0), shifted.zeta0()  # zeta0 reads no gamma
     phase_b = c.cfg.omega_pow(sum(
-        p * d * z1[r] for r, (d, _, p) in _region_terms(c.sign, *beta_shifts).items()) / 2.0)
+        p * d * z1[r] for r, (d, _, p) in _region_terms(c.sign, *ls).items()) / 2.0)
     phase_g = c.cfg.omega_pow(sum(
         p * k[r] * z0[r] for r, (_, _, p) in _region_terms(c.sign, 0, 0, 0, 0).items()) / 2.0)
-    l1, l2, l1p, l2p = beta_shifts
+    l1, l2, l1p, l2p = ls
     n1, n2, n1p, n2p = _index_grids(N)
-    moved = R.entries.reshape(N, N, N, N)[
+    moved = c.entries.reshape(N, N, N, N)[
         (n1 + l1) % N, (n2 + l2) % N, (n1p + l1p) % N, (n2p + l2p) % N]
     terms = _region_terms(c.sign, n1, n2, n1p, n2p)
     expo = sum(p * k[r] * d for r, (d, _, p) in terms.items())
     pred = phase_g * phase_b * np.power(c.cfg.omega, expo) * moved
-    return shifted, pred.reshape(N * N, N * N)
+    return pred.reshape(N * N, N * N)
 
 
 def _intertwining(cfg: RootConfig, c: CrossingData) -> list:
@@ -528,65 +543,46 @@ def _intertwining(cfg: RootConfig, c: CrossingData) -> list:
             for k in ("x1", "x2", "y1inv", "y2", "z1", "z2")]
 
 
-def _generic_rows(cfg: RootConfig, rng: np.random.Generator, trials: int,
+def _variant_rows(c: CrossingData, gamma_shifts: dict, beta_shifts: tuple,
                   out: _Worst) -> None:
-    """The rows of trials generic crossings of each sign, each drawn with
-    its gamma and beta shifts.  Each set of variants is one build_crossings
-    pass, and goes once its rows are noted: at N = 32 a crossing holds
-    16 MB.  The rows of one crossing's own operators are noted one built
-    crossing at a time."""
-    cs, shifts = [], []
-    for sign in (+1, -1):
-        for _ in range(trials):
-            cs.append(sampling.random_crossing(cfg, rng, sign))
-            shifts.append(({r: int(rng.integers(-2, 3)) for r in "NWSE"},
-                           tuple(int(rng.integers(-2, 3)) for _ in range(4))))
-    _kappa_row(cs, out)
-    for c in cs:
-        out.note("intertwining", _intertwining(cfg, c))
-        B, f = braiding_op(c), factorized_ops(c)
-        out.note("factorization", _mrel(B.entries, f.braiding_matrix()))
-        out.note("determinant closed vs LU", _det_deviation(c, B))
-        out.note("determinant closed vs factors", _det_factor_deviation(c, f))
-    _shift_rows(cs, shifts, out)
-
-
-def _kappa_row(cs: list, out: _Worst) -> None:
-    """kappa independence: the crossings cs and their variants at kappa - 3
-    and kappa + 2 are one build_crossings pass."""
-    kappas = [replace(c, kappa=c.resolved_kappa() + p) for c in cs for p in (-3, 2)]
-    build_crossings(cs + kappas)
-    out.note("kappa independence", [_mrel(k.entries, c.entries)
-                                     for k, c in zip(kappas, (c for c in cs for _ in "12"))])
-
-
-def _shift_rows(cs: list, shifts: list, out: _Worst) -> None:
-    """The gamma and beta shift rules of the built crossings cs, each with
-    its (gamma, beta) shifts: the shifted crossings are one build_crossings
-    pass."""
-    rules = [transform_rules(c, rmat(c), gamma_shifts=k) for c, (k, _) in zip(cs, shifts)]
-    rules += [transform_rules(c, rmat(c), beta_shifts=l) for c, (_, l) in zip(cs, shifts)]
-    build_crossings([shifted for shifted, _ in rules])
-    dev = [_mrel(shifted.entries, pred) for shifted, pred in rules]
-    out.note("gamma shift rule", dev[:len(cs)])
-    out.note("beta shift rule", dev[len(cs):])
+    """kappa independence and both shift rules of the crossing c: c, its
+    variants at kappa - 3 and kappa + 2 and its gamma- and beta-shifted
+    crossings are one build_crossings pass.  The variants go when it
+    returns; c stays built."""
+    kappas = [replace(c, kappa=c.resolved_kappa() + p) for p in (-3, 2)]
+    shifted = [shifted_crossing(c, gamma_shifts=gamma_shifts),
+               shifted_crossing(c, beta_shifts=beta_shifts)]
+    build_crossings([c] + kappas + shifted)
+    out.note("kappa independence", [_mrel(k.entries, c.entries) for k in kappas])
+    for row, sh in zip(("gamma shift rule", "beta shift rule"), shifted):
+        out.note(row, _mrel(sh.entries, transform_rules(c, sh)))
 
 
 def check_rmatrix(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
-    """Each trial set at once.  The loops only draw, as the scalar suite
-    drew; a set's crossings, with the variants its identities compare, are
-    then one build_crossings pass, and the identities read the built
-    crossings one by one."""
+    """One trial at a time: each crossing is drawn, with what its rows
+    compare it against, and its rows are noted before the next is drawn,
+    so the suite holds one trial's crossings at a time (16 MB each at
+    N = 32).  The draws keep the order the scalar suite drew in."""
     N = cfg.N
     w = cfg.omega_pow
     out = _Worst()
-    _generic_rows(cfg, rng, trials, out)
+    # the generic rows: trials crossings of each sign, each drawn with its
+    # gamma and beta shifts
+    for sign in (+1, -1):
+        for _ in range(trials):
+            c = sampling.random_crossing(cfg, rng, sign)
+            _variant_rows(c, {r: int(rng.integers(-2, 3)) for r in "NWSE"},
+                          tuple(int(rng.integers(-2, 3)) for _ in range(4)), out)
+            out.note("intertwining", _intertwining(cfg, c))
+            B, f = braiding_op(c), factorized_ops(c)
+            out.note("factorization", _mrel(B.entries, f.braiding_matrix()))
+            out.note("determinant closed vs LU", _det_deviation(c, B))
+            out.note("determinant closed vs factors", _det_factor_deviation(c, f))
     # recurrences at a positive crossing, at every entry: np.roll(R4, 1,
     # axis) holds the entry whose index on that axis is one lower
     n1, n2, n1p, n2p = _index_grids(N)
-    rec = [sampling.random_crossing(cfg, rng, +1) for _ in range(max(2, trials // 2))]
-    build_crossings(rec)
-    for c in rec:
+    for _ in range(max(2, trials // 2)):
+        c = sampling.random_crossing(cfg, rng, +1)
         R4 = rmat(c).entries.reshape(N, N, N, N)
         z0 = c.zeta0()
         scale = np.abs(R4).max()
@@ -610,19 +606,18 @@ def check_rmatrix(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dic
             * (1 - w(z0["N"] + n2p - n1 + 1))
             / (1 - w(z0["W"] + n2 - n1))) / scale)
     # R2 contraction as a normwise backward error
-    out.note("R2 contraction", r2_backward_error(
-        *[sampling.random_crossing(cfg, rng, +1) for _ in range(trials)]))
+    for _ in range(trials):
+        out.note("R2 contraction", r2_backward_error(sampling.random_crossing(cfg, rng, +1)))
     # pinched limit (absolute deviation) and closed pinched forms
-    cpins = []
     for _ in range(max(2, trials // 3)):
         prm = _random_pinched_params(rng)
         for sign in (+1, -1):
             try:
-                cpins.append(sampling.standard_pinched_crossing(cfg, *prm, sign=sign))
+                c = sampling.standard_pinched_crossing(cfg, *prm, sign=sign)
             except ValueError:
                 continue
-    out.note("pinched limit (abs)", [
-        np.abs(_pinched_limit(cfg, c) - rmat_pinched(c).entries).max() for c in cpins])
+            out.note("pinched limit (abs)",
+                     np.abs(_pinched_limit(cfg, c) - rmat_pinched(c).entries).max())
     out.note("pinched R2 contraction", r2_backward_error(
         sampling.standard_pinched_crossing(cfg, *_random_pinched_params(rng))))
     # Kashaev: the region table at alpha = mu = -1/2 is the canonical matrix
@@ -811,32 +806,27 @@ def edge_gluing_defects(cfg: RootConfig, d: DiagramGraph, lc: LogColoring) -> li
     return [abs(sums.get(r, 0.0)) for r in d.internal_regions()]
 
 
-def _in_pairs(seq: list):
-    """(seq[0], seq[1]), (seq[2], seq[3]), ..."""
-    return zip(seq[::2], seq[1::2])
-
-
 def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> dict:
-    """Each trial set at once.  The loops only draw, as the scalar suite
-    drew; the crossings of a set's colored words are then one
-    build_crossings pass (word_crossings), which _apply_crossings reads."""
+    """One trial at a time: each trial draws its colored word, or the pair
+    of words it compares, as the scalar suite drew, builds them in one
+    word_crossings pass, which _apply_crossings reads, and notes its row
+    before the next trial draws."""
     N = cfg.N
     out = _Worst()
     V2, V3 = _probes(N, 2), _probes(N, 3)
     # R2 move at the diagram level (bottom boundary must equal the top one)
     d2 = build_diagram(BraidWord(2, (1, -1)))
-    lcs = []
     for _ in range(trials):
         lc = sampling.random_coloring(cfg, d2, rng)
         top = lc.top(d2)
-        lcs.append(extend_log_coloring(d2, *top, lc.mu, *pin_bottom(d2, *top)))
-    for lc, cds in zip(lcs, word_crossings(cfg, *[(d2, lc) for lc in lcs])):
+        lc = extend_log_coloring(d2, *top, lc.mu, *pin_bottom(d2, *top))
+        cds, = word_crossings(cfg, (d2, lc))
         out.note("R2 move", _sum_dev(_apply_crossings(cfg, d2, cds, V2), V2))
     # composition functoriality: the word factors through its crossings.
     # (I x B1)(B0 x I) V is summed over the one slot the braidings share.
     d_ab = build_diagram(BraidWord(3, (1, 2)))
-    lcs = [sampling.random_coloring(cfg, d_ab, rng) for _ in range(trials)]
-    for lc, cds in zip(lcs, word_crossings(cfg, *[(d_ab, lc) for lc in lcs])):
+    for _ in range(trials):
+        cds, = word_crossings(cfg, (d_ab, sampling.random_coloring(cfg, d_ab, rng)))
         b0, b1 = (braiding_op(cd).as_operator().reshape(N, N, N, N) for cd in cds)
         b0V = np.einsum("ayij,ijkm->aykm", b0, V3.reshape(N, N, N, -1))
         m10V = np.einsum("bcyk,aykm->abcm", b1, b0V).reshape(N ** 3, -1)
@@ -851,7 +841,6 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
             out.note("edge gluing (abs)", max(defs))
     # log-parameter dependence
     dd = build_diagram(BraidWord(3, (1, 2, 1)))
-    pairs = []
     for _ in range(trials):
         lc0 = sampling.random_coloring(cfg, dd, rng)
         b_over = {s: lc0.beta[s] + int(rng.integers(-2, 3))
@@ -859,34 +848,32 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
         g_over = {r: lc0.gamma[r] + int(rng.integers(-2, 3))
                   for r in dd.internal_regions()}
         pin_b, pin_g = pin_bottom(dd, *lc0.bottom(dd))
-        pairs.append((lc0, extend_log_coloring(dd, *lc0.top(dd), lc0.mu,
-                                               {**b_over, **pin_b}, {**g_over, **pin_g})))
-    for (lc0, lc1), (cds0, cds1) in zip(pairs, _in_pairs(
-            word_crossings(cfg, *[(dd, lc) for pair in pairs for lc in pair]))):
+        lc1 = extend_log_coloring(dd, *lc0.top(dd), lc0.mu,
+                                  {**b_over, **pin_b}, {**g_over, **pin_g})
+        cds0, cds1 = word_crossings(cfg, (dd, lc0), (dd, lc1))
         lam0, lam1 = log_longitudes(dd, lc0), log_longitudes(dd, lc1)
         phase = cmath.exp(-TWO_PI_I / N * sum(
             (l1 - l0) * m for l1, l0, m in zip(lam1, lam0, lc0.mu)))
         out.note("log-decoration dependence",
                  _sum_dev(_apply_crossings(cfg, dd, cds1, V3), phase * _apply_crossings(cfg, dd, cds0, V3)))
     # R3 move: each pair shares its boundary data and log-longitudes
-    pairs = []
+    done = 0
     for _ in range(trials * 6):
-        if len(pairs) >= trials:
+        if done >= trials:
             break
         try:
-            pairs.append(sampling.matched_pair_colorings(
-                cfg, rng, (1, 2, 1), (2, 1, 2), 3))
+            before, after = sampling.matched_pair_colorings(cfg, rng, (1, 2, 1), (2, 1, 2), 3)
         except RuntimeError:
             continue
-    for (before, after), (cds0, cds1) in zip(pairs, _in_pairs(
-            word_crossings(cfg, *[side for pair in pairs for side in pair]))):
+        done += 1
+        cds0, cds1 = word_crossings(cfg, before, after)
         out.note("R3 move", _sum_dev(_apply_crossings(cfg, before[0], cds0, V3),
                                      _apply_crossings(cfg, after[0], cds1, V3)))
     # determinant cocycle over the double diagram
     loop = build_diagram(BraidWord(3, (1, 2, 1, -1, -2, -1)))
-    closed = []
+    done = 0
     for _ in range(trials * 4):
-        if len(closed) >= max(2, trials // 2):
+        if done >= max(2, trials // 2):
             break
         try:
             lc = sampling.random_coloring(cfg, loop, rng)
@@ -895,9 +882,10 @@ def check_braidgrpd(cfg: RootConfig, rng: np.random.Generator, trials: int) -> d
         # close the braid: bottom = top and zero log-longitudes
         top = lc.top(loop)
         lc = sampling.pinned_coloring(loop, top, top, lc.mu, [0.0, 0.0, 0.0])
-        if lc is not None:
-            closed.append(lc)
-    for cds in word_crossings(cfg, *[(loop, lc) for lc in closed]):
+        if lc is None:
+            continue
+        done += 1
+        cds, = word_crossings(cfg, (loop, lc))
         prod = np.exp(sum(logdet_braiding(cd) for cd in cds))
         out.note("determinant cocycle", min(abs(prod - 1.0), abs(prod + 1.0)))
     return out

@@ -649,12 +649,32 @@ def test_a_word_is_built_in_one_pass(rng, monkeypatch):
         braidgrpd._apply_crossings(cfg, d, cds[:4], V)
 
 
-def test_each_braid_row_builds_its_trial_set_in_one_pass(monkeypatch):
-    # R2 move, composition, log-decoration dependence, R3 move and the
-    # determinant cocycle (two closed words of six crossings): one
-    # lambda_table call per row, none per crossing
+def test_each_braid_trial_builds_its_words_in_one_pass(monkeypatch):
+    # one lambda_table call per trial, four flattenings per crossing of all
+    # its words: R2 move and composition (one word of two crossings each),
+    # log-decoration dependence and R3 move (a pair of three-crossing
+    # words each) and the determinant cocycle (two closed words of six)
     calls = []
     real = rmatrix.lambda_table
     monkeypatch.setattr(rmatrix, "lambda_table", lambda *a: calls.append(a) or real(*a))
     check_braidgrpd(RootConfig(3), np.random.default_rng(1), 4)
-    assert [np.shape(f.zeta0) for _, f in calls] == [(32,), (32,), (96,), (96,), (2 * 6 * 4,)]
+    assert [np.shape(f.zeta0) for _, f in calls] == [(8,)] * 8 + [(24,)] * 8 + [(24,)] * 2
+
+
+@pytest.mark.parametrize("N", [5, 7])
+def test_the_braid_suites_peak_does_not_grow_with_its_trials(N):
+    # each trial builds and reads its own words; with whole trial sets in
+    # one pass, 8 trials peaked 2.4-2.9x above 2
+    cfg = RootConfig(N)
+    check_braidgrpd(cfg, np.random.default_rng(0), 2)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check_braidgrpd(cfg, np.random.default_rng(1), trials)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) < 1.5 * peak(2)

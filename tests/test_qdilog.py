@@ -28,6 +28,17 @@ def test_root_config_validation():
     assert abs(cfg.xi ** 2 - cfg.omega) < 1e-14
 
 
+def test_root_config_takes_numpy_integers():
+    # N is stored as an int: numpy integers and integral floats become one,
+    # as BraidWord's width does, and a bool or a fraction is refused
+    cfg = RootConfig(np.int64(5))
+    assert cfg.N == 5 and type(cfg.N) is int and cfg == RootConfig(5)
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RootConfig(bad)
+    assert selftest.run_all(Ns=np.array([2]), scale=0.1)
+
+
 def test_omega_pow_values():
     assert abs(RootConfig(4).omega_pow(1) - 1j) < 1e-14
     assert abs(RootConfig(7).omega_pow(0) - 1) < 1e-14

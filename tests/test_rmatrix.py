@@ -24,8 +24,8 @@ from holorm.selftest import (IDENTITIES, _det_deviation, _det_factor_deviation,
                              _pinched_limit, _random_pinched_params,
                              colored_jones_closed_form, kashaev_closed_form,
                              nilpotent_closed_form, r2_backward_error,
-                             transform_rules, weight_basis_closed_form,
-                             weight_basis_rmat)
+                             shifted_crossing, transform_rules,
+                             weight_basis_closed_form, weight_basis_rmat)
 
 from conftest import mrel, rel
 
@@ -294,9 +294,9 @@ def test_det_sign_flip_inverts_constant(rng):
 def test_transform_rules_zero_shift(rng):
     cfg = RootConfig(3)
     c = random_crossing(cfg, rng, +1)
-    shifted, pred = transform_rules(c, rmat(c))
+    shifted = shifted_crossing(c)
     assert shifted == c
-    assert np.array_equal(pred, rmat(c).entries)
+    assert np.array_equal(transform_rules(c, shifted), rmat(c).entries)
 
 
 def test_transform_rules_gamma_n(rng):
@@ -304,7 +304,7 @@ def test_transform_rules_gamma_n(rng):
     N = 3
     c = random_crossing(cfg, rng, +1)
     R = rmat(c)
-    crossing, _ = transform_rules(c, R, gamma_shifts={"N": 1})
+    crossing = shifted_crossing(c, gamma_shifts={"N": 1})
     # entries scale by omega**(zeta_N^0 / 2) * omega**(n2' - n1)
     z0 = c.zeta0()
     w = cfg.omega_pow
@@ -321,7 +321,7 @@ def test_transform_rules_beta1(rng):
     N = 3
     c = random_crossing(cfg, rng, +1)
     R = rmat(c)
-    crossing, _ = transform_rules(c, R, beta_shifts=(1, 0, 0, 0))
+    crossing = shifted_crossing(c, beta_shifts=(1, 0, 0, 0))
     # beta_1 enters d_N = n2' - n1 (numerator) and d_W = n2 - n1
     # (denominator): a common phase omega**((zeta1_W - zeta1_N) / 2), kappa = 0
     z1 = c.zeta1(kappa=0)
@@ -341,13 +341,22 @@ def test_transform_rules_random_shifts(sign, rng):
             c = random_crossing(cfg, rng, sign)
             ks = {r: int(rng.integers(-2, 3)) for r in "NWSE"}
             ls = tuple(int(rng.integers(-2, 3)) for _ in range(4))
-            shifted, pred = transform_rules(c, rmat(c), gamma_shifts=ks,
-                                            beta_shifts=ls)
-            assert mrel(rmat(shifted).entries, pred) < 1e-10
+            shifted = shifted_crossing(c, gamma_shifts=ks, beta_shifts=ls)
+            assert mrel(rmat(shifted).entries, transform_rules(c, shifted)) < 1e-10
     with pytest.raises(ValueError):
-        transform_rules(c, rmat(c), beta_shifts=(0.5, 0, 0, 0))
+        shifted_crossing(c, beta_shifts=(0.5, 0, 0, 0))
     with pytest.raises(ValueError):
-        transform_rules(c, rmat(c), gamma_shifts={"N": 0.5})
+        shifted_crossing(c, gamma_shifts={"N": 0.5})
+    # transform_rules refuses a crossing that is no integer shift of c:
+    # every gamma up by 1/2 (the alphas, region differences, stay), another
+    # crossing of either sign, a crossing at another N
+    betas = (c.lc1.beta, c.lc2.beta, c.lc1p.beta, c.lc2p.beta)
+    half = crossing_from_logs(cfg, sign, betas, (c.lc1.mu, c.lc2.mu),
+                              [g + 0.5 for g in (c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e)])
+    for other in (half, random_crossing(cfg, rng, +1), random_crossing(cfg, rng, -1),
+                  random_crossing(RootConfig(3), rng, sign)):
+        with pytest.raises(ValueError, match="not an integer shift"):
+            transform_rules(c, other)
 
 
 def test_pinched_theta_zero_entry():
@@ -434,7 +443,7 @@ def test_pinched_nonstandard_reduction(rng):
     prm = _random_pinched_params(rng)
     base = standard_pinched_crossing(cfg, *prm)
     shifts = (0, 1, -1, 2)
-    shifted, _ = transform_rules(base, rmat_pinched(base), beta_shifts=shifts)
+    shifted = shifted_crossing(base, beta_shifts=shifts)
     ints = shifted.integral_zeta0()
     assert set(ints) == set("NWSE") and any(ints.values())
     got = rmat_pinched(shifted).entries
@@ -453,10 +462,9 @@ def test_gamma_shift_rule_at_pinched_crossings(N, rng):
             c = standard_pinched_crossing(cfg, *_random_pinched_params(rng), sign=sign)
             ks = {r: int(rng.integers(-2, 3)) for r in "NWSE"}
             ls = tuple(int(l) for l in rng.integers(-3, 4, size=4))
-            R = rmat_pinched(c)
-            for shifted, pred in (transform_rules(c, R, gamma_shifts=ks),
-                                  transform_rules(c, R, beta_shifts=ls)):
-                assert mrel(rmat_pinched(shifted).entries, pred) < 1e-10
+            for shifted in (shifted_crossing(c, gamma_shifts=ks),
+                            shifted_crossing(c, beta_shifts=ls)):
+                assert mrel(rmat_pinched(shifted).entries, transform_rules(c, shifted)) < 1e-10
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
@@ -536,9 +544,8 @@ def test_crossing_from_logs_derives_every_alpha(rng):
         betas = (c.lc1.beta, c.lc2.beta, c.lc1p.beta, c.lc2p.beta)
         gammas = (c.gamma_n, c.gamma_w, c.gamma_s, c.gamma_e)
         assert crossing_from_logs(cfg, sign, betas, (c.lc1.mu, c.lc2.mu), gammas) == c
-        R = rmat(c)
-        for built in (c, transform_rules(c, R, gamma_shifts={"N": 1, "E": -2})[0],
-                      transform_rules(c, R, beta_shifts=(1, 0, -1, 2))[0],
+        for built in (c, shifted_crossing(c, gamma_shifts={"N": 1, "E": -2}),
+                      shifted_crossing(c, beta_shifts=(1, 0, -1, 2)),
                       standard_pinched_crossing(cfg, *_random_pinched_params(rng),
                                                 sign=sign)):
             assert alphas_are_region_differences(built)
@@ -577,7 +584,7 @@ def _mixed_crossings(cfg, rng):
     prm = _random_pinched_params(rng)
     cs += [standard_pinched_crossing(cfg, *prm, sign=sign) for sign in (+1, -1)]
     base = cs[-2]
-    cs.append(transform_rules(base, rmat_pinched(base), beta_shifts=(0, 1, -1, 2))[0])
+    cs.append(shifted_crossing(base, beta_shifts=(0, 1, -1, 2)))
     assert any(cs[-1].integral_zeta0().values())
     return cs + [kashaev_crossing(cfg)]
 
@@ -697,3 +704,36 @@ def test_a_builds_temporaries_do_not_grow_with_its_crossings(N, rng):
         return peak - base - sum(c.entries.nbytes for c in cs)
 
     assert extra(8) < 1.5 * extra(1)
+
+
+def test_each_generic_crossing_is_one_pass(monkeypatch):
+    # a generic crossing, its two kappa variants and its two shifted
+    # crossings: one lambda_table call of 20 flattenings per crossing;
+    # then one crossing per recurrence pass, and a crossing with its
+    # partner per R2 contraction pass
+    calls = []
+    real = rmatrix.lambda_table
+    monkeypatch.setattr(rmatrix, "lambda_table", lambda *a: calls.append(a) or real(*a))
+    selftest.check_rmatrix(RootConfig(3), np.random.default_rng(1), 3)
+    shapes = [np.shape(f.zeta0) for _, f in calls]
+    assert shapes[:11] == [(20,)] * 6 + [(4,)] * 2 + [(8,)] * 3
+
+
+@pytest.mark.parametrize("N", [5, 7])
+def test_the_rmatrix_suites_peak_does_not_grow_with_its_trials(N):
+    # each trial builds its crossings and notes its rows before the next
+    # draws; with whole trial sets in one pass, 8 trials peaked 2.4-2.9x
+    # above 2
+    cfg = RootConfig(N)
+    selftest.check_rmatrix(cfg, np.random.default_rng(0), 2)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            selftest.check_rmatrix(cfg, np.random.default_rng(1), trials)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) < 1.5 * peak(2)
